@@ -114,16 +114,48 @@ def sample_categorical_log(rng: np.random.Generator, log_weights: np.ndarray) ->
 
 def sample_categorical_log_many(rng: np.random.Generator, log_weights: np.ndarray) -> np.ndarray:
     """Column-wise categorical draws from a (n_choices, n_sites) log-weight
-    matrix; one independent Gumbel-max draw per site."""
+    matrix; one independent Gumbel-max draw per site.
+
+    The Gumbels are built from uniforms as ``-log(-log(1 - u))``, the
+    transform ``Generator.gumbel`` applies, so the call consumes exactly the
+    bit-generator output ``rng.gumbel(size=log_weights.shape)`` would. The
+    vectorised log may differ from the C library's by an ulp, which changes
+    a draw only when two perturbed weights tie to within that ulp.
+    """
     lw = np.asarray(log_weights, dtype=np.float64)
     if lw.ndim != 2 or lw.shape[0] < 1:
         raise InvalidParameterError("log_weights must be a (n_choices, n_sites) matrix")
-    if np.any(np.isnan(lw)) or np.any(lw == np.inf):
+    if not np.all(lw < np.inf):  # also False for NaN
         raise InvalidParameterError("log_weights must be in [-inf, inf)")
-    if not np.all(np.any(np.isfinite(lw), axis=0)):
+    if not np.all(lw.max(axis=0) > -np.inf):
         raise InvalidParameterError("some site has all categorical log-weights at -inf")
-    gumbel = rng.gumbel(size=lw.shape)
-    return np.argmax(lw + gumbel, axis=0)
+    saved = rng.bit_generator.state
+    g = rng.random(size=lw.shape)
+    if not g.all():
+        # Generator.gumbel rejects u == 0 and draws again; let it do so.
+        rng.bit_generator.state = saved
+        g = rng.gumbel(size=lw.shape)
+        g += lw
+    else:
+        np.subtract(1.0, g, out=g)
+        np.log(g, out=g)
+        np.negative(g, out=g)
+        np.log(g, out=g)
+        np.subtract(lw, g, out=g)  # lw + gumbel, as a + (-b) == a - b exactly
+    return _argmax_rows_first(g)
+
+
+def _argmax_rows_first(g: np.ndarray) -> np.ndarray:
+    """``np.argmax(g, axis=0)`` for a NaN-free matrix, by a running maximum
+    over the rows; overwrites ``g[0]``. numpy's axis-0 argmax copies the
+    matrix to column order first, which costs as much as the Gumbels."""
+    best = g[0]
+    idx = np.zeros(g.shape[1], dtype=np.intp)
+    for k in range(1, g.shape[0]):
+        row = g[k]
+        idx = np.where(row > best, k, idx)  # strict: ties keep the first row
+        np.maximum(best, row, out=best)
+    return idx
 
 
 def _truncnorm_tail(rng: np.random.Generator, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:

@@ -21,6 +21,7 @@ rejected and missing required keys are reported by name.
 from __future__ import annotations
 
 import json
+import os
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
@@ -76,27 +77,38 @@ def write_matrix(path: str | Path, arr: np.ndarray) -> None:
         fh.write(b"crc32:%08x\n" % crc)
 
 
+_FOOTER_LEN = len(b"crc32:%08x\n" % 0)
+
+
 def read_matrix(path: str | Path) -> np.ndarray:
     """Read a container written by :func:`write_matrix`, verifying the
-    checksum. Raises :class:`DataFormatError` on any corruption."""
+    checksum. Raises :class:`DataFormatError` on any corruption.
+
+    The payload is read straight into the returned array, and the CRC32 runs
+    over the header and that array, so the file is held in memory once.
+    """
     path = Path(path)
     try:
-        raw = path.read_bytes()
+        with open(path, "rb") as fh:
+            return _read_matrix_from(fh, path)
     except OSError as exc:
         raise DataFormatError(f"cannot read {path}: {exc}") from exc
-    if not raw.startswith(MAGIC):
+
+
+def _read_matrix_from(fh, path: Path) -> np.ndarray:
+    file_size = os.fstat(fh.fileno()).st_size
+    if fh.read(len(MAGIC)) != MAGIC:
         raise DataFormatError(f"{path}: bad magic, not a matrix container")
-    body = raw[len(MAGIC):]
-    nl = body.find(b"\n")
-    if nl < 0:
+    header_line = fh.readline()
+    if not header_line.endswith(b"\n"):
         raise DataFormatError(f"{path}: missing header line")
-    header_line = body[: nl + 1]
     try:
         header = json.loads(header_line)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not text
         raise DataFormatError(f"{path}: malformed header: {exc}") from exc
-    if set(header) != {"dtype", "rows", "cols", "order"}:
-        raise DataFormatError(f"{path}: header keys {sorted(header)} unexpected")
+    if not isinstance(header, dict) or set(header) != {"dtype", "rows", "cols", "order"}:
+        keys = sorted(header) if isinstance(header, dict) else type(header).__name__
+        raise DataFormatError(f"{path}: header keys {keys} unexpected")
     if header["order"] != "row-major":
         raise DataFormatError(f"{path}: unsupported element order {header['order']}")
     if header["dtype"] not in _DTYPES:
@@ -109,23 +121,27 @@ def read_matrix(path: str | Path) -> np.ndarray:
     if rows < 0 or cols < 0:
         raise DataFormatError(f"{path}: negative dimensions")
     n_bytes = rows * cols * dtype.itemsize
-    rest = body[nl + 1:]
-    if len(rest) != n_bytes + 15:  # payload + b"crc32:%08x\n"
+    if file_size != len(MAGIC) + len(header_line) + n_bytes + _FOOTER_LEN:
         raise DataFormatError(f"{path}: truncated or oversized payload")
-    payload, footer = rest[:n_bytes], rest[n_bytes:]
+    arr = np.empty((rows, cols), dtype=dtype)
+    payload = memoryview(arr.reshape(-1).view(np.uint8))
+    if fh.readinto(payload) != n_bytes:
+        raise DataFormatError(f"{path}: truncated or oversized payload")
+    footer = fh.read(_FOOTER_LEN + 1)
+    if len(footer) != _FOOTER_LEN:
+        raise DataFormatError(f"{path}: truncated or oversized payload")
     if not footer.startswith(b"crc32:") or not footer.endswith(b"\n"):
         raise DataFormatError(f"{path}: malformed checksum footer")
     try:
         expected = int(footer[6:-1], 16)
     except ValueError as exc:
         raise DataFormatError(f"{path}: malformed checksum footer") from exc
-    actual = zlib.crc32(header_line + payload) & 0xFFFFFFFF
+    actual = zlib.crc32(payload, zlib.crc32(header_line)) & 0xFFFFFFFF
     if expected != actual:
         raise DataFormatError(
             f"{path}: checksum mismatch (stored {expected:08x}, computed {actual:08x})"
         )
-    arr = np.frombuffer(payload, dtype=dtype).reshape(rows, cols)
-    return arr.astype(np.float64 if header["dtype"] == "f64" else np.uint32)
+    return arr if arr.dtype.isnative else arr.astype(arr.dtype.newbyteorder("="))
 
 
 def write_label_field(path: str | Path, field: LabelField) -> None:

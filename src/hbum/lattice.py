@@ -10,6 +10,7 @@ touching callers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -73,6 +74,15 @@ class Lattice:
         even = (rows + cols) % 2 == 0
         idx = np.arange(self.n_pixels)
         return idx[even], idx[~even]
+
+    @cached_property
+    def color_sites(self) -> tuple[np.ndarray, np.ndarray]:
+        """The two index sets of :meth:`checkerboard_partition`, computed
+        once per lattice and shared, hence read-only."""
+        even, odd = self.checkerboard_partition()
+        even.flags.writeable = False
+        odd.flags.writeable = False
+        return even, odd
 
     def color_masks(self) -> tuple[np.ndarray, np.ndarray]:
         """Boolean (height, width) masks of the two checkerboard colors."""

@@ -32,7 +32,7 @@ from .distributions import (
     sample_inverse_gamma,
     sample_inverse_gamma_array,
 )
-from .errors import NumericalDegeneracyError, ValidationError
+from .errors import InvalidParameterError, NumericalDegeneracyError, ValidationError
 from .lattice import neighbor_value_counts
 from .model import (
     AbundanceMatrix,
@@ -162,11 +162,18 @@ class _Precomp:
     w1: np.ndarray  # (J, P) class log-prior matrix
 
 
-def _make_precomp(Y: ObservationMatrix, M: EndmemberMatrix, sup: SupervisionData) -> _Precomp:
+def _make_precomp(
+    Y: ObservationMatrix,
+    M: EndmemberMatrix,
+    sup: SupervisionData,
+    work: np.ndarray | None = None,
+) -> _Precomp:
+    """Chain constants; ``work``, a d x P scratch array if given, receives
+    Y * Y so the square needs no temporary of its own."""
     return _Precomp(
         mtm=M.data.T @ M.data,
         mty=M.data.T @ Y.data,
-        y_sq=float(np.sum(Y.data * Y.data)),
+        y_sq=float(np.sum(np.multiply(Y.data, Y.data, out=work))),
         n_obs=Y.data.size,
         w1=class_log_prior_matrix(sup),
     )
@@ -184,6 +191,21 @@ def _require_finite_option(log_weights: np.ndarray, what: str, state: ChainState
             f"all {what} log-weights are -inf at iteration {state.iteration} "
             f"(first affected site {int(np.flatnonzero(dead)[0])})"
         )
+
+
+def _draw_labels(
+    rng: np.random.Generator, log_weights: np.ndarray, what: str, state: ChainState
+) -> np.ndarray:
+    """Categorical draws for one half-sweep. ``sample_categorical_log_many``
+    rejects every site without a finite log-weight, so its own checks are
+    the only scan of the weights on the usual path. When it rejects them
+    and some site has no finite log-weight, that is a degeneracy of the
+    chain and raised as one."""
+    try:
+        return sample_categorical_log_many(rng, log_weights)
+    except InvalidParameterError:
+        _require_finite_option(log_weights, what, state)
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -245,16 +267,29 @@ def _sample_abundances_all(state: ChainState, pre: _Precomp, rng: np.random.Gene
         if idx.size == 0:
             continue
         sigma2_k = state.clusters.sigma2[k]
-        prec = pre.mtm / s2 + np.diag(1.0 / sigma2_k)
-        try:
-            chol = np.linalg.cholesky(prec)
-        except np.linalg.LinAlgError as exc:
+        # On noiseless data s2 can fall so low that these overflow. One
+        # explicit check of the factor and the right-hand side reports that,
+        # in place of scipy's check_finite scans on every solve.
+        with np.errstate(over="ignore", invalid="ignore"):
+            prec = pre.mtm / s2 + np.diag(1.0 / sigma2_k)
+            try:
+                chol = np.linalg.cholesky(prec)
+            except np.linalg.LinAlgError as exc:
+                raise NumericalDegeneracyError(
+                    f"abundance precision not positive definite for cluster {k}"
+                ) from exc
+            b = pre.mty[:, idx] / s2 + (state.clusters.psi[k] / sigma2_k)[:, None]
+        if not (np.isfinite(chol).all() and np.isfinite(b).all()):
             raise NumericalDegeneracyError(
-                f"abundance precision not positive definite for cluster {k}"
-            ) from exc
-        b = pre.mty[:, idx] / s2 + (state.clusters.psi[k] / sigma2_k)[:, None]
-        mean = solve_triangular(chol.T, solve_triangular(chol, b, lower=True), lower=False)
-        state.A.data[:, idx] = mean + solve_triangular(chol.T, noise[:, idx], lower=False)
+                f"abundance posterior of cluster {k} is not finite (noise variance {s2:.3g})"
+            )
+        mean = solve_triangular(
+            chol.T, solve_triangular(chol, b, lower=True, check_finite=False),
+            lower=False, check_finite=False,
+        )
+        state.A.data[:, idx] = mean + solve_triangular(
+            chol.T, noise[:, idx], lower=False, check_finite=False
+        )
 
 
 def _draw_noise_variance(
@@ -339,9 +374,15 @@ def _gaussian_cluster_loglik(
     n_clusters, n_dims = psi.shape
     out = np.empty((n_clusters, a.shape[1]))
     log_norm = -0.5 * (n_dims * np.log(2.0 * np.pi) + np.log(sigma2).sum(axis=1))
+    buf = np.empty_like(a)
     for k in range(n_clusters):
-        diff = a - psi[k][:, None]
-        out[k] = log_norm[k] - 0.5 * np.sum(diff * diff / sigma2[k][:, None], axis=0)
+        # log_norm - 0.5 * sum((a - psi) ** 2 / sigma2), step by step in place.
+        np.subtract(a, psi[k][:, None], out=buf)
+        np.multiply(buf, buf, out=buf)
+        np.divide(buf, sigma2[k][:, None], out=buf)
+        np.sum(buf, axis=0, out=out[k])
+        out[k] *= 0.5
+        np.subtract(log_norm[k], out[k], out=out[k])
     return out
 
 
@@ -369,14 +410,12 @@ def sample_cluster_labels(
                 )
             state.z.labels[p] = sample_categorical_log(rng, weights)
         return state.z
-    base_grid = base.reshape(n_clusters, lat.height, lat.width)
-    for mask in lat.color_masks():
-        weights = base_grid[:, mask]
+    for sites in lat.color_sites:
+        weights = base[:, sites]
         if state.effective_beta1 > 0.0:
-            counts = neighbor_value_counts(grid, n_clusters)
-            weights = weights + state.effective_beta1 * counts[:, mask]
-        _require_finite_option(weights, "cluster", state)
-        grid[mask] = sample_categorical_log_many(rng, weights)
+            counts = neighbor_value_counts(grid, n_clusters).reshape(n_clusters, -1)
+            weights += state.effective_beta1 * counts[:, sites]
+        state.z.labels[sites] = _draw_labels(rng, weights, "cluster", state)
     return state.z
 
 
@@ -422,9 +461,10 @@ def sample_class_labels(
     n_classes = config.n_classes
     if w1 is None:
         w1 = class_log_prior_matrix(sup)
-    base = _log_nonneg(state.q.q)[state.z.labels, :].T + w1
+    base = _log_nonneg(state.q.q).T[:, state.z.labels]
+    base += w1
     if state.effective_beta1 > 0.0:
-        base = base - _class_log_partition(state, state.effective_beta1)
+        base -= _class_log_partition(state, state.effective_beta1)
     lat = state.omega.lattice
     grid = state.omega.grid()
     if config.schedule == "raster":
@@ -440,14 +480,12 @@ def sample_class_labels(
                 )
             state.omega.labels[p] = sample_categorical_log(rng, weights)
         return state.omega
-    base_grid = base.reshape(n_classes, lat.height, lat.width)
-    for mask in lat.color_masks():
-        weights = base_grid[:, mask]
+    for sites in lat.color_sites:
+        weights = base[:, sites]
         if config.beta2 > 0.0:
-            counts = neighbor_value_counts(grid, n_classes)
-            weights = weights + config.beta2 * counts[:, mask]
-        _require_finite_option(weights, "class", state)
-        grid[mask] = sample_categorical_log_many(rng, weights)
+            counts = neighbor_value_counts(grid, n_classes).reshape(n_classes, -1)
+            weights += config.beta2 * counts[:, sites]
+        state.omega.labels[sites] = _draw_labels(rng, weights, "class", state)
     return state.omega
 
 
@@ -496,11 +534,17 @@ def initialize_state(
     sup: SupervisionData,
     config: ModelConfig,
     rng: np.random.Generator,
+    pre: _Precomp | None = None,
+    work: np.ndarray | None = None,
 ) -> ChainState:
     """Deterministic-given-seed starting point: ridge unmixing clipped to
     [0, 1] for A, k-means++ clustering of the abundance columns for z,
     cluster moments for psi/sigma2, uniform-Dirichlet columns for Q, and the
-    expert labels (proportion draws where unlabeled) for omega."""
+    expert labels (proportion draws where unlabeled) for omega.
+
+    ``pre`` supplies the MᵀM and MᵀY the chain has already formed, and
+    ``work``, a d x P scratch array, holds the initial residual; neither
+    changes the result."""
     from .distributions import project_to_simplex
 
     n_pixels = Y.n_pixels
@@ -509,12 +553,15 @@ def initialize_state(
         raise ValidationError(
             f"cannot form {config.n_clusters} clusters from {n_pixels} pixels"
         )
-    mtm = M.data.T @ M.data
+    mtm = M.data.T @ M.data if pre is None else pre.mtm
+    mty = M.data.T @ Y.data if pre is None else pre.mty
     ridge = 1e-6 * np.trace(mtm) / n_dims
-    a = np.linalg.solve(mtm + ridge * np.eye(n_dims), M.data.T @ Y.data)
+    a = np.linalg.solve(mtm + ridge * np.eye(n_dims), mty)
     np.clip(a, 0.0, 1.0, out=a)
-    resid = Y.data - M.data @ a
-    s2 = max(float(np.mean(resid * resid)), 1e-12)
+    resid = np.matmul(M.data, a, out=work)
+    np.subtract(Y.data, resid, out=resid)
+    np.multiply(resid, resid, out=resid)
+    s2 = max(float(np.mean(resid)), 1e-12)
 
     z = _kmeans_labels(a, config.n_clusters, rng)
     psi = np.empty((config.n_clusters, n_dims))
@@ -602,22 +649,31 @@ def run_chain(
             sup.n_classes, sup.n_pixels,
         )
         sup.validate()
-    pre = _make_precomp(Y, M, sup)
-    state = init if init is not None else initialize_state(Y, M, sup, config, rng)
+    # One d x P scratch array serves both set-up steps, then is released.
+    work = np.empty_like(Y.data)
+    pre = _make_precomp(Y, M, sup, work)
+    state = init if init is not None else initialize_state(Y, M, sup, config, rng, pre, work)
+    del work
     trace = Trace.empty(config.n_endmembers, Y.n_pixels, config.n_clusters, config.n_classes)
+    # The lambdas look each stage up on this module when called, so a stage
+    # replaced there (by a test or a profiler) still takes part in the sweep.
+    stages = (
+        ("abundances", lambda: _sample_abundances_all(state, pre, rng)),
+        ("noise", lambda: _sample_noise_fast(state, pre, rng)),
+        ("cluster_means", lambda: sample_cluster_means(state, config, rng)),
+        ("cluster_variances", lambda: sample_cluster_variances(state, config, rng)),
+        ("cluster_labels", lambda: sample_cluster_labels(state, config, rng)),
+        ("interaction", lambda: sample_interaction_matrix(state, sup, config, rng)),
+        ("class_labels", lambda: sample_class_labels(state, sup, config, rng, w1=pre.w1)),
+    )
     total = config.n_burnin + config.n_mc
     for it in range(total):
         state.effective_beta1 = config.beta1 if it < config.n_burnin else 0.0
-        try:
-            _sample_abundances_all(state, pre, rng)
-            _sample_noise_fast(state, pre, rng)
-            sample_cluster_means(state, config, rng)
-            sample_cluster_variances(state, config, rng)
-            sample_cluster_labels(state, config, rng)
-            sample_interaction_matrix(state, sup, config, rng)
-            sample_class_labels(state, sup, config, rng, w1=pre.w1)
-        except NumericalDegeneracyError as exc:
-            raise NumericalDegeneracyError(f"sweep {it}: {exc}") from exc
+        for name, stage in stages:
+            try:
+                stage()
+            except NumericalDegeneracyError as exc:
+                raise NumericalDegeneracyError(f"sweep {it}, {name}: {exc}") from exc
         state.iteration += 1
         if debug_validate:
             state.validate()

@@ -2,6 +2,7 @@
 corruption sweep and exit-code behavior."""
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -193,6 +194,25 @@ class TestRun:
         model2 = tmp_path / "model2.json"
         model2.write_text(json.dumps(wrong))
         assert main(["run", str(bundle), str(model2), "--out", str(tmp_path / "r")]) == 2
+
+
+    def test_noiseless_scene_exits_3_naming_sweep_and_stage(self, tmp_path, capsys):
+        # On the scene-1 protocol without noise the sampled noise variance
+        # underflows within a few sweeps and the abundance posterior overflows.
+        configs_dir = Path(__file__).resolve().parents[1] / "configs"
+        scene = json.loads((configs_dir / "image1.json").read_text())
+        scene["scene"]["snr_db"] = "inf"
+        scene_path = tmp_path / "noiseless.json"
+        scene_path.write_text(json.dumps(scene))
+        bundle = tmp_path / "bundle"
+        assert main(["generate", str(scene_path), "--out", str(bundle)]) == 0
+        capsys.readouterr()
+        model_path = configs_dir / "model_image1.json"
+        code = main(["run", str(bundle), str(model_path), "--out", str(tmp_path / "r")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert re.search(r"sweep \d+, abundances: ", err)
+        assert "Traceback" not in err
 
 
 class TestEvaluate:

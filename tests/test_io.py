@@ -115,6 +115,48 @@ class TestMatrixContainer:
         with pytest.raises(DataFormatError, match="magic"):
             read_matrix(path)
 
+    def test_trailing_bytes_after_footer_detected(self, tmp_path):
+        path = tmp_path / "m.hbm"
+        write_matrix(path, np.ones((3, 3)))
+        path.write_bytes(path.read_bytes() + b"\n")
+        with pytest.raises(DataFormatError, match="truncated or oversized"):
+            read_matrix(path)
+
+    @pytest.mark.parametrize("claimed_rows", [2, 4])
+    def test_header_row_count_must_match_payload(self, tmp_path, claimed_rows):
+        path = tmp_path / "m.hbm"
+        write_matrix(path, np.ones((3, 3)))
+        raw = path.read_bytes()
+        path.write_bytes(raw.replace(b'"rows": 3', b'"rows": %d' % claimed_rows, 1))
+        with pytest.raises(DataFormatError, match="truncated or oversized"):
+            read_matrix(path)
+
+    @pytest.mark.parametrize(
+        "footer", [b"crc31:00000000\n", b"crc32:0000000g\n", b"crc32:000000000"]
+    )
+    def test_malformed_footer_detected(self, tmp_path, footer):
+        path = tmp_path / "m.hbm"
+        write_matrix(path, np.ones((3, 3)))
+        raw = path.read_bytes()
+        path.write_bytes(raw[: -len(footer)] + footer)
+        with pytest.raises(DataFormatError, match="malformed checksum footer"):
+            read_matrix(path)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.uint32])
+    def test_zero_row_round_trip(self, tmp_path, dtype):
+        path = tmp_path / "m.hbm"
+        write_matrix(path, np.zeros((0, 5), dtype=dtype))
+        back = read_matrix(path)
+        assert back.shape == (0, 5) and back.dtype == dtype
+
+    def test_result_is_writable_and_owns_its_memory(self, tmp_path):
+        path = tmp_path / "m.hbm"
+        write_matrix(path, np.arange(12.0).reshape(3, 4))
+        back = read_matrix(path)
+        assert back.flags.writeable and back.flags.owndata and back.flags.c_contiguous
+        back[0, 0] = -1.0
+        np.testing.assert_array_equal(read_matrix(path), np.arange(12.0).reshape(3, 4))
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataFormatError):
             read_matrix(tmp_path / "absent.hbm")
