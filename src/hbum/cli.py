@@ -10,7 +10,8 @@ Subcommands
 
 Exit codes: 0 success, 2 validation error, 3 numerical degeneracy, 4 I/O or
 file-format error. ``--threads`` (or the ``HBUM_THREADS`` environment
-variable) parallelizes sweep-corruption trials across processes; every trial
+variable), an integer >= 1, parallelizes sweep-corruption trials across
+processes, which share the one bundle the parent has read; every trial
 draws from its own substream of the master seed, so results do not depend on
 the worker count.
 """
@@ -266,11 +267,21 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _sweep_trial(task) -> tuple[int, int, float]:
-    """One corruption trial; module-level so worker processes can import it."""
-    (bundle_dir, config_path, overrides, alpha, alpha_idx, trial, eval_all) = task
-    bundle = read_bundle(bundle_dir)
-    config = load_model_config(config_path, overrides=overrides)
+# The (bundle, config, eval_all) of a sweep, set once in each pool worker by
+# ``_init_sweep_worker``; the parent process never sets it.
+_sweep_inputs = None
+
+
+def _init_sweep_worker(inputs) -> None:
+    global _sweep_inputs
+    _sweep_inputs = inputs
+
+
+def _sweep_trial(task, inputs=None) -> tuple[int, int, float]:
+    """One corruption trial; module-level so worker processes can import it.
+    ``inputs`` defaults to the ones set in this pool worker."""
+    bundle, config, eval_all = _sweep_inputs if inputs is None else inputs
+    alpha, alpha_idx, trial = task
     corrupt_rng = make_rng(config.seed, _STREAM_CORRUPT_BASE + alpha_idx * 1000 + trial)
     sup = corrupt_labels(bundle.sup, alpha, corrupt_rng)
     chain_rng = make_rng(config.seed, alpha_idx * 1000 + trial)
@@ -281,6 +292,24 @@ def _sweep_trial(task) -> tuple[int, int, float]:
         pixel_idx = np.flatnonzero(~bundle.sup.labeled_mask())
     cm = ConfusionMatrix.from_labels(bundle.omega_true, estimates.omega, pixel_idx)
     return alpha_idx, trial, cohen_kappa(cm)
+
+
+def _thread_count(option: int | None) -> int:
+    """Worker count from ``--threads``, else ``HBUM_THREADS``, else 1."""
+    if option is not None:
+        value, source = option, "--threads"
+    else:
+        text = os.environ.get("HBUM_THREADS", "1")
+        source = "HBUM_THREADS"
+        try:
+            value = int(text)
+        except ValueError:
+            raise ValidationError(
+                f"{source} must be an integer >= 1, got '{text}'"
+            ) from None
+    if value < 1:
+        raise ValidationError(f"{source} must be an integer >= 1, got {value}")
+    return value
 
 
 def _parse_alphas(text: str | None) -> list[float]:
@@ -299,26 +328,29 @@ def cmd_sweep_corruption(args) -> int:
     alphas = _parse_alphas(args.alphas)
     if not (1 <= args.trials <= _MAX_SWEEP_TRIALS):
         raise ValidationError(f"--trials must lie in 1..{_MAX_SWEEP_TRIALS}")
-    threads = args.threads or int(os.environ.get("HBUM_THREADS", "1"))
-    overrides = _model_overrides(args)
-    # Validate inputs before launching workers.
-    read_bundle(args.bundle)
-    load_model_config(args.config, overrides=overrides)
+    threads = _thread_count(args.threads)
+    # Read and validate the inputs once, before launching workers; every
+    # trial runs on them.
+    bundle = read_bundle(args.bundle)
+    config = load_model_config(args.config, overrides=_model_overrides(args))
+    inputs = (bundle, config, args.eval_all)
 
     tasks = [
-        (str(args.bundle), str(args.config), overrides, alpha, alpha_idx, trial, args.eval_all)
+        (alpha, alpha_idx, trial)
         for alpha_idx, alpha in enumerate(alphas)
         for trial in range(args.trials)
     ]
     t0 = time.perf_counter()
     kappas = np.zeros((len(alphas), args.trials))
     if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        with ProcessPoolExecutor(
+            max_workers=threads, initializer=_init_sweep_worker, initargs=(inputs,)
+        ) as pool:
             for alpha_idx, trial, kappa in pool.map(_sweep_trial, tasks):
                 kappas[alpha_idx, trial] = kappa
     else:
         for task in tasks:
-            alpha_idx, trial, kappa = _sweep_trial(task)
+            alpha_idx, trial, kappa = _sweep_trial(task, inputs)
             kappas[alpha_idx, trial] = kappa
     elapsed = time.perf_counter() - t0
 

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dtrtrs
 
 from .distributions import (
     make_rng,
@@ -51,6 +52,13 @@ from .model import (
 # Post-draw floors preventing degenerate collapse on noiseless data.
 SIGMA2_FLOOR = 1e-12
 NOISE_SCALE_FLOOR = 1e-300
+
+# Largest run numpy's pairwise summation of a contiguous array is asked to
+# add in one call; see ``_pairwise_sum``.
+_PAIRWISE_LEAF = 1 << 15
+# Fewest columns per tile of the cluster log-likelihood: a tile of the
+# abundance matrix and its scratch stay in cache across the clusters.
+_LOGLIK_TILE = 8192
 
 
 @dataclass
@@ -157,23 +165,81 @@ class _Precomp:
 
     mtm: np.ndarray  # (R, R)
     mty: np.ndarray  # (R, P)
+    mty_t: np.ndarray  # (P, R), C-ordered: pixel rows for the abundance solves
     y_sq: float  # ||Y||_F^2
     n_obs: int  # P * d
     w1: np.ndarray  # (J, P) class log-prior matrix
 
 
-def _make_precomp(
-    Y: ObservationMatrix,
-    M: EndmemberMatrix,
-    sup: SupervisionData,
-    work: np.ndarray | None = None,
-) -> _Precomp:
-    """Chain constants; ``work``, a d x P scratch array if given, receives
-    Y * Y so the square needs no temporary of its own."""
+def _pairwise_sum(n: int, leaf_sum, start: int = 0) -> float:
+    """The sum numpy's ``np.add.reduce`` forms over a contiguous array of
+    ``n`` elements, with ``leaf_sum(lo, hi)`` giving the reduce of elements
+    ``lo:hi``. numpy adds such an array pairwise, splitting a run of ``n``
+    at ``n//2 - (n//2) % 8``; walking the same splits down to runs short
+    enough to build one at a time gives the same additions in the same
+    order, so the same bits, without the whole array."""
+    if n <= _PAIRWISE_LEAF:
+        return leaf_sum(start, start + n)
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(half, leaf_sum, start) + _pairwise_sum(n - half, leaf_sum, start + half)
+
+
+def _sum_of_squares(y: np.ndarray) -> float:
+    """``np.sum(y * y)`` without the d x P square."""
+    flat = y.reshape(-1)
+    buf = np.empty(min(flat.size, _PAIRWISE_LEAF))
+
+    def leaf(lo: int, hi: int) -> float:
+        part = np.multiply(flat[lo:hi], flat[lo:hi], out=buf[: hi - lo])
+        return np.add.reduce(part)
+
+    return float(_pairwise_sum(flat.size, leaf))
+
+
+def _residual_mean_square(y: np.ndarray, m: np.ndarray, a: np.ndarray) -> float:
+    """``np.mean((y - m @ a) ** 2)`` without the d x P residual.
+
+    Each run of the pairwise sum takes its rows of ``m @ a`` from a product
+    of at least two rows of ``m``: numpy sends a one-row product to gemv,
+    which rounds differently from the full product's gemm. On OpenBLAS a
+    gemm of two or more rows gives the full product's bits, except that in
+    the last P mod 8 columns, which its edge kernels compute, an element
+    can differ by one ulp. That reaches the sum only if it crosses a
+    rounding boundary of a partial sum, which no tested shape showed.
+    With one row the full product is the only product."""
+    n_rows, n_cols = y.shape
+    flat = y.reshape(-1)
+    buf = np.empty(min(flat.size, _PAIRWISE_LEAF))
+    if n_rows == 1:
+        block, b0, b1 = (m @ a).reshape(-1), 0, 1
+    else:
+        block, b0, b1 = None, 0, 0
+
+    def leaf(lo: int, hi: int) -> float:
+        nonlocal block, b0, b1
+        r0, r1 = lo // n_cols, (hi - 1) // n_cols + 1
+        if r0 < b0 or r1 > b1:
+            # One row past the run: the next run usually ends in it.
+            b0 = min(r0, n_rows - 2)
+            b1 = min(n_rows, max(r1 + 1, b0 + 2))
+            block = (m[b0:b1] @ a).reshape(-1)
+        part = buf[: hi - lo]
+        np.subtract(flat[lo:hi], block[lo - b0 * n_cols : hi - b0 * n_cols], out=part)
+        np.multiply(part, part, out=part)
+        return np.add.reduce(part)
+
+    return float(_pairwise_sum(flat.size, leaf) / flat.size)
+
+
+def _make_precomp(Y: ObservationMatrix, M: EndmemberMatrix, sup: SupervisionData) -> _Precomp:
+    """Chain constants, formed without a d x P temporary."""
+    mty = M.data.T @ Y.data
     return _Precomp(
         mtm=M.data.T @ M.data,
-        mty=M.data.T @ Y.data,
-        y_sq=float(np.sum(np.multiply(Y.data, Y.data, out=work))),
+        mty=mty,
+        mty_t=np.ascontiguousarray(mty.T),
+        y_sq=_sum_of_squares(Y.data),
         n_obs=Y.data.size,
         w1=class_log_prior_matrix(sup),
     )
@@ -256,17 +322,31 @@ def sample_abundance(
 
 def _sample_abundances_all(state: ChainState, pre: _Precomp, rng: np.random.Generator) -> None:
     """Vectorized abundance sweep: pixels sharing a cluster share their
-    posterior precision, so each cluster is one batched solve."""
+    posterior precision, so each cluster is one batched solve.
+
+    Pixels are sorted by cluster (stably, so each cluster keeps its pixel
+    order) and each cluster's right-hand side and noise are one contiguous
+    block of (P, R) rows. Its transpose is the Fortran-ordered matrix
+    LAPACK's ``trtrs`` solves in place, called with the arguments
+    ``solve_triangular`` passes for a C-ordered lower factor."""
     n_dims, n_pixels = state.A.data.shape
     s2 = state.noise.s2
     # One noise block drawn up front keeps rng consumption independent of
     # the current label configuration.
     noise = rng.standard_normal((n_dims, n_pixels))
-    for k in range(state.clusters.n_clusters):
-        idx = np.flatnonzero(state.z.labels == k)
-        if idx.size == 0:
+    z = state.z.labels
+    n_clusters = state.clusters.n_clusters
+    # Narrow keys let numpy's stable sort run as a radix sort.
+    order = np.argsort(z.astype(np.min_scalar_type(n_clusters - 1)), kind="stable")
+    bounds = np.cumsum(np.bincount(z, minlength=n_clusters))
+    rhs = pre.mty_t[order]
+    noise = np.ascontiguousarray(noise.T[order])
+    lo = 0
+    for k, hi in enumerate(bounds):
+        if hi == lo:
             continue
         sigma2_k = state.clusters.sigma2[k]
+        b = rhs[lo:hi]
         # On noiseless data s2 can fall so low that these overflow. One
         # explicit check of the factor and the right-hand side reports that,
         # in place of scipy's check_finite scans on every solve.
@@ -278,18 +358,21 @@ def _sample_abundances_all(state: ChainState, pre: _Precomp, rng: np.random.Gene
                 raise NumericalDegeneracyError(
                     f"abundance precision not positive definite for cluster {k}"
                 ) from exc
-            b = pre.mty[:, idx] / s2 + (state.clusters.psi[k] / sigma2_k)[:, None]
+            np.divide(b, s2, out=b)
+            np.add(b, state.clusters.psi[k] / sigma2_k, out=b)
         if not (np.isfinite(chol).all() and np.isfinite(b).all()):
             raise NumericalDegeneracyError(
                 f"abundance posterior of cluster {k} is not finite (noise variance {s2:.3g})"
             )
-        mean = solve_triangular(
-            chol.T, solve_triangular(chol, b, lower=True, check_finite=False),
-            lower=False, check_finite=False,
-        )
-        state.A.data[:, idx] = mean + solve_triangular(
-            chol.T, noise[:, idx], lower=False, check_finite=False
-        )
+        # chol.T is the Fortran-ordered upper factor and L x = b its
+        # transposed system. A factor numpy returned with a finite, positive
+        # diagonal is never singular, so trtrs's info needs no check.
+        dtrtrs(chol.T, b.T, lower=0, trans=1, overwrite_b=1)
+        dtrtrs(chol.T, b.T, lower=0, trans=0, overwrite_b=1)
+        dtrtrs(chol.T, noise[lo:hi].T, lower=0, trans=0, overwrite_b=1)
+        b += noise[lo:hi]
+        lo = hi
+    state.A.data.T[order] = rhs
 
 
 def _draw_noise_variance(
@@ -370,19 +453,31 @@ def sample_cluster_means(
 def _gaussian_cluster_loglik(
     a: np.ndarray, psi: np.ndarray, sigma2: np.ndarray
 ) -> np.ndarray:
-    """(K, P) log-density of every abundance column under every cluster."""
+    """(K, P) log-density of every abundance column under every cluster,
+    in column tiles so a tile stays in cache across the clusters."""
     n_clusters, n_dims = psi.shape
-    out = np.empty((n_clusters, a.shape[1]))
+    n_pixels = a.shape[1]
+    out = np.empty((n_clusters, n_pixels))
     log_norm = -0.5 * (n_dims * np.log(2.0 * np.pi) + np.log(sigma2).sum(axis=1))
-    buf = np.empty_like(a)
-    for k in range(n_clusters):
-        # log_norm - 0.5 * sum((a - psi) ** 2 / sigma2), step by step in place.
-        np.subtract(a, psi[k][:, None], out=buf)
-        np.multiply(buf, buf, out=buf)
-        np.divide(buf, sigma2[k][:, None], out=buf)
-        np.sum(buf, axis=0, out=out[k])
-        out[k] *= 0.5
-        np.subtract(log_norm[k], out[k], out=out[k])
+    # Near-equal tiles, each at least _LOGLIK_TILE wide unless the matrix is
+    # narrower: narrow tiles cost more calls than cache misses save.
+    n_tiles = max(1, n_pixels // _LOGLIK_TILE)
+    bounds = [t * n_pixels // n_tiles for t in range(n_tiles + 1)]
+    scratch = np.empty(n_dims * -(-n_pixels // n_tiles))
+    psi_col = psi[:, :, None]
+    sigma2_col = sigma2[:, :, None]
+    for c0, c1 in zip(bounds[:-1], bounds[1:]):
+        tile = a[:, c0:c1]
+        buf = scratch[: n_dims * (c1 - c0)].reshape(n_dims, c1 - c0)
+        for k in range(n_clusters):
+            # log_norm - 0.5 * sum((a - psi) ** 2 / sigma2), step by step in place.
+            row = out[k, c0:c1]
+            np.subtract(tile, psi_col[k], out=buf)
+            np.multiply(buf, buf, out=buf)
+            np.divide(buf, sigma2_col[k], out=buf)
+            np.sum(buf, axis=0, out=row)
+            row *= 0.5
+            np.subtract(log_norm[k], row, out=row)
     return out
 
 
@@ -535,16 +630,15 @@ def initialize_state(
     config: ModelConfig,
     rng: np.random.Generator,
     pre: _Precomp | None = None,
-    work: np.ndarray | None = None,
 ) -> ChainState:
     """Deterministic-given-seed starting point: ridge unmixing clipped to
     [0, 1] for A, k-means++ clustering of the abundance columns for z,
     cluster moments for psi/sigma2, uniform-Dirichlet columns for Q, and the
     expert labels (proportion draws where unlabeled) for omega.
 
-    ``pre`` supplies the MᵀM and MᵀY the chain has already formed, and
-    ``work``, a d x P scratch array, holds the initial residual; neither
-    changes the result."""
+    ``pre`` supplies the MᵀM and MᵀY the chain has already formed; it does
+    not change the result. Class proportions come from ``sup.pi``:
+    :func:`run_chain` puts ``config.pi_override`` there."""
     from .distributions import project_to_simplex
 
     n_pixels = Y.n_pixels
@@ -558,10 +652,7 @@ def initialize_state(
     ridge = 1e-6 * np.trace(mtm) / n_dims
     a = np.linalg.solve(mtm + ridge * np.eye(n_dims), mty)
     np.clip(a, 0.0, 1.0, out=a)
-    resid = np.matmul(M.data, a, out=work)
-    np.subtract(Y.data, resid, out=resid)
-    np.multiply(resid, resid, out=resid)
-    s2 = max(float(np.mean(resid)), 1e-12)
+    s2 = max(_residual_mean_square(Y.data, M.data, a), 1e-12)
 
     z = _kmeans_labels(a, config.n_clusters, rng)
     psi = np.empty((config.n_clusters, n_dims))
@@ -580,10 +671,9 @@ def initialize_state(
         [sample_dirichlet(rng, np.ones(config.n_clusters)) for _ in range(config.n_classes)]
     )
 
-    pi = sup.pi if config.pi_override is None else np.asarray(config.pi_override, float)
     omega = np.empty(n_pixels, dtype=np.int32)
     with np.errstate(divide="ignore"):
-        log_pi = np.log(pi)
+        log_pi = np.log(sup.pi)
     unlabeled = ~sup.labeled_mask()
     omega[unlabeled] = sample_categorical_log_many(
         rng, np.tile(log_pi[:, None], (1, int(unlabeled.sum())))
@@ -649,11 +739,8 @@ def run_chain(
             sup.n_classes, sup.n_pixels,
         )
         sup.validate()
-    # One d x P scratch array serves both set-up steps, then is released.
-    work = np.empty_like(Y.data)
-    pre = _make_precomp(Y, M, sup, work)
-    state = init if init is not None else initialize_state(Y, M, sup, config, rng, pre, work)
-    del work
+    pre = _make_precomp(Y, M, sup)
+    state = init if init is not None else initialize_state(Y, M, sup, config, rng, pre)
     trace = Trace.empty(config.n_endmembers, Y.n_pixels, config.n_clusters, config.n_classes)
     # The lambdas look each stage up on this module when called, so a stage
     # replaced there (by a test or a profiler) still takes part in the sweep.

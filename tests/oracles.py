@@ -1,16 +1,18 @@
 """Reference implementations of the sampler's hot-path kernels.
 
 Each function is the straightforward form of a kernel that ``hbum`` runs in
-an optimised form: fresh temporaries, boolean checkerboard masks and
-``Generator.gumbel``. The kernel-equivalence tests require the optimised
-kernels to return the same bits and leave the generator in the same state.
+an optimised form: fresh temporaries, boolean checkerboard masks,
+per-cluster index gathers, ``solve_triangular`` and ``Generator.gumbel``.
+The kernel-equivalence tests require the optimised kernels to return the
+same bits and leave the generator in the same state.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
-from hbum.errors import InvalidParameterError
+from hbum.errors import InvalidParameterError, NumericalDegeneracyError
 from hbum.lattice import neighbor_value_counts
 from hbum.sampler import _class_log_partition, _log_nonneg, _require_finite_option
 
@@ -82,6 +84,48 @@ def sample_class_labels(state, config, rng: np.random.Generator, w1: np.ndarray)
     return state.omega
 
 
+def sample_abundances_all(state, pre, rng: np.random.Generator) -> None:
+    """Abundance sweep with one index gather and three ``solve_triangular``
+    calls per cluster."""
+    n_dims, n_pixels = state.A.data.shape
+    s2 = state.noise.s2
+    noise = rng.standard_normal((n_dims, n_pixels))
+    for k in range(state.clusters.n_clusters):
+        idx = np.flatnonzero(state.z.labels == k)
+        if idx.size == 0:
+            continue
+        sigma2_k = state.clusters.sigma2[k]
+        with np.errstate(over="ignore", invalid="ignore"):
+            prec = pre.mtm / s2 + np.diag(1.0 / sigma2_k)
+            try:
+                chol = np.linalg.cholesky(prec)
+            except np.linalg.LinAlgError as exc:
+                raise NumericalDegeneracyError(
+                    f"abundance precision not positive definite for cluster {k}"
+                ) from exc
+            b = pre.mty[:, idx] / s2 + (state.clusters.psi[k] / sigma2_k)[:, None]
+        if not (np.isfinite(chol).all() and np.isfinite(b).all()):
+            raise NumericalDegeneracyError(
+                f"abundance posterior of cluster {k} is not finite (noise variance {s2:.3g})"
+            )
+        mean = solve_triangular(
+            chol.T, solve_triangular(chol, b, lower=True, check_finite=False),
+            lower=False, check_finite=False,
+        )
+        state.A.data[:, idx] = mean + solve_triangular(
+            chol.T, noise[:, idx], lower=False, check_finite=False
+        )
+
+
+def sum_of_squares(Y: np.ndarray) -> float:
+    return float(np.sum(Y * Y))
+
+
+def residual_mean_square(Y: np.ndarray, M: np.ndarray, a: np.ndarray) -> float:
+    resid = Y - M @ a
+    return float(np.mean(resid * resid))
+
+
 def init_unmixing(Y: np.ndarray, M: np.ndarray) -> tuple[np.ndarray, float, float]:
     """Ridge unmixing clipped to [0, 1], the initial noise variance from its
     residual, and ||Y||^2, each formed with fresh d x P temporaries."""
@@ -90,6 +134,5 @@ def init_unmixing(Y: np.ndarray, M: np.ndarray) -> tuple[np.ndarray, float, floa
     ridge = 1e-6 * np.trace(mtm) / n_dims
     a = np.linalg.solve(mtm + ridge * np.eye(n_dims), M.T @ Y)
     np.clip(a, 0.0, 1.0, out=a)
-    resid = Y - M @ a
-    s2 = max(float(np.mean(resid * resid)), 1e-12)
-    return a, s2, float(np.sum(Y * Y))
+    s2 = max(residual_mean_square(Y, M, a), 1e-12)
+    return a, s2, sum_of_squares(Y)

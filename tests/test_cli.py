@@ -325,6 +325,65 @@ class TestSweepCorruption:
         )
         assert code == 2
 
+    def test_bundle_read_once_per_sweep(self, configs, tmp_path, monkeypatch):
+        import os
+
+        import hbum.cli as cli
+
+        scene_path, model_path = configs
+        bundle_dir = tmp_path / "bundle"
+        main(["generate", str(scene_path), "--out", str(bundle_dir)])
+        parent, reads = os.getpid(), []
+
+        def read_in_parent_only(path):
+            # A pool worker inherits this stand-in; a read there fails the sweep.
+            assert os.getpid() == parent, "a trial re-read the bundle"
+            reads.append(path)
+            return read_bundle(path)
+
+        monkeypatch.setattr(cli, "read_bundle", read_in_parent_only)
+        args = [
+            "sweep-corruption", str(bundle_dir), str(model_path),
+            "--alphas", "0,0.2", "--trials", "2",
+        ]
+        assert main(args + ["--out", str(tmp_path / "serial")]) == 0
+        assert len(reads) == 1
+        assert main(args + ["--out", str(tmp_path / "parallel"), "--threads", "2"]) == 0
+        assert len(reads) == 2
+
+    @pytest.mark.parametrize(
+        "option, env, named",
+        [
+            (["--threads", "0"], None, "0"),
+            (["--threads", "-4"], None, "-4"),
+            ([], "abc", "'abc'"),
+            ([], "0", "0"),
+            ([], "2.5", "'2.5'"),
+        ],
+    )
+    def test_bad_thread_count_exits_2(self, configs, tmp_path, monkeypatch, capsys,
+                                      option, env, named):
+        _, model_path = configs
+        if env is not None:
+            monkeypatch.setenv("HBUM_THREADS", env)
+        # The count is checked before the bundle is read, so none is needed.
+        code = main(
+            ["sweep-corruption", str(tmp_path / "missing"), str(model_path),
+             "--out", str(tmp_path / "s")] + option
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert ("--threads" if option else "HBUM_THREADS") in err
+        assert f"got {named}" in err
+
+    def test_non_integer_threads_option_exits_2(self, configs, tmp_path, capsys):
+        _, model_path = configs
+        with pytest.raises(SystemExit) as info:
+            main(["sweep-corruption", str(tmp_path / "missing"), str(model_path),
+                  "--out", str(tmp_path / "s"), "--threads", "abc"])
+        assert info.value.code == 2
+        assert "'abc'" in capsys.readouterr().err
+
     def test_default_alpha_grid(self):
         from hbum.cli import _parse_alphas
 

@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 import oracles
+import hbum.sampler as sampler_mod
 from hbum.distributions import _argmax_rows_first, make_rng, sample_categorical_log_many
-from hbum.errors import InvalidParameterError
+from hbum.errors import InvalidParameterError, NumericalDegeneracyError
 from hbum.lattice import Lattice
 from hbum.model import (
     AbundanceMatrix,
@@ -26,10 +27,15 @@ from hbum.model import (
     SupervisionData,
 )
 from hbum.sampler import (
+    _LOGLIK_TILE,
     ChainState,
     _gaussian_cluster_loglik,
     _make_precomp,
+    _residual_mean_square,
+    _sample_abundances_all,
+    _sum_of_squares,
     initialize_state,
+    run_chain,
     sample_class_labels,
     sample_cluster_labels,
 )
@@ -126,6 +132,90 @@ class TestClusterLoglik:
             oracles.gaussian_cluster_loglik(a, psi, sigma2),
         )
 
+    @pytest.mark.parametrize(
+        "n_pixels",
+        [1, 2, _LOGLIK_TILE - 1, _LOGLIK_TILE, _LOGLIK_TILE + 1, 2 * _LOGLIK_TILE + 1, 40000],
+    )
+    @pytest.mark.parametrize("n_dims", [1, 3, 12])
+    def test_same_bits_across_tile_edges(self, n_pixels, n_dims):
+        # With twelve rows numpy would add a one-column tile's rows pairwise,
+        # not in turn as the untiled form does.
+        gen = np.random.default_rng(n_pixels + n_dims)
+        a = gen.dirichlet(np.ones(n_dims), size=n_pixels).T.copy()
+        psi = gen.dirichlet(np.ones(n_dims), size=4)
+        sigma2 = gen.uniform(1e-4, 0.1, size=(4, n_dims))
+        assert_same_bits(
+            _gaussian_cluster_loglik(a, psi, sigma2),
+            oracles.gaussian_cluster_loglik(a, psi, sigma2),
+        )
+
+
+def abundance_case(shape, n_dims, labels, n_clusters, seed, s2=1e-3):
+    """A chain state and its constants for one abundance sweep."""
+    gen = np.random.default_rng(seed)
+    lat = Lattice(*shape)
+    n_pixels = lat.n_pixels
+    m = gen.uniform(0.05, 1.0, size=(24, n_dims))
+    a = gen.dirichlet(np.ones(n_dims), size=n_pixels).T.copy()
+    Y = ObservationMatrix(m @ a + gen.normal(scale=1e-2, size=(24, n_pixels)), lat)
+    sup = SupervisionData.from_labels(np.array([0]), np.array([0]), 0.9, 1, n_pixels)
+    state = ChainState(
+        A=AbundanceMatrix(a),
+        noise=NoiseModel(s2),
+        clusters=ClusterParams(
+            gen.dirichlet(np.ones(n_dims), size=n_clusters),
+            gen.uniform(1e-3, 0.05, size=(n_clusters, n_dims)),
+        ),
+        z=LabelField(np.asarray(labels, dtype=np.int32), n_clusters, lat),
+        q=InteractionMatrix(np.full((n_clusters, 1), 1.0 / n_clusters)),
+        omega=LabelField(np.zeros(n_pixels, dtype=np.int32), 1, lat),
+    )
+    state.validate()
+    return state, _make_precomp(Y, EndmemberMatrix(m), sup)
+
+
+def random_labels(n_pixels, n_clusters, seed):
+    return np.random.default_rng(seed).integers(n_clusters, size=n_pixels)
+
+
+class TestAbundances:
+    CASES = {
+        "one cluster": ((20, 30), 3, random_labels(600, 1, 0), 1),
+        "empty clusters": ((20, 30), 3, 2 * random_labels(600, 3, 1), 6),
+        "single-pixel clusters": ((1, 7), 3, [4, 0, 6, 2, 1, 5, 3], 7),
+        "some single-pixel clusters": ((5, 7), 4, [0] * 20 + [1] * 13 + [2, 3], 4),
+        "1x1 lattice": ((1, 1), 3, [0], 1),
+        "1x1 lattice, empty clusters": ((1, 1), 3, [2], 4),
+        "one endmember": ((12, 12), 1, random_labels(144, 3, 2), 3),
+        "scene-2 sized": ((200, 200), 9, random_labels(40000, 12, 3), 12),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_same_bits(self, case):
+        shape, n_dims, labels, n_clusters = self.CASES[case]
+        state, pre = abundance_case(shape, n_dims, labels, n_clusters, seed=len(case))
+        ref_state = copy.deepcopy(state)
+        for sweep in range(2):
+            rng_new, rng_ref = make_rng(sweep), make_rng(sweep)
+            _sample_abundances_all(state, pre, rng_new)
+            oracles.sample_abundances_all(ref_state, pre, rng_ref)
+            assert_same_bits(state.A.data, ref_state.A.data)
+            assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+
+    def test_same_error_when_not_finite(self):
+        # A subnormal noise variance overflows the precision.
+        state, pre = abundance_case((6, 6), 3, random_labels(36, 3, 4), 3, seed=5, s2=1e-320)
+        messages, states = [], []
+        for kernel in (_sample_abundances_all, oracles.sample_abundances_all):
+            rng = make_rng(1)
+            with pytest.raises(NumericalDegeneracyError) as info:
+                kernel(copy.deepcopy(state), pre, rng)
+            messages.append(str(info.value))
+            states.append(rng.bit_generator.state)
+        assert messages[0] == messages[1]
+        assert "cluster 0" in messages[0]
+        assert states[0] == states[1]
+
 
 def random_state(shape, n_clusters, n_classes, seed, beta1):
     gen = np.random.default_rng(seed)
@@ -187,27 +277,88 @@ class TestLabelSweeps:
             assert rng_new.bit_generator.state == rng_ref.bit_generator.state
 
 
+def init_problem(n_bands, n_pixels, seed, shape=None):
+    gen = np.random.default_rng(seed)
+    lat = Lattice(*(shape or (1, n_pixels)))
+    m = gen.uniform(0.05, 1.0, size=(n_bands, 3))
+    a = gen.dirichlet(np.ones(3), size=lat.n_pixels).T
+    noise = gen.normal(scale=1e-2, size=(n_bands, lat.n_pixels))
+    return ObservationMatrix(m @ a + noise, lat), EndmemberMatrix(m)
+
+
 class TestInitialization:
+    @pytest.mark.parametrize(
+        "n_bands, n_pixels",
+        [(d, p) for d in (1, 2, 413) for p in (1, 37, 2**15 - 1, 2**15 + 1)]
+        + [(3, 11), (5, 2**16 + 3), (7, 9999)],  # sizes off multiples of 8
+    )
+    def test_set_up_sums_match_fresh_temporaries(self, n_bands, n_pixels):
+        Y, M = init_problem(n_bands, n_pixels, seed=n_bands + n_pixels)
+        a_ref, s2_ref, y_sq_ref = oracles.init_unmixing(Y.data, M.data)
+        assert _sum_of_squares(Y.data) == y_sq_ref
+        assert max(_residual_mean_square(Y.data, M.data, a_ref), 1e-12) == s2_ref
+
     @pytest.mark.parametrize("shape, n_bands", [((6, 5), 20), ((40, 50), 413)])
     def test_precomp_and_residual_match_fresh_temporaries(self, shape, n_bands):
-        gen = np.random.default_rng(0)
-        lat = Lattice(*shape)
-        m = gen.uniform(0.05, 1.0, size=(n_bands, 3))
-        a = gen.dirichlet(np.ones(3), size=lat.n_pixels).T
-        noise = gen.normal(scale=1e-2, size=(n_bands, lat.n_pixels))
-        Y = ObservationMatrix(m @ a + noise, lat)
-        M = EndmemberMatrix(m)
-        sup = SupervisionData.from_labels(np.array([0, 1]), np.array([0, 1]), 0.9, 2, lat.n_pixels)
+        Y, M = init_problem(n_bands, None, seed=0, shape=shape)
+        sup = SupervisionData.from_labels(np.array([0, 1]), np.array([0, 1]), 0.9, 2, Y.n_pixels)
         config = ModelConfig(n_clusters=3, n_classes=2, n_endmembers=3)
         a_ref, s2_ref, y_sq_ref = oracles.init_unmixing(Y.data, M.data)
-        work = np.empty_like(Y.data)
-        pre = _make_precomp(Y, M, sup, work)
+        pre = _make_precomp(Y, M, sup)
         assert pre.y_sq == y_sq_ref
         assert_same_bits(pre.mty, M.data.T @ Y.data)
-        shared = initialize_state(Y, M, sup, config, make_rng(3), pre, work)
+        assert_same_bits(pre.mty_t, (M.data.T @ Y.data).T.copy())
+        shared = initialize_state(Y, M, sup, config, make_rng(3), pre)
         alone = initialize_state(Y, M, sup, config, make_rng(3))
         for state in (shared, alone):
             assert_same_bits(state.A.data, a_ref)
             assert state.noise.s2 == s2_ref
         assert_same_bits(shared.z.labels, alone.z.labels)
         assert_same_bits(shared.omega.labels, alone.omega.labels)
+
+
+def with_oracle_kernels(monkeypatch):
+    """Put every reference kernel in place of its optimised form."""
+    patches = {
+        "_sum_of_squares": oracles.sum_of_squares,
+        "_residual_mean_square": oracles.residual_mean_square,
+        "sample_categorical_log_many": oracles.categorical_log_many,
+        "_sample_abundances_all": oracles.sample_abundances_all,
+        "_gaussian_cluster_loglik": oracles.gaussian_cluster_loglik,
+        "sample_cluster_labels": oracles.sample_cluster_labels,
+        "sample_class_labels": lambda state, sup, config, rng, w1: oracles.sample_class_labels(
+            state, config, rng, w1
+        ),
+    }
+    for name, kernel in patches.items():
+        assert hasattr(sampler_mod, name)
+        monkeypatch.setattr(sampler_mod, name, kernel)
+
+
+class TestChainWithOracleKernels:
+    @pytest.mark.parametrize("n_clusters, beta", [(3, 0.8), (5, 0.0)])
+    def test_same_estimates(self, monkeypatch, n_clusters, beta):
+        Y, M = init_problem(30, None, seed=n_clusters, shape=(9, 11))
+        sup = SupervisionData.from_labels(
+            np.arange(0, 99, 4), np.arange(25) % 2, 0.9, 2, Y.n_pixels
+        )
+        config = ModelConfig(
+            n_clusters=n_clusters, n_classes=2, n_endmembers=3,
+            beta1=beta, beta2=beta, n_burnin=3, n_mc=4, seed=7,
+        )
+        results = []
+        for oracle in (False, True):
+            with monkeypatch.context() as patch:
+                if oracle:
+                    with_oracle_kernels(patch)
+                rng = make_rng(config.seed)
+                est, trace = run_chain(Y, M, sup, config, rng=rng)
+            results.append((est, trace, rng.bit_generator.state))
+        (est, trace, state), (ref_est, ref_trace, ref_state) = results
+        for field in ("a_sum", "psi_sum", "sigma2_sum", "q_sum", "z_counts", "omega_counts"):
+            assert_same_bits(getattr(trace, field), getattr(ref_trace, field))
+        assert trace.s2_sum == ref_trace.s2_sum
+        assert_same_bits(est.A.data, ref_est.A.data)
+        assert_same_bits(est.z.labels, ref_est.z.labels)
+        assert_same_bits(est.omega.labels, ref_est.omega.labels)
+        assert state == ref_state

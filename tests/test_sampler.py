@@ -629,7 +629,24 @@ class TestRunChain:
         est.validate()
 
     def test_pi_override_used(self):
+        # The override must act exactly as a supervision set carrying it.
         Y, M, sup, config = tiny_problem(seed=14, n_mc=3, n_burnin=1)
-        config.pi_override = np.array([0.5, 0.5])
+        override = np.array([0.2, 0.8])
+        assert not np.allclose(sup.pi, override)
+        plain, _ = run_chain(Y, M, sup, config)
+        config.pi_override = override
         est, _ = run_chain(Y, M, sup, config)
         est.validate()
+        config.pi_override = None
+        replaced = SupervisionData(
+            sup.labeled_idx, sup.c, sup.eta, override, sup.n_classes, sup.n_pixels
+        )
+        ref, _ = run_chain(Y, M, replaced, config)
+        for got, want in [
+            (est.A.data, ref.A.data), (est.clusters.psi, ref.clusters.psi),
+            (est.clusters.sigma2, ref.clusters.sigma2), (est.q.q, ref.q.q),
+            (est.z.labels, ref.z.labels), (est.omega.labels, ref.omega.labels),
+        ]:
+            assert got.tobytes() == want.tobytes()
+        assert est.noise.s2 == ref.noise.s2
+        assert est.omega.labels.tobytes() != plain.omega.labels.tobytes()
