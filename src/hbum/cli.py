@@ -183,7 +183,6 @@ def _config_echo(config) -> dict:
         "burnin": config.n_burnin,
         "seed": config.seed,
         "inner_iters": config.inner_iters,
-        "schedule": config.schedule,
         "class_proportions": None
         if config.pi_override is None
         else np.asarray(config.pi_override).tolist(),

@@ -92,29 +92,10 @@ def sample_inverse_gamma_array(
     raise NumericalDegeneracyError("Gamma draws underflowed in the array sampler")
 
 
-def sample_categorical_log(rng: np.random.Generator, log_weights: np.ndarray) -> int:
-    """Index drawn with probability proportional to exp(log_weights).
-
-    Uses the Gumbel-max construction, so the result is invariant under adding
-    a constant to all log-weights (identical draws for identical seeds).
-    Entries of -inf are allowed (zero probability); at least one entry must
-    be finite.
-    """
-    lw = np.asarray(log_weights, dtype=np.float64)
-    if lw.ndim != 1 or lw.size < 1:
-        raise InvalidParameterError("log_weights must be a non-empty 1-D vector")
-    if np.any(np.isnan(lw)) or np.any(lw == np.inf):
-        raise InvalidParameterError("log_weights must be in [-inf, inf)")
-    if not np.any(np.isfinite(lw)):
-        raise InvalidParameterError("all categorical log-weights are -inf")
-    gumbel = rng.gumbel(size=lw.shape)
-    # -inf + finite Gumbel stays -inf, so zero-probability entries never win.
-    return int(np.argmax(lw + gumbel))
-
-
 def sample_categorical_log_many(rng: np.random.Generator, log_weights: np.ndarray) -> np.ndarray:
     """Column-wise categorical draws from a (n_choices, n_sites) log-weight
-    matrix; one independent Gumbel-max draw per site.
+    matrix; one independent Gumbel-max draw per site. Entries of -inf have
+    zero probability; every site needs at least one finite entry.
 
     The Gumbels are built from uniforms as ``-log(-log(1 - u))``, the
     transform ``Generator.gumbel`` applies, so the call consumes exactly the
@@ -241,37 +222,6 @@ def project_to_simplex(v: np.ndarray) -> np.ndarray:
     return np.maximum(v - theta, 0.0)
 
 
-def sample_gaussian_simplex_truncated(
-    rng: np.random.Generator,
-    mean: np.ndarray,
-    var_diag: np.ndarray,
-    inner_iters: int = 5,
-    init: np.ndarray | None = None,
-) -> np.ndarray:
-    """One draw from a diagonal-covariance Gaussian restricted to the
-    probability simplex.
-
-    The target is N(mean, diag(var_diag)) conditioned on all coordinates
-    being nonnegative and summing to one. Sampling runs ``inner_iters``
-    Gibbs scans over the first R-1 coordinates; with the last coordinate
-    eliminated, each free coordinate has a closed-form 1-D Gaussian
-    conditional truncated to the interval that keeps the point inside the
-    simplex. Used inside an outer Gibbs chain, a short inner scan started
-    from the previous value is a valid Metropolis-within-Gibbs move.
-
-    Returns a vector with entries >= 0 whose last coordinate is computed as
-    one minus the sum of the others.
-    """
-    out = sample_gaussian_simplex_truncated_batch(
-        rng,
-        np.asarray(mean, dtype=np.float64)[None, :],
-        np.asarray(var_diag, dtype=np.float64)[None, :],
-        inner_iters=inner_iters,
-        init=None if init is None else np.asarray(init, dtype=np.float64)[None, :],
-    )
-    return out[0]
-
-
 def sample_gaussian_simplex_truncated_batch(
     rng: np.random.Generator,
     means: np.ndarray,
@@ -279,11 +229,20 @@ def sample_gaussian_simplex_truncated_batch(
     inner_iters: int = 5,
     init: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Batched simplex-truncated Gaussian draws (one per row of ``means``).
+    """Draws from diagonal-covariance Gaussians restricted to the probability
+    simplex, one per row of ``means``.
 
-    Rows are independent targets sharing the scan schedule, so the whole
+    Row i targets N(means[i], diag(var_diags[i])) conditioned on all
+    coordinates being nonnegative and summing to one. Sampling runs
+    ``inner_iters`` Gibbs scans over the first R-1 coordinates; with the
+    last coordinate eliminated, each free coordinate has a closed-form 1-D
+    Gaussian conditional truncated to the interval that keeps the point
+    inside the simplex. Used inside an outer Gibbs chain, a short inner scan
+    started from the previous value (``init``) is a valid
+    Metropolis-within-Gibbs move. Rows share the scan schedule, so the whole
     batch advances one coordinate at a time with vectorized truncated-normal
-    draws.
+    draws. Entries are >= 0, and each row's last coordinate is one minus the
+    sum of the others.
     """
     means = np.asarray(means, dtype=np.float64)
     var_diags = np.asarray(var_diags, dtype=np.float64)

@@ -42,7 +42,6 @@ from .synthgen import SceneSpec, TrainingSplit, default_cluster_means
 
 MAGIC = b"HBUM1\n"
 _DTYPES = {"f64": np.dtype("<f8"), "u32": np.dtype("<u4")}
-_DTYPE_NAMES = {np.dtype("<f8"): "f64", np.dtype("<u4"): "u32"}
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +186,29 @@ def _load_json(path: str | Path, what: str) -> dict:
     return data
 
 
+def _field(mapping: dict, name: str, kind: str, where: str, default=None):
+    """Config field ``name`` of ``mapping`` (``default`` when absent) as
+    ``kind``: "number" gives a float, "count" an int, "array" a float64
+    array and "count array" an int64 array. Counts must be integral (2.0 is
+    2, 2.5 is rejected). Any other value, such as null, a string, a bool or
+    a ragged list, raises ValidationError naming the field."""
+    value = mapping.get(name, default)
+    scalar = kind in ("number", "count")
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # ragged nesting
+        arr = np.asarray(None)
+    ok = arr.dtype.kind in "iuf" and (arr.ndim == 0 or not scalar)
+    if ok and kind.startswith("count"):
+        ok = bool(np.all(np.isfinite(arr) & (arr == np.round(arr))))
+    if not ok:
+        wanted = {"number": "a number", "count": "an integer"}.get(kind, f"an {kind} of numbers")
+        raise ValidationError(f"{where}: '{name}' must be {wanted}, got {json.dumps(value)}")
+    if scalar:
+        return int(value) if kind == "count" else float(value)
+    return arr.astype(np.int64 if kind == "count array" else np.float64)
+
+
 @dataclass
 class GenerateConfig:
     """Everything ``hbum generate`` needs: the scene itself, the spectral
@@ -207,12 +229,13 @@ class GenerateConfig:
             raise ValidationError("minimum endmember angle must be at least 5 degrees")
 
 
-def _parse_snr(value) -> float:
+def _parse_snr(scene_raw: dict, where: str) -> float:
+    value = scene_raw.get("snr_db", 30.0)
     if isinstance(value, str):
         if value.lower() in ("inf", "+inf", "infinity"):
             return np.inf
         raise ValidationError(f"snr_db string must be 'inf', got '{value}'")
-    return float(value)
+    return _field(scene_raw, "snr_db", "number", where, 30.0)
 
 
 def load_generate_config(path: str | Path, seed_override: int | None = None) -> GenerateConfig:
@@ -226,6 +249,7 @@ def load_generate_config(path: str | Path, seed_override: int | None = None) -> 
     scene_raw = data["scene"]
     if not isinstance(scene_raw, dict):
         raise ValidationError(f"{path}: 'scene' must be an object")
+    where = f"{path}:scene"
     _check_keys(
         scene_raw,
         required={
@@ -234,52 +258,52 @@ def load_generate_config(path: str | Path, seed_override: int | None = None) -> 
         optional={
             "dirichlet_means", "concentration", "snr_db", "potts_beta", "potts_sweeps",
         },
-        where=f"{path}:scene",
+        where=where,
     )
-    n_clusters = int(scene_raw["clusters"])
-    n_endmembers = int(scene_raw["endmembers"])
+    n_clusters = _field(scene_raw, "clusters", "count", where)
+    n_endmembers = _field(scene_raw, "endmembers", "count", where)
     means_raw = scene_raw.get("dirichlet_means", "auto")
     if isinstance(means_raw, str):
         if means_raw != "auto":
             raise ValidationError(f"{path}: dirichlet_means must be a matrix or 'auto'")
         means = default_cluster_means(n_clusters, n_endmembers)
     else:
-        means = np.asarray(means_raw, dtype=np.float64)
-    cluster_to_class = np.asarray(scene_raw["cluster_to_class"], dtype=np.int64) - 1
-    seed = int(data["seed"]) if seed_override is None else int(seed_override)
+        means = _field(scene_raw, "dirichlet_means", "array", where)
+    seed = _field(data, "seed", "count", str(path)) if seed_override is None else int(seed_override)
     spec = SceneSpec(
-        height=int(scene_raw["height"]),
-        width=int(scene_raw["width"]),
+        height=_field(scene_raw, "height", "count", where),
+        width=_field(scene_raw, "width", "count", where),
         n_clusters=n_clusters,
-        n_classes=int(scene_raw["classes"]),
+        n_classes=_field(scene_raw, "classes", "count", where),
         n_endmembers=n_endmembers,
-        cluster_to_class=cluster_to_class,
+        cluster_to_class=_field(scene_raw, "cluster_to_class", "count array", where) - 1,
         dirichlet_means=means,
-        concentration=float(scene_raw.get("concentration", 30.0)),
-        snr_db=_parse_snr(scene_raw.get("snr_db", 30.0)),
-        potts_beta=float(scene_raw.get("potts_beta", 1.1)),
-        potts_sweeps=int(scene_raw.get("potts_sweeps", 40)),
+        concentration=_field(scene_raw, "concentration", "number", where, 30.0),
+        snr_db=_parse_snr(scene_raw, where),
+        potts_beta=_field(scene_raw, "potts_beta", "number", where, 1.1),
+        potts_sweeps=_field(scene_raw, "potts_sweeps", "count", where, 40),
         seed=seed,
     )
     training_raw = data["training"]
     if not isinstance(training_raw, dict):
         raise ValidationError(f"{path}: 'training' must be an object")
-    _check_keys(
-        training_raw,
-        required={"fraction"},
-        optional={"kind", "eta"},
-        where=f"{path}:training",
-    )
+    where = f"{path}:training"
+    _check_keys(training_raw, required={"fraction"}, optional={"kind", "eta"}, where=where)
     training = TrainingSplit(
         kind=str(training_raw.get("kind", "top_rows")),
-        fraction=float(training_raw["fraction"]),
-        eta=float(training_raw.get("eta", 0.95)),
+        fraction=_field(training_raw, "fraction", "number", where),
+        eta=_field(training_raw, "eta", "number", where, 0.95),
     )
+    endmember_file = data.get("endmember_file")
+    if endmember_file is not None and not isinstance(endmember_file, str):
+        raise ValidationError(f"{path}: 'endmember_file' must be a path or null")
     cfg = GenerateConfig(
         scene=spec,
-        n_bands=int(data.get("bands", 413)),
-        endmember_file=data.get("endmember_file"),
-        min_endmember_angle_deg=float(data.get("min_endmember_angle_deg", 15.0)),
+        n_bands=_field(data, "bands", "count", str(path), 413),
+        endmember_file=endmember_file,
+        min_endmember_angle_deg=_field(
+            data, "min_endmember_angle_deg", "number", str(path), 15.0
+        ),
         training=training,
     )
     cfg.validate()
@@ -294,8 +318,7 @@ def load_model_config(path: str | Path, overrides: dict | None = None) -> ModelC
         data,
         required={"clusters", "classes", "endmembers", "iterations", "burnin", "seed"},
         optional={
-            "beta1", "beta2", "zeta", "xi", "gamma", "inner_iters", "schedule",
-            "class_proportions",
+            "beta1", "beta2", "zeta", "xi", "gamma", "inner_iters", "class_proportions",
         },
         where=str(path),
     )
@@ -303,29 +326,29 @@ def load_model_config(path: str | Path, overrides: dict | None = None) -> ModelC
     for key, value in (overrides or {}).items():
         if value is not None:
             merged[key] = value
-    iterations = int(merged["iterations"])
-    burnin = int(merged["burnin"])
+    where = str(path)
+    iterations = _field(merged, "iterations", "count", where)
+    burnin = _field(merged, "burnin", "count", where)
     if iterations <= burnin:
         raise ValidationError(
             f"{path}: iterations ({iterations}) must exceed burnin ({burnin})"
         )
-    zeta = merged.get("zeta", 1.0)
-    pi_override = merged.get("class_proportions")
     config = ModelConfig(
-        n_clusters=int(merged["clusters"]),
-        n_classes=int(merged["classes"]),
-        n_endmembers=int(merged["endmembers"]),
-        beta1=float(merged.get("beta1", 0.8)),
-        beta2=float(merged.get("beta2", 0.8)),
-        zeta=np.asarray(zeta, dtype=np.float64) if not np.isscalar(zeta) else float(zeta),
-        xi=float(merged.get("xi", 1.0)),
-        gamma=float(merged.get("gamma", 0.1)),
+        n_clusters=_field(merged, "clusters", "count", where),
+        n_classes=_field(merged, "classes", "count", where),
+        n_endmembers=_field(merged, "endmembers", "count", where),
+        beta1=_field(merged, "beta1", "number", where, 0.8),
+        beta2=_field(merged, "beta2", "number", where, 0.8),
+        zeta=_field(merged, "zeta", "array", where, 1.0),
+        xi=_field(merged, "xi", "number", where, 1.0),
+        gamma=_field(merged, "gamma", "number", where, 0.1),
         n_mc=iterations - burnin,
         n_burnin=burnin,
-        seed=int(merged["seed"]),
-        inner_iters=int(merged.get("inner_iters", 5)),
-        schedule=str(merged.get("schedule", "checkerboard")),
-        pi_override=None if pi_override is None else np.asarray(pi_override, dtype=np.float64),
+        seed=_field(merged, "seed", "count", where),
+        inner_iters=_field(merged, "inner_iters", "count", where, 5),
+        pi_override=None
+        if merged.get("class_proportions") is None
+        else _field(merged, "class_proportions", "array", where),
     )
     config.validate()
     return config

@@ -13,7 +13,7 @@ Conventions
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -287,16 +287,21 @@ class ModelConfig:
     n_burnin: int = 50
     seed: int = 0
     inner_iters: int = 5  # scans of the simplex-truncated mean sampler
-    schedule: str = "checkerboard"  # or "raster"
     pi_override: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if self.zeta is None:
             self.zeta = np.ones(self.n_clusters)
-        else:
+            return
+        try:
             self.zeta = np.broadcast_to(
                 np.asarray(self.zeta, dtype=np.float64), (self.n_clusters,)
             ).copy()
+        except ValueError:
+            raise ValidationError(
+                f"zeta must be a scalar or have one entry per cluster, "
+                f"got shape {np.shape(self.zeta)} for {self.n_clusters} clusters"
+            ) from None
 
     def validate(self) -> None:
         if min(self.n_clusters, self.n_classes, self.n_endmembers) < 1:
@@ -311,44 +316,19 @@ class ModelConfig:
             raise ValidationError("need n_mc >= 1 and n_burnin >= 0")
         if self.inner_iters < 1:
             raise ValidationError("inner_iters must be >= 1")
-        if self.schedule not in ("checkerboard", "raster"):
-            raise ValidationError(f"unknown sweep schedule '{self.schedule}'")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
 
 
-def potts_neighbor_count(field: LabelField, p: int, value: int) -> int:
-    """Number of 4-connected neighbors of pixel ``p`` carrying ``value``.
-
-    This is the spatial-coupling count; callers multiply by the granularity
-    parameter.
-    """
-    if not (0 <= value < field.domain_size):
-        raise ValidationError(f"value {value} outside [0, {field.domain_size})")
-    labels = field.labels
-    return int(sum(labels[q] == value for q in field.lattice.neighbors(p)))
-
-
-def log_prior_class(p: int, j: int, sup: SupervisionData) -> float:
-    """Log prior weight of class ``j`` at pixel ``p`` before spatial terms.
+def class_log_prior_matrix(sup: SupervisionData) -> np.ndarray:
+    """(J, P) log prior weight of every class at every pixel before spatial
+    terms, precomputed for sweeps.
 
     Labeled pixels put log(eta_p) on the expert label and split the
     complement evenly over the other J-1 classes; unlabeled pixels use the
     log of the class proportion observed in the expert map (-inf for classes
     never observed there).
     """
-    if not (0 <= j < sup.n_classes):
-        raise ValidationError(f"class {j} outside [0, {sup.n_classes})")
-    pos = np.searchsorted(sup.labeled_idx, p)
-    if pos < sup.labeled_idx.size and sup.labeled_idx[pos] == p:
-        eta = sup.eta[pos]
-        if j == sup.c[pos]:
-            return float(np.log(eta))
-        return float(np.log((1.0 - eta) / (sup.n_classes - 1)))
-    with np.errstate(divide="ignore"):
-        return float(np.log(sup.pi[j]))
-
-
-def class_log_prior_matrix(sup: SupervisionData) -> np.ndarray:
-    """(J, P) matrix of ``log_prior_class`` values, precomputed for sweeps."""
     n_classes, n_pixels = sup.n_classes, sup.n_pixels
     with np.errstate(divide="ignore"):
         w = np.tile(np.log(sup.pi)[:, None], (1, n_pixels))

@@ -8,8 +8,7 @@ zero the label-field partition function is constant, so the Dirichlet
 conditional used for Q's columns is exact on every recorded sweep.
 
 Label fields are swept with a checkerboard schedule (two half-sweeps of
-conditionally independent sites); a plain raster scan is available through
-``ModelConfig.schedule`` as a fallback.
+conditionally independent sites).
 
 Point estimates returned by :func:`run_chain` are posterior means (empirical
 averages of the recorded sweeps) for A, s2, psi, sigma2 and Q, and the
@@ -21,12 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 from scipy.linalg.lapack import dtrtrs
 
 from .distributions import (
     make_rng,
-    sample_categorical_log,
     sample_categorical_log_many,
     sample_dirichlet,
     sample_gaussian_simplex_truncated_batch,
@@ -46,7 +43,6 @@ from .model import (
     ObservationMatrix,
     SupervisionData,
     class_log_prior_matrix,
-    potts_neighbor_count,
 )
 
 # Post-draw floors preventing degenerate collapse on noiseless data.
@@ -279,47 +275,6 @@ def _draw_labels(
 # ---------------------------------------------------------------------------
 
 
-def abundance_posterior(
-    y: np.ndarray, M: np.ndarray, s2: float, psi_k: np.ndarray, sigma2_k: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and covariance of one pixel's Gaussian abundance conditional.
-
-    The precision combines the scaled spectral Gram matrix with the inverse
-    cluster covariance; the mean balances the back-projected observation
-    against the cluster mean.
-    """
-    prec = M.T @ M / s2 + np.diag(1.0 / sigma2_k)
-    cov = np.linalg.inv(prec)
-    mean = cov @ (M.T @ y / s2 + psi_k / sigma2_k)
-    return mean, cov
-
-
-def sample_abundance(
-    state: ChainState,
-    Y: ObservationMatrix,
-    M: EndmemberMatrix,
-    p: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Redraw the abundance vector of pixel ``p`` from its Gaussian
-    conditional given the pixel's current cluster. No simplex truncation is
-    applied; the constraint acts softly through the cluster mean."""
-    k = int(state.z.labels[p])
-    sigma2_k = state.clusters.sigma2[k]
-    prec = M.data.T @ M.data / state.noise.s2 + np.diag(1.0 / sigma2_k)
-    try:
-        chol = np.linalg.cholesky(prec)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalDegeneracyError(
-            f"abundance precision not positive definite at pixel {p}, cluster {k}"
-        ) from exc
-    b = M.data.T @ Y.data[:, p] / state.noise.s2 + state.clusters.psi[k] / sigma2_k
-    mean = solve_triangular(chol.T, solve_triangular(chol, b, lower=True), lower=False)
-    draw = mean + solve_triangular(chol.T, rng.standard_normal(b.size), lower=False)
-    state.A.data[:, p] = draw
-    return draw
-
-
 def _sample_abundances_all(state: ChainState, pre: _Precomp, rng: np.random.Generator) -> None:
     """Vectorized abundance sweep: pixels sharing a cluster share their
     posterior precision, so each cluster is one batched solve.
@@ -375,28 +330,15 @@ def _sample_abundances_all(state: ChainState, pre: _Precomp, rng: np.random.Gene
     state.A.data.T[order] = rhs
 
 
-def _draw_noise_variance(
-    state: ChainState, n_obs: int, total_sq: float, rng: np.random.Generator
-) -> float:
-    shape = 1.0 + n_obs / 2.0
-    scale = max(total_sq / 2.0, NOISE_SCALE_FLOOR)
-    state.noise.s2 = sample_inverse_gamma(rng, shape, scale)
-    return state.noise.s2
-
-
-def sample_noise_variance(
-    state: ChainState, Y: ObservationMatrix, M: EndmemberMatrix, rng: np.random.Generator
-) -> float:
-    """Redraw s2 from its inverse-gamma conditional with shape 1 + Pd/2 and
-    scale half the total squared reconstruction residual."""
-    resid = Y.data - M.data @ state.A.data
-    return _draw_noise_variance(state, Y.data.size, float(np.sum(resid * resid)), rng)
-
-
 def _sample_noise_fast(state: ChainState, pre: _Precomp, rng: np.random.Generator) -> float:
+    """Redraw s2 from its inverse-gamma conditional with shape 1 + Pd/2 and
+    scale half the total squared reconstruction residual, expanded as
+    ``||Y||^2 - 2 <A, MᵀY> + <A, MᵀM A>``."""
     a = state.A.data
     total = pre.y_sq - 2.0 * float(np.sum(a * pre.mty)) + float(np.sum(a * (pre.mtm @ a)))
-    return _draw_noise_variance(state, pre.n_obs, max(total, 0.0), rng)
+    scale = max(max(total, 0.0) / 2.0, NOISE_SCALE_FLOOR)
+    state.noise.s2 = sample_inverse_gamma(rng, 1.0 + pre.n_obs / 2.0, scale)
+    return state.noise.s2
 
 
 def _cluster_sums(values: np.ndarray, z: np.ndarray, n_clusters: int) -> np.ndarray:
@@ -490,22 +432,8 @@ def sample_cluster_labels(
     n_clusters = config.n_clusters
     base = _gaussian_cluster_loglik(state.A.data, state.clusters.psi, state.clusters.sigma2)
     base += _log_nonneg(state.q.q)[:, state.omega.labels]
-    lat = state.z.lattice
     grid = state.z.grid()
-    if config.schedule == "raster":
-        for p in range(lat.n_pixels):
-            weights = base[:, p].copy()
-            if state.effective_beta1 > 0.0:
-                for k in range(n_clusters):
-                    weights[k] += state.effective_beta1 * potts_neighbor_count(state.z, p, k)
-            if not np.any(np.isfinite(weights)):
-                raise NumericalDegeneracyError(
-                    f"all cluster log-weights are -inf at pixel {p}, "
-                    f"iteration {state.iteration}"
-                )
-            state.z.labels[p] = sample_categorical_log(rng, weights)
-        return state.z
-    for sites in lat.color_sites:
+    for sites in state.z.lattice.color_sites:
         weights = base[:, sites]
         if state.effective_beta1 > 0.0:
             counts = neighbor_value_counts(grid, n_clusters).reshape(n_clusters, -1)
@@ -560,22 +488,8 @@ def sample_class_labels(
     base += w1
     if state.effective_beta1 > 0.0:
         base -= _class_log_partition(state, state.effective_beta1)
-    lat = state.omega.lattice
     grid = state.omega.grid()
-    if config.schedule == "raster":
-        for p in range(lat.n_pixels):
-            weights = base[:, p].copy()
-            if config.beta2 > 0.0:
-                for j in range(n_classes):
-                    weights[j] += config.beta2 * potts_neighbor_count(state.omega, p, j)
-            if not np.any(np.isfinite(weights)):
-                raise NumericalDegeneracyError(
-                    f"all class log-weights are -inf at pixel {p}, "
-                    f"iteration {state.iteration}"
-                )
-            state.omega.labels[p] = sample_categorical_log(rng, weights)
-        return state.omega
-    for sites in lat.color_sites:
+    for sites in state.omega.lattice.color_sites:
         weights = base[:, sites]
         if config.beta2 > 0.0:
             counts = neighbor_value_counts(grid, n_classes).reshape(n_classes, -1)
@@ -721,7 +635,6 @@ def run_chain(
     sup: SupervisionData,
     config: ModelConfig,
     rng: np.random.Generator | None = None,
-    init: ChainState | None = None,
     debug_validate: bool = False,
 ) -> tuple[ChainState, Trace]:
     """Run one chain and return (point estimates, trace).
@@ -740,7 +653,7 @@ def run_chain(
         )
         sup.validate()
     pre = _make_precomp(Y, M, sup)
-    state = init if init is not None else initialize_state(Y, M, sup, config, rng, pre)
+    state = initialize_state(Y, M, sup, config, rng, pre)
     trace = Trace.empty(config.n_endmembers, Y.n_pixels, config.n_clusters, config.n_classes)
     # The lambdas look each stage up on this module when called, so a stage
     # replaced there (by a test or a profiler) still takes part in the sweep.

@@ -87,6 +87,8 @@ class SceneSpec:
             raise ValidationError("potts_sweeps must be >= 1")
         if np.isnan(self.snr_db):
             raise ValidationError("snr_db must be a real number or inf")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -115,6 +117,8 @@ def default_cluster_means(n_clusters: int, n_endmembers: int) -> np.ndarray:
     n_endmembers >= 2), keeping clusters distinguishable at moderate
     concentrations.
     """
+    if min(n_clusters, n_endmembers) < 1:
+        raise ValidationError("cluster and endmember counts must be >= 1")
     supports: list[tuple[int, ...]] = [(r,) for r in range(n_endmembers)]
     supports += list(combinations(range(n_endmembers), 2))
     supports += list(combinations(range(n_endmembers), 3))
@@ -189,12 +193,11 @@ def generate_potts_field(spec: SceneSpec, rng: np.random.Generator) -> LabelFiel
     n_states = spec.n_clusters
     labels = rng.integers(n_states, size=lat.n_pixels).astype(np.int32)
     grid = labels.reshape(lat.height, lat.width)
-    masks = lat.color_masks()
     for _ in range(spec.potts_sweeps):
-        for mask in masks:
-            counts = neighbor_value_counts(grid, n_states)
-            weights = spec.potts_beta * counts[:, mask].astype(np.float64)
-            grid[mask] = sample_categorical_log_many(rng, weights)
+        for sites in lat.color_sites:
+            counts = neighbor_value_counts(grid, n_states).reshape(n_states, -1)
+            weights = spec.potts_beta * counts[:, sites].astype(np.float64)
+            labels[sites] = sample_categorical_log_many(rng, weights)
     return LabelField(labels, n_states, lat)
 
 

@@ -1,10 +1,15 @@
-"""Reference implementations of the sampler's hot-path kernels.
+"""Reference implementations that the tests check ``hbum`` against.
 
-Each function is the straightforward form of a kernel that ``hbum`` runs in
-an optimised form: fresh temporaries, boolean checkerboard masks,
-per-cluster index gathers, ``solve_triangular`` and ``Generator.gumbel``.
-The kernel-equivalence tests require the optimised kernels to return the
-same bits and leave the generator in the same state.
+The kernel references are the straightforward form of a kernel that
+``hbum`` runs in an optimised form: fresh temporaries, boolean checkerboard
+masks, per-cluster index gathers, ``solve_triangular`` and
+``Generator.gumbel``. The kernel-equivalence tests require the optimised
+kernels to return the same bits and leave the generator in the same state.
+
+The scalar references evaluate one pixel at a time what ``hbum`` computes
+for the whole lattice: grid positions and 4-connected neighbors, the Potts
+neighbor count, the class log-prior and the closed-form abundance
+posterior.
 """
 
 from __future__ import annotations
@@ -12,9 +17,82 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from hbum.errors import InvalidParameterError, NumericalDegeneracyError
+from hbum.distributions import sample_categorical_log_many
+from hbum.errors import InvalidParameterError, NumericalDegeneracyError, ValidationError
 from hbum.lattice import neighbor_value_counts
+from hbum.model import LabelField
 from hbum.sampler import _class_log_partition, _log_nonneg, _require_finite_option
+
+#: (drow, dcol) offsets of the 4-connected stencil.
+NEIGHBOR_OFFSETS = ((-1, 0), (1, 0), (0, -1), (0, 1))
+
+
+def _check_index(lattice, p: int) -> None:
+    if not (0 <= p < lattice.n_pixels):
+        raise ValidationError(f"pixel index {p} outside [0, {lattice.n_pixels})")
+
+
+def index(lattice, row: int, col: int) -> int:
+    """Row-major pixel index of grid position (row, col)."""
+    if not (0 <= row < lattice.height and 0 <= col < lattice.width):
+        raise ValidationError(
+            f"position ({row}, {col}) outside {lattice.height}x{lattice.width} grid"
+        )
+    return row * lattice.width + col
+
+
+def coords(lattice, p: int) -> tuple[int, int]:
+    """Grid position (row, col) of pixel index ``p``."""
+    _check_index(lattice, p)
+    return divmod(p, lattice.width)
+
+
+def neighbors(lattice, p: int) -> list[int]:
+    """Indices of the 4-connected neighbors of ``p``, clipped at borders:
+    interior pixels have 4, edge pixels 3, corners 2 (a 1x1 grid none)."""
+    _check_index(lattice, p)
+    row, col = divmod(p, lattice.width)
+    out = []
+    for drow, dcol in NEIGHBOR_OFFSETS:
+        r, c = row + drow, col + dcol
+        if 0 <= r < lattice.height and 0 <= c < lattice.width:
+            out.append(r * lattice.width + c)
+    return out
+
+
+def potts_neighbor_count(field, p: int, value: int) -> int:
+    """Number of 4-connected neighbors of pixel ``p`` carrying ``value``."""
+    if not (0 <= value < field.domain_size):
+        raise ValidationError(f"value {value} outside [0, {field.domain_size})")
+    return int(sum(field.labels[q] == value for q in neighbors(field.lattice, p)))
+
+
+def log_prior_class(p: int, j: int, sup) -> float:
+    """Log prior weight of class ``j`` at pixel ``p`` before spatial terms:
+    log(eta_p) on a labeled pixel's expert class, the complement split over
+    the other J-1 classes, log(pi_j) on unlabeled pixels."""
+    if not (0 <= j < sup.n_classes):
+        raise ValidationError(f"class {j} outside [0, {sup.n_classes})")
+    pos = np.searchsorted(sup.labeled_idx, p)
+    if pos < sup.labeled_idx.size and sup.labeled_idx[pos] == p:
+        eta = sup.eta[pos]
+        if j == sup.c[pos]:
+            return float(np.log(eta))
+        return float(np.log((1.0 - eta) / (sup.n_classes - 1)))
+    with np.errstate(divide="ignore"):
+        return float(np.log(sup.pi[j]))
+
+
+def abundance_posterior(
+    y: np.ndarray, M: np.ndarray, s2: float, psi_k: np.ndarray, sigma2_k: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and covariance of one pixel's Gaussian abundance conditional:
+    precision MᵀM / s2 + diag(1 / sigma2_k), mean balancing the
+    back-projected observation against the cluster mean."""
+    prec = M.T @ M / s2 + np.diag(1.0 / sigma2_k)
+    cov = np.linalg.inv(prec)
+    mean = cov @ (M.T @ y / s2 + psi_k / sigma2_k)
+    return mean, cov
 
 
 def categorical_log_many(rng: np.random.Generator, log_weights: np.ndarray) -> np.ndarray:
@@ -41,7 +119,7 @@ def gaussian_cluster_loglik(a: np.ndarray, psi: np.ndarray, sigma2: np.ndarray) 
     return out
 
 
-def _color_masks(lattice) -> tuple[np.ndarray, np.ndarray]:
+def color_masks(lattice) -> tuple[np.ndarray, np.ndarray]:
     rows, cols = np.indices((lattice.height, lattice.width))
     even = (rows + cols) % 2 == 0
     return even, ~even
@@ -55,7 +133,7 @@ def sample_cluster_labels(state, config, rng: np.random.Generator):
     lat = state.z.lattice
     grid = state.z.grid()
     base_grid = base.reshape(n_clusters, lat.height, lat.width)
-    for mask in _color_masks(lat):
+    for mask in color_masks(lat):
         weights = base_grid[:, mask]
         if state.effective_beta1 > 0.0:
             counts = neighbor_value_counts(grid, n_clusters)
@@ -74,7 +152,7 @@ def sample_class_labels(state, config, rng: np.random.Generator, w1: np.ndarray)
     lat = state.omega.lattice
     grid = state.omega.grid()
     base_grid = base.reshape(n_classes, lat.height, lat.width)
-    for mask in _color_masks(lat):
+    for mask in color_masks(lat):
         weights = base_grid[:, mask]
         if config.beta2 > 0.0:
             counts = neighbor_value_counts(grid, n_classes)
@@ -136,3 +214,18 @@ def init_unmixing(Y: np.ndarray, M: np.ndarray) -> tuple[np.ndarray, float, floa
     np.clip(a, 0.0, 1.0, out=a)
     s2 = max(residual_mean_square(Y, M, a), 1e-12)
     return a, s2, sum_of_squares(Y)
+
+
+def generate_potts_field(spec, rng: np.random.Generator) -> LabelField:
+    """Potts label map drawn with boolean checkerboard masks on the grid."""
+    spec.validate()
+    lat = spec.lattice
+    n_states = spec.n_clusters
+    labels = rng.integers(n_states, size=lat.n_pixels).astype(np.int32)
+    grid = labels.reshape(lat.height, lat.width)
+    for _ in range(spec.potts_sweeps):
+        for mask in color_masks(lat):
+            counts = neighbor_value_counts(grid, n_states)
+            weights = spec.potts_beta * counts[:, mask].astype(np.float64)
+            grid[mask] = sample_categorical_log_many(rng, weights)
+    return LabelField(labels, n_states, lat)

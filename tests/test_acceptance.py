@@ -39,7 +39,7 @@ import pytest
 from scipy import stats
 
 from hbum.cli import main as cli_main
-from hbum.distributions import make_rng, sample_gaussian_simplex_truncated
+from hbum.distributions import make_rng, sample_gaussian_simplex_truncated_batch
 from hbum.io import BUNDLE_FILES, RESULT_FILES
 from hbum.lattice import Lattice
 from hbum.metrics import ConfusionMatrix, align_clusters, cohen_kappa, rgmse
@@ -56,12 +56,13 @@ from hbum.model import (
 )
 from hbum.sampler import (
     ChainState,
+    _make_precomp,
+    _sample_noise_fast,
     run_chain,
     sample_class_labels,
     sample_cluster_labels,
     sample_cluster_variances,
     sample_interaction_matrix,
-    sample_noise_variance,
 )
 from hbum.synthgen import (
     SceneSpec,
@@ -315,8 +316,10 @@ class TestCriterion5ConjugateStatistics:
         )
         Y = ObservationMatrix(np.array([[np.sqrt(2.0)]]), lat1)
         M = EndmemberMatrix(np.array([[1.0]]))
+        sup = SupervisionData.from_labels(np.array([0]), np.array([0]), 0.9, 1, 1)
+        pre = _make_precomp(Y, M, sup)
         rng = make_rng(51)
-        draws = np.array([sample_noise_variance(state, Y, M, rng) for _ in range(20_000)])
+        draws = np.array([_sample_noise_fast(state, pre, rng) for _ in range(20_000)])
         gap = abs(np.median(draws) - 0.8453178681)
         assert gap < 0.0202, f"noise-variance median off by {gap:.4f}"
         details.append(f"s2_median_gap={gap:.4f}")
@@ -369,9 +372,9 @@ class TestCriterion5ConjugateStatistics:
         rng = make_rng(54)
         draws = np.array(
             [
-                sample_gaussian_simplex_truncated(
-                    rng, np.array([0.5, 0.5]), np.array([1.0, 1.0])
-                )[0]
+                sample_gaussian_simplex_truncated_batch(
+                    rng, np.array([[0.5, 0.5]]), np.array([[1.0, 1.0]])
+                )[0, 0]
                 for _ in range(20_000)
             ]
         )

@@ -61,6 +61,16 @@ def configs(tmp_path):
     return scene_path, model_path
 
 
+@pytest.fixture(scope="module")
+def small_bundle(tmp_path_factory):
+    """A bundle generated from SCENE_CONFIG, shared by tests that only read it."""
+    tmp = tmp_path_factory.mktemp("small")
+    scene_path = tmp / "scene.json"
+    scene_path.write_text(json.dumps(SCENE_CONFIG))
+    assert main(["generate", str(scene_path), "--out", str(tmp / "bundle")]) == 0
+    return tmp / "bundle"
+
+
 def bundle_bytes(bundle_dir):
     return {name: (Path(bundle_dir) / name).read_bytes() for name in BUNDLE_FILES}
 
@@ -133,6 +143,28 @@ class TestGenerate:
     def test_unreadable_config_exits_4(self, tmp_path):
         assert main(["generate", str(tmp_path / "missing.json"), "--out", str(tmp_path / "x")]) == 4
 
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            (None, "bands", "x"),
+            ("scene", "height", "x"),
+            ("scene", "clusters", 2.5),
+            ("scene", "cluster_to_class", "ab"),
+            ("scene", "cluster_to_class", [1, 1.5, 2]),
+            ("scene", "snr_db", None),
+            ("training", "eta", "x"),
+            (None, "endmember_file", 5),
+            (None, "seed", -1),
+        ],
+    )
+    def test_bad_field_exits_2_naming_it(self, tmp_path, capsys, section, key, value):
+        broken = json.loads(json.dumps(SCENE_CONFIG))
+        (broken if section is None else broken[section])[key] = value
+        path = tmp_path / "broken.json"
+        path.write_text(json.dumps(broken))
+        assert main(["generate", str(path), "--out", str(tmp_path / "x")]) == 2
+        assert key in capsys.readouterr().err
+
 
 class TestRun:
     def test_produces_readable_results(self, configs, tmp_path):
@@ -195,6 +227,37 @@ class TestRun:
         model2.write_text(json.dumps(wrong))
         assert main(["run", str(bundle), str(model2), "--out", str(tmp_path / "r")]) == 2
 
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("beta1", None),
+            ("inner_iters", "x"),
+            ("class_proportions", "x"),
+            ("zeta", [1.0, 2.0]),
+            ("zeta", [[1.0, 2.0, 3.0]]),
+            ("clusters", 2.5),
+            ("burnin", True),
+            ("seed", -1),
+            ("schedule", "raster"),
+        ],
+    )
+    def test_bad_model_field_exits_2_naming_it(self, small_bundle, tmp_path, capsys,
+                                               key, value):
+        model = dict(MODEL_CONFIG, **{key: value})
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(model))
+        code = main(["run", str(small_bundle), str(path), "--out", str(tmp_path / "r")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert key in err
+
+    def test_negative_seed_option_exits_2(self, small_bundle, configs, tmp_path, capsys):
+        _, model_path = configs
+        code = main(["run", str(small_bundle), str(model_path), "--out", str(tmp_path / "r"),
+                     "--seed", "-5"])
+        assert code == 2
+        assert "seed" in capsys.readouterr().err
 
     def test_noiseless_scene_exits_3_naming_sweep_and_stage(self, tmp_path, capsys):
         # On the scene-1 protocol without noise the sampled noise variance

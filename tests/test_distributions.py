@@ -15,14 +15,20 @@ from scipy import stats
 from hbum.distributions import (
     make_rng,
     project_to_simplex,
-    sample_categorical_log,
     sample_categorical_log_many,
     sample_dirichlet,
-    sample_gaussian_simplex_truncated,
+    sample_gaussian_simplex_truncated_batch,
     sample_inverse_gamma,
     sample_truncated_normal,
 )
 from hbum.errors import InvalidParameterError
+
+
+def simplex_draw(rng, mean, var_diag, **kw):
+    """One simplex-truncated draw: the batch sampler on a single row."""
+    return sample_gaussian_simplex_truncated_batch(
+        rng, np.asarray(mean)[None, :], np.asarray(var_diag)[None, :], **kw
+    )[0]
 
 
 def quadrature_truncnorm_cdf(mean, sd, lo, hi, n_grid=40001):
@@ -56,11 +62,9 @@ class TestRngStreams:
             return (
                 sample_dirichlet(rng, np.array([2.0, 3.0, 1.0])),
                 sample_inverse_gamma(rng, 2.0, 1.0),
-                sample_categorical_log(rng, np.array([0.0, -1.0, 0.5])),
+                sample_categorical_log_many(rng, np.array([[0.0], [-1.0], [0.5]])),
                 sample_truncated_normal(rng, 0.2, 1.0, 0.0, 1.0),
-                sample_gaussian_simplex_truncated(
-                    rng, np.array([0.4, 0.3, 0.3]), np.array([0.05, 0.05, 0.05])
-                ),
+                simplex_draw(rng, np.array([0.4, 0.3, 0.3]), np.array([0.05, 0.05, 0.05])),
             )
 
         first = draw_everything(make_rng(9))
@@ -144,26 +148,24 @@ class TestInverseGamma:
 
 class TestCategoricalLog:
     def test_zero_probability_entry_never_drawn(self):
-        rng = make_rng(9)
-        draws = {sample_categorical_log(rng, np.array([0.0, -np.inf])) for _ in range(200)}
-        assert draws == {0}
+        draws = sample_categorical_log_many(make_rng(9), np.tile([[0.0], [-np.inf]], (1, 200)))
+        assert set(draws.tolist()) == {0}
 
     def test_equal_weights_are_fair(self):
-        rng = make_rng(10)
         n = 100_000
-        draws = np.array([sample_categorical_log(rng, np.zeros(2)) for _ in range(n)])
+        draws = sample_categorical_log_many(make_rng(10), np.zeros((2, n)))
         # three standard errors of a fair-coin frequency
         assert abs(draws.mean() - 0.5) < 3.0 * 0.5 / np.sqrt(n)
 
     def test_shift_invariance_is_exact(self):
-        lw = np.array([0.3, -0.7, 1.1])
-        a = [sample_categorical_log(make_rng(11, i), lw) for i in range(500)]
-        b = [sample_categorical_log(make_rng(11, i), lw + 1000.0) for i in range(500)]
+        lw = np.array([[0.3], [-0.7], [1.1]])
+        a = [sample_categorical_log_many(make_rng(11, i), lw)[0] for i in range(500)]
+        b = [sample_categorical_log_many(make_rng(11, i), lw + 1000.0)[0] for i in range(500)]
         assert a == b
 
     def test_all_minus_inf_rejected(self):
         with pytest.raises(InvalidParameterError):
-            sample_categorical_log(make_rng(12), np.array([-np.inf, -np.inf]))
+            sample_categorical_log_many(make_rng(12), np.array([[-np.inf], [-np.inf]]))
         with pytest.raises(InvalidParameterError):
             sample_categorical_log_many(
                 make_rng(12), np.array([[0.0, -np.inf], [0.0, -np.inf]])
@@ -172,9 +174,9 @@ class TestCategoricalLog:
     def test_nan_and_positive_inf_rejected(self):
         rng = make_rng(13)
         with pytest.raises(InvalidParameterError):
-            sample_categorical_log(rng, np.array([0.0, np.nan]))
+            sample_categorical_log_many(rng, np.array([[0.0], [np.nan]]))
         with pytest.raises(InvalidParameterError):
-            sample_categorical_log(rng, np.array([0.0, np.inf]))
+            sample_categorical_log_many(rng, np.array([[0.0], [np.inf]]))
 
     def test_batch_matches_scalar_distribution(self):
         lw = np.array([0.0, np.log(3.0)])
@@ -232,16 +234,12 @@ class TestTruncatedNormal:
 
 class TestSimplexTruncatedGaussian:
     def test_singleton_simplex(self):
-        draw = sample_gaussian_simplex_truncated(
-            make_rng(21), np.array([0.4]), np.array([2.0])
-        )
+        draw = simplex_draw(make_rng(21), np.array([0.4]), np.array([2.0]))
         assert draw == pytest.approx([1.0])
 
     def test_tiny_variance_concentrates_at_mean(self):
         center = np.full(4, 0.25)
-        draw = sample_gaussian_simplex_truncated(
-            make_rng(22), center, np.full(4, 1e-8)
-        )
+        draw = simplex_draw(make_rng(22), center, np.full(4, 1e-8))
         np.testing.assert_allclose(draw, center, atol=1e-3)
 
     def test_two_component_marginal_against_oracle(self):
@@ -250,12 +248,8 @@ class TestSimplexTruncatedGaussian:
         # variance 0.5 truncated to [0, 1].
         rng = make_rng(23)
         draws = np.array(
-            [
-                sample_gaussian_simplex_truncated(
-                    rng, np.array([0.5, 0.5]), np.array([1.0, 1.0])
-                )[0]
-                for _ in range(20_000)
-            ]
+            [simplex_draw(rng, np.array([0.5, 0.5]), np.array([1.0, 1.0]))[0]
+             for _ in range(20_000)]
         )
         cdf = quadrature_truncnorm_cdf(0.5, np.sqrt(0.5), 0.0, 1.0)
         assert stats.kstest(draws, cdf).pvalue > 0.01
@@ -269,20 +263,16 @@ class TestSimplexTruncatedGaussian:
         rng = make_rng(seed)
         mean = rng.normal(0.3, 0.5, size=n_dims)
         var = rng.uniform(1e-4, 2.0, size=n_dims)
-        draw = sample_gaussian_simplex_truncated(make_rng(seed, 1), mean, var)
+        draw = simplex_draw(make_rng(seed, 1), mean, var)
         assert np.all(draw >= 0.0)
         assert abs(draw.sum() - 1.0) <= 1e-12
 
     def test_invalid_parameters_rejected(self):
         rng = make_rng(24)
         with pytest.raises(InvalidParameterError):
-            sample_gaussian_simplex_truncated(
-                rng, np.array([0.5, 0.5]), np.array([1.0, 0.0])
-            )
+            simplex_draw(rng, np.array([0.5, 0.5]), np.array([1.0, 0.0]))
         with pytest.raises(InvalidParameterError):
-            sample_gaussian_simplex_truncated(
-                rng, np.array([0.5, 0.5]), np.array([1.0, 1.0]), inner_iters=0
-            )
+            simplex_draw(rng, np.array([0.5, 0.5]), np.array([1.0, 1.0]), inner_iters=0)
 
 
 class TestSimplexProjection:

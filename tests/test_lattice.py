@@ -7,42 +7,46 @@ from hypothesis import strategies as st
 
 from hbum.errors import ValidationError
 from hbum.lattice import Lattice, neighbor_value_counts
+from oracles import color_masks, coords, index, neighbors
 
 lattice_dims = st.tuples(st.integers(1, 12), st.integers(1, 12))
 
 
 class TestNeighbors:
+    """The scalar neighbor reference in ``oracles`` that the vectorised
+    counts are checked against."""
+
     def test_interior_pixel_has_four_neighbors(self):
         lat = Lattice(3, 3)
-        center = lat.index(1, 1)
-        expected = {lat.index(0, 1), lat.index(2, 1), lat.index(1, 0), lat.index(1, 2)}
-        assert set(lat.neighbors(center)) == expected
+        center = index(lat, 1, 1)
+        expected = {index(lat, 0, 1), index(lat, 2, 1), index(lat, 1, 0), index(lat, 1, 2)}
+        assert set(neighbors(lat, center)) == expected
 
     def test_corner_pixel_clipped_to_two(self):
         lat = Lattice(3, 3)
-        assert set(lat.neighbors(lat.index(0, 0))) == {lat.index(0, 1), lat.index(1, 0)}
+        assert set(neighbors(lat, index(lat, 0, 0))) == {index(lat, 0, 1), index(lat, 1, 0)}
 
     def test_single_pixel_lattice_has_no_neighbors(self):
-        assert Lattice(1, 1).neighbors(0) == []
+        assert neighbors(Lattice(1, 1), 0) == []
 
     def test_out_of_range_index_rejected(self):
         lat = Lattice(2, 2)
         with pytest.raises(ValidationError):
-            lat.neighbors(4)
+            neighbors(lat, 4)
         with pytest.raises(ValidationError):
-            lat.neighbors(-1)
+            neighbors(lat, -1)
 
     @settings(max_examples=40, deadline=None)
     @given(lattice_dims)
     def test_symmetry_and_degree(self, dims):
         height, width = dims
         lat = Lattice(height, width)
-        neighbor_sets = [set(lat.neighbors(p)) for p in range(lat.n_pixels)]
+        neighbor_sets = [set(neighbors(lat, p)) for p in range(lat.n_pixels)]
         for p, nbrs in enumerate(neighbor_sets):
             assert p not in nbrs
             for q in nbrs:
                 assert p in neighbor_sets[q]
-            row, col = lat.coords(p)
+            row, col = coords(lat, p)
             on_edge = int(row in (0, height - 1)) + int(col in (0, width - 1))
             expected = 4 - sum(
                 [row == 0, row == height - 1, col == 0, col == width - 1]
@@ -56,7 +60,7 @@ class TestIndexing:
     def test_index_coords_roundtrip(self, dims):
         lat = Lattice(*dims)
         for p in range(lat.n_pixels):
-            assert lat.index(*lat.coords(p)) == p
+            assert index(lat, *coords(lat, p)) == p
 
     def test_degenerate_dimensions_rejected(self):
         with pytest.raises(ValidationError):
@@ -68,12 +72,12 @@ class TestIndexing:
 class TestCheckerboard:
     def test_two_by_two(self):
         lat = Lattice(2, 2)
-        even, odd = lat.checkerboard_partition()
-        assert set(even) == {lat.index(0, 0), lat.index(1, 1)}
-        assert set(odd) == {lat.index(0, 1), lat.index(1, 0)}
+        even, odd = lat.color_sites
+        assert set(even) == {index(lat, 0, 0), index(lat, 1, 1)}
+        assert set(odd) == {index(lat, 0, 1), index(lat, 1, 0)}
 
     def test_one_by_three(self):
-        even, odd = Lattice(1, 3).checkerboard_partition()
+        even, odd = Lattice(1, 3).color_sites
         assert set(even) == {0, 2}
         assert set(odd) == {1}
 
@@ -81,22 +85,26 @@ class TestCheckerboard:
     @given(lattice_dims)
     def test_partition_covers_and_separates(self, dims):
         lat = Lattice(*dims)
-        even, odd = lat.checkerboard_partition()
+        even, odd = lat.color_sites
         assert len(even) + len(odd) == lat.n_pixels
         assert set(even).isdisjoint(odd)
         even_set = set(even)
         for p in even:
-            assert not even_set.intersection(lat.neighbors(p))
+            assert not even_set.intersection(neighbors(lat, p))
         odd_set = set(odd)
         for p in odd:
-            assert not odd_set.intersection(lat.neighbors(p))
+            assert not odd_set.intersection(neighbors(lat, p))
 
-    def test_color_masks_match_partition(self):
-        lat = Lattice(3, 4)
-        even, odd = lat.checkerboard_partition()
-        even_mask, odd_mask = lat.color_masks()
-        assert np.array_equal(np.flatnonzero(even_mask.ravel()), even)
-        assert np.array_equal(np.flatnonzero(odd_mask.ravel()), odd)
+    @settings(max_examples=20, deadline=None)
+    @given(lattice_dims)
+    def test_sites_are_sorted_masks_and_read_only(self, dims):
+        # Label sweeps index with these sites in place of boolean masks, so
+        # they must list each mask's pixels in row-major order.
+        lat = Lattice(*dims)
+        for sites, mask in zip(lat.color_sites, color_masks(lat)):
+            assert np.array_equal(sites, np.flatnonzero(mask.ravel()))
+            assert not sites.flags.writeable
+        assert lat.color_sites is lat.color_sites
 
 
 class TestNeighborValueCounts:
@@ -106,9 +114,9 @@ class TestNeighborValueCounts:
         labels = rng.integers(0, 3, size=lat.n_pixels).astype(np.int32)
         counts = neighbor_value_counts(labels.reshape(5, 6), 3)
         for p in range(lat.n_pixels):
-            row, col = lat.coords(p)
+            row, col = coords(lat, p)
             for v in range(3):
-                expected = sum(labels[q] == v for q in lat.neighbors(p))
+                expected = sum(labels[q] == v for q in neighbors(lat, p))
                 assert counts[v, row, col] == expected
 
     def test_counts_sum_to_degree(self):

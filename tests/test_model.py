@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hbum.errors import ValidationError
-from hbum.lattice import Lattice
+from hbum.lattice import Lattice, neighbor_value_counts
 from hbum.model import (
     ClusterParams,
     EndmemberMatrix,
@@ -15,9 +15,8 @@ from hbum.model import (
     ObservationMatrix,
     SupervisionData,
     class_log_prior_matrix,
-    log_prior_class,
-    potts_neighbor_count,
 )
+from oracles import log_prior_class, potts_neighbor_count
 
 
 def make_sup(labeled_idx, c, eta, n_classes, n_pixels, **kw):
@@ -108,24 +107,23 @@ class TestSupervisionData:
 
 
 class TestPottsNeighborCount:
+    """The vectorised counts of the label sweeps; the scalar reference's
+    own argument check is the last case."""
+
     def test_uniform_field_interior(self):
-        lat = Lattice(3, 3)
-        field = LabelField(np.zeros(9, dtype=np.int32), 2, lat)
-        assert potts_neighbor_count(field, lat.index(1, 1), 0) == 4
+        counts = neighbor_value_counts(np.zeros((3, 3), dtype=np.int32), 2)
+        assert counts[0, 1, 1] == 4
 
     def test_checkerboard_field_own_label(self):
-        lat = Lattice(3, 3)
-        rows, cols = np.divmod(np.arange(9), 3)
-        labels = ((rows + cols) % 2).astype(np.int32)
-        field = LabelField(labels, 2, lat)
-        center = lat.index(1, 1)
-        assert potts_neighbor_count(field, center, int(labels[center])) == 0
-        assert potts_neighbor_count(field, center, 1 - int(labels[center])) == 4
+        rows, cols = np.indices((3, 3))
+        grid = ((rows + cols) % 2).astype(np.int32)
+        counts = neighbor_value_counts(grid, 2)
+        assert counts[grid[1, 1], 1, 1] == 0
+        assert counts[1 - grid[1, 1], 1, 1] == 4
 
     def test_absent_value_counts_zero(self):
-        lat = Lattice(2, 2)
-        field = LabelField(np.zeros(4, dtype=np.int32), 5, lat)
-        assert potts_neighbor_count(field, 0, 3) == 0
+        counts = neighbor_value_counts(np.zeros((2, 2), dtype=np.int32), 5)
+        assert counts[3, 0, 0] == 0
 
     def test_invalid_value_rejected(self):
         lat = Lattice(2, 2)
@@ -135,27 +133,30 @@ class TestPottsNeighborCount:
 
 
 class TestClassLogPrior:
+    """The (J, P) matrix the class sweeps use, checked entry by entry
+    against the per-pixel reference in the last case."""
+
     def test_labeled_pixel_matching_label(self):
         sup = make_sup([0, 1], [0, 1], 0.95, 2, 4)
-        assert log_prior_class(0, 0, sup) == pytest.approx(np.log(0.95))
+        assert class_log_prior_matrix(sup)[0, 0] == pytest.approx(np.log(0.95))
 
     def test_labeled_pixel_other_label_two_classes(self):
         sup = make_sup([0, 1], [0, 1], 0.95, 2, 4)
-        assert log_prior_class(0, 1, sup) == pytest.approx(np.log(0.05))
+        assert class_log_prior_matrix(sup)[1, 0] == pytest.approx(np.log(0.05))
 
     def test_unlabeled_pixel_uses_proportions(self):
         sup = make_sup([0, 1], [0, 1], 0.95, 2, 4)
-        assert log_prior_class(3, 0, sup) == pytest.approx(np.log(0.5))
-        assert log_prior_class(3, 1, sup) == pytest.approx(np.log(0.5))
+        mat = class_log_prior_matrix(sup)
+        assert mat[0, 3] == pytest.approx(np.log(0.5))
+        assert mat[1, 3] == pytest.approx(np.log(0.5))
 
     def test_labeled_weights_normalize(self):
         sup = make_sup([0, 1, 2], [0, 1, 2], 0.8, 3, 6)
-        total = sum(np.exp(log_prior_class(0, j, sup)) for j in range(3))
-        assert total == pytest.approx(1.0)
+        assert np.exp(class_log_prior_matrix(sup)[:, 0]).sum() == pytest.approx(1.0)
 
     def test_unseen_class_gets_minus_inf_when_unlabeled(self):
         sup = make_sup([0, 1], [0, 0], 0.9, 2, 6, require_all_classes=False)
-        assert log_prior_class(5, 1, sup) == -np.inf
+        assert class_log_prior_matrix(sup)[1, 5] == -np.inf
 
     def test_matrix_matches_scalar(self):
         sup = make_sup([1, 4, 5], [2, 0, 1], [0.9, 0.7, 0.8], 3, 8)
@@ -181,10 +182,11 @@ class TestModelConfig:
             dict(n_clusters=0, n_classes=2, n_endmembers=3),
             dict(n_clusters=3, n_classes=2, n_endmembers=3, beta1=-0.1),
             dict(n_clusters=3, n_classes=2, n_endmembers=3, zeta=np.zeros(3)),
+            dict(n_clusters=3, n_classes=2, n_endmembers=3, zeta=np.ones(2)),
             dict(n_clusters=3, n_classes=2, n_endmembers=3, gamma=0.0),
             dict(n_clusters=3, n_classes=2, n_endmembers=3, n_mc=0),
             dict(n_clusters=3, n_classes=2, n_endmembers=3, n_burnin=-1),
-            dict(n_clusters=3, n_classes=2, n_endmembers=3, schedule="diagonal"),
+            dict(n_clusters=3, n_classes=2, n_endmembers=3, seed=-1),
         ]
         for kwargs in bad:
             with pytest.raises(ValidationError):

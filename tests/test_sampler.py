@@ -23,21 +23,20 @@ from hbum.model import (
     NoiseModel,
     ObservationMatrix,
     SupervisionData,
-    potts_neighbor_count,
 )
 from hbum.sampler import (
     ChainState,
     _class_log_partition,
-    abundance_posterior,
+    _make_precomp,
+    _sample_abundances_all,
+    _sample_noise_fast,
     initialize_state,
     run_chain,
-    sample_abundance,
     sample_class_labels,
     sample_cluster_labels,
     sample_cluster_means,
     sample_cluster_variances,
     sample_interaction_matrix,
-    sample_noise_variance,
 )
 from hbum.synthgen import (
     SceneSpec,
@@ -47,6 +46,7 @@ from hbum.synthgen import (
     make_endmembers,
     split_training,
 )
+from oracles import abundance_posterior, index, potts_neighbor_count
 
 
 def build_state(a, s2, psi, sigma2, z, q, omega, lat, beta1=0.0):
@@ -90,15 +90,55 @@ def tiny_problem(seed=0, height=12, width=12, n_mc=20, n_burnin=5, **config_kw):
     return Y, M, sup, ModelConfig(**kwargs)
 
 
+def one_class_precomp(Y, M):
+    """Chain constants for a scene whose first pixel is the one labeled
+    pixel of a single class."""
+    sup = SupervisionData.from_labels(np.array([0]), np.array([0]), 0.9, 1, Y.n_pixels)
+    return _make_precomp(Y, M, sup)
+
+
+def draw_abundance(state, pre, rng):
+    """One abundance sweep; returns a copy of the first pixel's draw."""
+    _sample_abundances_all(state, pre, rng)
+    return state.A.data[:, 0].copy()
+
+
+class _FixedNormals:
+    """Generator stand-in whose standard normals are a given matrix."""
+
+    def __init__(self, normals):
+        self.normals = normals
+
+    def standard_normal(self, size):
+        assert size == self.normals.shape
+        return self.normals.copy()
+
+
 class TestAbundanceConditional:
     def test_identity_closed_form(self):
         # with identity mixing, unit noise and unit cluster covariance the
-        # posterior splits the difference: mean (y + psi)/2, covariance I/2
+        # posterior splits the difference: mean (y + psi)/2, covariance I/2.
+        # Four copies of one pixel take the normals 0, e_1, e_2, e_3: the
+        # first draw is the mean and the others minus it are the columns of
+        # the factor L^-T, whose product with its transpose is the covariance.
         y = np.array([0.8, 0.1, 0.4])
         psi = np.array([0.2, 0.5, 0.3])
-        mean, cov = abundance_posterior(y, np.eye(3), 1.0, psi, np.ones(3))
+        lat = Lattice(1, 4)
+        state = build_state(
+            a=np.zeros((3, 4)), s2=1.0, psi=[psi], sigma2=[np.ones(3)],
+            z=[0] * 4, q=[[1.0]], omega=[0] * 4, lat=lat,
+        )
+        pre = one_class_precomp(ObservationMatrix(np.tile(y[:, None], (1, 4)), lat),
+                                EndmemberMatrix(np.eye(3)))
+        normals = np.hstack([np.zeros((3, 1)), np.eye(3)])
+        _sample_abundances_all(state, pre, _FixedNormals(normals))
+        mean = state.A.data[:, 0]
+        factor = state.A.data[:, 1:] - mean[:, None]
         np.testing.assert_allclose(mean, (y + psi) / 2.0, atol=1e-12)
-        np.testing.assert_allclose(cov, np.eye(3) / 2.0, atol=1e-12)
+        np.testing.assert_allclose(factor @ factor.T, np.eye(3) / 2.0, atol=1e-12)
+        ref_mean, ref_cov = abundance_posterior(y, np.eye(3), 1.0, psi, np.ones(3))
+        np.testing.assert_allclose(ref_mean, (y + psi) / 2.0, atol=1e-12)
+        np.testing.assert_allclose(ref_cov, np.eye(3) / 2.0, atol=1e-12)
 
     def test_prior_dominates_when_cluster_variance_vanishes(self):
         lat = Lattice(1, 1)
@@ -108,8 +148,8 @@ class TestAbundanceConditional:
             z=[0], q=[[1.0]], omega=[0], lat=lat,
         )
         Y = ObservationMatrix(np.array([[5.0], [-3.0]]), lat)
-        M = EndmemberMatrix(np.eye(2))
-        draw = sample_abundance(state, Y, M, 0, make_rng(0))
+        pre = one_class_precomp(Y, EndmemberMatrix(np.eye(2)))
+        draw = draw_abundance(state, pre, make_rng(0))
         np.testing.assert_allclose(draw, psi[0], atol=1e-4)
 
     def test_likelihood_dominates_when_noise_vanishes(self):
@@ -120,8 +160,8 @@ class TestAbundanceConditional:
         )
         y = np.array([0.9, 0.25])
         Y = ObservationMatrix(y[:, None], lat)
-        M = EndmemberMatrix(np.eye(2))
-        draw = sample_abundance(state, Y, M, 0, make_rng(1))
+        pre = one_class_precomp(Y, EndmemberMatrix(np.eye(2)))
+        draw = draw_abundance(state, pre, make_rng(1))
         np.testing.assert_allclose(draw, y, atol=1e-5)
 
     def test_draw_moments_match_posterior(self):
@@ -133,11 +173,12 @@ class TestAbundanceConditional:
         )
         Y = ObservationMatrix(y[:, None], lat)
         M = EndmemberMatrix(np.array([[1.0, 0.3], [0.1, 0.8]]))
+        pre = one_class_precomp(Y, M)
         mean, cov = abundance_posterior(
             y, M.data, 0.5, state.clusters.psi[0], state.clusters.sigma2[0]
         )
         rng = make_rng(2)
-        draws = np.array([sample_abundance(state, Y, M, 0, rng) for _ in range(20_000)])
+        draws = np.array([draw_abundance(state, pre, rng) for _ in range(20_000)])
         tol = 4.0 * np.sqrt(np.diag(cov).max() / 20_000)
         np.testing.assert_allclose(draws.mean(axis=0), mean, atol=tol)
         np.testing.assert_allclose(np.cov(draws.T), cov, atol=0.01)
@@ -156,9 +197,9 @@ class TestNoiseConditional:
         lat = Lattice(1, 1)
         state = self.base_state([[0.0]], lat)
         Y = ObservationMatrix(np.array([[np.sqrt(2.0)]]), lat)
-        M = EndmemberMatrix(np.array([[1.0]]))
+        pre = one_class_precomp(Y, EndmemberMatrix(np.array([[1.0]])))
         rng = make_rng(3)
-        draws = np.array([sample_noise_variance(state, Y, M, rng) for _ in range(20_000)])
+        draws = np.array([_sample_noise_fast(state, pre, rng) for _ in range(20_000)])
         assert abs(np.median(draws) - 0.8453178681) < 0.0202
         result = stats.kstest(draws, stats.invgamma(1.5, scale=1.0).cdf)
         assert result.pvalue > 0.01
@@ -169,12 +210,12 @@ class TestNoiseConditional:
         a = np.zeros((1, 4))
         state = self.base_state(a, lat)
         Y = ObservationMatrix(np.full((2, 4), 0.5), lat)
-        M = EndmemberMatrix(np.ones((2, 1)))
+        pre = one_class_precomp(Y, EndmemberMatrix(np.ones((2, 1))))
         total_sq = 8 * 0.25
         scale = total_sq / 2.0
         expected_mean = scale / (5.0 - 1.0)
         rng = make_rng(4)
-        draws = np.array([sample_noise_variance(state, Y, M, rng) for _ in range(20_000)])
+        draws = np.array([_sample_noise_fast(state, pre, rng) for _ in range(20_000)])
         sd = stats.invgamma(5.0, scale=scale).std()
         assert abs(draws.mean() - expected_mean) < 3.0 * sd / np.sqrt(20_000)
 
@@ -183,8 +224,8 @@ class TestNoiseConditional:
         a = np.array([[0.25, 0.75]])
         state = self.base_state(a, lat)
         M = EndmemberMatrix(np.array([[1.0], [0.5]]))
-        Y = ObservationMatrix(M.data @ a, lat)
-        draw = sample_noise_variance(state, Y, M, make_rng(5))
+        pre = one_class_precomp(ObservationMatrix(M.data @ a, lat), M)
+        draw = _sample_noise_fast(state, pre, make_rng(5))
         assert 0.0 < draw < 1e-250
 
 
@@ -347,7 +388,7 @@ class TestClusterLabelConditional:
         lat = Lattice(3, 3)
         config = ModelConfig(n_clusters=2, n_classes=1, n_endmembers=2)
         rng = make_rng(15)
-        center = lat.index(1, 1)
+        center = index(lat, 1, 1)
         for _ in range(300):
             labels = np.ones(9, dtype=np.int32)
             labels[center] = 0
@@ -358,27 +399,6 @@ class TestClusterLabelConditional:
                 beta1=10.0,
             )
             assert sample_cluster_labels(state, config, rng).labels[center] == 1
-
-    def test_raster_schedule_matches_checkerboard_distribution(self):
-        lat = Lattice(1, 1)
-        a = np.array([[0.3], [0.7]])
-        psi = np.array([[0.25, 0.75], [0.6, 0.4]])
-        sigma2 = np.full((2, 2), 0.05)
-        counts = {}
-        for schedule in ("checkerboard", "raster"):
-            config = ModelConfig(
-                n_clusters=2, n_classes=1, n_endmembers=2, schedule=schedule
-            )
-            rng = make_rng(16)
-            hits = 0
-            for _ in range(4000):
-                state = build_state(
-                    a=a, s2=1.0, psi=psi, sigma2=sigma2,
-                    z=[0], q=[[0.5], [0.5]], omega=[0], lat=lat,
-                )
-                hits += int(sample_cluster_labels(state, config, rng).labels[0])
-            counts[schedule] = hits / 4000
-        assert abs(counts["checkerboard"] - counts["raster"]) < 3.0 * np.sqrt(0.5 / 4000)
 
 
 class TestInteractionConditional:
@@ -620,13 +640,6 @@ class TestRunChain:
         bad = ModelConfig(n_clusters=3, n_classes=2, n_endmembers=2, n_mc=2, n_burnin=0)
         with pytest.raises(ValidationError):
             run_chain(Y, M, sup, bad)
-
-    def test_raster_schedule_runs(self):
-        Y, M, sup, config = tiny_problem(
-            seed=13, height=6, width=6, n_mc=3, n_burnin=1, schedule="raster"
-        )
-        est, _ = run_chain(Y, M, sup, config)
-        est.validate()
 
     def test_pi_override_used(self):
         # The override must act exactly as a supervision set carrying it.

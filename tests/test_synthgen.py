@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import oracles
 from hbum.distributions import make_rng
 from hbum.errors import GenerationError, InvalidParameterError, ValidationError
 from hbum.lattice import Lattice, neighbor_value_counts
@@ -70,6 +71,15 @@ class TestPottsField:
         a = generate_potts_field(spec, make_rng(2))
         b = generate_potts_field(spec, make_rng(2))
         assert np.array_equal(a.labels, b.labels)
+
+    @pytest.mark.parametrize("height, width", [(1, 1), (1, 9), (7, 1), (5, 8), (20, 20)])
+    def test_matches_mask_reference(self, height, width):
+        spec = image1_spec(potts_sweeps=6, height=height, width=width)
+        rng, ref_rng = make_rng(3), make_rng(3)
+        got = generate_potts_field(spec, rng)
+        want = oracles.generate_potts_field(spec, ref_rng)
+        assert got.labels.tobytes() == want.labels.tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 class TestClusterMeans:
