@@ -101,9 +101,12 @@ def sample_categorical_log_many(rng: np.random.Generator, log_weights: np.ndarra
     transform ``Generator.gumbel`` applies, so the call consumes exactly the
     bit-generator output ``rng.gumbel(size=log_weights.shape)`` would. The
     vectorised log may differ from the C library's by an ulp, which changes
-    a draw only when two perturbed weights tie to within that ulp.
+    a draw only when two perturbed weights tie to within that ulp. The
+    draws do not depend on the memory layout of ``log_weights``; a
+    Fortran-ordered matrix is copied to C order first, because a per-site
+    reduction over its columns is many times slower.
     """
-    lw = np.asarray(log_weights, dtype=np.float64)
+    lw = np.ascontiguousarray(log_weights, dtype=np.float64)
     if lw.ndim != 2 or lw.shape[0] < 1:
         raise InvalidParameterError("log_weights must be a (n_choices, n_sites) matrix")
     if not np.all(lw < np.inf):  # also False for NaN

@@ -37,6 +37,7 @@ from .model import (
     ModelConfig,
     ObservationMatrix,
     SupervisionData,
+    require_finite,
 )
 from .synthgen import SceneSpec, TrainingSplit, default_cluster_means
 
@@ -225,6 +226,7 @@ class GenerateConfig:
         self.training.validate()
         if self.n_bands < 1:
             raise ValidationError("bands must be >= 1")
+        require_finite(min_endmember_angle_deg=self.min_endmember_angle_deg)
         if self.min_endmember_angle_deg < 5.0:
             raise ValidationError("minimum endmember angle must be at least 5 degrees")
 

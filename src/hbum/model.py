@@ -306,6 +306,11 @@ class ModelConfig:
     def validate(self) -> None:
         if min(self.n_clusters, self.n_classes, self.n_endmembers) < 1:
             raise ValidationError("K, J and R must all be >= 1")
+        # The range checks below compare with <, which NaN passes.
+        require_finite(
+            beta1=self.beta1, beta2=self.beta2, zeta=self.zeta, xi=self.xi,
+            gamma=self.gamma, class_proportions=self.pi_override,
+        )
         if self.beta1 < 0.0 or self.beta2 < 0.0:
             raise ValidationError("granularity parameters must be nonnegative")
         if np.any(self.zeta <= 0.0):
@@ -318,6 +323,14 @@ class ModelConfig:
             raise ValidationError("inner_iters must be >= 1")
         if self.seed < 0:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
+
+
+def require_finite(**values) -> None:
+    """Raise ValidationError naming the first of ``values`` (scalars or
+    arrays; None is skipped) that holds a NaN or an infinity."""
+    for name, value in values.items():
+        if value is not None and not np.all(np.isfinite(value)):
+            raise ValidationError(f"{name} must be finite, got {np.asarray(value).tolist()}")
 
 
 def class_log_prior_matrix(sup: SupervisionData) -> np.ndarray:

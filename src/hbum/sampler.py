@@ -10,6 +10,12 @@ conditional used for Q's columns is exact on every recorded sweep.
 Label fields are swept with a checkerboard schedule (two half-sweeps of
 conditionally independent sites).
 
+Gathers along the pixel axis use ``np.take``, which returns C-ordered rows;
+``a[:, idx]`` returns a Fortran-ordered copy, over which the per-site
+reductions of the label draws run one short column at a time. Only values
+are copied, so no bit changes. Sums and means keep the layout of their
+input, because their rounding can depend on it.
+
 Point estimates returned by :func:`run_chain` are posterior means (empirical
 averages of the recorded sweeps) for A, s2, psi, sigma2 and Q, and the
 per-pixel most frequently sampled label for z and omega.
@@ -114,14 +120,13 @@ class Trace:
         )
 
     def record(self, state: ChainState) -> None:
-        n_pixels = self.a_sum.shape[1]
         self.a_sum += state.A.data
         self.s2_sum += state.noise.s2
         self.psi_sum += state.clusters.psi
         self.sigma2_sum += state.clusters.sigma2
         self.q_sum += state.q.q
-        self.z_counts[state.z.labels, np.arange(n_pixels)] += 1
-        self.omega_counts[state.omega.labels, np.arange(n_pixels)] += 1
+        _tally(self.z_counts, state.z.labels)
+        _tally(self.omega_counts, state.omega.labels)
         self.n_recorded += 1
 
     def omega_frequencies(self) -> np.ndarray:
@@ -153,6 +158,17 @@ class Trace:
             iteration=self.n_recorded,
             effective_beta1=0.0,
         )
+
+
+def _tally(counts: np.ndarray, labels: np.ndarray) -> None:
+    """Add one to ``counts[labels[p], p]`` for every pixel p, through flat
+    indices into the C-ordered (n_labels, P) tallies. The indices are intp:
+    labels are int32 and n_labels * P can pass 2**31."""
+    n_pixels = counts.shape[1]
+    flat = labels.astype(np.intp)
+    flat *= n_pixels
+    flat += np.arange(n_pixels, dtype=np.intp)
+    counts.reshape(-1)[flat] += 1
 
 
 @dataclass
@@ -294,7 +310,7 @@ def _sample_abundances_all(state: ChainState, pre: _Precomp, rng: np.random.Gene
     # Narrow keys let numpy's stable sort run as a radix sort.
     order = np.argsort(z.astype(np.min_scalar_type(n_clusters - 1)), kind="stable")
     bounds = np.cumsum(np.bincount(z, minlength=n_clusters))
-    rhs = pre.mty_t[order]
+    rhs = np.take(pre.mty_t, order, axis=0)
     noise = np.ascontiguousarray(noise.T[order])
     lo = 0
     for k, hi in enumerate(bounds):
@@ -357,7 +373,7 @@ def sample_cluster_variances(
     z = state.z.labels
     n_clusters = config.n_clusters
     n_k = np.bincount(z, minlength=n_clusters).astype(np.float64)
-    diff2 = (state.A.data - state.clusters.psi[z].T) ** 2
+    diff2 = (state.A.data - np.take(state.clusters.psi.T, z, axis=1)) ** 2
     ssq = _cluster_sums(diff2, z, n_clusters)
     shape = n_k[:, None] / 2.0 + config.xi
     scale = config.gamma + ssq / 2.0
@@ -431,13 +447,13 @@ def sample_cluster_labels(
     and, while ``effective_beta1`` is positive, the spatial agreement count."""
     n_clusters = config.n_clusters
     base = _gaussian_cluster_loglik(state.A.data, state.clusters.psi, state.clusters.sigma2)
-    base += _log_nonneg(state.q.q)[:, state.omega.labels]
+    base += np.take(_log_nonneg(state.q.q), state.omega.labels, axis=1)
     grid = state.z.grid()
     for sites in state.z.lattice.color_sites:
-        weights = base[:, sites]
+        weights = np.take(base, sites, axis=1)
         if state.effective_beta1 > 0.0:
             counts = neighbor_value_counts(grid, n_clusters).reshape(n_clusters, -1)
-            weights += state.effective_beta1 * counts[:, sites]
+            weights += state.effective_beta1 * np.take(counts, sites, axis=1)
         state.z.labels[sites] = _draw_labels(rng, weights, "cluster", state)
     return state.z
 
@@ -484,16 +500,16 @@ def sample_class_labels(
     n_classes = config.n_classes
     if w1 is None:
         w1 = class_log_prior_matrix(sup)
-    base = _log_nonneg(state.q.q).T[:, state.z.labels]
+    base = np.take(_log_nonneg(state.q.q).T, state.z.labels, axis=1)
     base += w1
     if state.effective_beta1 > 0.0:
         base -= _class_log_partition(state, state.effective_beta1)
     grid = state.omega.grid()
     for sites in state.omega.lattice.color_sites:
-        weights = base[:, sites]
+        weights = np.take(base, sites, axis=1)
         if config.beta2 > 0.0:
             counts = neighbor_value_counts(grid, n_classes).reshape(n_classes, -1)
-            weights += config.beta2 * counts[:, sites]
+            weights += config.beta2 * np.take(counts, sites, axis=1)
         state.omega.labels[sites] = _draw_labels(rng, weights, "class", state)
     return state.omega
 

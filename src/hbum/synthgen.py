@@ -24,6 +24,7 @@ from .model import (
     LabelField,
     ObservationMatrix,
     SupervisionData,
+    require_finite,
 )
 
 #: Band count of the default synthetic endmember library.
@@ -77,6 +78,10 @@ class SceneSpec:
             raise ValidationError("cluster_to_class must hit every class")
         if self.dirichlet_means.shape != (self.n_clusters, self.n_endmembers):
             raise ValidationError("dirichlet_means must be (clusters, endmembers)")
+        require_finite(
+            dirichlet_means=self.dirichlet_means, concentration=self.concentration,
+            potts_beta=self.potts_beta,
+        )
         if np.any(self.dirichlet_means <= 0.0):
             raise ValidationError("dirichlet_means must be strictly positive")
         if self.concentration <= 0.0:

@@ -2,8 +2,8 @@
 
 The kernel references are the straightforward form of a kernel that
 ``hbum`` runs in an optimised form: fresh temporaries, boolean checkerboard
-masks, per-cluster index gathers, ``solve_triangular`` and
-``Generator.gumbel``. The kernel-equivalence tests require the optimised
+masks, per-cluster index gathers, fancy-index gathers and tallies,
+``solve_triangular`` and ``Generator.gumbel``. The kernel-equivalence tests require the optimised
 kernels to return the same bits and leave the generator in the same state.
 
 The scalar references evaluate one pixel at a time what ``hbum`` computes
@@ -17,11 +17,17 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from hbum.distributions import sample_categorical_log_many
+from hbum.distributions import sample_categorical_log_many, sample_inverse_gamma_array
 from hbum.errors import InvalidParameterError, NumericalDegeneracyError, ValidationError
 from hbum.lattice import neighbor_value_counts
 from hbum.model import LabelField
-from hbum.sampler import _class_log_partition, _log_nonneg, _require_finite_option
+from hbum.sampler import (
+    SIGMA2_FLOOR,
+    _class_log_partition,
+    _cluster_sums,
+    _log_nonneg,
+    _require_finite_option,
+)
 
 #: (drow, dcol) offsets of the 4-connected stencil.
 NEIGHBOR_OFFSETS = ((-1, 0), (1, 0), (0, -1), (0, 1))
@@ -160,6 +166,34 @@ def sample_class_labels(state, config, rng: np.random.Generator, w1: np.ndarray)
         _require_finite_option(weights, "class", state)
         grid[mask] = categorical_log_many(rng, weights)
     return state.omega
+
+
+def sample_cluster_variances(state, config, rng: np.random.Generator) -> np.ndarray:
+    """Cluster-variance draw with the cluster means gathered by fancy
+    indexing, which returns them Fortran-ordered."""
+    z = state.z.labels
+    n_clusters = config.n_clusters
+    n_k = np.bincount(z, minlength=n_clusters).astype(np.float64)
+    diff2 = (state.A.data - state.clusters.psi[z].T) ** 2
+    ssq = _cluster_sums(diff2, z, n_clusters)
+    draws = sample_inverse_gamma_array(rng, n_k[:, None] / 2.0 + config.xi,
+                                       config.gamma + ssq / 2.0)
+    state.clusters.sigma2 = np.maximum(draws, SIGMA2_FLOOR)
+    return state.clusters.sigma2
+
+
+def trace_record(trace, state) -> None:
+    """``Trace.record`` with the label tallies updated by a two-axis fancy
+    index."""
+    n_pixels = trace.a_sum.shape[1]
+    trace.a_sum += state.A.data
+    trace.s2_sum += state.noise.s2
+    trace.psi_sum += state.clusters.psi
+    trace.sigma2_sum += state.clusters.sigma2
+    trace.q_sum += state.q.q
+    trace.z_counts[state.z.labels, np.arange(n_pixels)] += 1
+    trace.omega_counts[state.omega.labels, np.arange(n_pixels)] += 1
+    trace.n_recorded += 1
 
 
 def sample_abundances_all(state, pre, rng: np.random.Generator) -> None:

@@ -165,6 +165,28 @@ class TestGenerate:
         assert main(["generate", str(path), "--out", str(tmp_path / "x")]) == 2
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("scene", "potts_beta", np.nan),
+            ("scene", "potts_beta", np.inf),
+            ("scene", "concentration", np.nan),
+            ("scene", "concentration", np.inf),
+            ("scene", "dirichlet_means", [[0.8, 0.1, 0.1], [0.1, np.nan, 0.1], [0.1, 0.1, 0.8]]),
+            ("scene", "dirichlet_means", [[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, np.inf]]),
+            (None, "min_endmember_angle_deg", np.nan),
+            (None, "min_endmember_angle_deg", np.inf),
+        ],
+    )
+    def test_non_finite_field_exits_2_naming_it(self, tmp_path, capsys, section, key, value):
+        # Python's json writes and reads NaN and Infinity literals.
+        broken = json.loads(json.dumps(SCENE_CONFIG))
+        (broken if section is None else broken[section])[key] = value
+        path = tmp_path / "broken.json"
+        path.write_text(json.dumps(broken))
+        assert main(["generate", str(path), "--out", str(tmp_path / "x")]) == 2
+        assert f"{key} must be finite" in capsys.readouterr().err
+
 
 class TestRun:
     def test_produces_readable_results(self, configs, tmp_path):
@@ -251,6 +273,40 @@ class TestRun:
         err = capsys.readouterr().err
         assert code == 2
         assert key in err
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("beta1", np.nan),
+            ("beta1", np.inf),
+            ("beta2", np.nan),
+            ("beta2", np.inf),
+            ("xi", np.nan),
+            ("xi", np.inf),
+            ("gamma", np.nan),
+            ("gamma", np.inf),
+            ("zeta", np.nan),
+            ("zeta", [1.0, np.inf, 1.0]),
+            ("class_proportions", [np.nan, 0.5]),
+            ("class_proportions", [np.inf, 0.0]),
+        ],
+    )
+    def test_non_finite_model_field_exits_2_naming_it(self, small_bundle, tmp_path, capsys,
+                                                      key, value):
+        # NaN passes every < check: a NaN beta1 used to run to exit 0 with
+        # the coupling silently off.
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(dict(MODEL_CONFIG, **{key: value})))
+        code = main(["run", str(small_bundle), str(path), "--out", str(tmp_path / "r")])
+        assert code == 2
+        assert f"{key} must be finite" in capsys.readouterr().err
+
+    def test_non_finite_option_exits_2(self, small_bundle, configs, tmp_path, capsys):
+        _, model_path = configs
+        code = main(["run", str(small_bundle), str(model_path), "--out", str(tmp_path / "r"),
+                     "--beta1", "nan"])
+        assert code == 2
+        assert "beta1 must be finite" in capsys.readouterr().err
 
     def test_negative_seed_option_exits_2(self, small_bundle, configs, tmp_path, capsys):
         _, model_path = configs

@@ -35,9 +35,11 @@ from hbum.sampler import (
     _sample_abundances_all,
     _sum_of_squares,
     initialize_state,
+    Trace,
     run_chain,
     sample_class_labels,
     sample_cluster_labels,
+    sample_cluster_variances,
 )
 
 SHAPES = [(1, 1), (1, 9), (5, 7), (12, 12)]
@@ -117,6 +119,22 @@ class TestCategorical:
             with pytest.raises(InvalidParameterError, match=message):
                 kernel(rng, lw)
             assert rng.bit_generator.state == state
+
+
+class TestCategoricalLayout:
+    @pytest.mark.parametrize("n_choices", CHOICES)
+    def test_draws_do_not_depend_on_layout(self, n_choices):
+        wide = log_weights(n_choices, 1002, seed=n_choices, minus_inf_share=0.3)
+        lw = wide[:, ::2].copy()
+        layouts = {"C": lw, "F": np.asfortranarray(lw), "strided": wide[:, ::2]}
+        assert n_choices == 1 or not layouts["F"].flags.c_contiguous
+        results = {}
+        for name, weights in layouts.items():
+            rng = make_rng(4)
+            results[name] = (sample_categorical_log_many(rng, weights), rng.bit_generator.state)
+        for name in ("F", "strided"):
+            assert_same_bits(results[name][0], results["C"][0])
+            assert results[name][1] == results["C"][1]
 
 
 class TestClusterLoglik:
@@ -275,6 +293,82 @@ class TestLabelSweeps:
             oracles.sample_class_labels(ref_state, config, rng_ref, w1)
             assert_same_bits(state.omega.labels, ref_state.omega.labels)
             assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+
+
+class TestGatherLayout:
+    @pytest.mark.parametrize("beta", [0.0, 0.8])
+    def test_label_stages_pass_c_ordered_weights(self, monkeypatch, beta):
+        seen = []
+
+        def spy(rng, log_weights):
+            seen.append((log_weights.shape, log_weights.flags.c_contiguous))
+            return sample_categorical_log_many(rng, log_weights)
+
+        monkeypatch.setattr(sampler_mod, "sample_categorical_log_many", spy)
+        state = random_state((6, 7), 12, 5, seed=2, beta1=beta)
+        config = ModelConfig(n_clusters=12, n_classes=5, n_endmembers=3, beta2=beta)
+        w1 = np.log(np.random.default_rng(1).dirichlet(np.ones(5), size=42).T)
+        sample_cluster_labels(state, config, make_rng(0))
+        sample_class_labels(state, None, config, make_rng(1), w1=w1)
+        assert seen == [((12, 21), True)] * 2 + [((5, 21), True)] * 2
+
+    @pytest.mark.parametrize("shape, n_clusters", [((5, 7), 3), ((1, 9), 12), ((4, 4), 1)])
+    def test_cluster_variances(self, shape, n_clusters):
+        state = random_state(shape, n_clusters, 2, seed=n_clusters, beta1=0.0)
+        if n_clusters > 2:
+            state.z.labels[state.z.labels == 1] = 0  # an empty cluster
+        config = ModelConfig(n_clusters=n_clusters, n_classes=2, n_endmembers=3)
+        ref_state = copy.deepcopy(state)
+        rng_new, rng_ref = make_rng(5), make_rng(5)
+        assert_same_bits(
+            sample_cluster_variances(state, config, rng_new),
+            oracles.sample_cluster_variances(ref_state, config, rng_ref),
+        )
+        assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+
+
+class _IndexSpy(np.ndarray):
+    """Array that records every index it is assigned through: the dtype of
+    an index array, None for any other key."""
+
+    index_dtypes: list = []
+
+    def __setitem__(self, key, value):
+        _IndexSpy.index_dtypes.append(key.dtype if isinstance(key, np.ndarray) else None)
+        super().__setitem__(key, value)
+
+
+class TestTraceRecord:
+    FIELDS = ("a_sum", "psi_sum", "sigma2_sum", "q_sum", "z_counts", "omega_counts")
+
+    @pytest.mark.parametrize(
+        "shape, n_clusters, n_classes",
+        [((5, 7), 3, 2), ((1, 9), 4, 3), ((1, 9), 1, 2), ((6, 6), 1, 1), ((1, 1), 2, 1)],
+    )
+    def test_matches_fancy_index_reference(self, shape, n_clusters, n_classes):
+        n_pixels = shape[0] * shape[1]
+        trace = Trace.empty(3, n_pixels, n_clusters, n_classes)
+        ref = Trace.empty(3, n_pixels, n_clusters, n_classes)
+        for sweep in range(4):
+            state = random_state(shape, n_clusters, n_classes, seed=sweep, beta1=0.0)
+            trace.record(state)
+            oracles.trace_record(ref, state)
+        for field in self.FIELDS:
+            assert_same_bits(getattr(trace, field), getattr(ref, field))
+        assert trace.s2_sum == ref.s2_sum
+        assert trace.n_recorded == ref.n_recorded == 4
+        assert trace.z_counts.sum() == trace.omega_counts.sum() == 4 * n_pixels
+
+    def test_tallies_through_intp_indices(self, monkeypatch):
+        # int32 labels times P would overflow once K * P passes 2**31.
+        monkeypatch.setattr(_IndexSpy, "index_dtypes", [])
+        state = random_state((5, 7), 3, 2, seed=0, beta1=0.0)
+        trace = Trace.empty(3, 35, 3, 2)
+        trace.z_counts = trace.z_counts.view(_IndexSpy)
+        trace.omega_counts = trace.omega_counts.view(_IndexSpy)
+        trace.record(state)
+        assert _IndexSpy.index_dtypes == [np.dtype(np.intp)] * 2
+        assert_same_bits(np.asarray(trace.z_counts).argmax(axis=0), state.z.labels.astype(np.intp))
 
 
 def init_problem(n_bands, n_pixels, seed, shape=None):
