@@ -200,11 +200,9 @@ class SupervisionData:
         eta,
         n_classes: int,
         n_pixels: int,
-        pi: np.ndarray | None = None,
         require_all_classes: bool = True,
     ) -> "SupervisionData":
-        """Build supervision data, computing ``pi`` from the labels unless an
-        override is given.
+        """Build supervision data, computing ``pi`` from the labels.
 
         With ``require_all_classes`` every class in ``0..n_classes-1`` must
         appear among the labels (the usual configuration-time check).
@@ -226,11 +224,8 @@ class SupervisionData:
                     f"training labels cover {present.size} classes but the model "
                     f"declares {n_classes}"
                 )
-        if pi is None:
-            counts = np.bincount(c, minlength=n_classes).astype(np.float64)
-            pi = counts / counts.sum() if counts.sum() > 0 else counts
-        else:
-            pi = np.asarray(pi, dtype=np.float64)
+        counts = np.bincount(c, minlength=n_classes).astype(np.float64)
+        pi = counts / counts.sum() if counts.sum() > 0 else counts
         sup = cls(labeled_idx, c, eta, pi, n_classes, n_pixels)
         sup.validate()
         return sup

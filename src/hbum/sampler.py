@@ -7,8 +7,11 @@ coupling at ``beta1`` and then ``n_mc`` recorded sweeps with it at zero; at
 zero the label-field partition function is constant, so the Dirichlet
 conditional used for Q's columns is exact on every recorded sweep.
 
-Label fields are swept with a checkerboard schedule (two half-sweeps of
-conditionally independent sites).
+Every Potts label field is swept by :func:`potts_sweep`: the cluster field
+z, the class field omega and the Potts map of ``hbum.synthgen``. It runs a
+checkerboard schedule (two half-sweeps of conditionally independent sites).
+A site left without a finite log-weight raises ``NumericalDegeneracyError``
+naming its pixel; :func:`run_chain` prefixes the sweep and the stage.
 
 Gathers along the pixel axis use ``np.take``, which returns C-ordered rows;
 ``a[:, idx]`` returns a Fortran-ordered copy, over which the per-site
@@ -262,28 +265,37 @@ def _log_nonneg(x: np.ndarray) -> np.ndarray:
         return np.log(x)
 
 
-def _require_finite_option(log_weights: np.ndarray, what: str, state: ChainState) -> None:
-    dead = ~np.any(np.isfinite(log_weights), axis=0)
-    if np.any(dead):
-        raise NumericalDegeneracyError(
-            f"all {what} log-weights are -inf at iteration {state.iteration} "
-            f"(first affected site {int(np.flatnonzero(dead)[0])})"
-        )
+def potts_sweep(
+    rng: np.random.Generator, field: LabelField, base: np.ndarray, beta: float, what: str
+) -> LabelField:
+    """One checkerboard sweep of ``field``, in place. Each half-sweep draws
+    the sites of one colour from the (n_values, P) log-weights ``base``
+    plus, when ``beta`` is positive, ``beta`` times the count of each
+    site's neighbours carrying each value.
 
-
-def _draw_labels(
-    rng: np.random.Generator, log_weights: np.ndarray, what: str, state: ChainState
-) -> np.ndarray:
-    """Categorical draws for one half-sweep. ``sample_categorical_log_many``
-    rejects every site without a finite log-weight, so its own checks are
-    the only scan of the weights on the usual path. When it rejects them
-    and some site has no finite log-weight, that is a degeneracy of the
-    chain and raised as one."""
-    try:
-        return sample_categorical_log_many(rng, log_weights)
-    except InvalidParameterError:
-        _require_finite_option(log_weights, what, state)
-        raise
+    ``sample_categorical_log_many`` rejects every site without a finite
+    log-weight, so its own checks are the only scan of the weights on the
+    usual path. When it rejects them and some site has none, that is a
+    degeneracy of the field, raised as one that names ``what`` and the
+    first such pixel."""
+    n_values = field.domain_size
+    grid = field.grid()
+    for sites in field.lattice.color_sites:
+        weights = np.take(base, sites, axis=1)
+        if beta > 0.0:
+            counts = neighbor_value_counts(grid, n_values).reshape(n_values, -1)
+            weights += beta * np.take(counts, sites, axis=1)
+        try:
+            field.labels[sites] = sample_categorical_log_many(rng, weights)
+        except InvalidParameterError:
+            dead = ~np.any(np.isfinite(weights), axis=0)
+            if np.any(dead):
+                raise NumericalDegeneracyError(
+                    f"all {what} log-weights are -inf "
+                    f"(first affected pixel {int(sites[np.argmax(dead)])})"
+                )
+            raise
+    return field
 
 
 # ---------------------------------------------------------------------------
@@ -439,27 +451,17 @@ def _gaussian_cluster_loglik(
     return out
 
 
-def sample_cluster_labels(
-    state: ChainState, config: ModelConfig, rng: np.random.Generator
-) -> LabelField:
+def sample_cluster_labels(state: ChainState, rng: np.random.Generator) -> LabelField:
     """Redraw the cluster field. Per-site log-weights combine the Gaussian
     abundance likelihood, the interaction weight of the site's current class
     and, while ``effective_beta1`` is positive, the spatial agreement count."""
-    n_clusters = config.n_clusters
     base = _gaussian_cluster_loglik(state.A.data, state.clusters.psi, state.clusters.sigma2)
     base += np.take(_log_nonneg(state.q.q), state.omega.labels, axis=1)
-    grid = state.z.grid()
-    for sites in state.z.lattice.color_sites:
-        weights = np.take(base, sites, axis=1)
-        if state.effective_beta1 > 0.0:
-            counts = neighbor_value_counts(grid, n_clusters).reshape(n_clusters, -1)
-            weights += state.effective_beta1 * np.take(counts, sites, axis=1)
-        state.z.labels[sites] = _draw_labels(rng, weights, "cluster", state)
-    return state.z
+    return potts_sweep(rng, state.z, base, state.effective_beta1, "cluster")
 
 
 def sample_interaction_matrix(
-    state: ChainState, sup: SupervisionData, config: ModelConfig, rng: np.random.Generator
+    state: ChainState, config: ModelConfig, rng: np.random.Generator
 ) -> InteractionMatrix:
     """Redraw every column of Q from its Dirichlet conditional built on the
     joint (cluster, class) label counts. Exact once ``effective_beta1`` is
@@ -486,32 +488,18 @@ def _class_log_partition(state: ChainState, beta1: float) -> np.ndarray:
 
 
 def sample_class_labels(
-    state: ChainState,
-    sup: SupervisionData,
-    config: ModelConfig,
-    rng: np.random.Generator,
-    w1: np.ndarray | None = None,
+    state: ChainState, config: ModelConfig, rng: np.random.Generator, w1: np.ndarray
 ) -> LabelField:
     """Redraw the class field. Per-site log-weights combine the interaction
-    weight of the site's cluster, the supervision prior and the spatial
-    agreement count at ``beta2``; while ``effective_beta1`` is positive the
-    cluster-side normalizer is subtracted (at zero it is identically one and
-    skipped)."""
-    n_classes = config.n_classes
-    if w1 is None:
-        w1 = class_log_prior_matrix(sup)
+    weight of the site's cluster, the (J, P) supervision log-prior ``w1``
+    and the spatial agreement count at ``beta2``; while ``effective_beta1``
+    is positive the cluster-side normalizer is subtracted (at zero it is
+    identically one and skipped)."""
     base = np.take(_log_nonneg(state.q.q).T, state.z.labels, axis=1)
     base += w1
     if state.effective_beta1 > 0.0:
         base -= _class_log_partition(state, state.effective_beta1)
-    grid = state.omega.grid()
-    for sites in state.omega.lattice.color_sites:
-        weights = np.take(base, sites, axis=1)
-        if config.beta2 > 0.0:
-            counts = neighbor_value_counts(grid, n_classes).reshape(n_classes, -1)
-            weights += config.beta2 * np.take(counts, sites, axis=1)
-        state.omega.labels[sites] = _draw_labels(rng, weights, "class", state)
-    return state.omega
+    return potts_sweep(rng, state.omega, base, config.beta2, "class")
 
 
 # ---------------------------------------------------------------------------
@@ -678,9 +666,9 @@ def run_chain(
         ("noise", lambda: _sample_noise_fast(state, pre, rng)),
         ("cluster_means", lambda: sample_cluster_means(state, config, rng)),
         ("cluster_variances", lambda: sample_cluster_variances(state, config, rng)),
-        ("cluster_labels", lambda: sample_cluster_labels(state, config, rng)),
-        ("interaction", lambda: sample_interaction_matrix(state, sup, config, rng)),
-        ("class_labels", lambda: sample_class_labels(state, sup, config, rng, w1=pre.w1)),
+        ("cluster_labels", lambda: sample_cluster_labels(state, rng)),
+        ("interaction", lambda: sample_interaction_matrix(state, config, rng)),
+        ("class_labels", lambda: sample_class_labels(state, config, rng, pre.w1)),
     )
     total = config.n_burnin + config.n_mc
     for it in range(total):

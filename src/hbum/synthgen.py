@@ -15,9 +15,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .distributions import sample_categorical_log_many
 from .errors import GenerationError, InvalidParameterError, ValidationError
-from .lattice import Lattice, neighbor_value_counts
+from .lattice import Lattice
 from .model import (
     AbundanceMatrix,
     EndmemberMatrix,
@@ -26,6 +25,7 @@ from .model import (
     SupervisionData,
     require_finite,
 )
+from .sampler import potts_sweep
 
 #: Band count of the default synthetic endmember library.
 DEFAULT_BANDS = 413
@@ -197,13 +197,11 @@ def generate_potts_field(spec: SceneSpec, rng: np.random.Generator) -> LabelFiel
     lat = spec.lattice
     n_states = spec.n_clusters
     labels = rng.integers(n_states, size=lat.n_pixels).astype(np.int32)
-    grid = labels.reshape(lat.height, lat.width)
+    field = LabelField(labels, n_states, lat)
+    base = np.zeros((n_states, lat.n_pixels))
     for _ in range(spec.potts_sweeps):
-        for sites in lat.color_sites:
-            counts = neighbor_value_counts(grid, n_states).reshape(n_states, -1)
-            weights = spec.potts_beta * counts[:, sites].astype(np.float64)
-            labels[sites] = sample_categorical_log_many(rng, weights)
-    return LabelField(labels, n_states, lat)
+        potts_sweep(rng, field, base, spec.potts_beta, "Potts")
+    return field
 
 
 def _dirichlet_rows(rng: np.random.Generator, alpha: np.ndarray, n_rows: int) -> np.ndarray:

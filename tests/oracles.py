@@ -26,7 +26,6 @@ from hbum.sampler import (
     _class_log_partition,
     _cluster_sums,
     _log_nonneg,
-    _require_finite_option,
 )
 
 #: (drow, dcol) offsets of the 4-connected stencil.
@@ -131,9 +130,18 @@ def color_masks(lattice) -> tuple[np.ndarray, np.ndarray]:
     return even, ~even
 
 
-def sample_cluster_labels(state, config, rng: np.random.Generator):
+def _require_finite_option(log_weights: np.ndarray, what: str, state) -> None:
+    dead = ~np.any(np.isfinite(log_weights), axis=0)
+    if np.any(dead):
+        raise NumericalDegeneracyError(
+            f"all {what} log-weights are -inf at iteration {state.iteration} "
+            f"(first affected site {int(np.flatnonzero(dead)[0])})"
+        )
+
+
+def sample_cluster_labels(state, rng: np.random.Generator):
     """Checkerboard cluster-label sweep over boolean masks."""
-    n_clusters = config.n_clusters
+    n_clusters = state.z.domain_size
     base = gaussian_cluster_loglik(state.A.data, state.clusters.psi, state.clusters.sigma2)
     base += _log_nonneg(state.q.q)[:, state.omega.labels]
     lat = state.z.lattice

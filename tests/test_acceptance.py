@@ -53,6 +53,7 @@ from hbum.model import (
     NoiseModel,
     ObservationMatrix,
     SupervisionData,
+    class_log_prior_matrix,
 )
 from hbum.sampler import (
     ChainState,
@@ -277,14 +278,15 @@ class TestCriterion4ExactEnumeration:
             omega=LabelField(np.array([0, 1, 0, 1], dtype=np.int32), 2, lat),
             effective_beta1=0.0,
         )
+        w1 = class_log_prior_matrix(sup)
         rng = make_rng(4242)
         n_sweeps, burn_in = 100_000, 500
         z_hits = np.zeros(4)
         omega_hits = np.zeros(4)
         start = time.perf_counter()
         for sweep in range(n_sweeps + burn_in):
-            sample_cluster_labels(state, config, rng)
-            sample_class_labels(state, sup, config, rng)
+            sample_cluster_labels(state, rng)
+            sample_class_labels(state, config, rng, w1)
             if sweep >= burn_in:
                 z_hits += state.z.labels == 0
                 omega_hits += state.omega.labels == 0
@@ -358,7 +360,7 @@ class TestCriterion5ConjugateStatistics:
                 q=InteractionMatrix(np.full((3, 1), 1.0 / 3.0)),
                 omega=LabelField(np.zeros(3, dtype=np.int32), 1, lat3),
             )
-            cols.append(sample_interaction_matrix(state, None, config, rng).q[:, 0])
+            cols.append(sample_interaction_matrix(state, config, rng).q[:, 0])
         cols = np.array(cols)
         alpha = np.array([3.0, 1.0, 2.0])
         mean = alpha / alpha.sum()

@@ -266,12 +266,11 @@ class TestLabelSweeps:
     @pytest.mark.parametrize("beta1", [0.0, 0.8])
     def test_cluster_sweep(self, shape, n_clusters, beta1):
         state = random_state(shape, n_clusters, 3, seed=n_clusters, beta1=beta1)
-        config = ModelConfig(n_clusters=n_clusters, n_classes=3, n_endmembers=3)
         ref_state = copy.deepcopy(state)
         for sweep in range(3):
             rng_new, rng_ref = make_rng(sweep), make_rng(sweep)
-            sample_cluster_labels(state, config, rng_new)
-            oracles.sample_cluster_labels(ref_state, config, rng_ref)
+            sample_cluster_labels(state, rng_new)
+            oracles.sample_cluster_labels(ref_state, rng_ref)
             assert_same_bits(state.z.labels, ref_state.z.labels)
             assert rng_new.bit_generator.state == rng_ref.bit_generator.state
 
@@ -289,7 +288,7 @@ class TestLabelSweeps:
         ref_state = copy.deepcopy(state)
         for sweep in range(3):
             rng_new, rng_ref = make_rng(sweep), make_rng(sweep)
-            sample_class_labels(state, None, config, rng_new, w1=w1)
+            sample_class_labels(state, config, rng_new, w1)
             oracles.sample_class_labels(ref_state, config, rng_ref, w1)
             assert_same_bits(state.omega.labels, ref_state.omega.labels)
             assert rng_new.bit_generator.state == rng_ref.bit_generator.state
@@ -308,8 +307,8 @@ class TestGatherLayout:
         state = random_state((6, 7), 12, 5, seed=2, beta1=beta)
         config = ModelConfig(n_clusters=12, n_classes=5, n_endmembers=3, beta2=beta)
         w1 = np.log(np.random.default_rng(1).dirichlet(np.ones(5), size=42).T)
-        sample_cluster_labels(state, config, make_rng(0))
-        sample_class_labels(state, None, config, make_rng(1), w1=w1)
+        sample_cluster_labels(state, make_rng(0))
+        sample_class_labels(state, config, make_rng(1), w1)
         assert seen == [((12, 21), True)] * 2 + [((5, 21), True)] * 2
 
     @pytest.mark.parametrize("shape, n_clusters", [((5, 7), 3), ((1, 9), 12), ((4, 4), 1)])
@@ -420,9 +419,7 @@ def with_oracle_kernels(monkeypatch):
         "_sample_abundances_all": oracles.sample_abundances_all,
         "_gaussian_cluster_loglik": oracles.gaussian_cluster_loglik,
         "sample_cluster_labels": oracles.sample_cluster_labels,
-        "sample_class_labels": lambda state, sup, config, rng, w1: oracles.sample_class_labels(
-            state, config, rng, w1
-        ),
+        "sample_class_labels": oracles.sample_class_labels,
     }
     for name, kernel in patches.items():
         assert hasattr(sampler_mod, name)

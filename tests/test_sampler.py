@@ -23,6 +23,7 @@ from hbum.model import (
     NoiseModel,
     ObservationMatrix,
     SupervisionData,
+    class_log_prior_matrix,
 )
 from hbum.sampler import (
     ChainState,
@@ -357,7 +358,6 @@ class TestClusterLabelConditional:
         expected = np.exp(loglik - loglik.max())
         expected /= expected.sum()
         rng = make_rng(13)
-        config = ModelConfig(n_clusters=2, n_classes=1, n_endmembers=2)
         hits = 0
         n = 4000
         for _ in range(n):
@@ -365,13 +365,12 @@ class TestClusterLabelConditional:
                 a=a, s2=1.0, psi=psi, sigma2=sigma2,
                 z=[0], q=[[0.5], [0.5]], omega=[0], lat=lat,
             )
-            hits += int(sample_cluster_labels(state, config, rng).labels[0] == 0)
+            hits += int(sample_cluster_labels(state, rng).labels[0] == 0)
         se = np.sqrt(expected[0] * (1 - expected[0]) / n)
         assert abs(hits / n - expected[0]) < 3.0 * se
 
     def test_zero_interaction_weight_never_drawn(self):
         lat = Lattice(1, 1)
-        config = ModelConfig(n_clusters=2, n_classes=1, n_endmembers=2)
         rng = make_rng(14)
         for _ in range(300):
             state = build_state(
@@ -379,14 +378,13 @@ class TestClusterLabelConditional:
                 psi=[[0.5, 0.5], [0.5, 0.5]], sigma2=np.ones((2, 2)),
                 z=[0], q=[[0.0], [1.0]], omega=[0], lat=lat,
             )
-            assert sample_cluster_labels(state, config, rng).labels[0] == 1
+            assert sample_cluster_labels(state, rng).labels[0] == 1
 
     def test_strong_coupling_follows_neighborhood_majority(self):
         # 3x3 grid, all-equal likelihood and interaction terms, center
         # surrounded by label 1: exact conditional puts e^40 / (e^40 + 1)
         # on the majority at coupling 10
         lat = Lattice(3, 3)
-        config = ModelConfig(n_clusters=2, n_classes=1, n_endmembers=2)
         rng = make_rng(15)
         center = index(lat, 1, 1)
         for _ in range(300):
@@ -398,7 +396,23 @@ class TestClusterLabelConditional:
                 z=labels, q=[[0.5], [0.5]], omega=[0] * 9, lat=lat,
                 beta1=10.0,
             )
-            assert sample_cluster_labels(state, config, rng).labels[center] == 1
+            assert sample_cluster_labels(state, rng).labels[center] == 1
+
+    def test_dead_site_error_names_the_pixel(self):
+        # pixel 13 of a 4x4 grid is the seventh site of its colour; its
+        # class has an all-zero interaction column, so every cluster
+        # log-weight there is -inf
+        lat = Lattice(4, 4)
+        omega = np.zeros(16, dtype=np.int32)
+        omega[13] = 1
+        state = build_state(
+            a=np.full((2, 16), 0.5), s2=1.0,
+            psi=[[0.5, 0.5], [0.5, 0.5]], sigma2=np.ones((2, 2)),
+            z=[0] * 16, q=np.full((2, 2), 0.5), omega=omega, lat=lat,
+        )
+        state.q.q[:, 1] = 0.0
+        with pytest.raises(NumericalDegeneracyError, match=r"cluster .*pixel 13\)$"):
+            sample_cluster_labels(state, make_rng(16))
 
 
 class TestInteractionConditional:
@@ -414,7 +428,7 @@ class TestInteractionConditional:
                 psi=[[1.0]] * 3, sigma2=[[1.0]] * 3,
                 z=[0, 0, 2], q=[[1 / 3]] * 3, omega=[0, 0, 0], lat=lat,
             )
-            draws.append(sample_interaction_matrix(state, None, config, rng).q[:, 0])
+            draws.append(sample_interaction_matrix(state, config, rng).q[:, 0])
         draws = np.array(draws)
         alpha = np.array([3.0, 1.0, 2.0])
         mean = alpha / alpha.sum()
@@ -432,7 +446,7 @@ class TestInteractionConditional:
                 psi=[[1.0]] * 2, sigma2=[[1.0]] * 2,
                 z=[0, 1], q=np.full((2, 2), 0.5), omega=[0, 0], lat=lat,
             )
-            draws.append(sample_interaction_matrix(state, None, config, rng).q[:, 1])
+            draws.append(sample_interaction_matrix(state, config, rng).q[:, 1])
         draws = np.array(draws)
         assert abs(draws[:, 0].mean() - 0.5) < 3.0 * np.sqrt(1.0 / 12.0 / 5000)
 
@@ -443,7 +457,7 @@ class TestInteractionConditional:
             a=np.full((1, 3), 0.5), s2=1.0, psi=[[1.0]] * 2, sigma2=[[1.0]] * 2,
             z=[0, 1, 1], q=np.full((2, 2), 0.5), omega=[0, 1, 0], lat=lat,
         )
-        q = sample_interaction_matrix(state, None, config, make_rng(19)).q
+        q = sample_interaction_matrix(state, config, make_rng(19)).q
         np.testing.assert_allclose(q.sum(axis=0), 1.0, atol=1e-12)
 
 
@@ -457,7 +471,7 @@ def three_pixel_supervision():
 class TestClassLabelConditional:
     def test_unlabeled_weights_proportional_to_q_times_pi(self):
         lat = Lattice(1, 3)
-        sup = three_pixel_supervision()
+        w1 = class_log_prior_matrix(three_pixel_supervision())
         q = np.array([[0.7, 0.2], [0.3, 0.8]])
         config = ModelConfig(n_clusters=2, n_classes=2, n_endmembers=1, beta2=0.0)
         # pixel 2 sits in cluster 1: P(class 1) = 0.8 / (0.3 + 0.8)
@@ -470,7 +484,7 @@ class TestClassLabelConditional:
                 a=np.full((1, 3), 0.5), s2=1.0, psi=[[1.0]] * 2,
                 sigma2=[[1.0]] * 2, z=[0, 1, 1], q=q, omega=[0, 1, 0], lat=lat,
             )
-            hits += int(sample_class_labels(state, sup, config, rng).labels[2] == 1)
+            hits += int(sample_class_labels(state, config, rng, w1).labels[2] == 1)
         assert abs(hits / n - expected) < 3.0 * np.sqrt(expected * (1 - expected) / n)
 
     def test_total_confidence_pins_expert_labels(self):
@@ -478,6 +492,7 @@ class TestClassLabelConditional:
         sup = SupervisionData.from_labels(
             np.array([0, 1]), np.array([0, 1]), 1.0 - 1e-9, 2, 3
         )
+        w1 = class_log_prior_matrix(sup)
         q = np.array([[0.5, 0.5], [0.5, 0.5]])
         config = ModelConfig(n_clusters=2, n_classes=2, n_endmembers=1, beta2=0.0)
         rng = make_rng(21)
@@ -486,7 +501,7 @@ class TestClassLabelConditional:
                 a=np.full((1, 3), 0.5), s2=1.0, psi=[[1.0]] * 2,
                 sigma2=[[1.0]] * 2, z=[0, 1, 0], q=q, omega=[1, 0, 0], lat=lat,
             )
-            omega = sample_class_labels(state, sup, config, rng)
+            omega = sample_class_labels(state, config, rng, w1)
             assert omega.labels[0] == 0 and omega.labels[1] == 1
 
     def test_cluster_side_normalizer_is_one_without_coupling(self):
@@ -531,7 +546,7 @@ class TestClassLabelConditional:
             omega=[0, 1, 0], lat=lat,
         )
         with pytest.raises(NumericalDegeneracyError):
-            sample_class_labels(state, sup, config, make_rng(23))
+            sample_class_labels(state, config, make_rng(23), class_log_prior_matrix(sup))
 
 
 class TestInitializeState:
@@ -594,9 +609,9 @@ class TestRunChain:
             sampler_mod._sample_noise_fast(state, pre, rng)
             sample_cluster_means(state, config, rng)
             sample_cluster_variances(state, config, rng)
-            sample_cluster_labels(state, config, rng)
-            sample_interaction_matrix(state, sup, config, rng)
-            sample_class_labels(state, sup, config, rng, w1=pre.w1)
+            sample_cluster_labels(state, rng)
+            sample_interaction_matrix(state, config, rng)
+            sample_class_labels(state, config, rng, pre.w1)
         assert np.array_equal(est.A.data, state.A.data)
         assert est.noise.s2 == state.noise.s2
         assert np.array_equal(est.z.labels, state.z.labels)
@@ -623,13 +638,31 @@ class TestRunChain:
         seen = []
         original = sampler_mod.sample_cluster_labels
 
-        def spy(state, cfg, rng):
+        def spy(state, rng):
             seen.append(state.effective_beta1)
-            return original(state, cfg, rng)
+            return original(state, rng)
 
         monkeypatch.setattr(sampler_mod, "sample_cluster_labels", spy)
         run_chain(Y, M, sup, config)
         assert seen == [config.beta1, config.beta1, 0.0, 0.0, 0.0]
+
+    def test_neighbor_counts_called_through_sampler(self, monkeypatch):
+        # Profilers count neighbor-count calls by wrapping this module's
+        # name. A burn-in sweep makes two calls for the cluster field, one
+        # for the class-side normalizer and two for the class field; a
+        # recorded sweep (beta1 off) makes the two class-field calls.
+        Y, M, sup, config = tiny_problem(seed=10, n_mc=3, n_burnin=2)
+        assert config.beta1 > 0.0 and config.beta2 > 0.0
+        original = sampler_mod.neighbor_value_counts
+        calls = []
+
+        def spy(grid, n_values):
+            calls.append(n_values)
+            return original(grid, n_values)
+
+        monkeypatch.setattr(sampler_mod, "neighbor_value_counts", spy)
+        run_chain(Y, M, sup, config)
+        assert len(calls) == 2 * 5 + 3 * 2
 
     def test_debug_validation_runs_clean(self):
         Y, M, sup, config = tiny_problem(seed=11, n_mc=5, n_burnin=2)

@@ -81,6 +81,16 @@ class TestPottsField:
         assert got.labels.tobytes() == want.labels.tobytes()
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
+    def test_zero_coupling_matches_mask_reference(self):
+        # At coupling 0 the sweep skips the neighbour counts; the draws and
+        # the generator's consumption stay those of the reference.
+        spec = image1_spec(potts_beta=0.0, potts_sweeps=3, height=6, width=7)
+        rng, ref_rng = make_rng(4), make_rng(4)
+        got = generate_potts_field(spec, rng)
+        want = oracles.generate_potts_field(spec, ref_rng)
+        assert got.labels.tobytes() == want.labels.tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
 
 class TestClusterMeans:
     def test_rows_on_simplex(self):
