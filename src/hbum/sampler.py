@@ -19,6 +19,10 @@ reductions of the label draws run one short column at a time. Only values
 are copied, so no bit changes. Sums and means keep the layout of their
 input, because their rounding can depend on it.
 
+The abundance draw and the Gaussian cluster log-likelihood run as small
+GEMMs. They differ from triangular solves and from the unexpanded square
+in the last bits only, within the bounds their docstrings state.
+
 Point estimates returned by :func:`run_chain` are posterior means (empirical
 averages of the recorded sweeps) for A, s2, psi, sigma2 and Q, and the
 per-pixel most frequently sampled label for z and omega.
@@ -29,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dtrtrs
+from scipy.linalg.lapack import dtrtri
 
 from .distributions import (
     make_rng,
@@ -61,9 +65,6 @@ NOISE_SCALE_FLOOR = 1e-300
 # Largest run numpy's pairwise summation of a contiguous array is asked to
 # add in one call; see ``_pairwise_sum``.
 _PAIRWISE_LEAF = 1 << 15
-# Fewest columns per tile of the cluster log-likelihood: a tile of the
-# abundance matrix and its scratch stay in cache across the clusters.
-_LOGLIK_TILE = 8192
 
 
 @dataclass
@@ -180,7 +181,7 @@ class _Precomp:
 
     mtm: np.ndarray  # (R, R)
     mty: np.ndarray  # (R, P)
-    mty_t: np.ndarray  # (P, R), C-ordered: pixel rows for the abundance solves
+    mty_t: np.ndarray  # (P, R), C-ordered: pixel rows for the abundance draws
     y_sq: float  # ||Y||_F^2
     n_obs: int  # P * d
     w1: np.ndarray  # (J, P) class log-prior matrix
@@ -305,25 +306,25 @@ def potts_sweep(
 
 def _sample_abundances_all(state: ChainState, pre: _Precomp, rng: np.random.Generator) -> None:
     """Vectorized abundance sweep: pixels sharing a cluster share their
-    posterior precision, so each cluster is one batched solve.
+    posterior precision ``MᵀM/s2 + diag(1/sigma2_k) = L Lᵀ``, so each
+    cluster is one batched draw.
 
     Pixels are sorted by cluster (stably, so each cluster keeps its pixel
-    order) and each cluster's right-hand side and noise are one contiguous
-    block of (P, R) rows. Its transpose is the Fortran-ordered matrix
-    LAPACK's ``trtrs`` solves in place, called with the arguments
-    ``solve_triangular`` passes for a C-ordered lower factor."""
+    order), and each cluster's right-hand sides ``MᵀY/s2 + psi_k/sigma2_k``
+    are one contiguous block B of (P, R) rows. With the covariance
+    ``Sigma_k = L⁻ᵀ L⁻¹`` formed from LAPACK's ``trtri``, the block's draw
+    is ``B Sigma_k + E L⁻¹``: two small GEMMs in place of three triangular
+    solves. E is the next block of rows of one (P, R) draw of iid normals,
+    so a sweep uses P·R normals whatever the labels."""
     n_dims, n_pixels = state.A.data.shape
     s2 = state.noise.s2
-    # One noise block drawn up front keeps rng consumption independent of
-    # the current label configuration.
-    noise = rng.standard_normal((n_dims, n_pixels))
+    noise = rng.standard_normal((n_pixels, n_dims))
     z = state.z.labels
     n_clusters = state.clusters.n_clusters
     # Narrow keys let numpy's stable sort run as a radix sort.
     order = np.argsort(z.astype(np.min_scalar_type(n_clusters - 1)), kind="stable")
     bounds = np.cumsum(np.bincount(z, minlength=n_clusters))
     rhs = np.take(pre.mty_t, order, axis=0)
-    noise = np.ascontiguousarray(noise.T[order])
     lo = 0
     for k, hi in enumerate(bounds):
         if hi == lo:
@@ -331,8 +332,7 @@ def _sample_abundances_all(state: ChainState, pre: _Precomp, rng: np.random.Gene
         sigma2_k = state.clusters.sigma2[k]
         b = rhs[lo:hi]
         # On noiseless data s2 can fall so low that these overflow. One
-        # explicit check of the factor and the right-hand side reports that,
-        # in place of scipy's check_finite scans on every solve.
+        # explicit check of the factor and the right-hand side reports that.
         with np.errstate(over="ignore", invalid="ignore"):
             prec = pre.mtm / s2 + np.diag(1.0 / sigma2_k)
             try:
@@ -347,13 +347,10 @@ def _sample_abundances_all(state: ChainState, pre: _Precomp, rng: np.random.Gene
             raise NumericalDegeneracyError(
                 f"abundance posterior of cluster {k} is not finite (noise variance {s2:.3g})"
             )
-        # chol.T is the Fortran-ordered upper factor and L x = b its
-        # transposed system. A factor numpy returned with a finite, positive
-        # diagonal is never singular, so trtrs's info needs no check.
-        dtrtrs(chol.T, b.T, lower=0, trans=1, overwrite_b=1)
-        dtrtrs(chol.T, b.T, lower=0, trans=0, overwrite_b=1)
-        dtrtrs(chol.T, noise[lo:hi].T, lower=0, trans=0, overwrite_b=1)
-        b += noise[lo:hi]
+        # A factor numpy returned with a finite, positive diagonal is never
+        # singular, so trtri's info needs no check.
+        chol_inv = dtrtri(chol, lower=1)[0]
+        rhs[lo:hi] = b @ (chol_inv.T @ chol_inv) + noise[lo:hi] @ chol_inv
         lo = hi
     state.A.data.T[order] = rhs
 
@@ -423,31 +420,22 @@ def sample_cluster_means(
 def _gaussian_cluster_loglik(
     a: np.ndarray, psi: np.ndarray, sigma2: np.ndarray
 ) -> np.ndarray:
-    """(K, P) log-density of every abundance column under every cluster,
-    in column tiles so a tile stays in cache across the clusters."""
+    """(K, P) log-density of every abundance column under every cluster, as
+    one GEMM of ``[-1/(2 sigma2_k), psi_k/sigma2_k]`` (K x 2R) with
+    ``[a∘a; a]`` (2R x P), plus a per-cluster constant. The expanded square
+    cancels: an entry can be off the direct form by about
+    ``(R + 1) eps S / 2``, ``S = sum_r (|a_r| + |psi_r|)² / sigma2_r``."""
     n_clusters, n_dims = psi.shape
-    n_pixels = a.shape[1]
-    out = np.empty((n_clusters, n_pixels))
-    log_norm = -0.5 * (n_dims * np.log(2.0 * np.pi) + np.log(sigma2).sum(axis=1))
-    # Near-equal tiles, each at least _LOGLIK_TILE wide unless the matrix is
-    # narrower: narrow tiles cost more calls than cache misses save.
-    n_tiles = max(1, n_pixels // _LOGLIK_TILE)
-    bounds = [t * n_pixels // n_tiles for t in range(n_tiles + 1)]
-    scratch = np.empty(n_dims * -(-n_pixels // n_tiles))
-    psi_col = psi[:, :, None]
-    sigma2_col = sigma2[:, :, None]
-    for c0, c1 in zip(bounds[:-1], bounds[1:]):
-        tile = a[:, c0:c1]
-        buf = scratch[: n_dims * (c1 - c0)].reshape(n_dims, c1 - c0)
-        for k in range(n_clusters):
-            # log_norm - 0.5 * sum((a - psi) ** 2 / sigma2), step by step in place.
-            row = out[k, c0:c1]
-            np.subtract(tile, psi_col[k], out=buf)
-            np.multiply(buf, buf, out=buf)
-            np.divide(buf, sigma2_col[k], out=buf)
-            np.sum(buf, axis=0, out=row)
-            row *= 0.5
-            np.subtract(log_norm[k], row, out=row)
+    inv = 1.0 / sigma2
+    weights = np.hstack([-0.5 * inv, psi * inv])
+    stacked = np.empty((2 * n_dims, a.shape[1]))
+    np.multiply(a, a, out=stacked[:n_dims])
+    stacked[n_dims:] = a
+    const = -0.5 * (
+        n_dims * np.log(2.0 * np.pi) + np.log(sigma2).sum(axis=1) + (psi * psi * inv).sum(axis=1)
+    )
+    out = weights @ stacked
+    out += const[:, None]
     return out
 
 

@@ -3,8 +3,12 @@
 The kernel references are the straightforward form of a kernel that
 ``hbum`` runs in an optimised form: fresh temporaries, boolean checkerboard
 masks, per-cluster index gathers, fancy-index gathers and tallies,
-``solve_triangular`` and ``Generator.gumbel``. The kernel-equivalence tests require the optimised
-kernels to return the same bits and leave the generator in the same state.
+``solve_triangular``, the unexpanded Gaussian square and
+``Generator.gumbel``. The kernel-equivalence tests require the optimised
+kernels to leave the generator in the same state and to return the same
+bits, or, where the optimised kernel runs its arithmetic as GEMMs (the
+abundance draw and the cluster log-likelihood), values within a tolerance
+set by the rounding analysis.
 
 The scalar references evaluate one pixel at a time what ``hbum`` computes
 for the whole lattice: grid positions and 4-connected neighbors, the Potts
@@ -206,10 +210,12 @@ def trace_record(trace, state) -> None:
 
 def sample_abundances_all(state, pre, rng: np.random.Generator) -> None:
     """Abundance sweep with one index gather and three ``solve_triangular``
-    calls per cluster."""
+    calls per cluster. The rows of one (P, R) block of normals go to the
+    pixels in cluster order, and within a cluster in pixel order."""
     n_dims, n_pixels = state.A.data.shape
     s2 = state.noise.s2
-    noise = rng.standard_normal((n_dims, n_pixels))
+    noise = rng.standard_normal((n_pixels, n_dims))
+    used = 0
     for k in range(state.clusters.n_clusters):
         idx = np.flatnonzero(state.z.labels == k)
         if idx.size == 0:
@@ -232,8 +238,10 @@ def sample_abundances_all(state, pre, rng: np.random.Generator) -> None:
             chol.T, solve_triangular(chol, b, lower=True, check_finite=False),
             lower=False, check_finite=False,
         )
+        normals = noise[used : used + idx.size].T
+        used += idx.size
         state.A.data[:, idx] = mean + solve_triangular(
-            chol.T, noise[:, idx], lower=False, check_finite=False
+            chol.T, normals, lower=False, check_finite=False
         )
 
 

@@ -1,8 +1,10 @@
 """The optimised hot-path kernels against their references in ``oracles``.
 
 Every case runs the kernel and its reference on generators with the same
-seed and requires the same bits out and the same generator state after, so
-a chain gives the same estimates whichever form it runs.
+seed and requires the same generator state after. Kernels that only move
+or re-lay values must return the same bits. The abundance draw and the
+cluster log-likelihood run their arithmetic as GEMMs, so they are held to
+a tolerance from the rounding analysis of that arithmetic instead.
 """
 
 import copy
@@ -27,7 +29,7 @@ from hbum.model import (
     SupervisionData,
 )
 from hbum.sampler import (
-    _LOGLIK_TILE,
+    SIGMA2_FLOOR,
     ChainState,
     _gaussian_cluster_loglik,
     _make_precomp,
@@ -138,34 +140,32 @@ class TestCategoricalLayout:
 
 
 class TestClusterLoglik:
+    """The GEMM form adds the 2R products ``-a_r²/(2 sigma2_r)`` and
+    ``a_r psi_r / sigma2_r`` to a constant holding ``-psi_r²/(2 sigma2_r)``.
+    Their magnitudes sum to at most ``S/2``, ``S = sum_r (|a_r| +
+    |psi_r|)² / sigma2_r``, and each carries a few roundings from its
+    operands plus at most 2R from the sum, so an entry is off by at most
+    ``(R + 1) eps S / 2`` to first order: below ``8 eps S`` for R <= 14."""
+
     @pytest.mark.parametrize("n_clusters", CHOICES)
-    @pytest.mark.parametrize("n_dims", [1, 3, 9])
-    def test_same_bits(self, n_clusters, n_dims):
-        gen = np.random.default_rng(n_clusters * 10 + n_dims)
-        a = gen.dirichlet(np.ones(n_dims), size=501).T.copy()
+    @pytest.mark.parametrize("n_dims", [1, 3, 9, 12])
+    @pytest.mark.parametrize("n_pixels", [1, 2, 501])
+    @pytest.mark.parametrize("at_floor", [False, True])
+    def test_within_rounding_bound(self, n_clusters, n_dims, n_pixels, at_floor):
+        gen = np.random.default_rng(n_clusters * 1000 + n_dims * 10 + n_pixels)
+        a = gen.dirichlet(np.ones(n_dims), size=n_pixels).T.copy()
         psi = gen.dirichlet(np.ones(n_dims), size=n_clusters)
         sigma2 = gen.uniform(1e-4, 0.1, size=(n_clusters, n_dims))
-        assert_same_bits(
-            _gaussian_cluster_loglik(a, psi, sigma2),
-            oracles.gaussian_cluster_loglik(a, psi, sigma2),
-        )
-
-    @pytest.mark.parametrize(
-        "n_pixels",
-        [1, 2, _LOGLIK_TILE - 1, _LOGLIK_TILE, _LOGLIK_TILE + 1, 2 * _LOGLIK_TILE + 1, 40000],
-    )
-    @pytest.mark.parametrize("n_dims", [1, 3, 12])
-    def test_same_bits_across_tile_edges(self, n_pixels, n_dims):
-        # With twelve rows numpy would add a one-column tile's rows pairwise,
-        # not in turn as the untiled form does.
-        gen = np.random.default_rng(n_pixels + n_dims)
-        a = gen.dirichlet(np.ones(n_dims), size=n_pixels).T.copy()
-        psi = gen.dirichlet(np.ones(n_dims), size=4)
-        sigma2 = gen.uniform(1e-4, 0.1, size=(4, n_dims))
-        assert_same_bits(
-            _gaussian_cluster_loglik(a, psi, sigma2),
-            oracles.gaussian_cluster_loglik(a, psi, sigma2),
-        )
+        if at_floor:
+            # The variance draw's floor: the products reach 1e12 and cancel.
+            sigma2[gen.random(sigma2.shape) < 0.5] = SIGMA2_FLOOR
+            sigma2[0, 0] = SIGMA2_FLOOR
+        got = _gaussian_cluster_loglik(a, psi, sigma2)
+        ref = oracles.gaussian_cluster_loglik(a, psi, sigma2)
+        spread = (np.abs(a)[None] + np.abs(psi)[:, :, None]) ** 2 / sigma2[:, :, None]
+        bound = 8.0 * np.finfo(np.float64).eps * spread.sum(axis=1)
+        assert got.shape == ref.shape
+        assert np.all(np.abs(got - ref) <= bound)
 
 
 def abundance_case(shape, n_dims, labels, n_clusters, seed, s2=1e-3):
@@ -209,7 +209,10 @@ class TestAbundances:
     }
 
     @pytest.mark.parametrize("case", list(CASES))
-    def test_same_bits(self, case):
+    def test_matches_triangular_solves(self, case):
+        # The GEMMs multiply by the inverse factor where the reference
+        # solves with the factor: well-conditioned precisions agree to a
+        # few ulps of the largest abundance.
         shape, n_dims, labels, n_clusters = self.CASES[case]
         state, pre = abundance_case(shape, n_dims, labels, n_clusters, seed=len(case))
         ref_state = copy.deepcopy(state)
@@ -217,7 +220,8 @@ class TestAbundances:
             rng_new, rng_ref = make_rng(sweep), make_rng(sweep)
             _sample_abundances_all(state, pre, rng_new)
             oracles.sample_abundances_all(ref_state, pre, rng_ref)
-            assert_same_bits(state.A.data, ref_state.A.data)
+            atol = 1e-12 * np.abs(ref_state.A.data).max()
+            np.testing.assert_allclose(state.A.data, ref_state.A.data, rtol=0.0, atol=atol)
             assert rng_new.bit_generator.state == rng_ref.bit_generator.state
 
     def test_same_error_when_not_finite(self):
@@ -446,10 +450,15 @@ class TestChainWithOracleKernels:
                 est, trace = run_chain(Y, M, sup, config, rng=rng)
             results.append((est, trace, rng.bit_generator.state))
         (est, trace, state), (ref_est, ref_trace, ref_state) = results
-        for field in ("a_sum", "psi_sum", "sigma2_sum", "q_sum", "z_counts", "omega_counts"):
+        # The GEMM kernels move each draw by a few ulps; seven sweeps of
+        # propagation stay far inside 1e-9, and no label draw flips.
+        for field in ("a_sum", "psi_sum", "sigma2_sum", "q_sum"):
+            np.testing.assert_allclose(getattr(trace, field), getattr(ref_trace, field),
+                                       rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(trace.s2_sum, ref_trace.s2_sum, rtol=1e-9)
+        np.testing.assert_allclose(est.A.data, ref_est.A.data, rtol=1e-9, atol=1e-12)
+        for field in ("z_counts", "omega_counts"):
             assert_same_bits(getattr(trace, field), getattr(ref_trace, field))
-        assert trace.s2_sum == ref_trace.s2_sum
-        assert_same_bits(est.A.data, ref_est.A.data)
         assert_same_bits(est.z.labels, ref_est.z.labels)
         assert_same_bits(est.omega.labels, ref_est.omega.labels)
         assert state == ref_state

@@ -105,7 +105,7 @@ def draw_abundance(state, pre, rng):
 
 
 class _FixedNormals:
-    """Generator stand-in whose standard normals are a given matrix."""
+    """Generator stand-in whose standard normals are a given (P, R) matrix."""
 
     def __init__(self, normals):
         self.normals = normals
@@ -119,7 +119,7 @@ class TestAbundanceConditional:
     def test_identity_closed_form(self):
         # with identity mixing, unit noise and unit cluster covariance the
         # posterior splits the difference: mean (y + psi)/2, covariance I/2.
-        # Four copies of one pixel take the normals 0, e_1, e_2, e_3: the
+        # Four copies of one pixel take the normal rows 0, e_1, e_2, e_3: the
         # first draw is the mean and the others minus it are the columns of
         # the factor L^-T, whose product with its transpose is the covariance.
         y = np.array([0.8, 0.1, 0.4])
@@ -131,7 +131,7 @@ class TestAbundanceConditional:
         )
         pre = one_class_precomp(ObservationMatrix(np.tile(y[:, None], (1, 4)), lat),
                                 EndmemberMatrix(np.eye(3)))
-        normals = np.hstack([np.zeros((3, 1)), np.eye(3)])
+        normals = np.vstack([np.zeros((1, 3)), np.eye(3)])
         _sample_abundances_all(state, pre, _FixedNormals(normals))
         mean = state.A.data[:, 0]
         factor = state.A.data[:, 1:] - mean[:, None]
@@ -183,6 +183,38 @@ class TestAbundanceConditional:
         tol = 4.0 * np.sqrt(np.diag(cov).max() / 20_000)
         np.testing.assert_allclose(draws.mean(axis=0), mean, atol=tol)
         np.testing.assert_allclose(np.cov(draws.T), cov, atol=0.01)
+
+    def test_draw_moments_match_posterior_per_pixel_across_clusters(self):
+        # Three occupied clusters of unequal size with covariances a decade
+        # apart, and cluster 1 empty: a block drawn for the wrong pixels or
+        # with another cluster's covariance misses some pixel's moments.
+        lat = Lattice(2, 3)
+        z = [3, 0, 3, 2, 0, 3]
+        psi = np.array([[0.6, 0.3, 0.1], [1 / 3] * 3, [0.1, 0.2, 0.7], [0.2, 0.6, 0.2]])
+        sigma2 = np.array([[0.5, 0.2, 0.3], [1.0] * 3, [0.05, 0.02, 0.04], [0.005, 0.01, 0.002]])
+        state = build_state(
+            a=np.zeros((3, 6)), s2=0.3, psi=psi, sigma2=sigma2,
+            z=z, q=[[0.25]] * 4, omega=[0] * 6, lat=lat,
+        )
+        m = np.array([[1.0, 0.3, 0.2], [0.1, 0.8, 0.3], [0.2, 0.1, 0.9], [0.5, 0.5, 0.4]])
+        y = np.random.default_rng(8).uniform(0.0, 1.0, size=(4, 6))
+        pre = one_class_precomp(ObservationMatrix(y, lat), EndmemberMatrix(m))
+        rng = make_rng(9)
+        n_draws = 20_000
+        draws = np.empty((n_draws, 3, 6))
+        for i in range(n_draws):
+            _sample_abundances_all(state, pre, rng)
+            draws[i] = state.A.data
+        for p, k in enumerate(z):
+            mean, cov = abundance_posterior(y[:, p], m, 0.3, psi[k], sigma2[k])
+            scale = np.diag(cov).max()
+            # Five standard errors of a mean and of a sample covariance entry.
+            np.testing.assert_allclose(
+                draws[:, :, p].mean(axis=0), mean, atol=5.0 * np.sqrt(scale / n_draws)
+            )
+            np.testing.assert_allclose(
+                np.cov(draws[:, :, p].T), cov, atol=5.0 * scale * np.sqrt(2.0 / n_draws)
+            )
 
 
 class TestNoiseConditional:
