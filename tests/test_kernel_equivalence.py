@@ -139,33 +139,60 @@ class TestCategoricalLayout:
             assert results[name][1] == results["C"][1]
 
 
+def loglik_case(n_clusters, n_dims, n_pixels, seed):
+    gen = np.random.default_rng(seed)
+    a = gen.dirichlet(np.ones(n_dims), size=n_pixels).T.copy()
+    psi = gen.dirichlet(np.ones(n_dims), size=n_clusters)
+    sigma2 = gen.uniform(1e-4, 0.1, size=(n_clusters, n_dims))
+    return a, psi, sigma2, gen
+
+
 class TestClusterLoglik:
     """The GEMM form adds the 2R products ``-a_r²/(2 sigma2_r)`` and
     ``a_r psi_r / sigma2_r`` to a constant holding ``-psi_r²/(2 sigma2_r)``.
     Their magnitudes sum to at most ``S/2``, ``S = sum_r (|a_r| +
     |psi_r|)² / sigma2_r``, and each carries a few roundings from its
     operands plus at most 2R from the sum, so an entry is off by at most
-    ``(R + 1) eps S / 2`` to first order: below ``8 eps S`` for R <= 14."""
+    ``(R + 1) eps S / 2`` to first order: below ``8 eps S`` for R <= 14.
 
-    @pytest.mark.parametrize("n_clusters", CHOICES)
-    @pytest.mark.parametrize("n_dims", [1, 3, 9, 12])
-    @pytest.mark.parametrize("n_pixels", [1, 2, 501])
-    @pytest.mark.parametrize("at_floor", [False, True])
-    def test_within_rounding_bound(self, n_clusters, n_dims, n_pixels, at_floor):
-        gen = np.random.default_rng(n_clusters * 1000 + n_dims * 10 + n_pixels)
-        a = gen.dirichlet(np.ones(n_dims), size=n_pixels).T.copy()
-        psi = gen.dirichlet(np.ones(n_dims), size=n_clusters)
-        sigma2 = gen.uniform(1e-4, 0.1, size=(n_clusters, n_dims))
-        if at_floor:
-            # The variance draw's floor: the products reach 1e12 and cancel.
-            sigma2[gen.random(sigma2.shape) < 0.5] = SIGMA2_FLOOR
-            sigma2[0, 0] = SIGMA2_FLOOR
+    The ``same_bits`` tests keep the names and cases they had while the
+    kernel matched the direct form bit for bit, so their ids stay
+    comparable; they now hold it to that bound."""
+
+    @staticmethod
+    def assert_within_rounding_bound(a, psi, sigma2):
         got = _gaussian_cluster_loglik(a, psi, sigma2)
         ref = oracles.gaussian_cluster_loglik(a, psi, sigma2)
         spread = (np.abs(a)[None] + np.abs(psi)[:, :, None]) ** 2 / sigma2[:, :, None]
         bound = 8.0 * np.finfo(np.float64).eps * spread.sum(axis=1)
         assert got.shape == ref.shape
         assert np.all(np.abs(got - ref) <= bound)
+
+    @pytest.mark.parametrize("n_clusters", CHOICES)
+    @pytest.mark.parametrize("n_dims", [1, 3, 9])
+    def test_same_bits(self, n_clusters, n_dims):
+        a, psi, sigma2, _ = loglik_case(n_clusters, n_dims, 501, seed=n_clusters * 10 + n_dims)
+        self.assert_within_rounding_bound(a, psi, sigma2)
+
+    @pytest.mark.parametrize("n_pixels", [1, 2, 8191, 8192, 8193, 16385, 40000])
+    @pytest.mark.parametrize("n_dims", [1, 3, 12])
+    def test_same_bits_across_tile_edges(self, n_pixels, n_dims):
+        # The widths straddle the 8192-column tiles of the former kernel;
+        # they also cover one- and two-column products and scene-2 width.
+        a, psi, sigma2, _ = loglik_case(4, n_dims, n_pixels, seed=n_pixels + n_dims)
+        self.assert_within_rounding_bound(a, psi, sigma2)
+
+    @pytest.mark.parametrize("n_clusters", CHOICES)
+    @pytest.mark.parametrize("n_dims", [1, 3, 9, 12])
+    @pytest.mark.parametrize("n_pixels", [1, 2, 501])
+    def test_within_rounding_bound_at_sigma2_floor(self, n_clusters, n_dims, n_pixels):
+        # The variance draw's floor: the products reach 1e12 and cancel.
+        a, psi, sigma2, gen = loglik_case(
+            n_clusters, n_dims, n_pixels, seed=n_clusters * 1000 + n_dims * 10 + n_pixels
+        )
+        sigma2[gen.random(sigma2.shape) < 0.5] = SIGMA2_FLOOR
+        sigma2[0, 0] = SIGMA2_FLOOR
+        self.assert_within_rounding_bound(a, psi, sigma2)
 
 
 def abundance_case(shape, n_dims, labels, n_clusters, seed, s2=1e-3):
