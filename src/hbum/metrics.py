@@ -86,20 +86,20 @@ def cohen_kappa(cm: ConfusionMatrix) -> float:
 
 
 def align_clusters(z_hat: LabelField, z_true: LabelField) -> np.ndarray:
-    """Permutation resolving label switching between two cluster fields.
+    """Assignment resolving label switching between two cluster fields.
 
     Returns ``perm`` with ``perm[k]`` the true-label identity assigned to
     estimated label ``k``, chosen to maximize the number of matched pixels
-    (exact assignment on the co-occurrence matrix).
+    (exact assignment on the co-occurrence matrix). The two fields may have
+    different cluster counts: estimated labels left without a true label
+    map to -1, so their pixels never match.
     """
-    if z_hat.domain_size != z_true.domain_size:
-        raise ValidationError("cluster alignment needs matching cluster counts")
-    n = z_hat.domain_size
+    n_hat, n_true = z_hat.domain_size, z_true.domain_size
     co = np.bincount(
-        z_hat.labels.astype(np.int64) * n + z_true.labels, minlength=n * n
-    ).reshape(n, n)
+        z_hat.labels.astype(np.int64) * n_true + z_true.labels, minlength=n_hat * n_true
+    ).reshape(n_hat, n_true)
     rows, cols = linear_sum_assignment(co, maximize=True)
-    perm = np.empty(n, dtype=np.int64)
+    perm = np.full(n_hat, -1, dtype=np.int64)
     perm[rows] = cols
     return perm
 

@@ -308,6 +308,9 @@ class ModelConfig:
         )
         if self.beta1 < 0.0 or self.beta2 < 0.0:
             raise ValidationError("granularity parameters must be nonnegative")
+        for name, beta in (("beta1", self.beta1), ("beta2", self.beta2)):
+            if not math.isfinite(4.0 * float(beta)):
+                raise ValidationError(f"{name} times 4 neighbours must be finite, got {beta}")
         if np.any(self.zeta <= 0.0):
             raise ValidationError("zeta entries must be positive")
         if self.xi <= 0.0 or self.gamma <= 0.0:

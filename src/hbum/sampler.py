@@ -62,9 +62,8 @@ from .model import (
 SIGMA2_FLOOR = 1e-12
 NOISE_SCALE_FLOOR = 1e-300
 
-# Largest run numpy's pairwise summation of a contiguous array is asked to
-# add in one call; see ``_pairwise_sum``.
-_PAIRWISE_LEAF = 1 << 15
+# Columns of Y per block of the set-up residual; see ``_make_precomp``.
+_RESID_BLOCK = 1024
 
 
 @dataclass
@@ -177,88 +176,49 @@ def _tally(counts: np.ndarray, labels: np.ndarray) -> None:
 
 @dataclass
 class _Precomp:
-    """Quantities fixed for the whole chain."""
+    """Quantities fixed for the whole chain; ``M = QR`` is M's reduced QR."""
 
     mtm: np.ndarray  # (R, R)
-    mty: np.ndarray  # (R, P)
     mty_t: np.ndarray  # (P, R), C-ordered: pixel rows for the abundance draws
-    y_sq: float  # ||Y||_F^2
+    r: np.ndarray  # (min(d, R), R)
+    qty: np.ndarray  # (min(d, R), P) QᵀY
+    resid0: float  # ||Y - QQᵀY||_F^2
     n_obs: int  # P * d
     w1: np.ndarray  # (J, P) class log-prior matrix
 
 
-def _pairwise_sum(n: int, leaf_sum, start: int = 0) -> float:
-    """The sum numpy's ``np.add.reduce`` forms over a contiguous array of
-    ``n`` elements, with ``leaf_sum(lo, hi)`` giving the reduce of elements
-    ``lo:hi``. numpy adds such an array pairwise, splitting a run of ``n``
-    at ``n//2 - (n//2) % 8``; walking the same splits down to runs short
-    enough to build one at a time gives the same additions in the same
-    order, so the same bits, without the whole array."""
-    if n <= _PAIRWISE_LEAF:
-        return leaf_sum(start, start + n)
-    half = n // 2
-    half -= half % 8
-    return _pairwise_sum(half, leaf_sum, start) + _pairwise_sum(n - half, leaf_sum, start + half)
-
-
-def _sum_of_squares(y: np.ndarray) -> float:
-    """``np.sum(y * y)`` without the d x P square."""
-    flat = y.reshape(-1)
-    buf = np.empty(min(flat.size, _PAIRWISE_LEAF))
-
-    def leaf(lo: int, hi: int) -> float:
-        part = np.multiply(flat[lo:hi], flat[lo:hi], out=buf[: hi - lo])
-        return np.add.reduce(part)
-
-    return float(_pairwise_sum(flat.size, leaf))
-
-
-def _residual_mean_square(y: np.ndarray, m: np.ndarray, a: np.ndarray) -> float:
-    """``np.mean((y - m @ a) ** 2)`` without the d x P residual.
-
-    Each run of the pairwise sum takes its rows of ``m @ a`` from a product
-    of at least two rows of ``m``: numpy sends a one-row product to gemv,
-    which rounds differently from the full product's gemm. On OpenBLAS a
-    gemm of two or more rows gives the full product's bits, except that in
-    the last P mod 8 columns, which its edge kernels compute, an element
-    can differ by one ulp. That reaches the sum only if it crosses a
-    rounding boundary of a partial sum, which no tested shape showed.
-    With one row the full product is the only product."""
-    n_rows, n_cols = y.shape
-    flat = y.reshape(-1)
-    buf = np.empty(min(flat.size, _PAIRWISE_LEAF))
-    if n_rows == 1:
-        block, b0, b1 = (m @ a).reshape(-1), 0, 1
-    else:
-        block, b0, b1 = None, 0, 0
-
-    def leaf(lo: int, hi: int) -> float:
-        nonlocal block, b0, b1
-        r0, r1 = lo // n_cols, (hi - 1) // n_cols + 1
-        if r0 < b0 or r1 > b1:
-            # One row past the run: the next run usually ends in it.
-            b0 = min(r0, n_rows - 2)
-            b1 = min(n_rows, max(r1 + 1, b0 + 2))
-            block = (m[b0:b1] @ a).reshape(-1)
-        part = buf[: hi - lo]
-        np.subtract(flat[lo:hi], block[lo - b0 * n_cols : hi - b0 * n_cols], out=part)
-        np.multiply(part, part, out=part)
-        return np.add.reduce(part)
-
-    return float(_pairwise_sum(flat.size, leaf) / flat.size)
-
-
 def _make_precomp(Y: ObservationMatrix, M: EndmemberMatrix, sup: SupervisionData) -> _Precomp:
-    """Chain constants, formed without a d x P temporary."""
-    mty = M.data.T @ Y.data
+    """Chain constants, formed without a d x P temporary: ``resid0`` is
+    summed over blocks of ``_RESID_BLOCK`` columns in one reused buffer."""
+    y, m = Y.data, M.data
+    q, r = np.linalg.qr(m)
+    qty = q.T @ y
+    n_bands, n_pixels = y.shape
+    buf = np.empty(n_bands * min(n_pixels, _RESID_BLOCK))
+    resid0 = 0.0
+    for lo in range(0, n_pixels, _RESID_BLOCK):
+        hi = min(lo + _RESID_BLOCK, n_pixels)
+        block = buf[: n_bands * (hi - lo)].reshape(n_bands, hi - lo)
+        np.matmul(q, qty[:, lo:hi], out=block)
+        np.subtract(y[:, lo:hi], block, out=block)
+        resid0 += float(np.vdot(block, block))
     return _Precomp(
-        mtm=M.data.T @ M.data,
-        mty=mty,
-        mty_t=np.ascontiguousarray(mty.T),
-        y_sq=_sum_of_squares(Y.data),
-        n_obs=Y.data.size,
+        mtm=m.T @ m,
+        mty_t=np.ascontiguousarray((m.T @ y).T),
+        r=r,
+        qty=qty,
+        resid0=resid0,
+        n_obs=y.size,
         w1=class_log_prior_matrix(sup),
     )
+
+
+def _residual_sq(pre: _Precomp, a: np.ndarray) -> float:
+    """``||Y - MA||_F^2 = resid0 + ||QᵀY - RA||^2``, for every A: a sum of
+    two sums of squares, which cannot cancel below zero, also when M is
+    rank-deficient."""
+    fit = pre.qty - pre.r @ a
+    return pre.resid0 + float(np.vdot(fit, fit))
 
 
 def _log_nonneg(x: np.ndarray) -> np.ndarray:
@@ -357,11 +317,8 @@ def _sample_abundances_all(state: ChainState, pre: _Precomp, rng: np.random.Gene
 
 def _sample_noise_fast(state: ChainState, pre: _Precomp, rng: np.random.Generator) -> float:
     """Redraw s2 from its inverse-gamma conditional with shape 1 + Pd/2 and
-    scale half the total squared reconstruction residual, expanded as
-    ``||Y||^2 - 2 <A, MᵀY> + <A, MᵀM A>``."""
-    a = state.A.data
-    total = pre.y_sq - 2.0 * float(np.sum(a * pre.mty)) + float(np.sum(a * (pre.mtm @ a)))
-    scale = max(max(total, 0.0) / 2.0, NOISE_SCALE_FLOOR)
+    scale half the total squared reconstruction residual."""
+    scale = max(_residual_sq(pre, state.A.data) / 2.0, NOISE_SCALE_FLOOR)
     state.noise.s2 = sample_inverse_gamma(rng, 1.0 + pre.n_obs / 2.0, scale)
     return state.noise.s2
 
@@ -542,8 +499,8 @@ def initialize_state(
     cluster moments for psi/sigma2, uniform-Dirichlet columns for Q, and the
     expert labels (proportion draws where unlabeled) for omega.
 
-    ``pre`` supplies the MᵀM and MᵀY the chain has already formed; it does
-    not change the result. Class proportions come from ``sup.pi``:
+    ``pre`` supplies the chain constants the chain has already formed; it
+    does not change the result. Class proportions come from ``sup.pi``:
     :func:`run_chain` puts ``config.pi_override`` there."""
     from .distributions import project_to_simplex
 
@@ -553,12 +510,12 @@ def initialize_state(
         raise ValidationError(
             f"cannot form {config.n_clusters} clusters from {n_pixels} pixels"
         )
-    mtm = M.data.T @ M.data if pre is None else pre.mtm
-    mty = M.data.T @ Y.data if pre is None else pre.mty
-    ridge = 1e-6 * np.trace(mtm) / n_dims
-    a = np.linalg.solve(mtm + ridge * np.eye(n_dims), mty)
+    if pre is None:
+        pre = _make_precomp(Y, M, sup)
+    ridge = 1e-6 * np.trace(pre.mtm) / n_dims
+    a = np.linalg.solve(pre.mtm + ridge * np.eye(n_dims), pre.mty_t.T)
     np.clip(a, 0.0, 1.0, out=a)
-    s2 = max(_residual_mean_square(Y.data, M.data, a), 1e-12)
+    s2 = max(_residual_sq(pre, a) / pre.n_obs, 1e-12)
 
     z = _kmeans_labels(a, config.n_clusters, rng)
     psi = np.empty((config.n_clusters, n_dims))

@@ -229,7 +229,7 @@ def sample_abundances_all(state, pre, rng: np.random.Generator) -> None:
                 raise NumericalDegeneracyError(
                     f"abundance precision not positive definite for cluster {k}"
                 ) from exc
-            b = pre.mty[:, idx] / s2 + (state.clusters.psi[k] / sigma2_k)[:, None]
+            b = pre.mty_t[idx].T / s2 + (state.clusters.psi[k] / sigma2_k)[:, None]
         if not (np.isfinite(chol).all() and np.isfinite(b).all()):
             raise NumericalDegeneracyError(
                 f"abundance posterior of cluster {k} is not finite (noise variance {s2:.3g})"
@@ -245,25 +245,21 @@ def sample_abundances_all(state, pre, rng: np.random.Generator) -> None:
         )
 
 
-def sum_of_squares(Y: np.ndarray) -> float:
-    return float(np.sum(Y * Y))
-
-
 def residual_mean_square(Y: np.ndarray, M: np.ndarray, a: np.ndarray) -> float:
     resid = Y - M @ a
     return float(np.mean(resid * resid))
 
 
-def init_unmixing(Y: np.ndarray, M: np.ndarray) -> tuple[np.ndarray, float, float]:
-    """Ridge unmixing clipped to [0, 1], the initial noise variance from its
-    residual, and ||Y||^2, each formed with fresh d x P temporaries."""
+def init_unmixing(Y: np.ndarray, M: np.ndarray) -> tuple[np.ndarray, float]:
+    """Ridge unmixing clipped to [0, 1] and the initial noise variance from
+    its residual, each formed with fresh d x P temporaries."""
     n_dims = M.shape[1]
     mtm = M.T @ M
     ridge = 1e-6 * np.trace(mtm) / n_dims
     a = np.linalg.solve(mtm + ridge * np.eye(n_dims), M.T @ Y)
     np.clip(a, 0.0, 1.0, out=a)
     s2 = max(residual_mean_square(Y, M, a), 1e-12)
-    return a, s2, sum_of_squares(Y)
+    return a, s2
 
 
 def generate_potts_field(spec, rng: np.random.Generator) -> LabelField:

@@ -2,7 +2,6 @@
 corruption sweep and exit-code behavior."""
 
 import json
-import re
 from pathlib import Path
 
 import numpy as np
@@ -302,11 +301,19 @@ class TestRun:
         assert f"{key} must be finite" in capsys.readouterr().err
 
     def test_non_finite_option_exits_2(self, small_bundle, configs, tmp_path, capsys):
+        # 1e308 is finite, but 4 beta, the largest neighbour-count term, is not.
         _, model_path = configs
-        code = main(["run", str(small_bundle), str(model_path), "--out", str(tmp_path / "r"),
-                     "--beta1", "nan"])
-        assert code == 2
-        assert "beta1 must be finite" in capsys.readouterr().err
+        for flag, value, message in [
+            ("--beta1", "nan", "beta1 must be finite"),
+            ("--beta1", "1e308", "beta1 times 4"),
+            ("--beta2", "1e308", "beta2 times 4"),
+        ]:
+            code = main(["run", str(small_bundle), str(model_path),
+                         "--out", str(tmp_path / "r"), flag, value])
+            err = capsys.readouterr().err
+            assert code == 2
+            assert message in err
+            assert "Warning" not in err
 
     def test_negative_seed_option_exits_2(self, small_bundle, configs, tmp_path, capsys):
         _, model_path = configs
@@ -315,9 +322,9 @@ class TestRun:
         assert code == 2
         assert "seed" in capsys.readouterr().err
 
-    def test_noiseless_scene_exits_3_naming_sweep_and_stage(self, tmp_path, capsys):
-        # On the scene-1 protocol without noise the sampled noise variance
-        # underflows within a few sweeps and the abundance posterior overflows.
+    def test_noiseless_scene_runs_to_exit_0(self, tmp_path, capsys):
+        # On the scene-1 protocol without noise the residual is rounding
+        # alone; its scale never cancels to zero, so s2 stays representable.
         configs_dir = Path(__file__).resolve().parents[1] / "configs"
         scene = json.loads((configs_dir / "image1.json").read_text())
         scene["scene"]["snr_db"] = "inf"
@@ -325,13 +332,14 @@ class TestRun:
         scene_path.write_text(json.dumps(scene))
         bundle = tmp_path / "bundle"
         assert main(["generate", str(scene_path), "--out", str(bundle)]) == 0
-        capsys.readouterr()
         model_path = configs_dir / "model_image1.json"
-        code = main(["run", str(bundle), str(model_path), "--out", str(tmp_path / "r")])
-        err = capsys.readouterr().err
-        assert code == 3
-        assert re.search(r"sweep \d+, abundances: ", err)
-        assert "Traceback" not in err
+        results = tmp_path / "r"
+        assert main(["run", str(bundle), str(model_path), "--out", str(results)]) == 0
+        assert main(["evaluate", str(results), str(bundle)]) == 0
+        assert capsys.readouterr().err == ""
+        metrics = read_manifest(results / "metrics.json")
+        assert metrics["rgmse"] < 1e-6
+        assert metrics["kappa"] >= 0.99
 
 
 class TestEvaluate:
@@ -377,6 +385,14 @@ class TestEvaluate:
         metrics = read_manifest(results_dir / "metrics.json")
         assert metrics["eval_set"] == "all"
         assert len(metrics["q_hat"]) == 3
+
+    def test_other_cluster_count_is_scored(self, small_bundle, tmp_path):
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(dict(MODEL_CONFIG, clusters=4)))
+        results = tmp_path / "results"
+        assert main(["run", str(small_bundle), str(model_path), "--out", str(results)]) == 0
+        assert main(["evaluate", str(results), str(small_bundle)]) == 0
+        assert 0.0 < read_manifest(results / "metrics.json")["cluster_accuracy"] <= 1.0
 
     def test_mismatched_pair_fails(self, configs, tmp_path):
         scene_path, model_path = configs

@@ -33,9 +33,8 @@ from hbum.sampler import (
     ChainState,
     _gaussian_cluster_loglik,
     _make_precomp,
-    _residual_mean_square,
+    _residual_sq,
     _sample_abundances_all,
-    _sum_of_squares,
     initialize_state,
     Trace,
     run_chain,
@@ -414,29 +413,33 @@ class TestInitialization:
     @pytest.mark.parametrize(
         "n_bands, n_pixels",
         [(d, p) for d in (1, 2, 413) for p in (1, 37, 2**15 - 1, 2**15 + 1)]
-        + [(3, 11), (5, 2**16 + 3), (7, 9999)],  # sizes off multiples of 8
+        + [(3, 11), (5, 2**16 + 3), (7, 9999), (4, 1024), (4, 1025)],
     )
     def test_set_up_sums_match_fresh_temporaries(self, n_bands, n_pixels):
+        # The QR set-up sums, over any number of column blocks, give the
+        # initial residual's mean square of a fresh d x P temporary.
         Y, M = init_problem(n_bands, n_pixels, seed=n_bands + n_pixels)
-        a_ref, s2_ref, y_sq_ref = oracles.init_unmixing(Y.data, M.data)
-        assert _sum_of_squares(Y.data) == y_sq_ref
-        assert max(_residual_mean_square(Y.data, M.data, a_ref), 1e-12) == s2_ref
+        sup = SupervisionData.from_labels(np.array([0]), np.array([0]), 0.9, 1, Y.n_pixels)
+        a_ref, s2_ref = oracles.init_unmixing(Y.data, M.data)
+        pre = _make_precomp(Y, M, sup)
+        assert pre.resid0 >= 0.0
+        s2 = max(_residual_sq(pre, a_ref) / pre.n_obs, 1e-12)
+        np.testing.assert_allclose(s2, s2_ref, rtol=1e-12)
 
     @pytest.mark.parametrize("shape, n_bands", [((6, 5), 20), ((40, 50), 413)])
     def test_precomp_and_residual_match_fresh_temporaries(self, shape, n_bands):
         Y, M = init_problem(n_bands, None, seed=0, shape=shape)
         sup = SupervisionData.from_labels(np.array([0, 1]), np.array([0, 1]), 0.9, 2, Y.n_pixels)
         config = ModelConfig(n_clusters=3, n_classes=2, n_endmembers=3)
-        a_ref, s2_ref, y_sq_ref = oracles.init_unmixing(Y.data, M.data)
+        a_ref, s2_ref = oracles.init_unmixing(Y.data, M.data)
         pre = _make_precomp(Y, M, sup)
-        assert pre.y_sq == y_sq_ref
-        assert_same_bits(pre.mty, M.data.T @ Y.data)
         assert_same_bits(pre.mty_t, (M.data.T @ Y.data).T.copy())
         shared = initialize_state(Y, M, sup, config, make_rng(3), pre)
         alone = initialize_state(Y, M, sup, config, make_rng(3))
         for state in (shared, alone):
             assert_same_bits(state.A.data, a_ref)
-            assert state.noise.s2 == s2_ref
+            np.testing.assert_allclose(state.noise.s2, s2_ref, rtol=1e-12)
+        assert shared.noise.s2 == alone.noise.s2
         assert_same_bits(shared.z.labels, alone.z.labels)
         assert_same_bits(shared.omega.labels, alone.omega.labels)
 
@@ -444,8 +447,6 @@ class TestInitialization:
 def with_oracle_kernels(monkeypatch):
     """Put every reference kernel in place of its optimised form."""
     patches = {
-        "_sum_of_squares": oracles.sum_of_squares,
-        "_residual_mean_square": oracles.residual_mean_square,
         "sample_categorical_log_many": oracles.categorical_log_many,
         "_sample_abundances_all": oracles.sample_abundances_all,
         "_gaussian_cluster_loglik": oracles.gaussian_cluster_loglik,

@@ -129,6 +129,17 @@ class TestAlignClusters:
         pred = field(rng.integers(0, n_clusters, n), n_clusters)
         assert aligned_cluster_accuracy(pred, true) >= 1.0 / n_clusters - 1e-12
 
-    def test_mismatched_domains_rejected(self):
-        with pytest.raises(ValidationError):
-            align_clusters(field([0, 1], 2), field([0, 1], 3))
+    @pytest.mark.parametrize(
+        "z_hat, n_hat, n_true, perm, accuracy",
+        [
+            # K_hat < K_true: true cluster 1 is left unmatched.
+            ([1, 1, 0, 0, 0, 1], 2, 3, [2, 0], 4 / 6),
+            # K_hat > K_true: estimated label 2 maps to -1 and counts as wrong.
+            ([0, 0, 2, 1, 1, 1], 3, 2, [0, 1, -1], 5 / 6),
+        ],
+        ids=["fewer_estimated", "more_estimated"],
+    )
+    def test_rectangular_alignment(self, z_hat, n_hat, n_true, perm, accuracy):
+        true = field([0, 0, 1, 2, 2, 2], 3) if n_true == 3 else field([0, 0, 0, 1, 1, 1], 2)
+        np.testing.assert_array_equal(align_clusters(field(z_hat, n_hat), true), perm)
+        assert aligned_cluster_accuracy(field(z_hat, n_hat), true) == pytest.approx(accuracy)

@@ -47,7 +47,7 @@ from hbum.synthgen import (
     make_endmembers,
     split_training,
 )
-from oracles import abundance_posterior, index, potts_neighbor_count
+from oracles import abundance_posterior, index, potts_neighbor_count, residual_mean_square
 
 
 def build_state(a, s2, psi, sigma2, z, q, omega, lat, beta1=0.0):
@@ -64,7 +64,7 @@ def build_state(a, s2, psi, sigma2, z, q, omega, lat, beta1=0.0):
     return state
 
 
-def tiny_problem(seed=0, height=12, width=12, n_mc=20, n_burnin=5, **config_kw):
+def tiny_problem(seed=0, height=12, width=12, n_mc=20, n_burnin=5, snr_db=25.0, **config_kw):
     """Small but complete scene plus matching config, for chain-level tests."""
     spec = SceneSpec(
         height=height,
@@ -75,7 +75,7 @@ def tiny_problem(seed=0, height=12, width=12, n_mc=20, n_burnin=5, **config_kw):
         cluster_to_class=np.array([0, 0, 1]),
         dirichlet_means=default_cluster_means(3, 3),
         concentration=30.0,
-        snr_db=25.0,
+        snr_db=snr_db,
         potts_beta=0.9,
         potts_sweeps=15,
         seed=seed,
@@ -253,13 +253,41 @@ class TestNoiseConditional:
         assert abs(draws.mean() - expected_mean) < 3.0 * sd / np.sqrt(20_000)
 
     def test_zero_residual_floors_scale(self):
+        # M = e_1 makes the QR, QᵀY and the fit exact, so the residual is 0.
         lat = Lattice(1, 2)
         a = np.array([[0.25, 0.75]])
         state = self.base_state(a, lat)
-        M = EndmemberMatrix(np.array([[1.0], [0.5]]))
+        M = EndmemberMatrix(np.array([[1.0], [0.0]]))
         pre = one_class_precomp(ObservationMatrix(M.data @ a, lat), M)
+        assert pre.resid0 == 0.0 and sampler_mod._residual_sq(pre, a) == 0.0
         draw = _sample_noise_fast(state, pre, make_rng(5))
         assert 0.0 < draw < 1e-250
+
+    def test_scale_matches_direct_residual_at_140_db(self, monkeypatch):
+        # The expanded ||Y||² - 2<A, MᵀY> + <A, MᵀMA> cancels here by more
+        # than the tolerance; the QR form does not.
+        Y, M, sup, config = tiny_problem(seed=9, snr_db=140.0, n_mc=3, n_burnin=2)
+        y, m = Y.data, M.data
+        direct, expanded, scales = [], [], []
+        real_noise, real_draw = sampler_mod._sample_noise_fast, sampler_mod.sample_inverse_gamma
+
+        def noise_spy(state, pre, rng):
+            a = state.A.data
+            direct.append(residual_mean_square(y, m, a) * y.size / 2.0)
+            total = np.sum(y * y) - 2.0 * np.sum(a * (m.T @ y)) + np.sum(a * (m.T @ m @ a))
+            expanded.append(total / 2.0)
+            return real_noise(state, pre, rng)
+
+        def draw_spy(rng, shape, scale):
+            scales.append(scale)
+            return real_draw(rng, shape, scale)
+
+        monkeypatch.setattr(sampler_mod, "_sample_noise_fast", noise_spy)
+        monkeypatch.setattr(sampler_mod, "sample_inverse_gamma", draw_spy)
+        run_chain(Y, M, sup, config)
+        assert len(scales) == len(direct) == 5
+        np.testing.assert_allclose(scales, direct, rtol=1e-6)
+        assert np.max(np.abs(np.subtract(expanded, direct)) / direct) > 1e-6
 
 
 class TestClusterVarianceConditional:
@@ -649,6 +677,14 @@ class TestRunChain:
         assert np.array_equal(est.z.labels, state.z.labels)
         assert np.array_equal(est.omega.labels, state.omega.labels)
         assert np.array_equal(est.q.q, state.q.q)
+
+    def test_rank_deficient_endmembers_run_to_the_end(self):
+        Y, M, sup, config = tiny_problem(seed=10, n_mc=5, n_burnin=2)
+        m = M.data.copy()
+        m[:, 1] = m[:, 0]
+        est, trace = run_chain(Y, EndmemberMatrix(m), sup, config)
+        assert trace.n_recorded == 5
+        assert np.isfinite(est.A.data).all() and est.noise.s2 > 0.0
 
     def test_trace_counts_sum_to_recorded(self):
         Y, M, sup, config = tiny_problem(seed=8, n_mc=13, n_burnin=4)
