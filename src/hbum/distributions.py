@@ -168,51 +168,30 @@ def _truncnorm_standard(rng: np.random.Generator, lo: np.ndarray, hi: np.ndarray
 
     Central intervals use the inverse CDF expressed through erfc/erfcinv
     (numerically stable upper-tail probabilities); intervals entirely beyond
-    +-_TAIL_THRESHOLD standard deviations use Rayleigh rejection.
+    +-_TAIL_THRESHOLD standard deviations use Rayleigh rejection. When every
+    interval is central no mask gathers are made; the draws are the same.
     """
-    out = np.empty(lo.shape)
     right = lo > _TAIL_THRESHOLD
     left = hi < -_TAIL_THRESHOLD
+    if not (right | left).any():
+        return _truncnorm_central(rng, lo, hi)
+    out = np.empty(lo.shape)
     central = ~(right | left)
     if np.any(right):
         out[right] = _truncnorm_tail(rng, lo[right], hi[right])
     if np.any(left):
         out[left] = -_truncnorm_tail(rng, -hi[left], -lo[left])
     if np.any(central):
-        pl = 0.5 * erfc(lo[central] / np.sqrt(2.0))  # P(X > lo)
-        pu = 0.5 * erfc(hi[central] / np.sqrt(2.0))
-        u = rng.random(size=int(central.sum()))
-        out[central] = np.sqrt(2.0) * erfcinv(2.0 * (pl - (pl - pu) * u))
+        out[central] = _truncnorm_central(rng, lo[central], hi[central])
     return out
 
 
-def sample_truncated_normal(
-    rng: np.random.Generator,
-    mean,
-    sd,
-    lo,
-    hi,
-) -> np.ndarray:
-    """Elementwise Gaussian draws conditioned to [lo, hi].
-
-    All arguments broadcast. ``sd`` must be positive and ``lo <= hi``;
-    degenerate intervals (lo == hi) return the common bound.
-    """
-    mean, sd, lo, hi = np.broadcast_arrays(
-        np.asarray(mean, dtype=np.float64),
-        np.asarray(sd, dtype=np.float64),
-        np.asarray(lo, dtype=np.float64),
-        np.asarray(hi, dtype=np.float64),
-    )
-    if np.any(sd <= 0.0) or np.any(~np.isfinite(sd)):
-        raise InvalidParameterError("truncated-normal sd must be positive and finite")
-    if np.any(lo > hi):
-        raise InvalidParameterError("truncated-normal interval must satisfy lo <= hi")
-    lo_std = (lo - mean) / sd
-    hi_std = (hi - mean) / sd
-    draw = mean + sd * _truncnorm_standard(rng, lo_std, hi_std)
-    # Guard against round-off pushing a draw infinitesimally outside.
-    return np.clip(draw, lo, hi)
+def _truncnorm_central(rng: np.random.Generator, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Inverse-CDF standard-normal draws on [lo, hi], one uniform each."""
+    pl = 0.5 * erfc(lo / np.sqrt(2.0))  # P(X > lo)
+    pu = 0.5 * erfc(hi / np.sqrt(2.0))
+    u = rng.random(size=lo.shape)
+    return np.sqrt(2.0) * erfcinv(2.0 * (pl - (pl - pu) * u))
 
 
 def project_to_simplex(v: np.ndarray) -> np.ndarray:
@@ -268,19 +247,33 @@ def sample_gaussian_simplex_truncated_batch(
         if x.shape != means.shape:
             raise InvalidParameterError("init must match the shape of means")
 
+    # Per free coordinate r: the 1-D conditional's variance and the part of
+    # its mean that does not move during the scan.
     last = n_dim - 1
-    for _ in range(inner_iters):
-        for r in range(n_dim - 1):
+    with np.errstate(over="ignore"):  # a subnormal variance gives sd 0, rejected below
+        inv_var = 1.0 / var_diags
+    cond_var = 1.0 / (inv_var[:, :last] + inv_var[:, last:])
+    sd = np.sqrt(cond_var)
+    if not (np.all(sd > 0.0) and np.all(np.isfinite(sd))):
+        raise InvalidParameterError("truncated-normal sd must be positive and finite")
+    # Columns as contiguous rows: x[r] is coordinate r of every batch row.
+    fixed = (means[:, :last] / var_diags[:, :last]).T.copy()
+    cond_var, sd = cond_var.T.copy(), sd.T.copy()
+    mean_last, var_last = means[:, last].copy(), var_diags[:, last].copy()
+    x = x.T.copy()
+    for it in range(inner_iters):
+        for r in range(last):
             # Budget shared between coordinate r and the eliminated last one.
-            t = x[:, r] + x[:, last]
-            prec = 1.0 / var_diags[:, r] + 1.0 / var_diags[:, last]
-            cond_var = 1.0 / prec
-            cond_mean = cond_var * (
-                means[:, r] / var_diags[:, r] + (t - means[:, last]) / var_diags[:, last]
-            )
-            x[:, r] = sample_truncated_normal(
-                rng, cond_mean, np.sqrt(cond_var), np.zeros(n_batch), t
-            )
-            x[:, last] = t - x[:, r]
+            t = x[r] + x[last]
+            if it == 0 and (t < 0.0).any():  # x >= 0 from the first scan on
+                raise InvalidParameterError("truncated-normal interval must satisfy lo <= hi")
+            cond_mean = cond_var[r] * (fixed[r] + (t - mean_last) / var_last)
+            draw = _truncnorm_standard(rng, (0.0 - cond_mean) / sd[r], (t - cond_mean) / sd[r])
+            draw *= sd[r]
+            draw += cond_mean
+            # Guard against round-off pushing a draw infinitesimally outside.
+            x[r] = np.clip(draw, 0.0, t)
+            x[last] = t - x[r]
+    x = x.T.copy()
     x[:, last] = np.maximum(1.0 - x[:, :last].sum(axis=1), 0.0)
     return x

@@ -3,8 +3,9 @@
 The kernel references are the straightforward form of a kernel that
 ``hbum`` runs in an optimised form: fresh temporaries, boolean checkerboard
 masks, per-cluster index gathers, fancy-index gathers and tallies,
-``solve_triangular``, the unexpanded Gaussian square and
-``Generator.gumbel``. The kernel-equivalence tests require the optimised
+``solve_triangular``, the unexpanded Gaussian square, ``Generator.gumbel``
+and a truncated-normal sampler that validates and masks on every call. The
+kernel-equivalence tests require the optimised
 kernels to leave the generator in the same state and to return the same
 bits, or, where the optimised kernel runs its arithmetic as GEMMs (the
 abundance draw and the cluster log-likelihood), values within a tolerance
@@ -20,8 +21,15 @@ from __future__ import annotations
 
 import numpy as np
 from scipy.linalg import solve_triangular
+from scipy.special import erfc, erfcinv
 
-from hbum.distributions import sample_categorical_log_many, sample_inverse_gamma_array
+from hbum.distributions import (
+    _TAIL_THRESHOLD,
+    _truncnorm_tail,
+    project_to_simplex,
+    sample_categorical_log_many,
+    sample_inverse_gamma_array,
+)
 from hbum.errors import InvalidParameterError, NumericalDegeneracyError, ValidationError
 from hbum.lattice import neighbor_value_counts
 from hbum.model import LabelField
@@ -275,3 +283,84 @@ def generate_potts_field(spec, rng: np.random.Generator) -> LabelField:
             weights = spec.potts_beta * counts[:, mask].astype(np.float64)
             grid[mask] = sample_categorical_log_many(rng, weights)
     return LabelField(labels, n_states, lat)
+
+
+def truncnorm_standard(rng: np.random.Generator, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Standard-normal draws on [lo, hi] with boolean-mask gathers of the
+    right-tail, left-tail and central intervals on every call."""
+    out = np.empty(lo.shape)
+    right = lo > _TAIL_THRESHOLD
+    left = hi < -_TAIL_THRESHOLD
+    central = ~(right | left)
+    if np.any(right):
+        out[right] = _truncnorm_tail(rng, lo[right], hi[right])
+    if np.any(left):
+        out[left] = -_truncnorm_tail(rng, -hi[left], -lo[left])
+    if np.any(central):
+        pl = 0.5 * erfc(lo[central] / np.sqrt(2.0))  # P(X > lo)
+        pu = 0.5 * erfc(hi[central] / np.sqrt(2.0))
+        u = rng.random(size=int(central.sum()))
+        out[central] = np.sqrt(2.0) * erfcinv(2.0 * (pl - (pl - pu) * u))
+    return out
+
+
+def sample_truncated_normal(rng: np.random.Generator, mean, sd, lo, hi) -> np.ndarray:
+    """Elementwise Gaussian draws conditioned to [lo, hi]. All arguments
+    broadcast; ``sd`` must be positive and ``lo <= hi``. Degenerate
+    intervals (lo == hi) return the common bound."""
+    mean, sd, lo, hi = np.broadcast_arrays(
+        np.asarray(mean, dtype=np.float64),
+        np.asarray(sd, dtype=np.float64),
+        np.asarray(lo, dtype=np.float64),
+        np.asarray(hi, dtype=np.float64),
+    )
+    if np.any(sd <= 0.0) or np.any(~np.isfinite(sd)):
+        raise InvalidParameterError("truncated-normal sd must be positive and finite")
+    if np.any(lo > hi):
+        raise InvalidParameterError("truncated-normal interval must satisfy lo <= hi")
+    lo_std = (lo - mean) / sd
+    hi_std = (hi - mean) / sd
+    draw = mean + sd * truncnorm_standard(rng, lo_std, hi_std)
+    # Guard against round-off pushing a draw infinitesimally outside.
+    return np.clip(draw, lo, hi)
+
+
+def sample_gaussian_simplex_truncated_batch(
+    rng: np.random.Generator, means, var_diags, inner_iters: int = 5, init=None
+) -> np.ndarray:
+    """Simplex-truncated Gaussian draws that form every coordinate's
+    conditional afresh and draw it with :func:`sample_truncated_normal`."""
+    means = np.asarray(means, dtype=np.float64)
+    var_diags = np.asarray(var_diags, dtype=np.float64)
+    if means.ndim != 2 or means.shape != var_diags.shape:
+        raise InvalidParameterError("means and var_diags must be matching (batch, R) arrays")
+    if np.any(var_diags <= 0.0) or np.any(~np.isfinite(var_diags)):
+        raise InvalidParameterError("simplex-truncated sampler needs positive finite variances")
+    if not np.all(np.isfinite(means)):
+        raise InvalidParameterError("simplex-truncated sampler needs finite means")
+    if inner_iters < 1:
+        raise InvalidParameterError("inner_iters must be >= 1")
+    n_batch, n_dim = means.shape
+    if n_dim == 1:
+        return np.ones((n_batch, 1))
+    if init is None:
+        x = np.stack([project_to_simplex(m) for m in means])
+    else:
+        x = np.array(init, dtype=np.float64)
+        if x.shape != means.shape:
+            raise InvalidParameterError("init must match the shape of means")
+    last = n_dim - 1
+    for _ in range(inner_iters):
+        for r in range(n_dim - 1):
+            t = x[:, r] + x[:, last]
+            prec = 1.0 / var_diags[:, r] + 1.0 / var_diags[:, last]
+            cond_var = 1.0 / prec
+            cond_mean = cond_var * (
+                means[:, r] / var_diags[:, r] + (t - means[:, last]) / var_diags[:, last]
+            )
+            x[:, r] = sample_truncated_normal(
+                rng, cond_mean, np.sqrt(cond_var), np.zeros(n_batch), t
+            )
+            x[:, last] = t - x[:, r]
+    x[:, last] = np.maximum(1.0 - x[:, :last].sum(axis=1), 0.0)
+    return x

@@ -19,9 +19,9 @@ from hbum.distributions import (
     sample_dirichlet,
     sample_gaussian_simplex_truncated_batch,
     sample_inverse_gamma,
-    sample_truncated_normal,
 )
 from hbum.errors import InvalidParameterError
+from oracles import sample_truncated_normal
 
 
 def simplex_draw(rng, mean, var_diag, **kw):

@@ -14,7 +14,12 @@ import pytest
 
 import oracles
 import hbum.sampler as sampler_mod
-from hbum.distributions import _argmax_rows_first, make_rng, sample_categorical_log_many
+from hbum.distributions import (
+    _argmax_rows_first,
+    make_rng,
+    sample_categorical_log_many,
+    sample_gaussian_simplex_truncated_batch,
+)
 from hbum.errors import InvalidParameterError, NumericalDegeneracyError
 from hbum.lattice import Lattice
 from hbum.model import (
@@ -136,6 +141,72 @@ class TestCategoricalLayout:
         for name in ("F", "strided"):
             assert_same_bits(results[name][0], results["C"][0])
             assert results[name][1] == results["C"][1]
+
+
+class TestSimplexTruncated:
+    """The batch sampler's lean inner loop against the reference that forms
+    each coordinate's conditional afresh and validates and masks on every
+    truncated-normal call: the same bits and the same generator state."""
+
+    @staticmethod
+    def case(n_batch, n_dims, seed):
+        gen = np.random.default_rng(seed)
+        means = gen.normal(0.3, 0.6, size=(n_batch, n_dims))
+        # Log-uniform variances down to 1e-6 put many standardized bounds
+        # beyond the +-6 tail threshold.
+        var = np.exp(gen.uniform(np.log(1e-6), np.log(2.0), size=(n_batch, n_dims)))
+        init = gen.dirichlet(np.ones(n_dims), size=n_batch) if seed % 3 else None
+        return means, var, init
+
+    @pytest.mark.parametrize("n_batch, n_dims", [(3, 3), (12, 9)])
+    def test_same_bits(self, monkeypatch, n_batch, n_dims):
+        import hbum.distributions as dist
+
+        tails = []
+        tail = dist._truncnorm_tail
+
+        def counting_tail(rng, lo, hi):
+            tails.append(lo.size)
+            return tail(rng, lo, hi)
+
+        monkeypatch.setattr(dist, "_truncnorm_tail", counting_tail)
+        for seed in range(200):
+            means, var, init = self.case(n_batch, n_dims, seed)
+            rng_new, rng_ref = make_rng(seed), make_rng(seed)
+            got = sample_gaussian_simplex_truncated_batch(rng_new, means, var, 3, init)
+            ref = oracles.sample_gaussian_simplex_truncated_batch(rng_ref, means, var, 3, init)
+            assert_same_bits(got, ref)
+            assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+        assert len(tails) > 50
+
+    @pytest.mark.parametrize(
+        "change",
+        ["zero variance", "infinite variance", "subnormal variance", "nan mean",
+         "shape mismatch", "inner_iters 0", "init shape", "init outside"],
+    )
+    def test_same_rejections(self, change):
+        means, var, init = self.case(4, 3, seed=1)
+        kwargs = {"inner_iters": 2, "init": init}
+        if change == "zero variance":
+            var[1, 2] = 0.0
+        elif change == "infinite variance":
+            var[0, 0] = np.inf
+        elif change == "subnormal variance":
+            var[2, 1] = 1e-310  # 1/var overflows: the conditional's sd is 0
+        elif change == "nan mean":
+            means[3, 0] = np.nan
+        elif change == "shape mismatch":
+            var = var[:, :2]
+        elif change == "inner_iters 0":
+            kwargs["inner_iters"] = 0
+        elif change == "init shape":
+            kwargs["init"] = init[:, :2]
+        else:  # coordinate 1's budget x_1 + x_2 is negative
+            kwargs["init"] = np.array([[0.3, -0.6, 0.1]] + [[0.2, 0.3, 0.5]] * 3)
+        with pytest.raises(InvalidParameterError):
+            sample_gaussian_simplex_truncated_batch(make_rng(0), means, var, **kwargs)
+        with np.errstate(all="ignore"), pytest.raises(InvalidParameterError):
+            oracles.sample_gaussian_simplex_truncated_batch(make_rng(0), means, var, **kwargs)
 
 
 def loglik_case(n_clusters, n_dims, n_pixels, seed):
