@@ -20,6 +20,10 @@ from .errors import InvalidParameterError, NumericalDegeneracyError
 #: inverse-CDF method to tail-safe Rayleigh rejection.
 _TAIL_THRESHOLD = 6.0
 
+#: Floor of the max-shifted categorical log-weights: ``exp`` of it is about
+#: 1e-304, still a normal double.
+_LOG_WEIGHT_FLOOR = -700.0
+
 
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     """PCG64 generator for (seed, stream).
@@ -92,10 +96,61 @@ def sample_inverse_gamma_array(
     raise NumericalDegeneracyError("Gamma draws underflowed in the array sampler")
 
 
+def _checked_log_weights(log_weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """C-ordered float64 copy (or view) of a (n_choices, n_sites) log-weight
+    matrix and its per-site maximum, or ``InvalidParameterError``. The
+    maximum is NaN for a site holding NaN and +inf for one holding +inf, so
+    one reduction checks every entry."""
+    lw = np.ascontiguousarray(log_weights, dtype=np.float64)
+    if lw.ndim != 2 or lw.shape[0] < 1:
+        raise InvalidParameterError("log_weights must be a (n_choices, n_sites) matrix")
+    peak = lw.max(axis=0)
+    if not np.all(peak < np.inf):  # also False for NaN
+        raise InvalidParameterError("log_weights must be in [-inf, inf)")
+    if not np.all(peak > -np.inf):
+        raise InvalidParameterError("some site has all categorical log-weights at -inf")
+    return lw, peak
+
+
 def sample_categorical_log_many(rng: np.random.Generator, log_weights: np.ndarray) -> np.ndarray:
     """Column-wise categorical draws from a (n_choices, n_sites) log-weight
+    matrix, by inverse CDF: one uniform per site against the cumulative
+    weights. Entries of -inf have zero probability and are never drawn;
+    every site needs at least one finite entry.
+
+    Each site's weights are ``exp(lw - max)`` with the shifted log-weights
+    floored at ``_LOG_WEIGHT_FLOOR`` (``np.exp`` is many times slower on
+    -inf inputs and subnormal results), so a finite entry more than 700
+    below its site's maximum keeps a weight of about 1e-304 instead of its
+    own; -inf entries get exactly zero. The cumulative sums run one row add
+    at a time (the order ``np.cumsum(axis=0)`` uses) and the label is the
+    first row whose sum exceeds ``u * total``, ``u`` in [0, 1): a
+    zero-weight row never exceeds it, also for ``u == 0``. The draws do not
+    depend on the memory layout of ``log_weights``.
+    """
+    lw, peak = _checked_log_weights(log_weights)
+    with np.errstate(over="ignore"):  # a finite difference past -DBL_MAX is -inf
+        w = lw - peak
+    np.maximum(w, _LOG_WEIGHT_FLOOR, out=w)
+    np.exp(w, out=w)
+    if lw.min(initial=0.0) == -np.inf:
+        np.copyto(w, 0.0, where=lw == -np.inf)
+    for k in range(1, w.shape[0]):
+        np.add(w[k - 1], w[k], out=w[k])
+    u = rng.random(size=w.shape[1])
+    u *= w[-1]
+    label = np.zeros(w.shape[1], dtype=np.intp)
+    for k in range(w.shape[0] - 1):
+        label += w[k] <= u
+    return label
+
+
+def sample_categorical_gumbel(rng: np.random.Generator, log_weights: np.ndarray) -> np.ndarray:
+    """Column-wise categorical draws from a (n_choices, n_sites) log-weight
     matrix; one independent Gumbel-max draw per site. Entries of -inf have
-    zero probability; every site needs at least one finite entry.
+    zero probability; every site needs at least one finite entry. Scene
+    generation draws its Potts maps with it, so scenes stay as they were
+    when the chain moved to :func:`sample_categorical_log_many`.
 
     The Gumbels are built from uniforms as ``-log(-log(1 - u))``, the
     transform ``Generator.gumbel`` applies, so the call consumes exactly the
@@ -106,13 +161,7 @@ def sample_categorical_log_many(rng: np.random.Generator, log_weights: np.ndarra
     Fortran-ordered matrix is copied to C order first, because a per-site
     reduction over its columns is many times slower.
     """
-    lw = np.ascontiguousarray(log_weights, dtype=np.float64)
-    if lw.ndim != 2 or lw.shape[0] < 1:
-        raise InvalidParameterError("log_weights must be a (n_choices, n_sites) matrix")
-    if not np.all(lw < np.inf):  # also False for NaN
-        raise InvalidParameterError("log_weights must be in [-inf, inf)")
-    if not np.all(lw.max(axis=0) > -np.inf):
-        raise InvalidParameterError("some site has all categorical log-weights at -inf")
+    lw = _checked_log_weights(log_weights)[0]
     saved = rng.bit_generator.state
     g = rng.random(size=lw.shape)
     if not g.all():

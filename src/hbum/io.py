@@ -68,12 +68,13 @@ def write_matrix(path: str | Path, arr: np.ndarray) -> None:
         ).encode()
         + b"\n"
     )
-    payload = stored.tobytes(order="C")
-    crc = zlib.crc32(header + payload) & 0xFFFFFFFF
+    # The CRC runs over the header and then the C-ordered array's own
+    # buffer, and the array is written as it is: the payload is not copied.
+    crc = zlib.crc32(stored, zlib.crc32(header)) & 0xFFFFFFFF
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(header)
-        fh.write(payload)
+        fh.write(stored)
         fh.write(b"crc32:%08x\n" % crc)
 
 

@@ -9,7 +9,9 @@ conditional used for Q's columns is exact on every recorded sweep.
 
 Every Potts label field is swept by :func:`potts_sweep`: the cluster field
 z, the class field omega and the Potts map of ``hbum.synthgen``. It runs a
-checkerboard schedule (two half-sweeps of conditionally independent sites).
+checkerboard schedule (two half-sweeps of conditionally independent sites)
+with the categorical draw it is handed: the chain's fields by inverse CDF,
+the synthetic map by Gumbel-max.
 A site left without a finite log-weight raises ``NumericalDegeneracyError``
 naming its pixel; :func:`run_chain` prefixes the sweep and the stage.
 
@@ -30,6 +32,7 @@ per-pixel most frequently sampled label for z and omega.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -204,7 +207,7 @@ def _make_precomp(Y: ObservationMatrix, M: EndmemberMatrix, sup: SupervisionData
         resid0 += float(np.vdot(block, block))
     return _Precomp(
         mtm=m.T @ m,
-        mty_t=np.ascontiguousarray((m.T @ y).T),
+        mty_t=qty.T @ r,  # MᵀY = RᵀQᵀY, pixel rows
         r=r,
         qty=qty,
         resid0=resid0,
@@ -227,14 +230,20 @@ def _log_nonneg(x: np.ndarray) -> np.ndarray:
 
 
 def potts_sweep(
-    rng: np.random.Generator, field: LabelField, base: np.ndarray, beta: float, what: str
+    rng: np.random.Generator,
+    field: LabelField,
+    base: np.ndarray,
+    beta: float,
+    what: str,
+    draw: Callable[[np.random.Generator, np.ndarray], np.ndarray],
 ) -> LabelField:
     """One checkerboard sweep of ``field``, in place. Each half-sweep draws
-    the sites of one colour from the (n_values, P) log-weights ``base``
-    plus, when ``beta`` is positive, ``beta`` times the count of each
-    site's neighbours carrying each value.
+    the sites of one colour with ``draw(rng, log_weights)`` from the
+    (n_values, P) log-weights ``base`` plus, when ``beta`` is positive,
+    ``beta`` times the count of each site's neighbours carrying each value.
 
-    ``sample_categorical_log_many`` rejects every site without a finite
+    ``draw`` (one of the column-wise categorical samplers of
+    ``hbum.distributions``) rejects every site without a finite
     log-weight, so its own checks are the only scan of the weights on the
     usual path. When it rejects them and some site has none, that is a
     degeneracy of the field, raised as one that names ``what`` and the
@@ -247,7 +256,7 @@ def potts_sweep(
             counts = neighbor_value_counts(grid, n_values).reshape(n_values, -1)
             weights += beta * np.take(counts, sites, axis=1)
         try:
-            field.labels[sites] = sample_categorical_log_many(rng, weights)
+            field.labels[sites] = draw(rng, weights)
         except InvalidParameterError:
             dead = ~np.any(np.isfinite(weights), axis=0)
             if np.any(dead):
@@ -402,7 +411,9 @@ def sample_cluster_labels(state: ChainState, rng: np.random.Generator) -> LabelF
     and, while ``effective_beta1`` is positive, the spatial agreement count."""
     base = _gaussian_cluster_loglik(state.A.data, state.clusters.psi, state.clusters.sigma2)
     base += np.take(_log_nonneg(state.q.q), state.omega.labels, axis=1)
-    return potts_sweep(rng, state.z, base, state.effective_beta1, "cluster")
+    return potts_sweep(
+        rng, state.z, base, state.effective_beta1, "cluster", sample_categorical_log_many
+    )
 
 
 def sample_interaction_matrix(
@@ -444,7 +455,7 @@ def sample_class_labels(
     base += w1
     if state.effective_beta1 > 0.0:
         base -= _class_log_partition(state, state.effective_beta1)
-    return potts_sweep(rng, state.omega, base, config.beta2, "class")
+    return potts_sweep(rng, state.omega, base, config.beta2, "class", sample_categorical_log_many)
 
 
 # ---------------------------------------------------------------------------

@@ -10,11 +10,13 @@ by white Gaussian noise scaled to a target signal-to-noise ratio.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
+from .distributions import sample_categorical_gumbel
 from .errors import GenerationError, InvalidParameterError, ValidationError
 from .lattice import Lattice
 from .model import (
@@ -88,6 +90,10 @@ class SceneSpec:
             raise ValidationError("concentration must be positive")
         if self.potts_beta < 0.0:
             raise ValidationError("potts_beta must be nonnegative")
+        if not math.isfinite(4.0 * float(self.potts_beta)):
+            raise ValidationError(
+                f"potts_beta times 4 neighbours must be finite, got {self.potts_beta}"
+            )
         if self.potts_sweeps < 1:
             raise ValidationError("potts_sweeps must be >= 1")
         if np.isnan(self.snr_db):
@@ -200,7 +206,7 @@ def generate_potts_field(spec: SceneSpec, rng: np.random.Generator) -> LabelFiel
     field = LabelField(labels, n_states, lat)
     base = np.zeros((n_states, lat.n_pixels))
     for _ in range(spec.potts_sweeps):
-        potts_sweep(rng, field, base, spec.potts_beta, "Potts")
+        potts_sweep(rng, field, base, spec.potts_beta, "Potts", sample_categorical_gumbel)
     return field
 
 

@@ -3,13 +3,13 @@
 The kernel references are the straightforward form of a kernel that
 ``hbum`` runs in an optimised form: fresh temporaries, boolean checkerboard
 masks, per-cluster index gathers, fancy-index gathers and tallies,
-``solve_triangular``, the unexpanded Gaussian square, ``Generator.gumbel``
-and a truncated-normal sampler that validates and masks on every call. The
-kernel-equivalence tests require the optimised
-kernels to leave the generator in the same state and to return the same
-bits, or, where the optimised kernel runs its arithmetic as GEMMs (the
-abundance draw and the cluster log-likelihood), values within a tolerance
-set by the rounding analysis.
+``solve_triangular``, the unexpanded Gaussian square, ``Generator.gumbel``,
+``np.cumsum`` with ``np.argmax``, and a truncated-normal sampler that
+validates and masks on every call. The kernel-equivalence tests require the
+optimised kernels to leave the generator in the same state and to return
+the same bits, or, where the optimised kernel runs its arithmetic as GEMMs
+(the abundance draw and the cluster log-likelihood), values within a
+tolerance set by the rounding analysis.
 
 The scalar references evaluate one pixel at a time what ``hbum`` computes
 for the whole lattice: grid positions and 4-connected neighbors, the Potts
@@ -24,10 +24,11 @@ from scipy.linalg import solve_triangular
 from scipy.special import erfc, erfcinv
 
 from hbum.distributions import (
+    _LOG_WEIGHT_FLOOR,
     _TAIL_THRESHOLD,
     _truncnorm_tail,
     project_to_simplex,
-    sample_categorical_log_many,
+    sample_categorical_gumbel,
     sample_inverse_gamma_array,
 )
 from hbum.errors import InvalidParameterError, NumericalDegeneracyError, ValidationError
@@ -112,17 +113,34 @@ def abundance_posterior(
     return mean, cov
 
 
-def categorical_log_many(rng: np.random.Generator, log_weights: np.ndarray) -> np.ndarray:
-    """Column-wise Gumbel-max draws with ``Generator.gumbel``."""
-    lw = np.asarray(log_weights, dtype=np.float64)
+def _check_log_weights(lw: np.ndarray) -> None:
     if lw.ndim != 2 or lw.shape[0] < 1:
         raise InvalidParameterError("log_weights must be a (n_choices, n_sites) matrix")
     if np.any(np.isnan(lw)) or np.any(lw == np.inf):
         raise InvalidParameterError("log_weights must be in [-inf, inf)")
     if not np.all(np.any(np.isfinite(lw), axis=0)):
         raise InvalidParameterError("some site has all categorical log-weights at -inf")
+
+
+def categorical_gumbel(rng: np.random.Generator, log_weights: np.ndarray) -> np.ndarray:
+    """Column-wise Gumbel-max draws with ``Generator.gumbel``."""
+    lw = np.asarray(log_weights, dtype=np.float64)
+    _check_log_weights(lw)
     gumbel = rng.gumbel(size=lw.shape)
     return np.argmax(lw + gumbel, axis=0)
+
+
+def categorical_inverse_cdf(rng: np.random.Generator, log_weights: np.ndarray) -> np.ndarray:
+    """Column-wise inverse-CDF draws: max-shifted log-weights floored at
+    ``_LOG_WEIGHT_FLOOR``, exact zeros for -inf, ``np.cumsum`` down each
+    column and the first row above one scaled uniform per site."""
+    lw = np.asarray(log_weights, dtype=np.float64)
+    _check_log_weights(lw)
+    weights = np.exp(np.maximum(lw - lw.max(axis=0), _LOG_WEIGHT_FLOOR))
+    weights[lw == -np.inf] = 0.0
+    cum = np.cumsum(weights, axis=0)
+    u = rng.random(size=lw.shape[1]) * cum[-1]
+    return np.argmax(cum > u, axis=0)
 
 
 def gaussian_cluster_loglik(a: np.ndarray, psi: np.ndarray, sigma2: np.ndarray) -> np.ndarray:
@@ -165,7 +183,7 @@ def sample_cluster_labels(state, rng: np.random.Generator):
             counts = neighbor_value_counts(grid, n_clusters)
             weights = weights + state.effective_beta1 * counts[:, mask]
         _require_finite_option(weights, "cluster", state)
-        grid[mask] = categorical_log_many(rng, weights)
+        grid[mask] = categorical_inverse_cdf(rng, weights)
     return state.z
 
 
@@ -184,7 +202,7 @@ def sample_class_labels(state, config, rng: np.random.Generator, w1: np.ndarray)
             counts = neighbor_value_counts(grid, n_classes)
             weights = weights + config.beta2 * counts[:, mask]
         _require_finite_option(weights, "class", state)
-        grid[mask] = categorical_log_many(rng, weights)
+        grid[mask] = categorical_inverse_cdf(rng, weights)
     return state.omega
 
 
@@ -281,7 +299,7 @@ def generate_potts_field(spec, rng: np.random.Generator) -> LabelField:
         for mask in color_masks(lat):
             counts = neighbor_value_counts(grid, n_states)
             weights = spec.potts_beta * counts[:, mask].astype(np.float64)
-            grid[mask] = sample_categorical_log_many(rng, weights)
+            grid[mask] = sample_categorical_gumbel(rng, weights)
     return LabelField(labels, n_states, lat)
 
 

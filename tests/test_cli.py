@@ -186,6 +186,17 @@ class TestGenerate:
         assert main(["generate", str(path), "--out", str(tmp_path / "x")]) == 2
         assert f"{key} must be finite" in capsys.readouterr().err
 
+    def test_overflowing_potts_beta_exits_2_naming_it(self, tmp_path, capsys):
+        # 1e308 is finite, but 4 beta, the largest neighbour-count term, is not.
+        broken = json.loads(json.dumps(SCENE_CONFIG))
+        broken["scene"]["potts_beta"] = 1e308
+        path = tmp_path / "broken.json"
+        path.write_text(json.dumps(broken))
+        assert main(["generate", str(path), "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert "potts_beta times 4" in err
+        assert "Warning" not in err
+
 
 class TestRun:
     def test_produces_readable_results(self, configs, tmp_path):

@@ -15,6 +15,7 @@ from scipy import stats
 from hbum.distributions import (
     make_rng,
     project_to_simplex,
+    sample_categorical_gumbel,
     sample_categorical_log_many,
     sample_dirichlet,
     sample_gaussian_simplex_truncated_batch,
@@ -147,43 +148,62 @@ class TestInverseGamma:
 
 
 class TestCategoricalLog:
+    """The chain's inverse-CDF draw; :class:`TestCategoricalGumbel` runs the
+    same cases on the Gumbel-max draw of scene generation."""
+
+    draw = staticmethod(sample_categorical_log_many)
+
     def test_zero_probability_entry_never_drawn(self):
-        draws = sample_categorical_log_many(make_rng(9), np.tile([[0.0], [-np.inf]], (1, 200)))
+        draws = self.draw(make_rng(9), np.tile([[0.0], [-np.inf]], (1, 200)))
         assert set(draws.tolist()) == {0}
 
     def test_equal_weights_are_fair(self):
         n = 100_000
-        draws = sample_categorical_log_many(make_rng(10), np.zeros((2, n)))
+        draws = self.draw(make_rng(10), np.zeros((2, n)))
         # three standard errors of a fair-coin frequency
         assert abs(draws.mean() - 0.5) < 3.0 * 0.5 / np.sqrt(n)
 
     def test_shift_invariance_is_exact(self):
         lw = np.array([[0.3], [-0.7], [1.1]])
-        a = [sample_categorical_log_many(make_rng(11, i), lw)[0] for i in range(500)]
-        b = [sample_categorical_log_many(make_rng(11, i), lw + 1000.0)[0] for i in range(500)]
+        a = [self.draw(make_rng(11, i), lw)[0] for i in range(500)]
+        b = [self.draw(make_rng(11, i), lw + 1000.0)[0] for i in range(500)]
         assert a == b
 
     def test_all_minus_inf_rejected(self):
         with pytest.raises(InvalidParameterError):
-            sample_categorical_log_many(make_rng(12), np.array([[-np.inf], [-np.inf]]))
+            self.draw(make_rng(12), np.array([[-np.inf], [-np.inf]]))
         with pytest.raises(InvalidParameterError):
-            sample_categorical_log_many(
-                make_rng(12), np.array([[0.0, -np.inf], [0.0, -np.inf]])
-            )
+            self.draw(make_rng(12), np.array([[0.0, -np.inf], [0.0, -np.inf]]))
 
     def test_nan_and_positive_inf_rejected(self):
         rng = make_rng(13)
         with pytest.raises(InvalidParameterError):
-            sample_categorical_log_many(rng, np.array([[0.0], [np.nan]]))
+            self.draw(rng, np.array([[0.0], [np.nan]]))
         with pytest.raises(InvalidParameterError):
-            sample_categorical_log_many(rng, np.array([[0.0], [np.inf]]))
+            self.draw(rng, np.array([[0.0], [np.inf]]))
 
     def test_batch_matches_scalar_distribution(self):
         lw = np.array([0.0, np.log(3.0)])
         n = 50_000
         rng = make_rng(14)
-        draws = sample_categorical_log_many(rng, np.tile(lw[:, None], (1, n)))
+        draws = self.draw(rng, np.tile(lw[:, None], (1, n)))
         assert abs(draws.mean() - 0.75) < 3.0 * np.sqrt(0.75 * 0.25 / n)
+
+    def test_frequencies_match_probabilities(self):
+        # Five categories, one at zero weight and one 30 below the peak
+        # (probability 9e-14, never drawn here): a chi-square test at 1%.
+        lw = np.log(np.array([0.1, 1.0, 0.2, 0.3, 0.4, 0.4]))
+        lw[1] = -np.inf
+        lw[5] -= 30.0
+        n = 200_000
+        draws = self.draw(make_rng(15), np.tile(lw[:, None], (1, n)))
+        counts = np.bincount(draws, minlength=lw.size)
+        assert counts[1] == 0 and counts[5] == 0
+        assert stats.chisquare(counts[[0, 2, 3, 4]], n * np.array([0.1, 0.2, 0.3, 0.4])).pvalue > 0.01
+
+
+class TestCategoricalGumbel(TestCategoricalLog):
+    draw = staticmethod(sample_categorical_gumbel)
 
 
 class TestTruncatedNormal:

@@ -2,6 +2,7 @@
 config validation."""
 
 import json
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -148,6 +149,27 @@ class TestMatrixContainer:
         write_matrix(path, np.zeros((0, 5), dtype=dtype))
         back = read_matrix(path)
         assert back.shape == (0, 5) and back.dtype == dtype
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.uint32])
+    @pytest.mark.parametrize("layout", ["C", "F", "strided", "0 rows", "0 cols"])
+    def test_bytes_match_concatenated_layout(self, tmp_path, dtype, layout):
+        # The payload is checksummed and written from the array's buffer;
+        # the file must be what the concatenated form gives.
+        arr = (np.random.default_rng(3).random((12, 10)) * 1e6).astype(dtype)
+        arr = {"C": arr, "F": np.asfortranarray(arr), "strided": arr[::2, 1::3],
+               "0 rows": arr[:0], "0 cols": arr[:, :0]}[layout]
+        path = tmp_path / "m.hbm"
+        write_matrix(path, arr)
+        name = "f64" if dtype == np.float64 else "u32"
+        header = json.dumps(
+            {"dtype": name, "rows": arr.shape[0], "cols": arr.shape[1], "order": "row-major"},
+            sort_keys=True,
+        ).encode() + b"\n"
+        payload = arr.astype(arr.dtype.newbyteorder("<")).tobytes(order="C")
+        crc = zlib.crc32(header + payload) & 0xFFFFFFFF
+        assert path.read_bytes() == b"HBUM1\n" + header + payload + b"crc32:%08x\n" % crc
+        back = read_matrix(path)
+        assert back.dtype == dtype and np.array_equal(back, arr)
 
     def test_result_is_writable_and_owns_its_memory(self, tmp_path):
         path = tmp_path / "m.hbm"

@@ -17,6 +17,7 @@ import hbum.sampler as sampler_mod
 from hbum.distributions import (
     _argmax_rows_first,
     make_rng,
+    sample_categorical_gumbel,
     sample_categorical_log_many,
     sample_gaussian_simplex_truncated_batch,
 )
@@ -77,7 +78,7 @@ class TestCategorical:
         before = lw.copy()
         rng_new, rng_ref = make_rng(7 + n_choices), make_rng(7 + n_choices)
         assert_same_bits(
-            sample_categorical_log_many(rng_new, lw), oracles.categorical_log_many(rng_ref, lw)
+            sample_categorical_gumbel(rng_new, lw), oracles.categorical_gumbel(rng_ref, lw)
         )
         assert rng_new.bit_generator.state == rng_ref.bit_generator.state
         assert_same_bits(lw, before)  # the caller's weights are left alone
@@ -102,8 +103,8 @@ class TestCategorical:
 
         lw = log_weights(12, 301, seed=3, minus_inf_share=0.3)
         stub, ref_rng = ZeroUniform(5), make_rng(5)
-        new = sample_categorical_log_many(stub, lw)
-        ref = oracles.categorical_log_many(ref_rng, lw)
+        new = sample_categorical_gumbel(stub, lw)
+        ref = oracles.categorical_gumbel(ref_rng, lw)
         assert stub.gumbel_calls == 1
         assert_same_bits(new, ref)
         assert stub.bit_generator.state == ref_rng.bit_generator.state
@@ -119,12 +120,73 @@ class TestCategorical:
     def test_same_errors_and_no_draws_consumed(self, bad, message):
         lw = log_weights(3, 4, seed=1)
         lw[:, 2] = bad
-        for kernel in (sample_categorical_log_many, oracles.categorical_log_many):
+        for kernel in (
+            sample_categorical_log_many, oracles.categorical_inverse_cdf,
+            sample_categorical_gumbel, oracles.categorical_gumbel,
+        ):
             rng = make_rng(9)
             state = rng.bit_generator.state
             with pytest.raises(InvalidParameterError, match=message):
                 kernel(rng, lw)
             assert rng.bit_generator.state == state
+
+
+class TestCategoricalInverseCdf:
+    @pytest.mark.parametrize("n_choices", CHOICES)
+    @pytest.mark.parametrize("n_sites", [0, 1, 7, 5000])
+    @pytest.mark.parametrize("minus_inf_share", [0.0, 0.4])
+    @pytest.mark.parametrize("scale", [3.0, 800.0])
+    def test_matches_cumsum_reference(self, n_choices, n_sites, minus_inf_share, scale):
+        # At scale 800 most shifted log-weights sit below the -700 floor.
+        lw = log_weights(n_choices, n_sites, seed=n_sites, minus_inf_share=minus_inf_share)
+        lw *= scale / 3.0
+        before = lw.copy()
+        rng_new, rng_ref = make_rng(7 + n_choices), make_rng(7 + n_choices)
+        assert_same_bits(
+            sample_categorical_log_many(rng_new, lw), oracles.categorical_inverse_cdf(rng_ref, lw)
+        )
+        assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+        assert_same_bits(lw, before)  # the caller's weights are left alone
+
+    @pytest.mark.parametrize("dead", ["first", "middle", "last"])
+    @pytest.mark.parametrize("u", [0.0, 1.0 - 2.0**-53])
+    def test_zero_weight_never_drawn_at_extreme_uniforms(self, dead, u):
+        class ConstantUniform:
+            """Generator stand-in whose every uniform is ``u``."""
+
+            def random(self, size):
+                return np.full(size, u)
+
+        # Sites: comparable log-weights; one row at the peak and the others
+        # below the -700 floor; comparable log-weights with a run of two
+        # -inf rows. Every site has the row named by ``dead`` at -inf.
+        lw = np.array([
+            [-1.0, -900.0, -2.0],
+            [-0.5, 0.0, -1.0],
+            [-2.0, -750.0, -0.5],
+            [-1.5, -1e5, -1.5],
+            [-0.2, -800.0, -2.5],
+        ])
+        row = {"first": 0, "middle": 2, "last": 4}[dead]
+        lw[row] = -np.inf
+        lw[row + (1 if row == 0 else -1), 2] = -np.inf
+        draws = sample_categorical_log_many(ConstantUniform(), lw)
+        assert_same_bits(draws, oracles.categorical_inverse_cdf(ConstantUniform(), lw))
+        finite = lw > -np.inf
+        assert np.all(finite[draws, np.arange(3)])
+        if u == 0.0:  # the first row with any weight
+            assert_same_bits(draws, np.argmax(finite, axis=0))
+        else:  # the last one, where no row is below the floor
+            last = lw.shape[0] - 1 - np.argmax(finite[::-1], axis=0)
+            assert draws[0] == last[0] and draws[2] == last[2]
+            assert draws[1] == 1
+
+    def test_no_warnings_past_the_double_range(self):
+        # A finite log-weight more than DBL_MAX below its site's maximum.
+        lw = np.array([[1e308, 0.0], [-1e308, -np.inf], [0.0, 1.0]])
+        with np.errstate(all="raise"):
+            draws = sample_categorical_log_many(make_rng(3), lw)
+        assert draws.tolist() == [0, 2]
 
 
 class TestCategoricalLayout:
@@ -480,7 +542,41 @@ def init_problem(n_bands, n_pixels, seed, shape=None):
     return ObservationMatrix(m @ a + noise, lat), EndmemberMatrix(m)
 
 
+def assert_mty_within_rounding_bound(pre, y, m):
+    """``pre.mty_t`` is ``RᵀQᵀY`` from the QR ``M = QR``. Against the direct
+    ``MᵀY``, each entry carries QR's column-wise backward error, d roundings
+    per entry of ``QᵀY`` and R per entry of the product with ``Rᵀ``; to
+    first order that stays below ``2 (d + R) eps ||m_i|| ||y_p||``."""
+    n_bands, n_dims = m.shape
+    ref = (m.T @ y).T
+    bound = 2.0 * (n_bands + n_dims) * np.finfo(np.float64).eps * np.outer(
+        np.linalg.norm(y, axis=0), np.linalg.norm(m, axis=0)
+    )
+    assert pre.mty_t.shape == ref.shape and pre.mty_t.flags.c_contiguous
+    assert np.all(np.abs(pre.mty_t - ref) <= bound)
+
+
 class TestInitialization:
+    @pytest.mark.parametrize(
+        "n_bands, n_dims, rank",
+        [(20, 3, 3), (413, 3, 3), (413, 9, 9), (413, 9, 7), (2, 3, 2), (5, 5, 4), (1, 1, 1)],
+    )
+    def test_mty_from_qr_within_rounding_bound(self, n_bands, n_dims, rank):
+        # M has rank ``rank``: its last columns are sums of earlier ones,
+        # and with d < R its QR factor R is wide.
+        gen = np.random.default_rng(n_bands * n_dims + rank)
+        m = gen.uniform(0.05, 1.0, size=(n_bands, n_dims))
+        for col in range(rank, n_dims):
+            m[:, col] = m[:, col - rank] + m[:, (col + 1) % rank]
+        lat = Lattice(1, 997)
+        y = m @ gen.dirichlet(np.ones(n_dims), size=lat.n_pixels).T
+        y += gen.normal(scale=1e-2, size=y.shape)
+        sup = SupervisionData.from_labels(np.array([0]), np.array([0]), 0.9, 1, lat.n_pixels)
+        M = EndmemberMatrix(m)
+        pre = _make_precomp(ObservationMatrix(y, lat), M, sup)
+        assert np.linalg.matrix_rank(m) == rank
+        assert_mty_within_rounding_bound(pre, y, m)
+
     @pytest.mark.parametrize(
         "n_bands, n_pixels",
         [(d, p) for d in (1, 2, 413) for p in (1, 37, 2**15 - 1, 2**15 + 1)]
@@ -504,12 +600,14 @@ class TestInitialization:
         config = ModelConfig(n_clusters=3, n_classes=2, n_endmembers=3)
         a_ref, s2_ref = oracles.init_unmixing(Y.data, M.data)
         pre = _make_precomp(Y, M, sup)
-        assert_same_bits(pre.mty_t, (M.data.T @ Y.data).T.copy())
+        assert_mty_within_rounding_bound(pre, Y.data, M.data)
         shared = initialize_state(Y, M, sup, config, make_rng(3), pre)
         alone = initialize_state(Y, M, sup, config, make_rng(3))
         for state in (shared, alone):
-            assert_same_bits(state.A.data, a_ref)
+            # MᵀY's last bits pass through a well-conditioned 3x3 solve.
+            np.testing.assert_allclose(state.A.data, a_ref, rtol=0.0, atol=1e-12)
             np.testing.assert_allclose(state.noise.s2, s2_ref, rtol=1e-12)
+        assert_same_bits(shared.A.data, alone.A.data)
         assert shared.noise.s2 == alone.noise.s2
         assert_same_bits(shared.z.labels, alone.z.labels)
         assert_same_bits(shared.omega.labels, alone.omega.labels)
@@ -518,7 +616,7 @@ class TestInitialization:
 def with_oracle_kernels(monkeypatch):
     """Put every reference kernel in place of its optimised form."""
     patches = {
-        "sample_categorical_log_many": oracles.categorical_log_many,
+        "sample_categorical_log_many": oracles.categorical_inverse_cdf,
         "_sample_abundances_all": oracles.sample_abundances_all,
         "_gaussian_cluster_loglik": oracles.gaussian_cluster_loglik,
         "sample_cluster_labels": oracles.sample_cluster_labels,
