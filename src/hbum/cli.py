@@ -278,8 +278,9 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-# The (bundle, config, eval_all) of a sweep, set once in each pool worker by
-# ``_init_sweep_worker``; the parent process never sets it.
+# The (bundle, config, eval_all, threads) of a sweep, set once in each pool
+# worker by ``_init_sweep_worker``; the parent process never sets it. The
+# pool's ``threads`` chains run at once, and ``run_chain`` is told so.
 _sweep_inputs = None
 
 
@@ -291,12 +292,12 @@ def _init_sweep_worker(inputs) -> None:
 def _sweep_trial(task, inputs=None) -> tuple[int, int, float]:
     """One corruption trial; module-level so worker processes can import it.
     ``inputs`` defaults to the ones set in this pool worker."""
-    bundle, config, eval_all = _sweep_inputs if inputs is None else inputs
+    bundle, config, eval_all, threads = _sweep_inputs if inputs is None else inputs
     alpha, alpha_idx, trial = task
     corrupt_rng = make_rng(config.seed, _STREAM_CORRUPT_BASE + alpha_idx * 1000 + trial)
     sup = corrupt_labels(bundle.sup, alpha, corrupt_rng)
     chain_rng = make_rng(config.seed, alpha_idx * 1000 + trial)
-    estimates, _ = run_chain(bundle.Y, bundle.M, sup, config, rng=chain_rng)
+    estimates, _ = run_chain(bundle.Y, bundle.M, sup, config, chain_rng, chains_at_once=threads)
     if eval_all:
         pixel_idx = None
     else:
@@ -344,7 +345,7 @@ def cmd_sweep_corruption(args) -> int:
     # trial runs on them.
     bundle = read_bundle(args.bundle)
     config = load_model_config(args.config, overrides=_model_overrides(args))
-    inputs = (bundle, config, args.eval_all)
+    inputs = (bundle, config, args.eval_all, threads)
 
     tasks = [
         (alpha, alpha_idx, trial)

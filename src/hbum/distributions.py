@@ -293,8 +293,8 @@ def sample_gaussian_simplex_truncated_batch(
         x = np.stack([project_to_simplex(m) for m in means])
     else:
         x = np.array(init, dtype=np.float64)
-        if x.shape != means.shape:
-            raise InvalidParameterError("init must match the shape of means")
+        if x.shape != means.shape or not np.isfinite(x).all():
+            raise InvalidParameterError("init must be finite and match the shape of means")
 
     # Per free coordinate r: the 1-D conditional's variance and the part of
     # its mean that does not move during the scan.

@@ -21,6 +21,10 @@ reductions of the label draws run one short column at a time. Only values
 are copied, so no bit changes. Sums and means keep the layout of their
 input, because their rounding can depend on it.
 
+The abundance normals come from their own substream, ``rng.spawn(1)[0]``.
+While the chains running at once are at most half the usable CPUs, a helper
+thread draws them ahead of the sweeps; the results are the same either way.
+
 The abundance draw and the Gaussian cluster log-likelihood run as small
 GEMMs. They differ from triangular solves and from the unexpanded square
 in the last bits only, within the bounds their docstrings state.
@@ -32,7 +36,9 @@ per-pixel most frequently sampled label for z and omega.
 
 from __future__ import annotations
 
+import os
 from collections.abc import Callable
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -589,6 +595,28 @@ def _check_dimensions(
         raise ValidationError("supervision class count does not match the config")
 
 
+class _NormalsAhead:
+    """``count`` standard-normal blocks of ``shape`` from ``rng``, in order.
+    ``pool``'s thread fills the next chunk of whole blocks (about 2**18 normals;
+    one draw of n blocks equals n draws of one) while the caller uses the last,
+    so small blocks cost no thread switch a sweep. Chunks are allocated here."""
+
+    def __init__(self, rng: np.random.Generator, shape: tuple, count: int, pool) -> None:
+        per = max(1, (1 << 18) // (shape[0] * shape[1]))
+        self._sizes = [min(per, count - i) for i in range(0, count, per)][::-1]
+        self._draw = lambda n: pool.submit(rng.standard_normal, out=np.empty((n, *shape)))
+        self._next, self._blocks = self._draw(self._sizes.pop()), iter(())
+
+    def standard_normal(self, size: tuple) -> np.ndarray:
+        block = next(self._blocks, None)
+        if block is None:
+            self._blocks = iter(self._next.result())
+            if self._sizes:
+                self._next = self._draw(self._sizes.pop())
+            block = next(self._blocks)
+        return block
+
+
 def run_chain(
     Y: ObservationMatrix,
     M: EndmemberMatrix,
@@ -596,47 +624,58 @@ def run_chain(
     config: ModelConfig,
     rng: np.random.Generator | None = None,
     debug_validate: bool = False,
+    *,
+    chains_at_once: int = 1,
 ) -> tuple[ChainState, Trace]:
     """Run one chain and return (point estimates, trace).
 
     ``rng`` defaults to a fresh stream derived from ``config.seed``. With
     ``debug_validate`` every sweep re-checks all state invariants.
+    ``chains_at_once`` counts the chains running at once, this one included;
+    the normals are drawn ahead only while it is at most half the usable CPUs.
     """
     _check_dimensions(Y, M, sup, config)
     if rng is None:
         rng = make_rng(config.seed)
-    if config.pi_override is not None:
-        sup = SupervisionData(
-            sup.labeled_idx, sup.c, sup.eta,
-            np.asarray(config.pi_override, dtype=np.float64),
-            sup.n_classes, sup.n_pixels,
-        )
-        sup.validate()
-    pre = _make_precomp(Y, M, sup)
-    state = initialize_state(Y, M, sup, config, rng, pre)
-    trace = Trace.empty(config.n_endmembers, Y.n_pixels, config.n_clusters, config.n_classes)
-    # The lambdas look each stage up on this module when called, so a stage
-    # replaced there (by a test or a profiler) still takes part in the sweep.
-    stages = (
-        ("abundances", lambda: _sample_abundances_all(state, pre, rng)),
-        ("noise", lambda: _sample_noise_fast(state, pre, rng)),
-        ("cluster_means", lambda: sample_cluster_means(state, config, rng)),
-        ("cluster_variances", lambda: sample_cluster_variances(state, config, rng)),
-        ("cluster_labels", lambda: sample_cluster_labels(state, rng)),
-        ("interaction", lambda: sample_interaction_matrix(state, config, rng)),
-        ("class_labels", lambda: sample_class_labels(state, config, rng, pre.w1)),
-    )
     total = config.n_burnin + config.n_mc
-    for it in range(total):
-        state.effective_beta1 = config.beta1 if it < config.n_burnin else 0.0
-        for name, stage in stages:
-            try:
-                stage()
-            except NumericalDegeneracyError as exc:
-                raise NumericalDegeneracyError(f"sweep {it}, {name}: {exc}") from exc
-        state.iteration += 1
-        if debug_validate:
-            state.validate()
-        if it >= config.n_burnin:
-            trace.record(state)
-    return trace.estimates(Y.lattice), trace
+    normals = rng.spawn(1)[0]
+    affinity = getattr(os, "sched_getaffinity", None)
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+    # The executor starts its thread on the first submit, and joins it on exit.
+    with ThreadPoolExecutor(1) as pool:
+        if chains_at_once <= cpus // 2:
+            normals = _NormalsAhead(normals, (Y.n_pixels, config.n_endmembers), total, pool)
+        if config.pi_override is not None:
+            sup = SupervisionData(
+                sup.labeled_idx, sup.c, sup.eta,
+                np.asarray(config.pi_override, dtype=np.float64),
+                sup.n_classes, sup.n_pixels,
+            )
+            sup.validate()
+        pre = _make_precomp(Y, M, sup)
+        state = initialize_state(Y, M, sup, config, rng, pre)
+        trace = Trace.empty(config.n_endmembers, Y.n_pixels, config.n_clusters, config.n_classes)
+        # The lambdas look each stage up on this module when called, so a stage
+        # replaced there (by a test or a profiler) still takes part in the sweep.
+        stages = (
+            ("abundances", lambda: _sample_abundances_all(state, pre, normals)),
+            ("noise", lambda: _sample_noise_fast(state, pre, rng)),
+            ("cluster_means", lambda: sample_cluster_means(state, config, rng)),
+            ("cluster_variances", lambda: sample_cluster_variances(state, config, rng)),
+            ("cluster_labels", lambda: sample_cluster_labels(state, rng)),
+            ("interaction", lambda: sample_interaction_matrix(state, config, rng)),
+            ("class_labels", lambda: sample_class_labels(state, config, rng, pre.w1)),
+        )
+        for it in range(total):
+            state.effective_beta1 = config.beta1 if it < config.n_burnin else 0.0
+            for name, stage in stages:
+                try:
+                    stage()
+                except NumericalDegeneracyError as exc:
+                    raise NumericalDegeneracyError(f"sweep {it}, {name}: {exc}") from exc
+            state.iteration += 1
+            if debug_validate:
+                state.validate()
+            if it >= config.n_burnin:
+                trace.record(state)
+        return trace.estimates(Y.lattice), trace

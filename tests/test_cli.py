@@ -197,6 +197,37 @@ class TestGenerate:
         assert "potts_beta times 4" in err
         assert "Warning" not in err
 
+    def test_one_row_grid_exits_2_naming_the_training_rows(self, tmp_path, capsys):
+        # top_rows training takes whole grid rows; a quarter of one row
+        # rounds to none, so a 1xN scene cannot be generated with it.
+        scene = json.loads(json.dumps(SCENE_CONFIG))
+        scene["scene"].update(height=1, width=64)
+        scene["bands"] = 20
+        path = tmp_path / "one_row.json"
+        path.write_text(json.dumps(scene))
+        assert main(["generate", str(path), "--out", str(tmp_path / "x")]) == 2
+        assert "training fraction selects no grid rows" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_one_row_grid_fully_labeled_scores_only_with_eval_all(self, configs, tmp_path,
+                                                                  capsys):
+        # Three quarters of one row round to the whole row: every pixel is
+        # a training pixel, so the default unlabeled-only kappa has none.
+        _, model_path = configs
+        scene = json.loads(json.dumps(SCENE_CONFIG))
+        scene["scene"].update(height=1, width=64)
+        scene["bands"] = 20
+        scene["training"]["fraction"] = 0.75
+        path = tmp_path / "one_row.json"
+        path.write_text(json.dumps(scene))
+        bundle, results = tmp_path / "bundle", tmp_path / "results"
+        assert main(["generate", str(path), "--out", str(bundle)]) == 0
+        assert main(["run", str(bundle), str(model_path), "--out", str(results)]) == 0
+        capsys.readouterr()
+        assert main(["evaluate", str(results), str(bundle)]) == 2
+        assert "confusion matrix is empty" in capsys.readouterr().err
+        assert main(["evaluate", str(results), str(bundle), "--eval-all"]) == 0
+
 
 class TestRun:
     def test_produces_readable_results(self, configs, tmp_path):
@@ -458,6 +489,30 @@ class TestSweepCorruption:
         assert (serial / "corruption_sweep.txt").read_text() == (
             parallel / "corruption_sweep.txt"
         ).read_text()
+
+    @pytest.mark.parametrize("threads, cpus, kind", [
+        (1, 2, "_NormalsAhead"), (2, 2, "Generator"), (2, 4, "_NormalsAhead"),
+    ])
+    def test_trial_draws_ahead_only_with_a_spare_cpu(self, small_bundle, configs,
+                                                      monkeypatch, threads, cpus, kind):
+        # A pool of T workers runs T chains at once: each draws its normals
+        # a sweep ahead only when T is at most half the usable CPUs.
+        import hbum.cli as cli
+        import hbum.sampler as sampler
+
+        _, model_path = configs
+        monkeypatch.setattr(sampler.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        seen = []
+        original = sampler._sample_abundances_all
+
+        def spy(state, pre, normals):
+            seen.append(type(normals).__name__)
+            return original(state, pre, normals)
+
+        monkeypatch.setattr(sampler, "_sample_abundances_all", spy)
+        config = cli.load_model_config(str(model_path))
+        cli._sweep_trial((0.0, 0, 0), (read_bundle(small_bundle), config, False, threads))
+        assert seen == [kind] * (config.n_burnin + config.n_mc)
 
     def test_trial_count_validated(self, configs, tmp_path):
         scene_path, model_path = configs

@@ -294,6 +294,18 @@ class TestSimplexTruncatedGaussian:
         with pytest.raises(InvalidParameterError):
             simplex_draw(rng, np.array([0.5, 0.5]), np.array([1.0, 1.0]), inner_iters=0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_init_rejected(self, bad):
+        # A non-finite start would propagate into the draw without a warning.
+        init = np.array([[0.2, 0.3, 0.5], [bad, 0.5, 0.5]])
+        rng = make_rng(25)
+        state = rng.bit_generator.state
+        with pytest.raises(InvalidParameterError, match="init must be finite"):
+            sample_gaussian_simplex_truncated_batch(
+                rng, np.full((2, 3), 0.3), np.full((2, 3), 0.1), init=init
+            )
+        assert rng.bit_generator.state == state
+
 
 class TestSimplexProjection:
     @settings(max_examples=50, deadline=None)

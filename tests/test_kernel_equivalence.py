@@ -244,7 +244,7 @@ class TestSimplexTruncated:
     @pytest.mark.parametrize(
         "change",
         ["zero variance", "infinite variance", "subnormal variance", "nan mean",
-         "shape mismatch", "inner_iters 0", "init shape", "init outside"],
+         "shape mismatch", "inner_iters 0", "init shape", "init outside", "init nan"],
     )
     def test_same_rejections(self, change):
         means, var, init = self.case(4, 3, seed=1)
@@ -263,6 +263,8 @@ class TestSimplexTruncated:
             kwargs["inner_iters"] = 0
         elif change == "init shape":
             kwargs["init"] = init[:, :2]
+        elif change == "init nan":
+            kwargs["init"] = np.array([[0.2, 0.3, 0.5]] * 3 + [[np.nan, 0.5, 0.5]])
         else:  # coordinate 1's budget x_1 + x_2 is negative
             kwargs["init"] = np.array([[0.3, -0.6, 0.1]] + [[0.2, 0.3, 0.5]] * 3)
         with pytest.raises(InvalidParameterError):

@@ -654,18 +654,21 @@ class TestRunChain:
         assert est1.noise.s2 == est2.noise.s2
 
     def test_single_recorded_sweep_is_the_estimate(self):
-        # replicate the chain by hand (same seed, documented op order) and
-        # check the one recorded sample is returned untouched
+        # replicate the chain by hand (same seed, documented op order: the
+        # abundance normals from the chain generator's first spawned child,
+        # every other draw from the chain generator) and check the one
+        # recorded sample is returned untouched
         Y, M, sup, config = tiny_problem(seed=7, n_mc=1, n_burnin=2)
         est, trace = run_chain(Y, M, sup, config)
         assert trace.n_recorded == 1
 
         rng = make_rng(config.seed)
+        normals = make_rng(config.seed).spawn(1)[0]
         state = initialize_state(Y, M, sup, config, rng)
         pre = sampler_mod._make_precomp(Y, M, sup)
         for it in range(3):
             state.effective_beta1 = config.beta1 if it < 2 else 0.0
-            sampler_mod._sample_abundances_all(state, pre, rng)
+            sampler_mod._sample_abundances_all(state, pre, normals)
             sampler_mod._sample_noise_fast(state, pre, rng)
             sample_cluster_means(state, config, rng)
             sample_cluster_variances(state, config, rng)
@@ -677,6 +680,123 @@ class TestRunChain:
         assert np.array_equal(est.z.labels, state.z.labels)
         assert np.array_equal(est.omega.labels, state.omega.labels)
         assert np.array_equal(est.q.q, state.q.q)
+
+    @staticmethod
+    def spy_on_normals(monkeypatch):
+        """Record the type of the abundance stage's normals source per sweep."""
+        seen = []
+        original = sampler_mod._sample_abundances_all
+
+        def spy(state, pre, normals):
+            seen.append(type(normals).__name__)
+            return original(state, pre, normals)
+
+        monkeypatch.setattr(sampler_mod, "_sample_abundances_all", spy)
+        return seen
+
+    def test_draw_ahead_changes_nothing(self, monkeypatch):
+        # One CPU, two CPUs with two chains at once, and a host without
+        # sched_getaffinity that reports one CPU all draw inline; two spare
+        # CPUs draw ahead. Every bit and the chain generator's end state agree.
+        Y, M, sup, config = tiny_problem(seed=7, n_mc=6, n_burnin=3)
+        seen = self.spy_on_normals(monkeypatch)
+        runs = {}
+        for name, cpus, chains in [("ahead", 4, 1), ("pool of two", 2, 2),
+                                   ("one cpu", 1, 1), ("no affinity", None, 1)]:
+            if cpus is None:
+                monkeypatch.delattr(sampler_mod.os, "sched_getaffinity")
+                monkeypatch.setattr(sampler_mod.os, "cpu_count", lambda: 1)
+            else:
+                monkeypatch.setattr(sampler_mod.os, "sched_getaffinity",
+                                    lambda pid, n=cpus: set(range(n)))
+            rng = make_rng(config.seed)
+            seen.clear()
+            est, trace = run_chain(Y, M, sup, config, rng, chains_at_once=chains)
+            expected = "_NormalsAhead" if name == "ahead" else "Generator"
+            assert seen == [expected] * 9
+            runs[name] = (est, trace, rng.bit_generator.state)
+        est0, trace0, state0 = runs["ahead"]
+        for est, trace, state in runs.values():
+            for got, want in [
+                (est.A.data, est0.A.data), (est.clusters.psi, est0.clusters.psi),
+                (est.clusters.sigma2, est0.clusters.sigma2), (est.q.q, est0.q.q),
+                (est.z.labels, est0.z.labels), (est.omega.labels, est0.omega.labels),
+                (trace.z_counts, trace0.z_counts), (trace.omega_counts, trace0.omega_counts),
+                (trace.a_sum, trace0.a_sum),
+            ]:
+                assert got.tobytes() == want.tobytes()
+            assert est.noise.s2 == est0.noise.s2
+            assert state == state0
+
+    def test_helper_thread_ends_on_return_and_on_error(self, monkeypatch):
+        import threading
+
+        Y, M, sup, config = tiny_problem(seed=7, n_mc=3, n_burnin=2)
+        monkeypatch.setattr(sampler_mod.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        start = threading.active_count()
+        during = []
+        original = sampler_mod.sample_cluster_means
+
+        def means(state, config, rng):
+            during.append(threading.active_count())
+            return original(state, config, rng)
+
+        monkeypatch.setattr(sampler_mod, "sample_cluster_means", means)
+        run_chain(Y, M, sup, config)
+        assert during == [start + 1] * 5
+        assert threading.active_count() == start
+
+        def failing(state, config, rng):
+            if state.iteration == 2:
+                raise NumericalDegeneracyError("cluster means degenerate")
+            return original(state, config, rng)
+
+        monkeypatch.setattr(sampler_mod, "sample_cluster_means", failing)
+        with pytest.raises(NumericalDegeneracyError,
+                           match=r"^sweep 2, cluster_means: cluster means degenerate$"):
+            run_chain(Y, M, sup, config)
+        assert threading.active_count() == start
+
+    def test_concurrent_chains_under_a_short_switch_interval(self, monkeypatch):
+        # Three chains on three threads, each with its own helper thread,
+        # with the interpreter switching threads every microsecond: every
+        # chain still gets its own blocks in order, as an inline run does.
+        import sys
+        import threading
+
+        Y, M, sup, config = tiny_problem(seed=9, n_mc=8, n_burnin=2)
+        monkeypatch.setattr(sampler_mod.os, "sched_getaffinity", lambda pid: set(range(16)))
+        want = run_chain(Y, M, sup, config, chains_at_once=99)[0].A.data.tobytes()
+        results = []
+
+        def one_chain():
+            results.append(run_chain(Y, M, sup, config)[0].A.data.tobytes())
+
+        threads = [threading.Thread(target=one_chain) for _ in range(3)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [want] * 3
+
+    @pytest.mark.parametrize("shape, count", [((1000, 100), 5), ((10, 3), 7), ((300_000, 1), 3)])
+    def test_normals_ahead_draws_each_block_once_in_order(self, shape, count):
+        # Chunks of 2, 2 and 1 blocks; one chunk of 7; one block a chunk.
+        from concurrent.futures import ThreadPoolExecutor
+
+        rng, ref = make_rng(5), make_rng(5)
+        with ThreadPoolExecutor(1) as pool:
+            ahead = sampler_mod._NormalsAhead(rng, shape, count, pool)
+            for _ in range(count):
+                block = ahead.standard_normal(shape)
+                assert block.tobytes() == ref.standard_normal(shape).tobytes()
+        assert rng.bit_generator.state == ref.bit_generator.state
 
     def test_rank_deficient_endmembers_run_to_the_end(self):
         Y, M, sup, config = tiny_problem(seed=10, n_mc=5, n_burnin=2)
