@@ -279,8 +279,7 @@ def cmd_evaluate(args) -> int:
 
 
 # The (bundle, config, eval_all, threads) of a sweep, set once in each pool
-# worker by ``_init_sweep_worker``; the parent process never sets it. The
-# pool's ``threads`` chains run at once, and ``run_chain`` is told so.
+# worker by ``_init_sweep_worker``; the parent process never sets it.
 _sweep_inputs = None
 
 

@@ -21,9 +21,9 @@ reductions of the label draws run one short column at a time. Only values
 are copied, so no bit changes. Sums and means keep the layout of their
 input, because their rounding can depend on it.
 
-The abundance normals come from their own substream, ``rng.spawn(1)[0]``.
-While the chains running at once are at most half the usable CPUs, a helper
-thread draws them ahead of the sweeps; the results are the same either way.
+The abundance normals come from child 0 of the chain generator's seed
+sequence. While the chains running at once are at most half the usable CPUs,
+a helper thread draws them ahead of the sweeps; the results are the same.
 
 The abundance draw and the Gaussian cluster log-likelihood run as small
 GEMMs. They differ from triangular solves and from the unexpanded square
@@ -596,24 +596,24 @@ def _check_dimensions(
 
 
 class _NormalsAhead:
-    """``count`` standard-normal blocks of ``shape`` from ``rng``, in order.
+    """``count`` standard-normal blocks of ``shape`` from ``rng``, in order:
     ``pool``'s thread fills the next chunk of whole blocks (about 2**18 normals;
-    one draw of n blocks equals n draws of one) while the caller uses the last,
-    so small blocks cost no thread switch a sweep. Chunks are allocated here."""
+    one draw of n blocks equals n draws of one), allocated here, while the
+    caller uses the last, whose blocks only the caller's views keep alive."""
 
     def __init__(self, rng: np.random.Generator, shape: tuple, count: int, pool) -> None:
         per = max(1, (1 << 18) // (shape[0] * shape[1]))
         self._sizes = [min(per, count - i) for i in range(0, count, per)][::-1]
         self._draw = lambda n: pool.submit(rng.standard_normal, out=np.empty((n, *shape)))
-        self._next, self._blocks = self._draw(self._sizes.pop()), iter(())
+        self._next, self._blocks = self._draw(self._sizes.pop()), []
 
     def standard_normal(self, size: tuple) -> np.ndarray:
-        block = next(self._blocks, None)
-        if block is None:
-            self._blocks = iter(self._next.result())
+        if not self._blocks:
+            self._blocks = list(self._next.result())[::-1]
             if self._sizes:
                 self._next = self._draw(self._sizes.pop())
-            block = next(self._blocks)
+        block = self._blocks.pop()
+        assert block.shape == tuple(size), (block.shape, size)
         return block
 
 
@@ -624,8 +624,7 @@ def run_chain(
     config: ModelConfig,
     rng: np.random.Generator | None = None,
     debug_validate: bool = False,
-    *,
-    chains_at_once: int = 1,
+    *, chains_at_once: int = 1,
 ) -> tuple[ChainState, Trace]:
     """Run one chain and return (point estimates, trace).
 
@@ -638,23 +637,25 @@ def run_chain(
     if rng is None:
         rng = make_rng(config.seed)
     total = config.n_burnin + config.n_mc
-    normals = rng.spawn(1)[0]
-    affinity = getattr(os, "sched_getaffinity", None)
-    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
-    # The executor starts its thread on the first submit, and joins it on exit.
+    # The normals' stream is ``rng.spawn(1)[0]`` of a fresh rng, whatever rng has spawned.
+    ss = rng.bit_generator.seed_seq
+    ss = np.random.SeedSequence(ss.entropy, spawn_key=(*ss.spawn_key, 0), pool_size=ss.pool_size)
+    normals = np.random.Generator(type(rng.bit_generator)(ss))
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    if config.pi_override is not None:
+        sup = SupervisionData(
+            sup.labeled_idx, sup.c, sup.eta,
+            np.asarray(config.pi_override, dtype=np.float64),
+            sup.n_classes, sup.n_pixels,
+        )
+        sup.validate()
+    pre = _make_precomp(Y, M, sup)
+    state = initialize_state(Y, M, sup, config, rng, pre)
+    trace = Trace.empty(config.n_endmembers, Y.n_pixels, config.n_clusters, config.n_classes)
+    # The thread starts at the first submit, so no block is resident through set-up.
     with ThreadPoolExecutor(1) as pool:
         if chains_at_once <= cpus // 2:
             normals = _NormalsAhead(normals, (Y.n_pixels, config.n_endmembers), total, pool)
-        if config.pi_override is not None:
-            sup = SupervisionData(
-                sup.labeled_idx, sup.c, sup.eta,
-                np.asarray(config.pi_override, dtype=np.float64),
-                sup.n_classes, sup.n_pixels,
-            )
-            sup.validate()
-        pre = _make_precomp(Y, M, sup)
-        state = initialize_state(Y, M, sup, config, rng, pre)
-        trace = Trace.empty(config.n_endmembers, Y.n_pixels, config.n_clusters, config.n_classes)
         # The lambdas look each stage up on this module when called, so a stage
         # replaced there (by a test or a profiler) still takes part in the sweep.
         stages = (

@@ -655,7 +655,7 @@ class TestRunChain:
 
     def test_single_recorded_sweep_is_the_estimate(self):
         # replicate the chain by hand (same seed, documented op order: the
-        # abundance normals from the chain generator's first spawned child,
+        # abundance normals from child 0 of the chain generator's seed sequence,
         # every other draw from the chain generator) and check the one
         # recorded sample is returned untouched
         Y, M, sup, config = tiny_problem(seed=7, n_mc=1, n_burnin=2)
@@ -797,6 +797,34 @@ class TestRunChain:
                 block = ahead.standard_normal(shape)
                 assert block.tobytes() == ref.standard_normal(shape).tobytes()
         assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_normals_ahead_frees_a_used_chunk_with_its_block(self):
+        # One block a chunk: once the caller drops its block, that chunk is
+        # gone, so only the chunk in use and the next one are resident.
+        import weakref
+        from concurrent.futures import ThreadPoolExecutor
+
+        shape = (300_000, 1)
+        with ThreadPoolExecutor(1) as pool:
+            ahead = sampler_mod._NormalsAhead(make_rng(5), shape, 3, pool)
+            block = ahead.standard_normal(shape)
+            chunk = weakref.ref(block.base)
+            del block
+            assert chunk() is None
+            with pytest.raises(AssertionError):
+                ahead.standard_normal((shape[0] - 1, 1))
+
+    def test_rerun_from_a_restored_generator_repeats_the_chain(self):
+        # The normals come from child 0 of the generator's seed sequence
+        # however often it was spawned from: restoring the bit-generator
+        # state replays the chain, and run_chain spawns nothing.
+        Y, M, sup, config = tiny_problem(seed=7, n_mc=3, n_burnin=2)
+        rng = make_rng(config.seed)
+        saved = rng.bit_generator.state
+        first = run_chain(Y, M, sup, config, rng)[0].A.data.tobytes()
+        rng.bit_generator.state = saved
+        assert run_chain(Y, M, sup, config, rng)[0].A.data.tobytes() == first
+        assert rng.bit_generator.seed_seq.n_children_spawned == 0
 
     def test_rank_deficient_endmembers_run_to_the_end(self):
         Y, M, sup, config = tiny_problem(seed=10, n_mc=5, n_burnin=2)
