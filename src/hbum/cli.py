@@ -278,7 +278,7 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-# The (bundle, config, eval_all, threads) of a sweep, set once in each pool
+# The (bundle, config, eval_all, workers) of a sweep, set once in each pool
 # worker by ``_init_sweep_worker``; the parent process never sets it.
 _sweep_inputs = None
 
@@ -291,12 +291,12 @@ def _init_sweep_worker(inputs) -> None:
 def _sweep_trial(task, inputs=None) -> tuple[int, int, float]:
     """One corruption trial; module-level so worker processes can import it.
     ``inputs`` defaults to the ones set in this pool worker."""
-    bundle, config, eval_all, threads = _sweep_inputs if inputs is None else inputs
+    bundle, config, eval_all, workers = _sweep_inputs if inputs is None else inputs
     alpha, alpha_idx, trial = task
     corrupt_rng = make_rng(config.seed, _STREAM_CORRUPT_BASE + alpha_idx * 1000 + trial)
     sup = corrupt_labels(bundle.sup, alpha, corrupt_rng)
     chain_rng = make_rng(config.seed, alpha_idx * 1000 + trial)
-    estimates, _ = run_chain(bundle.Y, bundle.M, sup, config, chain_rng, chains_at_once=threads)
+    estimates, _ = run_chain(bundle.Y, bundle.M, sup, config, chain_rng, chains_at_once=workers)
     if eval_all:
         pixel_idx = None
     else:
@@ -332,6 +332,9 @@ def _parse_alphas(text: str | None) -> list[float]:
         raise ValidationError(f"cannot parse --alphas '{text}': {exc}") from exc
     if not alphas:
         raise ValidationError("--alphas must list at least one value")
+    for alpha in alphas:
+        if not 0.0 <= alpha < 1.0:  # also rejects NaN
+            raise ValidationError(f"--alphas values must lie in [0, 1), got {alpha}")
     return alphas
 
 
@@ -344,25 +347,26 @@ def cmd_sweep_corruption(args) -> int:
     # trial runs on them.
     bundle = read_bundle(args.bundle)
     config = load_model_config(args.config, overrides=_model_overrides(args))
-    inputs = (bundle, config, args.eval_all, threads)
-
     tasks = [
         (alpha, alpha_idx, trial)
         for alpha_idx, alpha in enumerate(alphas)
         for trial in range(args.trials)
     ]
+    # The pool forks all its workers at once, so start no more than the tasks.
+    workers = min(threads, len(tasks))
+    inputs = (bundle, config, args.eval_all, workers)
+
     t0 = time.perf_counter()
     kappas = np.zeros((len(alphas), args.trials))
-    if threads > 1:
+    if workers > 1:
         with ProcessPoolExecutor(
-            max_workers=threads, initializer=_init_sweep_worker, initargs=(inputs,)
+            max_workers=workers, initializer=_init_sweep_worker, initargs=(inputs,)
         ) as pool:
-            for alpha_idx, trial, kappa in pool.map(_sweep_trial, tasks):
-                kappas[alpha_idx, trial] = kappa
+            results = list(pool.map(_sweep_trial, tasks))
     else:
-        for task in tasks:
-            alpha_idx, trial, kappa = _sweep_trial(task, inputs)
-            kappas[alpha_idx, trial] = kappa
+        results = [_sweep_trial(task, inputs) for task in tasks]
+    for alpha_idx, trial, kappa in results:
+        kappas[alpha_idx, trial] = kappa
     elapsed = time.perf_counter() - t0
 
     out_dir = Path(args.out)

@@ -36,26 +36,28 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
 
 
 def sample_dirichlet(rng: np.random.Generator, alpha: np.ndarray) -> np.ndarray:
-    """One draw from Dirichlet(alpha) via normalized Gamma variates.
-
-    The output is on the probability simplex: entries >= 0 and summing to 1
-    within 1e-12. All ``alpha`` entries must be strictly positive (shapes
-    below 1 are supported).
+    """Dirichlet(alpha) draws via normalized Gamma variates: one for a (K,)
+    vector, one per row of an (n, K) matrix, drawn in row order as n (K,)
+    calls would draw them. Entries are >= 0 and sum to 1 within 1e-12;
+    shapes must be positive (below 1 is fine). A row whose Gamma draws all
+    underflow is drawn again; a K = 1 draw is 1 and uses no variates.
     """
     alpha = np.asarray(alpha, dtype=np.float64)
-    if alpha.ndim != 1 or alpha.size < 1:
-        raise InvalidParameterError("alpha must be a non-empty 1-D vector")
+    if alpha.ndim not in (1, 2) or alpha.shape[-1] < 1:
+        raise InvalidParameterError("alpha must be a non-empty (K,) vector or (n, K) matrix")
     if not np.all(np.isfinite(alpha)) or np.any(alpha <= 0.0):
         raise InvalidParameterError(f"Dirichlet parameters must be positive, got {alpha}")
-    if alpha.size == 1:
-        return np.ones(1)
-    # Tiny shapes can underflow every Gamma draw to zero; retry, then give up.
+    if alpha.shape[-1] == 1:
+        return np.ones(alpha.shape)
+    rows = alpha.reshape(-1, alpha.shape[-1])
+    g = rng.standard_gamma(rows)
     for _ in range(100):
-        g = rng.standard_gamma(alpha)
-        total = g.sum()
-        if total > 0.0:
-            return g / total
-    raise NumericalDegeneracyError(f"all Gamma draws underflowed for alpha={alpha}")
+        totals = g.sum(axis=1, keepdims=True)
+        bad = totals[:, 0] <= 0.0
+        if not bad.any():
+            return (g / totals).reshape(alpha.shape)
+        g[bad] = rng.standard_gamma(rows[bad])
+    raise NumericalDegeneracyError(f"all Gamma draws underflowed for alpha={rows[bad][0]}")
 
 
 def sample_inverse_gamma(rng: np.random.Generator, shape: float, scale: float) -> float:
@@ -146,49 +148,13 @@ def sample_categorical_log_many(rng: np.random.Generator, log_weights: np.ndarra
 
 
 def sample_categorical_gumbel(rng: np.random.Generator, log_weights: np.ndarray) -> np.ndarray:
-    """Column-wise categorical draws from a (n_choices, n_sites) log-weight
-    matrix; one independent Gumbel-max draw per site. Entries of -inf have
-    zero probability; every site needs at least one finite entry. Scene
-    generation draws its Potts maps with it, so scenes stay as they were
-    when the chain moved to :func:`sample_categorical_log_many`.
-
-    The Gumbels are built from uniforms as ``-log(-log(1 - u))``, the
-    transform ``Generator.gumbel`` applies, so the call consumes exactly the
-    bit-generator output ``rng.gumbel(size=log_weights.shape)`` would. The
-    vectorised log may differ from the C library's by an ulp, which changes
-    a draw only when two perturbed weights tie to within that ulp. The
-    draws do not depend on the memory layout of ``log_weights``; a
-    Fortran-ordered matrix is copied to C order first, because a per-site
-    reduction over its columns is many times slower.
-    """
+    """Column-wise Gumbel-max draws from a (n_choices, n_sites) log-weight
+    matrix: ``argmax(lw + G)`` per site, ``G`` from ``Generator.gumbel``.
+    Entries of -inf have zero probability; every site needs at least one
+    finite entry. Scene generation draws its Potts maps with it, so scenes
+    stay as they were when the chain moved to inverse-CDF draws."""
     lw = _checked_log_weights(log_weights)[0]
-    saved = rng.bit_generator.state
-    g = rng.random(size=lw.shape)
-    if not g.all():
-        # Generator.gumbel rejects u == 0 and draws again; let it do so.
-        rng.bit_generator.state = saved
-        g = rng.gumbel(size=lw.shape)
-        g += lw
-    else:
-        np.subtract(1.0, g, out=g)
-        np.log(g, out=g)
-        np.negative(g, out=g)
-        np.log(g, out=g)
-        np.subtract(lw, g, out=g)  # lw + gumbel, as a + (-b) == a - b exactly
-    return _argmax_rows_first(g)
-
-
-def _argmax_rows_first(g: np.ndarray) -> np.ndarray:
-    """``np.argmax(g, axis=0)`` for a NaN-free matrix, by a running maximum
-    over the rows; overwrites ``g[0]``. numpy's axis-0 argmax copies the
-    matrix to column order first, which costs as much as the Gumbels."""
-    best = g[0]
-    idx = np.zeros(g.shape[1], dtype=np.intp)
-    for k in range(1, g.shape[0]):
-        row = g[k]
-        idx = np.where(row > best, k, idx)  # strict: ties keep the first row
-        np.maximum(best, row, out=best)
-    return idx
+    return np.argmax(lw + rng.gumbel(size=lw.shape), axis=0)
 
 
 def _truncnorm_tail(rng: np.random.Generator, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:

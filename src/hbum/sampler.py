@@ -383,8 +383,8 @@ def sample_cluster_means(
     draws = sample_gaussian_simplex_truncated_batch(
         rng, means, varis, inner_iters=config.inner_iters, init=state.clusters.psi
     )
-    for k in np.flatnonzero(empty):
-        draws[k] = sample_dirichlet(rng, np.ones(n_dims))
+    if empty.any():
+        draws[empty] = sample_dirichlet(rng, np.ones((int(empty.sum()), n_dims)))
     state.clusters.psi = draws
     return state.clusters.psi
 
@@ -432,9 +432,8 @@ def sample_interaction_matrix(
     counts = np.bincount(
         state.omega.labels.astype(np.int64) * n_clusters + state.z.labels,
         minlength=n_clusters * n_classes,
-    ).reshape(n_classes, n_clusters).T
-    for j in range(n_classes):
-        state.q.q[:, j] = sample_dirichlet(rng, counts[:, j] + config.zeta)
+    ).reshape(n_classes, n_clusters)
+    state.q.q[:] = sample_dirichlet(rng, counts + config.zeta).T
     return state.q
 
 
@@ -547,9 +546,8 @@ def initialize_state(
             psi[k] = 1.0 / n_dims
             sigma2[k] = overall_var
 
-    q = np.column_stack(
-        [sample_dirichlet(rng, np.ones(config.n_clusters)) for _ in range(config.n_classes)]
-    )
+    # C order: Q feeds a GEMM in _class_log_partition.
+    q = sample_dirichlet(rng, np.ones((config.n_classes, config.n_clusters))).T.copy()
 
     omega = np.empty(n_pixels, dtype=np.int32)
     with np.errstate(divide="ignore"):

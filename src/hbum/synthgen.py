@@ -16,7 +16,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .distributions import sample_categorical_gumbel
+from .distributions import sample_categorical_gumbel, sample_dirichlet
 from .errors import GenerationError, InvalidParameterError, ValidationError
 from .lattice import Lattice
 from .model import (
@@ -210,19 +210,6 @@ def generate_potts_field(spec: SceneSpec, rng: np.random.Generator) -> LabelFiel
     return field
 
 
-def _dirichlet_rows(rng: np.random.Generator, alpha: np.ndarray, n_rows: int) -> np.ndarray:
-    """(n_rows, len(alpha)) independent Dirichlet(alpha) draws."""
-    rows = rng.standard_gamma(alpha, size=(n_rows, alpha.size))
-    totals = rows.sum(axis=1)
-    for _ in range(100):
-        bad = totals <= 0.0
-        if not np.any(bad):
-            return rows / totals[:, None]
-        rows[bad] = rng.standard_gamma(alpha, size=(int(bad.sum()), alpha.size))
-        totals = rows.sum(axis=1)
-    raise GenerationError(f"Dirichlet draws underflowed for alpha={alpha}")
-
-
 def generate_scene(
     spec: SceneSpec, M: EndmemberMatrix, rng: np.random.Generator
 ) -> tuple[ObservationMatrix, AbundanceMatrix, LabelField, LabelField]:
@@ -245,10 +232,8 @@ def generate_scene(
     a = np.empty((spec.n_endmembers, lat.n_pixels))
     for k in range(spec.n_clusters):
         idx = np.flatnonzero(z.labels == k)
-        if idx.size == 0:
-            continue
         alpha = spec.concentration * spec.dirichlet_means[k]
-        a[:, idx] = _dirichlet_rows(rng, alpha, idx.size).T
+        a[:, idx] = sample_dirichlet(rng, np.broadcast_to(alpha, (idx.size, alpha.size))).T
 
     signal = M.data @ a
     if np.isinf(spec.snr_db):

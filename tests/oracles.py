@@ -4,12 +4,13 @@ The kernel references are the straightforward form of a kernel that
 ``hbum`` runs in an optimised form: fresh temporaries, boolean checkerboard
 masks, per-cluster index gathers, fancy-index gathers and tallies,
 ``solve_triangular``, the unexpanded Gaussian square, ``Generator.gumbel``,
-``np.cumsum`` with ``np.argmax``, and a truncated-normal sampler that
-validates and masks on every call. The kernel-equivalence tests require the
-optimised kernels to leave the generator in the same state and to return
-the same bits, or, where the optimised kernel runs its arithmetic as GEMMs
-(the abundance draw and the cluster log-likelihood), values within a
-tolerance set by the rounding analysis.
+``np.cumsum`` with ``np.argmax``, one Dirichlet draw per column of Q, and a
+truncated-normal sampler that validates and masks on every call. The
+kernel-equivalence tests require the optimised kernels to leave the
+generator in the same state and to return the same bits, or, where the
+optimised kernel runs its arithmetic as GEMMs (the abundance draw and the
+cluster log-likelihood), values within a tolerance set by the rounding
+analysis.
 
 The scalar references evaluate one pixel at a time what ``hbum`` computes
 for the whole lattice: grid positions and 4-connected neighbors, the Potts
@@ -29,6 +30,7 @@ from hbum.distributions import (
     _truncnorm_tail,
     project_to_simplex,
     sample_categorical_gumbel,
+    sample_dirichlet,
     sample_inverse_gamma_array,
 )
 from hbum.errors import InvalidParameterError, NumericalDegeneracyError, ValidationError
@@ -218,6 +220,17 @@ def sample_cluster_variances(state, config, rng: np.random.Generator) -> np.ndar
                                        config.gamma + ssq / 2.0)
     state.clusters.sigma2 = np.maximum(draws, SIGMA2_FLOOR)
     return state.clusters.sigma2
+
+
+def sample_interaction_matrix(state, config, rng: np.random.Generator):
+    """Q's columns redrawn one at a time, each from its Dirichlet
+    conditional on the (cluster, class) counts tallied by a two-axis
+    fancy index."""
+    counts = np.zeros((config.n_clusters, config.n_classes))
+    np.add.at(counts, (state.z.labels, state.omega.labels), 1.0)
+    for j in range(config.n_classes):
+        state.q.q[:, j] = sample_dirichlet(rng, counts[:, j] + config.zeta)
+    return state.q
 
 
 def trace_record(trace, state) -> None:

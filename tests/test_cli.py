@@ -197,6 +197,17 @@ class TestGenerate:
         assert "potts_beta times 4" in err
         assert "Warning" not in err
 
+    def test_underflowing_abundance_draws_exit_3(self, tmp_path, capsys):
+        # Every Gamma draw at shapes this small underflows to zero, however
+        # often it is drawn again.
+        broken = json.loads(json.dumps(SCENE_CONFIG))
+        broken["scene"]["concentration"] = 1e-300
+        path = tmp_path / "broken.json"
+        path.write_text(json.dumps(broken))
+        assert main(["generate", str(path), "--out", str(tmp_path / "x")]) == 3
+        assert "all Gamma draws underflowed" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_one_row_grid_exits_2_naming_the_training_rows(self, tmp_path, capsys):
         # top_rows training takes whole grid rows; a quarter of one row
         # rounds to none, so a 1xN scene cannot be generated with it.
@@ -513,6 +524,68 @@ class TestSweepCorruption:
         config = cli.load_model_config(str(model_path))
         cli._sweep_trial((0.0, 0, 0), (read_bundle(small_bundle), config, False, threads))
         assert seen == [kind] * (config.n_burnin + config.n_mc)
+
+    @pytest.mark.parametrize(
+        "threads, alphas, trials, pool_size, chains_at_once",
+        [(8, "0,0.2", 1, 2, 2), (8, "0.1", 1, None, 1), (2, "0,0.2", 2, 2, 2)],
+    )
+    def test_pool_is_capped_at_the_task_count(self, small_bundle, configs, tmp_path,
+                                              monkeypatch, threads, alphas, trials,
+                                              pool_size, chains_at_once):
+        import hbum.cli as cli
+
+        _, model_path = configs
+        pools, seen = [], []
+
+        class InProcessPool:
+            """Records its size and runs the tasks here; starts no process."""
+
+            def __init__(self, max_workers, initializer, initargs):
+                pools.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        def spy(*args, chains_at_once):
+            seen.append(chains_at_once)
+            return run_chain(*args, chains_at_once=chains_at_once)
+
+        run_chain = cli.run_chain
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(cli, "run_chain", spy)
+        monkeypatch.setattr(cli, "_sweep_inputs", None)  # restored after the test
+        code = main(
+            ["sweep-corruption", str(small_bundle), str(model_path), "--out",
+             str(tmp_path / "s"), "--alphas", alphas, "--trials", str(trials),
+             "--threads", str(threads)]
+        )
+        assert code == 0
+        assert pools == ([] if pool_size is None else [pool_size])
+        assert seen == [chains_at_once] * (len(alphas.split(",")) * trials)
+
+    @pytest.mark.parametrize("bad", ["1.5", "-0.1", "nan", "inf"])
+    def test_bad_alpha_exits_2_before_any_chain(self, small_bundle, configs, tmp_path,
+                                                monkeypatch, capsys, bad):
+        import hbum.cli as cli
+
+        def no_chain(*args, **kwargs):
+            raise AssertionError("a chain ran before --alphas was checked")
+
+        _, model_path = configs
+        monkeypatch.setattr(cli, "run_chain", no_chain)
+        code = main(
+            ["sweep-corruption", str(small_bundle), str(model_path), "--out",
+             str(tmp_path / "s"), "--alphas", f"0,0.2,{bad}", "--trials", "3"]
+        )
+        assert code == 2
+        assert f"got {float(bad)}" in capsys.readouterr().err
 
     def test_trial_count_validated(self, configs, tmp_path):
         scene_path, model_path = configs

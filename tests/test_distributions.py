@@ -21,7 +21,7 @@ from hbum.distributions import (
     sample_gaussian_simplex_truncated_batch,
     sample_inverse_gamma,
 )
-from hbum.errors import InvalidParameterError
+from hbum.errors import InvalidParameterError, NumericalDegeneracyError
 from oracles import sample_truncated_normal
 
 
@@ -101,6 +101,53 @@ class TestDirichlet:
             sample_dirichlet(rng, np.array([1.0, -2.0]))
         with pytest.raises(InvalidParameterError):
             sample_dirichlet(rng, np.array([]))
+        with pytest.raises(InvalidParameterError):
+            sample_dirichlet(rng, np.array([[1.0, 2.0], [1.0, np.nan]]))
+        with pytest.raises(InvalidParameterError):
+            sample_dirichlet(rng, np.ones((2, 2, 2)))
+
+    @pytest.mark.parametrize("n_dims", [2, 3, 12])
+    def test_matrix_draw_equals_sequential_rows(self, n_dims):
+        alpha = np.random.default_rng(n_dims).uniform(0.2, 5.0, size=(40, n_dims))
+        rng_rows, rng_seq = make_rng(n_dims), make_rng(n_dims)
+        rows = sample_dirichlet(rng_rows, alpha)
+        seq = np.stack([sample_dirichlet(rng_seq, a) for a in alpha])
+        assert rows.tobytes() == seq.tobytes()
+        assert rng_rows.bit_generator.state == rng_seq.bit_generator.state
+
+    def test_only_an_underflowed_row_is_redrawn(self):
+        class UnderflowOnce:
+            """Generator stand-in whose first Gamma draws of row 1 are all 0."""
+
+            def __init__(self, seed):
+                self._rng = make_rng(seed)
+                self.shapes = []
+
+            def standard_gamma(self, shape):
+                self.shapes.append(np.array(shape))
+                g = self._rng.standard_gamma(shape)
+                if len(self.shapes) == 1:
+                    g[1] = 0.0
+                return g
+
+        alpha = np.array([[2.0, 3.0, 1.0], [0.5, 0.5, 0.5], [4.0, 1.0, 1.0]])
+        stub, ref = UnderflowOnce(4), make_rng(4)
+        out = sample_dirichlet(stub, alpha)
+        first, redraw = ref.standard_gamma(alpha), ref.standard_gamma(alpha[[1]])
+        first[1] = redraw[0]
+        assert len(stub.shapes) == 2 and stub.shapes[1].tobytes() == alpha[[1]].tobytes()
+        assert out.tobytes() == (first / first.sum(axis=1, keepdims=True)).tobytes()
+
+    def test_underflow_everywhere_raises(self):
+        with pytest.raises(NumericalDegeneracyError, match="underflowed"):
+            sample_dirichlet(make_rng(6), np.full((3, 2), 1e-300))
+
+    @pytest.mark.parametrize("alpha", [np.array([5.0]), np.full((4, 1), 0.3)])
+    def test_single_component_uses_no_draws(self, alpha):
+        rng = make_rng(2)
+        state = rng.bit_generator.state
+        assert sample_dirichlet(rng, alpha).tobytes() == np.ones(alpha.shape).tobytes()
+        assert rng.bit_generator.state == state
 
     @settings(max_examples=50, deadline=None)
     @given(

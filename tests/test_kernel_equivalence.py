@@ -15,7 +15,6 @@ import pytest
 import oracles
 import hbum.sampler as sampler_mod
 from hbum.distributions import (
-    _argmax_rows_first,
     make_rng,
     sample_categorical_gumbel,
     sample_categorical_log_many,
@@ -47,6 +46,7 @@ from hbum.sampler import (
     sample_class_labels,
     sample_cluster_labels,
     sample_cluster_variances,
+    sample_interaction_matrix,
 )
 
 SHAPES = [(1, 1), (1, 9), (5, 7), (12, 12)]
@@ -82,36 +82,6 @@ class TestCategorical:
         )
         assert rng_new.bit_generator.state == rng_ref.bit_generator.state
         assert_same_bits(lw, before)  # the caller's weights are left alone
-
-    def test_zero_uniform_falls_back_to_gumbel(self):
-        class ZeroUniform:
-            """Generator stand-in whose uniforms contain one u == 0.0."""
-
-            def __init__(self, seed):
-                self._rng = make_rng(seed)
-                self.bit_generator = self._rng.bit_generator
-                self.gumbel_calls = 0
-
-            def random(self, size):
-                u = self._rng.random(size=size)
-                u.flat[u.size // 2] = 0.0
-                return u
-
-            def gumbel(self, size):
-                self.gumbel_calls += 1
-                return self._rng.gumbel(size=size)
-
-        lw = log_weights(12, 301, seed=3, minus_inf_share=0.3)
-        stub, ref_rng = ZeroUniform(5), make_rng(5)
-        new = sample_categorical_gumbel(stub, lw)
-        ref = oracles.categorical_gumbel(ref_rng, lw)
-        assert stub.gumbel_calls == 1
-        assert_same_bits(new, ref)
-        assert stub.bit_generator.state == ref_rng.bit_generator.state
-
-    def test_running_argmax_keeps_the_first_of_ties(self):
-        g = np.array([[1.0, -np.inf, 2.0, 0.5], [1.0, -np.inf, 3.0, 0.5], [0.0, 0.0, 3.0, 0.5]])
-        assert_same_bits(_argmax_rows_first(g.copy()), np.argmax(g, axis=0))
 
     @pytest.mark.parametrize(
         "bad, message",
@@ -490,6 +460,19 @@ class TestGatherLayout:
         )
         assert rng_new.bit_generator.state == rng_ref.bit_generator.state
 
+    @pytest.mark.parametrize("n_clusters, n_classes", [(3, 2), (12, 5), (1, 3), (4, 1)])
+    def test_interaction_matrix(self, n_clusters, n_classes):
+        # One (J, K) Dirichlet call against one call per column of Q.
+        state = random_state((5, 7), n_clusters, n_classes, seed=n_clusters, beta1=0.0)
+        config = ModelConfig(n_clusters=n_clusters, n_classes=n_classes, n_endmembers=3)
+        ref_state = copy.deepcopy(state)
+        rng_new, rng_ref = make_rng(6), make_rng(6)
+        assert_same_bits(
+            sample_interaction_matrix(state, config, rng_new).q,
+            oracles.sample_interaction_matrix(ref_state, config, rng_ref).q,
+        )
+        assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+
 
 class _IndexSpy(np.ndarray):
     """Array that records every index it is assigned through: the dtype of
@@ -610,6 +593,7 @@ class TestInitialization:
             np.testing.assert_allclose(state.A.data, a_ref, rtol=0.0, atol=1e-12)
             np.testing.assert_allclose(state.noise.s2, s2_ref, rtol=1e-12)
         assert_same_bits(shared.A.data, alone.A.data)
+        assert shared.q.q.flags.c_contiguous  # Q feeds a GEMM in _class_log_partition
         assert shared.noise.s2 == alone.noise.s2
         assert_same_bits(shared.z.labels, alone.z.labels)
         assert_same_bits(shared.omega.labels, alone.omega.labels)
@@ -623,6 +607,7 @@ def with_oracle_kernels(monkeypatch):
         "_gaussian_cluster_loglik": oracles.gaussian_cluster_loglik,
         "sample_cluster_labels": oracles.sample_cluster_labels,
         "sample_class_labels": oracles.sample_class_labels,
+        "sample_interaction_matrix": oracles.sample_interaction_matrix,
     }
     for name, kernel in patches.items():
         assert hasattr(sampler_mod, name)
