@@ -33,8 +33,10 @@ from .errors import DataFormatError, NumericalDegeneracyError, ValidationError
 from .io import (
     BUNDLE_FILES,
     RESULT_FILES,
+    generate_config_echo,
     load_generate_config,
     load_model_config,
+    model_config_echo,
     read_bundle,
     read_matrix,
     read_results,
@@ -74,30 +76,7 @@ def _scene_manifest(cfg, spec, realized_snr_db: float, timings: dict) -> dict:
             "height": spec.height,
             "width": spec.width,
         },
-        "config": {
-            "scene": {
-                "height": spec.height,
-                "width": spec.width,
-                "clusters": spec.n_clusters,
-                "classes": spec.n_classes,
-                "endmembers": spec.n_endmembers,
-                "cluster_to_class": (spec.cluster_to_class + 1).tolist(),
-                "dirichlet_means": spec.dirichlet_means.tolist(),
-                "concentration": spec.concentration,
-                "snr_db": "inf" if np.isinf(spec.snr_db) else spec.snr_db,
-                "potts_beta": spec.potts_beta,
-                "potts_sweeps": spec.potts_sweeps,
-            },
-            "bands": cfg.n_bands,
-            "endmember_file": cfg.endmember_file,
-            "min_endmember_angle_deg": cfg.min_endmember_angle_deg,
-            "training": {
-                "kind": cfg.training.kind,
-                "fraction": cfg.training.fraction,
-                "eta": cfg.training.eta,
-            },
-            "seed": spec.seed,
-        },
+        "config": generate_config_echo(cfg),
         "realized": {
             "snr_db": "inf" if np.isinf(realized_snr_db) else realized_snr_db,
         },
@@ -171,33 +150,22 @@ def _load_endmember_file(path: str, n_bands: int, n_endmembers: int):
     return M
 
 
+def _add_model_overrides(parser: argparse.ArgumentParser) -> None:
+    """Add the flags that override model-config fields, read by _model_overrides."""
+    parser.add_argument("--seed", type=int, default=None)
+    parser.add_argument("--beta1", type=float, default=None)
+    parser.add_argument("--beta2", type=float, default=None)
+    parser.add_argument("--iters", type=int, default=None, help="total sweeps incl. burn-in")
+    parser.add_argument("--burnin", type=int, default=None)
+
+
 def _model_overrides(args) -> dict:
     return {
-        "beta1": getattr(args, "beta1", None),
-        "beta2": getattr(args, "beta2", None),
-        "iterations": getattr(args, "iters", None),
-        "burnin": getattr(args, "burnin", None),
-        "seed": getattr(args, "seed", None),
-    }
-
-
-def _config_echo(config) -> dict:
-    return {
-        "clusters": config.n_clusters,
-        "classes": config.n_classes,
-        "endmembers": config.n_endmembers,
-        "beta1": config.beta1,
-        "beta2": config.beta2,
-        "zeta": np.asarray(config.zeta).tolist(),
-        "xi": config.xi,
-        "gamma": config.gamma,
-        "iterations": config.n_mc + config.n_burnin,
-        "burnin": config.n_burnin,
-        "seed": config.seed,
-        "inner_iters": config.inner_iters,
-        "class_proportions": None
-        if config.pi_override is None
-        else np.asarray(config.pi_override).tolist(),
+        "beta1": args.beta1,
+        "beta2": args.beta2,
+        "iterations": args.iters,
+        "burnin": args.burnin,
+        "seed": args.seed,
     }
 
 
@@ -220,7 +188,7 @@ def cmd_run(args) -> int:
             "height": bundle.Y.lattice.height,
             "width": bundle.Y.lattice.width,
         },
-        "config": _config_echo(config),
+        "config": model_config_echo(config),
         "bundle": str(args.bundle),
         "recorded_sweeps": trace.n_recorded,
         "timings_s": {"chain": elapsed},
@@ -422,11 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("bundle", help="scene bundle directory")
     p_run.add_argument("config", help="model config file (JSON)")
     p_run.add_argument("--out", required=True, help="output results directory")
-    p_run.add_argument("--seed", type=int, default=None)
-    p_run.add_argument("--beta1", type=float, default=None)
-    p_run.add_argument("--beta2", type=float, default=None)
-    p_run.add_argument("--iters", type=int, default=None, help="total sweeps incl. burn-in")
-    p_run.add_argument("--burnin", type=int, default=None)
+    _add_model_overrides(p_run)
     p_run.add_argument(
         "--debug-validate", action="store_true", help="re-check invariants after every sweep"
     )
@@ -453,11 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--trials", type=int, default=20)
     p_sweep.add_argument("--threads", type=int, default=None)
     p_sweep.add_argument("--eval-all", action="store_true")
-    p_sweep.add_argument("--seed", type=int, default=None)
-    p_sweep.add_argument("--beta1", type=float, default=None)
-    p_sweep.add_argument("--beta2", type=float, default=None)
-    p_sweep.add_argument("--iters", type=int, default=None)
-    p_sweep.add_argument("--burnin", type=int, default=None)
+    _add_model_overrides(p_sweep)
     p_sweep.set_defaults(func=cmd_sweep_corruption)
     return parser
 

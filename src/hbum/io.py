@@ -39,7 +39,7 @@ from .model import (
     SupervisionData,
     require_finite,
 )
-from .synthgen import SceneSpec, TrainingSplit, default_cluster_means
+from .synthgen import DEFAULT_BANDS, SceneSpec, TrainingSplit, default_cluster_means
 
 MAGIC = b"HBUM1\n"
 _DTYPES = {"f64": np.dtype("<f8"), "u32": np.dtype("<u4")}
@@ -155,7 +155,9 @@ def read_label_field(path: str | Path, domain_size: int) -> LabelField:
     grid = read_matrix(path)
     if grid.dtype != np.uint32:
         raise DataFormatError(f"{path}: label fields must be stored as u32")
-    if grid.size and (grid.min() < 1 or grid.max() > domain_size):
+    if grid.size == 0:
+        raise DataFormatError(f"{path}: empty label grid ({grid.shape[0]}x{grid.shape[1]})")
+    if grid.min() < 1 or grid.max() > domain_size:
         raise DataFormatError(f"{path}: stored labels outside 1..{domain_size}")
     lat = Lattice(grid.shape[0], grid.shape[1])
     return LabelField((grid.astype(np.int64) - 1).astype(np.int32).ravel(), domain_size, lat)
@@ -164,6 +166,31 @@ def read_label_field(path: str | Path, domain_size: int) -> LabelField:
 # ---------------------------------------------------------------------------
 # Config files
 # ---------------------------------------------------------------------------
+
+# The (JSON key, attribute, kind) of every plain field, one tuple per config
+# section. The loaders parse the keys a file holds and leave the rest to the
+# dataclass defaults; the manifest echoes read the same tuples back. Keys
+# whose JSON form differs from the attribute's are handled by name below.
+_SCENE_FIELDS = (
+    ("height", "height", "count"), ("width", "width", "count"),
+    ("clusters", "n_clusters", "count"), ("classes", "n_classes", "count"),
+    ("endmembers", "n_endmembers", "count"), ("concentration", "concentration", "number"),
+    ("potts_beta", "potts_beta", "number"), ("potts_sweeps", "potts_sweeps", "count"),
+)
+_TRAINING_FIELDS = (
+    ("kind", "kind", "text"), ("fraction", "fraction", "number"), ("eta", "eta", "number"),
+)
+_GENERATE_FIELDS = (  # the top level, beside "scene", "training" and "seed"
+    ("bands", "n_bands", "count"), ("endmember_file", "endmember_file", "path"),
+    ("min_endmember_angle_deg", "min_endmember_angle_deg", "number"),
+)
+_MODEL_FIELDS = (
+    ("clusters", "n_clusters", "count"), ("classes", "n_classes", "count"),
+    ("endmembers", "n_endmembers", "count"), ("beta1", "beta1", "number"),
+    ("beta2", "beta2", "number"), ("zeta", "zeta", "array"), ("xi", "xi", "number"),
+    ("gamma", "gamma", "number"), ("seed", "seed", "count"),
+    ("inner_iters", "inner_iters", "count"),
+)
 
 
 def _check_keys(mapping: dict, required: set[str], optional: set[str], where: str) -> None:
@@ -188,13 +215,20 @@ def _load_json(path: str | Path, what: str) -> dict:
     return data
 
 
-def _field(mapping: dict, name: str, kind: str, where: str, default=None):
-    """Config field ``name`` of ``mapping`` (``default`` when absent) as
-    ``kind``: "number" gives a float, "count" an int, "array" a float64
-    array and "count array" an int64 array. Counts must be integral (2.0 is
-    2, 2.5 is rejected). Any other value, such as null, a string, a bool or
-    a ragged list, raises ValidationError naming the field."""
-    value = mapping.get(name, default)
+def _field(mapping: dict, name: str, kind: str, where: str):
+    """Config field ``name`` of ``mapping`` as ``kind``: "text" gives a
+    string, "path" a string or None, "number" a float, "count" an int,
+    "array" a float64 array and "count array" an int64 array. Counts must be
+    integral (2.0 is 2, 2.5 is rejected). Any other value, such as null, a
+    string, a bool or a ragged list where numbers are wanted, raises
+    ValidationError naming the field."""
+    value = mapping[name]
+    if kind == "text":
+        return str(value)
+    if kind == "path":
+        if value is not None and not isinstance(value, str):
+            raise ValidationError(f"{where}: '{name}' must be a path or null")
+        return value
     scalar = kind in ("number", "count")
     try:
         arr = np.asarray(value)
@@ -211,16 +245,30 @@ def _field(mapping: dict, name: str, kind: str, where: str, default=None):
     return arr.astype(np.int64 if kind == "count array" else np.float64)
 
 
+def _keys(fields: tuple) -> set[str]:
+    return {key for key, _, _ in fields}
+
+
+def _parsed(mapping: dict, fields: tuple, where: str) -> dict:
+    """The ``fields`` that ``mapping`` holds, parsed and keyed by attribute."""
+    return {attr: _field(mapping, key, kind, where) for key, attr, kind in fields if key in mapping}
+
+
+def _echoed(obj, fields: tuple) -> dict:
+    """The ``fields`` of ``obj`` as JSON values, keyed as in a config file."""
+    return {key: np.asarray(getattr(obj, attr)).tolist() for key, attr, _ in fields}
+
+
 @dataclass
 class GenerateConfig:
-    """Everything ``hbum generate`` needs: the scene itself, the spectral
-    setup and the training split."""
+    """Everything ``hbum generate`` needs: the scene itself, the training
+    split and the spectral setup."""
 
     scene: SceneSpec
-    n_bands: int
-    endmember_file: str | None
-    min_endmember_angle_deg: float
     training: TrainingSplit
+    n_bands: int = DEFAULT_BANDS
+    endmember_file: str | None = None
+    min_endmember_angle_deg: float = 15.0
 
     def validate(self) -> None:
         self.scene.validate()
@@ -232,129 +280,92 @@ class GenerateConfig:
             raise ValidationError("minimum endmember angle must be at least 5 degrees")
 
 
-def _parse_snr(scene_raw: dict, where: str) -> float:
-    value = scene_raw.get("snr_db", 30.0)
-    if isinstance(value, str):
-        if value.lower() in ("inf", "+inf", "infinity"):
-            return np.inf
-        raise ValidationError(f"snr_db string must be 'inf', got '{value}'")
-    return _field(scene_raw, "snr_db", "number", where, 30.0)
-
-
 def load_generate_config(path: str | Path, seed_override: int | None = None) -> GenerateConfig:
     data = _load_json(path, "scene config")
-    _check_keys(
-        data,
-        required={"scene", "training", "seed"},
-        optional={"bands", "endmember_file", "min_endmember_angle_deg"},
-        where=str(path),
-    )
-    scene_raw = data["scene"]
-    if not isinstance(scene_raw, dict):
-        raise ValidationError(f"{path}: 'scene' must be an object")
+    _check_keys(data, {"scene", "training", "seed"}, _keys(_GENERATE_FIELDS), str(path))
+    scene_raw, training_raw = data["scene"], data["training"]
+    for name, raw in (("scene", scene_raw), ("training", training_raw)):
+        if not isinstance(raw, dict):
+            raise ValidationError(f"{path}: '{name}' must be an object")
     where = f"{path}:scene"
-    _check_keys(
-        scene_raw,
-        required={
-            "height", "width", "clusters", "classes", "endmembers", "cluster_to_class",
-        },
-        optional={
-            "dirichlet_means", "concentration", "snr_db", "potts_beta", "potts_sweeps",
-        },
-        where=where,
-    )
-    n_clusters = _field(scene_raw, "clusters", "count", where)
-    n_endmembers = _field(scene_raw, "endmembers", "count", where)
-    means_raw = scene_raw.get("dirichlet_means", "auto")
-    if isinstance(means_raw, str):
-        if means_raw != "auto":
-            raise ValidationError(f"{path}: dirichlet_means must be a matrix or 'auto'")
-        means = default_cluster_means(n_clusters, n_endmembers)
+    required = {"height", "width", "clusters", "classes", "endmembers", "cluster_to_class"}
+    _check_keys(scene_raw, required, _keys(_SCENE_FIELDS) | {"dirichlet_means", "snr_db"}, where)
+    scene = _parsed(scene_raw, _SCENE_FIELDS, where)
+    if scene_raw.get("dirichlet_means") == "auto" or "dirichlet_means" not in scene_raw:
+        means = default_cluster_means(scene["n_clusters"], scene["n_endmembers"])
+    elif isinstance(scene_raw["dirichlet_means"], str):
+        raise ValidationError(f"{path}: dirichlet_means must be a matrix or 'auto'")
     else:
         means = _field(scene_raw, "dirichlet_means", "array", where)
+    snr = scene_raw.get("snr_db")
+    if isinstance(snr, str):
+        if snr.lower() not in ("inf", "+inf", "infinity"):
+            raise ValidationError(f"snr_db string must be 'inf', got '{snr}'")
+        scene["snr_db"] = np.inf
+    elif "snr_db" in scene_raw:
+        scene["snr_db"] = _field(scene_raw, "snr_db", "number", where)
     seed = _field(data, "seed", "count", str(path)) if seed_override is None else int(seed_override)
     spec = SceneSpec(
-        height=_field(scene_raw, "height", "count", where),
-        width=_field(scene_raw, "width", "count", where),
-        n_clusters=n_clusters,
-        n_classes=_field(scene_raw, "classes", "count", where),
-        n_endmembers=n_endmembers,
+        **scene, dirichlet_means=means, seed=seed,
         cluster_to_class=_field(scene_raw, "cluster_to_class", "count array", where) - 1,
-        dirichlet_means=means,
-        concentration=_field(scene_raw, "concentration", "number", where, 30.0),
-        snr_db=_parse_snr(scene_raw, where),
-        potts_beta=_field(scene_raw, "potts_beta", "number", where, 1.1),
-        potts_sweeps=_field(scene_raw, "potts_sweeps", "count", where, 40),
-        seed=seed,
     )
-    training_raw = data["training"]
-    if not isinstance(training_raw, dict):
-        raise ValidationError(f"{path}: 'training' must be an object")
     where = f"{path}:training"
-    _check_keys(training_raw, required={"fraction"}, optional={"kind", "eta"}, where=where)
-    training = TrainingSplit(
-        kind=str(training_raw.get("kind", "top_rows")),
-        fraction=_field(training_raw, "fraction", "number", where),
-        eta=_field(training_raw, "eta", "number", where, 0.95),
-    )
-    endmember_file = data.get("endmember_file")
-    if endmember_file is not None and not isinstance(endmember_file, str):
-        raise ValidationError(f"{path}: 'endmember_file' must be a path or null")
-    cfg = GenerateConfig(
-        scene=spec,
-        n_bands=_field(data, "bands", "count", str(path), 413),
-        endmember_file=endmember_file,
-        min_endmember_angle_deg=_field(
-            data, "min_endmember_angle_deg", "number", str(path), 15.0
-        ),
-        training=training,
-    )
+    _check_keys(training_raw, {"fraction"}, _keys(_TRAINING_FIELDS), where)
+    training = TrainingSplit(**_parsed(training_raw, _TRAINING_FIELDS, where))
+    cfg = GenerateConfig(spec, training, **_parsed(data, _GENERATE_FIELDS, str(path)))
     cfg.validate()
     return cfg
+
+
+def generate_config_echo(cfg: GenerateConfig) -> dict:
+    """``cfg`` as a scene config that loads back to it, with the means
+    matrix resolved: the inverse of :func:`load_generate_config`."""
+    spec = cfg.scene
+    scene = _echoed(spec, _SCENE_FIELDS)
+    scene["cluster_to_class"] = (spec.cluster_to_class + 1).tolist()
+    scene["dirichlet_means"] = spec.dirichlet_means.tolist()
+    scene["snr_db"] = "inf" if np.isinf(spec.snr_db) else spec.snr_db
+    training = _echoed(cfg.training, _TRAINING_FIELDS)
+    return dict(_echoed(cfg, _GENERATE_FIELDS), scene=scene, training=training, seed=spec.seed)
 
 
 def load_model_config(path: str | Path, overrides: dict | None = None) -> ModelConfig:
     """Load a model config; ``overrides`` maps field names (beta1, beta2,
     iterations, burnin, seed) to command-line values taking precedence."""
     data = _load_json(path, "model config")
-    _check_keys(
-        data,
-        required={"clusters", "classes", "endmembers", "iterations", "burnin", "seed"},
-        optional={
-            "beta1", "beta2", "zeta", "xi", "gamma", "inner_iters", "class_proportions",
-        },
-        where=str(path),
-    )
+    where = str(path)
+    required = {"clusters", "classes", "endmembers", "iterations", "burnin", "seed"}
+    _check_keys(data, required, _keys(_MODEL_FIELDS) | {"class_proportions"}, where)
     merged = dict(data)
     for key, value in (overrides or {}).items():
         if value is not None:
             merged[key] = value
-    where = str(path)
     iterations = _field(merged, "iterations", "count", where)
     burnin = _field(merged, "burnin", "count", where)
     if iterations <= burnin:
         raise ValidationError(
             f"{path}: iterations ({iterations}) must exceed burnin ({burnin})"
         )
+    pi = merged.get("class_proportions")  # null, like absent, keeps the bundle's pi
+    if pi is not None:
+        pi = _field(merged, "class_proportions", "array", where)
     config = ModelConfig(
-        n_clusters=_field(merged, "clusters", "count", where),
-        n_classes=_field(merged, "classes", "count", where),
-        n_endmembers=_field(merged, "endmembers", "count", where),
-        beta1=_field(merged, "beta1", "number", where, 0.8),
-        beta2=_field(merged, "beta2", "number", where, 0.8),
-        zeta=_field(merged, "zeta", "array", where, 1.0),
-        xi=_field(merged, "xi", "number", where, 1.0),
-        gamma=_field(merged, "gamma", "number", where, 0.1),
-        n_mc=iterations - burnin,
-        n_burnin=burnin,
-        seed=_field(merged, "seed", "count", where),
-        inner_iters=_field(merged, "inner_iters", "count", where, 5),
-        pi_override=None
-        if merged.get("class_proportions") is None
-        else _field(merged, "class_proportions", "array", where),
+        **_parsed(merged, _MODEL_FIELDS, where),
+        n_mc=iterations - burnin, n_burnin=burnin, pi_override=pi,
     )
     config.validate()
     return config
+
+
+def model_config_echo(config: ModelConfig) -> dict:
+    """``config`` as a model config that loads back to it: the inverse of
+    :func:`load_model_config`."""
+    return dict(
+        _echoed(config, _MODEL_FIELDS),
+        iterations=config.n_mc + config.n_burnin,
+        burnin=config.n_burnin,
+        class_proportions=np.asarray(config.pi_override).tolist(),  # None stays None
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -487,9 +498,12 @@ def read_results(results_dir: str | Path) -> ResultSet:
     rdir = Path(results_dir)
     manifest = read_manifest(rdir / "run_manifest.json")
     n_clusters, n_classes = _manifest_counts(manifest, rdir)
+    s2_hat = read_matrix(rdir / "s2_hat.hbm")
+    if s2_hat.shape != (1, 1):
+        raise DataFormatError(f"{rdir / 's2_hat.hbm'}: expected a 1x1 matrix, got {s2_hat.shape}")
     return ResultSet(
         a_hat=AbundanceMatrix(read_matrix(rdir / "A_hat.hbm")),
-        s2_hat=float(read_matrix(rdir / "s2_hat.hbm")[0, 0]),
+        s2_hat=float(s2_hat[0, 0]),
         psi_hat=read_matrix(rdir / "psi_hat.hbm"),
         sigma2_hat=read_matrix(rdir / "sigma2_hat.hbm"),
         q_hat=read_matrix(rdir / "Q_hat.hbm"),

@@ -94,6 +94,8 @@ def align_clusters(z_hat: LabelField, z_true: LabelField) -> np.ndarray:
     different cluster counts: estimated labels left without a true label
     map to -1, so their pixels never match.
     """
+    if z_hat.labels.shape != z_true.labels.shape:
+        raise ValidationError("cluster alignment needs matching field sizes")
     n_hat, n_true = z_hat.domain_size, z_true.domain_size
     co = np.bincount(
         z_hat.labels.astype(np.int64) * n_true + z_true.labels, minlength=n_hat * n_true

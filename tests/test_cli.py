@@ -2,21 +2,31 @@
 corruption sweep and exit-code behavior."""
 
 import json
+import os
+import re
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hbum.cli import main
+import hbum
+from hbum.cli import _model_overrides, build_parser, main
 from hbum.io import (
     BUNDLE_FILES,
     RESULT_FILES,
+    load_model_config,
     read_bundle,
     read_manifest,
     read_results,
+    write_label_field,
+    write_matrix,
     write_results,
 )
-from hbum.model import ClusterParams, InteractionMatrix, NoiseModel
+from hbum.lattice import Lattice
+from hbum.model import ClusterParams, InteractionMatrix, LabelField, NoiseModel
 from hbum.sampler import ChainState
 
 
@@ -76,6 +86,19 @@ def bundle_bytes(bundle_dir):
 
 def results_bytes(results_dir):
     return {name: (Path(results_dir) / name).read_bytes() for name in RESULT_FILES}
+
+
+def run_cli(*argv):
+    """``hbum`` in a child process: its exit code and its stderr, where an
+    uncaught exception would print its traceback."""
+    env = dict(os.environ)
+    src = str(Path(hbum.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hbum.cli", *map(str, argv)],
+        env=env, capture_output=True, text=True,
+    )
+    return proc.returncode, proc.stderr
 
 
 class TestGenerate:
@@ -375,6 +398,34 @@ class TestRun:
         assert code == 2
         assert "seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("shape", [(0, 16), (16, 0)])
+    def test_empty_label_grid_exits_4_naming_the_file(self, small_bundle, configs, tmp_path,
+                                                      shape):
+        _, model_path = configs
+        bundle = tmp_path / "bundle"
+        shutil.copytree(small_bundle, bundle)
+        write_matrix(bundle / "z_true.hbm", np.zeros(shape, dtype=np.uint32))
+        code, err = run_cli("run", bundle, model_path, "--out", tmp_path / "r")
+        assert code == 4
+        assert "z_true.hbm" in err
+        assert "Traceback" not in err
+
+    def test_run_and_sweep_take_the_same_model_overrides(self):
+        # The five flags override exactly the fields load_model_config names.
+        flags = ["--seed", "3", "--beta1", "0.5", "--beta2", "0.6", "--iters", "20",
+                 "--burnin", "4"]
+        parser = build_parser()
+        run, sweep = (
+            _model_overrides(parser.parse_args([cmd, "bundle", "model.json", "--out", "o",
+                                                *flags]))
+            for cmd in ("run", "sweep-corruption")
+        )
+        assert run == sweep == {
+            "seed": 3, "beta1": 0.5, "beta2": 0.6, "iterations": 20, "burnin": 4,
+        }
+        named = re.search(r"field names \(([^)]*)\)", load_model_config.__doc__).group(1)
+        assert set(run) == {name.strip() for name in named.split(",")}
+
     def test_noiseless_scene_runs_to_exit_0(self, tmp_path, capsys):
         # On the scene-1 protocol without noise the residual is rounding
         # alone; its scale never cancels to zero, so s2 stays representable.
@@ -460,6 +511,29 @@ class TestEvaluate:
         main(["generate", str(other_path), "--out", str(b2)])
         main(["run", str(b1), str(model_path), "--out", str(results)])
         assert main(["evaluate", str(results), str(b2)]) == 2
+
+    def test_malformed_noise_estimate_exits_4_naming_the_file(self, small_bundle, configs,
+                                                              tmp_path):
+        _, model_path = configs
+        results = tmp_path / "results"
+        assert main(["run", str(small_bundle), str(model_path), "--out", str(results)]) == 0
+        write_matrix(results / "s2_hat.hbm", np.zeros((0, 1)))
+        code, err = run_cli("evaluate", results, small_bundle)
+        assert code == 4
+        assert "s2_hat.hbm" in err
+        assert "Traceback" not in err
+
+    def test_smaller_cluster_map_exits_2(self, small_bundle, configs, tmp_path):
+        _, model_path = configs
+        results = tmp_path / "results"
+        assert main(["run", str(small_bundle), str(model_path), "--out", str(results)]) == 0
+        lat = Lattice(8, 16)  # the bundle's grid is 16x16
+        z_map = LabelField(np.zeros(lat.n_pixels, dtype=np.int32), 3, lat)
+        write_label_field(results / "z_map.hbm", z_map)
+        code, err = run_cli("evaluate", results, small_bundle)
+        assert code == 2
+        assert "field sizes" in err
+        assert "Traceback" not in err
 
 
 class TestSweepCorruption:

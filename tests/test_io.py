@@ -1,6 +1,7 @@
 """On-disk formats: byte-exact round trips, corruption detection and strict
 config validation."""
 
+import dataclasses
 import json
 import zlib
 from pathlib import Path
@@ -10,10 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hbum import io
 from hbum.errors import DataFormatError, ValidationError
 from hbum.io import (
+    generate_config_echo,
     load_generate_config,
     load_model_config,
+    model_config_echo,
     read_label_field,
     read_matrix,
     write_label_field,
@@ -206,6 +210,13 @@ class TestLabelFieldFiles:
         with pytest.raises(DataFormatError):
             read_label_field(path, 3)
 
+    @pytest.mark.parametrize("shape", [(0, 16), (16, 0)])
+    def test_empty_grid_is_a_format_error_naming_the_file(self, tmp_path, shape):
+        path = tmp_path / "z.hbm"
+        write_matrix(path, np.zeros(shape, dtype=np.uint32))
+        with pytest.raises(DataFormatError, match="z.hbm"):
+            read_label_field(path, 3)
+
 
 class TestGenerateConfig:
     def test_valid_config_loads(self, tmp_path):
@@ -319,3 +330,135 @@ class TestModelConfigFile:
             write_json(tmp_path / "m.json", dict(MODEL_CONFIG, zeta=[1.0, 2.0, 3.0]))
         )
         np.testing.assert_allclose(cfg.zeta, [1.0, 2.0, 3.0])
+
+
+# The keys a config must hold; every other key is left at its default.
+MINIMAL_SCENE = {
+    "scene": {
+        "height": 8, "width": 8, "clusters": 3, "classes": 2, "endmembers": 3,
+        "cluster_to_class": [1, 1, 2],
+    },
+    "training": {"fraction": 0.25},
+    "seed": 5,
+}
+MINIMAL_MODEL = {
+    "clusters": 3, "classes": 2, "endmembers": 3, "iterations": 20, "burnin": 5, "seed": 1,
+}
+
+# A legal non-default value for every key, as (section, patch): the first
+# key of the patch is the one under test, and the rest keep it consistent.
+# Section None is the top level.
+SCENE_CASES = [
+    ("scene", {"height": 6}),
+    ("scene", {"width": 5}),
+    ("scene", {"clusters": 4, "cluster_to_class": [1, 1, 2, 2]}),
+    ("scene", {"classes": 3, "cluster_to_class": [1, 2, 3]}),
+    ("scene", {"endmembers": 4}),
+    ("scene", {"cluster_to_class": [2, 1, 2]}),
+    ("scene", {"dirichlet_means": [[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.2, 0.2, 0.6]]}),
+    ("scene", {"concentration": 12.5}),
+    ("scene", {"snr_db": 21.5}),
+    ("scene", {"snr_db": "inf"}),
+    ("scene", {"potts_beta": 0.45}),
+    ("scene", {"potts_sweeps": 7}),
+    ("training", {"kind": "random"}),
+    ("training", {"fraction": 0.5}),
+    ("training", {"eta": 0.8}),
+    (None, {"bands": 12}),
+    (None, {"endmember_file": "library.hbm"}),
+    (None, {"min_endmember_angle_deg": 20.0}),
+    (None, {"seed": 9}),
+]
+MODEL_CASES = [
+    {"clusters": 4},
+    {"classes": 3},
+    {"endmembers": 4},
+    {"beta1": 0.3},
+    {"beta2": 1.2},
+    {"zeta": [1.0, 2.0, 3.0]},
+    {"zeta": 2.0},
+    {"xi": 2.5},
+    {"gamma": 0.3},
+    {"iterations": 30},
+    {"burnin": 9},
+    {"seed": 4},
+    {"inner_iters": 2},
+    {"class_proportions": [0.3, 0.7]},
+]
+
+
+def same_config(a, b) -> bool:
+    """Field-by-field equality of two configs; arrays compare by dtype and
+    value, everything else by type and value."""
+    if dataclasses.is_dataclass(a):
+        return type(a) is type(b) and all(
+            same_config(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a)
+        )
+    if isinstance(a, np.ndarray):
+        return isinstance(b, np.ndarray) and a.dtype == b.dtype and np.array_equal(a, b)
+    return type(a) is type(b) and a == b
+
+
+def accepted_keys(monkeypatch, load, path) -> dict:
+    """The keys ``load`` accepts in each section of ``path``, keyed by
+    section (None for the top level), as it hands them to _check_keys."""
+    accepted = {}
+    check = io._check_keys
+
+    def record(mapping, required, optional, where):
+        accepted[where[len(str(path)) + 1:] or None] = required | optional
+        check(mapping, required, optional, where)
+
+    monkeypatch.setattr(io, "_check_keys", record)
+    load(path)
+    return accepted
+
+
+def case_id(case) -> str:
+    section, patch = case if isinstance(case, tuple) else (None, case)
+    key = next(iter(patch))
+    return f"{section or 'top'}.{key}={json.dumps(patch[key])}"
+
+
+class TestConfigEcho:
+    """Every key a loader accepts reaches the manifest echo, and the echo
+    loads back to the config it was written from."""
+
+    @pytest.mark.parametrize("section, patch", SCENE_CASES, ids=map(case_id, SCENE_CASES))
+    def test_scene_key_round_trips(self, tmp_path, section, patch):
+        data = json.loads(json.dumps(MINIMAL_SCENE))
+        (data if section is None else data[section]).update(patch)
+        base = load_generate_config(write_json(tmp_path / "base.json", MINIMAL_SCENE))
+        first = load_generate_config(write_json(tmp_path / "c.json", data))
+        assert not same_config(first, base)  # the key took effect
+        echo = generate_config_echo(first)
+        assert same_config(load_generate_config(write_json(tmp_path / "e.json", echo)), first)
+
+    @pytest.mark.parametrize("patch", MODEL_CASES, ids=map(case_id, MODEL_CASES))
+    def test_model_key_round_trips(self, tmp_path, patch):
+        base = load_model_config(write_json(tmp_path / "base.json", MINIMAL_MODEL))
+        first = load_model_config(write_json(tmp_path / "m.json", dict(MINIMAL_MODEL, **patch)))
+        assert not same_config(first, base)
+        echo = model_config_echo(first)
+        assert same_config(load_model_config(write_json(tmp_path / "e.json", echo)), first)
+
+    def test_scene_echo_holds_every_accepted_key(self, tmp_path, monkeypatch):
+        path = write_json(tmp_path / "c.json", MINIMAL_SCENE)
+        accepted = accepted_keys(monkeypatch, load_generate_config, path)
+        echo = generate_config_echo(load_generate_config(path))
+        assert accepted == {
+            None: set(echo), "scene": set(echo["scene"]), "training": set(echo["training"]),
+        }
+        covered = {(section, next(iter(patch))) for section, patch in SCENE_CASES}
+        assert covered == {
+            (section, key)
+            for section, keys in accepted.items()
+            for key in keys - {"scene", "training"}
+        }
+
+    def test_model_echo_holds_every_accepted_key(self, tmp_path, monkeypatch):
+        path = write_json(tmp_path / "m.json", MINIMAL_MODEL)
+        accepted = accepted_keys(monkeypatch, load_model_config, path)
+        echo = model_config_echo(load_model_config(path))
+        assert accepted == {None: set(echo)}
+        assert {next(iter(patch)) for patch in MODEL_CASES} == set(echo)

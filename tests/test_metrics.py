@@ -120,6 +120,10 @@ class TestAlignClusters:
         np.testing.assert_array_equal(align_clusters(swapped, true), [1, 0, 2])
         assert aligned_cluster_accuracy(swapped, true) == pytest.approx(1.0)
 
+    def test_field_size_mismatch_rejected(self):
+        with pytest.raises(ValidationError, match="field sizes"):
+            align_clusters(field([0, 1, 2, 0], 3), field([0, 1, 2, 0, 1, 2], 3))
+
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(2, 5))
     def test_matched_fraction_at_least_uniform(self, seed, n_clusters):
