@@ -11,8 +11,10 @@ SeedSequence spawn key.
 
 from __future__ import annotations
 
+import math
+from statistics import NormalDist
+
 import numpy as np
-from scipy.special import erfc, erfcinv
 
 from .errors import InvalidParameterError, NumericalDegeneracyError
 
@@ -23,6 +25,9 @@ _TAIL_THRESHOLD = 6.0
 #: Floor of the max-shifted categorical log-weights: ``exp`` of it is about
 #: 1e-304, still a normal double.
 _LOG_WEIGHT_FLOOR = -700.0
+
+#: Standard-normal quantile function (Wichura's AS 241, in C) and sqrt(2).
+_NORMAL_QUANTILE, _SQRT2 = NormalDist().inv_cdf, math.sqrt(2.0)
 
 
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
@@ -181,10 +186,10 @@ def _truncnorm_tail(rng: np.random.Generator, lo: np.ndarray, hi: np.ndarray) ->
 def _truncnorm_standard(rng: np.random.Generator, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Standard-normal draws conditioned to [lo, hi], elementwise.
 
-    Central intervals use the inverse CDF expressed through erfc/erfcinv
-    (numerically stable upper-tail probabilities); intervals entirely beyond
-    +-_TAIL_THRESHOLD standard deviations use Rayleigh rejection. When every
-    interval is central no mask gathers are made; the draws are the same.
+    Central intervals use the inverse CDF of numerically stable upper-tail
+    probabilities; intervals entirely beyond +-_TAIL_THRESHOLD standard
+    deviations use Rayleigh rejection. When every interval is central no
+    mask gathers are made; the draws are the same.
     """
     right = lo > _TAIL_THRESHOLD
     left = hi < -_TAIL_THRESHOLD
@@ -202,11 +207,14 @@ def _truncnorm_standard(rng: np.random.Generator, lo: np.ndarray, hi: np.ndarray
 
 
 def _truncnorm_central(rng: np.random.Generator, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Inverse-CDF standard-normal draws on [lo, hi], one uniform each."""
-    pl = 0.5 * erfc(lo / np.sqrt(2.0))  # P(X > lo)
-    pu = 0.5 * erfc(hi / np.sqrt(2.0))
-    u = rng.random(size=lo.shape)
-    return np.sqrt(2.0) * erfcinv(2.0 * (pl - (pl - pu) * u))
+    """Inverse-CDF standard-normal draws on [lo, hi] for (n,) bounds, one uniform
+    each; at a chain's few intervals a call, a scalar loop beats array functions."""
+    draws = []
+    for a, b, v in zip(lo.tolist(), hi.tolist(), rng.random(size=lo.shape).tolist()):
+        pl = 0.5 * math.erfc(a / _SQRT2)  # P(X > a)
+        q = pl - (pl - 0.5 * math.erfc(b / _SQRT2)) * v
+        draws.append(math.inf if q <= 0.0 else -math.inf if q >= 1.0 else -_NORMAL_QUANTILE(q))
+    return np.array(draws)
 
 
 def project_to_simplex(v: np.ndarray) -> np.ndarray:

@@ -304,6 +304,8 @@ def load_generate_config(path: str | Path, seed_override: int | None = None) -> 
         scene["snr_db"] = np.inf
     elif "snr_db" in scene_raw:
         scene["snr_db"] = _field(scene_raw, "snr_db", "number", where)
+        if np.isinf(scene["snr_db"]):
+            raise ValidationError(f"{where}: 'snr_db' must be finite or 'inf': {json.dumps(snr)}")
     seed = _field(data, "seed", "count", str(path)) if seed_override is None else int(seed_override)
     spec = SceneSpec(
         **scene, dirichlet_means=means, seed=seed,

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import ValidationError
 from .model import AbundanceMatrix, LabelField
@@ -94,6 +93,7 @@ def align_clusters(z_hat: LabelField, z_true: LabelField) -> np.ndarray:
     different cluster counts: estimated labels left without a true label
     map to -1, so their pixels never match.
     """
+    from scipy.optimize import linear_sum_assignment  # here, so that the chain never loads scipy
     if z_hat.labels.shape != z_true.labels.shape:
         raise ValidationError("cluster alignment needs matching field sizes")
     n_hat, n_true = z_hat.domain_size, z_true.domain_size

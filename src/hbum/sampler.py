@@ -42,7 +42,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dtrtri
 
 from .distributions import (
     make_rng,
@@ -286,9 +285,10 @@ def _sample_abundances_all(state: ChainState, pre: _Precomp, rng: np.random.Gene
 
     Pixels are sorted by cluster (stably, so each cluster keeps its pixel
     order), and each cluster's right-hand sides ``MᵀY/s2 + psi_k/sigma2_k``
-    are one contiguous block B of (P, R) rows. With the covariance
-    ``Sigma_k = L⁻ᵀ L⁻¹`` formed from LAPACK's ``trtri``, the block's draw
-    is ``B Sigma_k + E L⁻¹``: two small GEMMs in place of three triangular
+    are one contiguous block B of (P, R) rows. The occupied clusters'
+    precisions are factored and their factors inverted as one stack each.
+    With the covariance ``Sigma_k = L⁻ᵀ L⁻¹``, the block's draw is
+    ``B Sigma_k + E L⁻¹``: two small GEMMs in place of three triangular
     solves. E is the next block of rows of one (P, R) draw of iid normals,
     so a sweep uses P·R normals whatever the labels."""
     n_dims, n_pixels = state.A.data.shape
@@ -298,35 +298,38 @@ def _sample_abundances_all(state: ChainState, pre: _Precomp, rng: np.random.Gene
     n_clusters = state.clusters.n_clusters
     # Narrow keys let numpy's stable sort run as a radix sort.
     order = np.argsort(z.astype(np.min_scalar_type(n_clusters - 1)), kind="stable")
-    bounds = np.cumsum(np.bincount(z, minlength=n_clusters))
+    sizes = np.bincount(z, minlength=n_clusters)
+    used = np.flatnonzero(sizes)
+    ends = np.cumsum(sizes)[used]
+    starts = ends - sizes[used]
     rhs = np.take(pre.mty_t, order, axis=0)
-    lo = 0
-    for k, hi in enumerate(bounds):
-        if hi == lo:
-            continue
-        sigma2_k = state.clusters.sigma2[k]
-        b = rhs[lo:hi]
-        # On noiseless data s2 can fall so low that these overflow. One
-        # explicit check of the factor and the right-hand side reports that.
-        with np.errstate(over="ignore", invalid="ignore"):
-            prec = pre.mtm / s2 + np.diag(1.0 / sigma2_k)
-            try:
-                chol = np.linalg.cholesky(prec)
-            except np.linalg.LinAlgError as exc:
+    # On noiseless data s2 can fall so low that these overflow. One
+    # explicit check of the factors and the right-hand sides reports that.
+    with np.errstate(over="ignore", invalid="ignore"):
+        prec = np.repeat((pre.mtm / s2)[None], used.size, axis=0)
+        prec.reshape(used.size, -1)[:, :: n_dims + 1] += 1.0 / state.clusters.sigma2[used]
+        try:
+            chol = np.linalg.cholesky(prec)
+        except np.linalg.LinAlgError:
+            for k, prec_k in zip(used, prec):  # name the first cluster whose factor fails
+                try:
+                    np.linalg.cholesky(prec_k)
+                except np.linalg.LinAlgError as exc:
+                    raise NumericalDegeneracyError(
+                        f"abundance precision not positive definite for cluster {k}"
+                    ) from exc
+            raise
+        np.divide(rhs, s2, out=rhs)
+        for k, lo, hi, chol_k in zip(used, starts, ends, chol):
+            rhs[lo:hi] += state.clusters.psi[k] / state.clusters.sigma2[k]
+            if not (np.isfinite(chol_k).all() and np.isfinite(rhs[lo:hi]).all()):
                 raise NumericalDegeneracyError(
-                    f"abundance precision not positive definite for cluster {k}"
-                ) from exc
-            np.divide(b, s2, out=b)
-            np.add(b, state.clusters.psi[k] / sigma2_k, out=b)
-        if not (np.isfinite(chol).all() and np.isfinite(b).all()):
-            raise NumericalDegeneracyError(
-                f"abundance posterior of cluster {k} is not finite (noise variance {s2:.3g})"
-            )
-        # A factor numpy returned with a finite, positive diagonal is never
-        # singular, so trtri's info needs no check.
-        chol_inv = dtrtri(chol, lower=1)[0]
-        rhs[lo:hi] = b @ (chol_inv.T @ chol_inv) + noise[lo:hi] @ chol_inv
-        lo = hi
+                    f"abundance posterior of cluster {k} is not finite (noise variance {s2:.3g})"
+                )
+    chol_inv = np.linalg.inv(chol)  # finite, with a positive diagonal: never singular
+    cov = chol_inv.transpose(0, 2, 1) @ chol_inv
+    for lo, hi, cov_k, chol_inv_k in zip(starts, ends, cov, chol_inv):
+        rhs[lo:hi] = rhs[lo:hi] @ cov_k + noise[lo:hi] @ chol_inv_k
     state.A.data.T[order] = rhs
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations, islice
 
 import numpy as np
 
@@ -130,16 +130,13 @@ def default_cluster_means(n_clusters: int, n_endmembers: int) -> np.ndarray:
     """
     if min(n_clusters, n_endmembers) < 1:
         raise ValidationError("cluster and endmember counts must be >= 1")
-    supports: list[tuple[int, ...]] = [(r,) for r in range(n_endmembers)]
-    supports += list(combinations(range(n_endmembers), 2))
-    supports += list(combinations(range(n_endmembers), 3))
-    if n_clusters > len(supports):
+    if n_clusters > sum(math.comb(n_endmembers, n) for n in (1, 2, 3)):
         raise GenerationError(
             f"cannot build {n_clusters} separated means over {n_endmembers} endmembers"
         )
     means = np.full((n_clusters, n_endmembers), 0.1 / n_endmembers)
-    for k in range(n_clusters):
-        sup = supports[k]
+    every = chain.from_iterable(combinations(range(n_endmembers), n) for n in (1, 2, 3))
+    for k, sup in enumerate(islice(every, n_clusters)):
         means[k, list(sup)] += 0.9 / len(sup)
     return means
 

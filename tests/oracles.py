@@ -20,20 +20,27 @@ posterior.
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import numpy as np
 from scipy.linalg import solve_triangular
-from scipy.special import erfc, erfcinv
 
 from hbum.distributions import (
     _LOG_WEIGHT_FLOOR,
     _TAIL_THRESHOLD,
+    _truncnorm_central,
     _truncnorm_tail,
     project_to_simplex,
     sample_categorical_gumbel,
     sample_dirichlet,
     sample_inverse_gamma_array,
 )
-from hbum.errors import InvalidParameterError, NumericalDegeneracyError, ValidationError
+from hbum.errors import (
+    GenerationError,
+    InvalidParameterError,
+    NumericalDegeneracyError,
+    ValidationError,
+)
 from hbum.lattice import neighbor_value_counts
 from hbum.model import LabelField
 from hbum.sampler import (
@@ -316,9 +323,27 @@ def generate_potts_field(spec, rng: np.random.Generator) -> LabelField:
     return LabelField(labels, n_states, lat)
 
 
+def default_cluster_means(n_clusters: int, n_endmembers: int) -> np.ndarray:
+    """Separated cluster means from a list of every support of one, two and
+    three endmembers, built before the cluster count is checked."""
+    supports = [(r,) for r in range(n_endmembers)]
+    supports += list(combinations(range(n_endmembers), 2))
+    supports += list(combinations(range(n_endmembers), 3))
+    if n_clusters > len(supports):
+        raise GenerationError(
+            f"cannot build {n_clusters} separated means over {n_endmembers} endmembers"
+        )
+    means = np.full((n_clusters, n_endmembers), 0.1 / n_endmembers)
+    for k in range(n_clusters):
+        means[k, list(supports[k])] += 0.9 / len(supports[k])
+    return means
+
+
 def truncnorm_standard(rng: np.random.Generator, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Standard-normal draws on [lo, hi] with boolean-mask gathers of the
-    right-tail, left-tail and central intervals on every call."""
+    right-tail, left-tail and central intervals on every call. The central
+    draws use ``hbum``'s own inverse-CDF primitive, which
+    ``test_distributions.py`` checks against the erfc/erfcinv formula."""
     out = np.empty(lo.shape)
     right = lo > _TAIL_THRESHOLD
     left = hi < -_TAIL_THRESHOLD
@@ -328,10 +353,7 @@ def truncnorm_standard(rng: np.random.Generator, lo: np.ndarray, hi: np.ndarray)
     if np.any(left):
         out[left] = -_truncnorm_tail(rng, -hi[left], -lo[left])
     if np.any(central):
-        pl = 0.5 * erfc(lo[central] / np.sqrt(2.0))  # P(X > lo)
-        pu = 0.5 * erfc(hi[central] / np.sqrt(2.0))
-        u = rng.random(size=int(central.sum()))
-        out[central] = np.sqrt(2.0) * erfcinv(2.0 * (pl - (pl - pu) * u))
+        out[central] = _truncnorm_central(rng, lo[central], hi[central])
     return out
 
 

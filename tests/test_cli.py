@@ -209,6 +209,31 @@ class TestGenerate:
         assert main(["generate", str(path), "--out", str(tmp_path / "x")]) == 2
         assert f"{key} must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", [-np.inf, np.inf])
+    def test_infinite_snr_literal_exits_2_naming_it(self, tmp_path, value):
+        # json writes and reads the literals -Infinity and Infinity; the one
+        # infinity a scene config takes is the string "inf".
+        broken = json.loads(json.dumps(SCENE_CONFIG))
+        broken["scene"]["snr_db"] = value
+        path = tmp_path / "broken.json"
+        path.write_text(json.dumps(broken))
+        assert "Infinity" in path.read_text()
+        code, err = run_cli("generate", path, "--out", tmp_path / "x")
+        assert code == 2
+        assert "snr_db" in err and "Traceback" not in err
+        assert not (tmp_path / "x").exists()
+
+    def test_huge_endmember_count_exits_2_at_once(self, tmp_path):
+        # Only the supports of the used cluster means are built, so the
+        # config fails at once on placing more endmembers than bands.
+        broken = json.loads(json.dumps(SCENE_CONFIG))
+        broken["scene"]["endmembers"] = 100_000
+        path = tmp_path / "broken.json"
+        path.write_text(json.dumps(broken))
+        code, err = run_cli("generate", path, "--out", tmp_path / "x")
+        assert code == 2
+        assert "more endmembers than bands" in err and "Traceback" not in err
+
     def test_overflowing_potts_beta_exits_2_naming_it(self, tmp_path, capsys):
         # 1e308 is finite, but 4 beta, the largest neighbour-count term, is not.
         broken = json.loads(json.dumps(SCENE_CONFIG))
@@ -444,6 +469,36 @@ class TestRun:
         metrics = read_manifest(results / "metrics.json")
         assert metrics["rgmse"] < 1e-6
         assert metrics["kappa"] >= 0.99
+
+
+class TestImports:
+    def test_generate_and_run_never_load_scipy(self, tmp_path):
+        # scipy serves only evaluate's cluster alignment: importing hbum and
+        # running generate and run on a 4x4 scene, in one fresh process,
+        # loads no scipy module. Without spatial coupling and with a random
+        # half labeled, both classes reach the training set.
+        scene = json.loads(json.dumps(SCENE_CONFIG))
+        scene["scene"].update(height=4, width=4, potts_beta=0.0)
+        scene["training"].update(kind="random", fraction=0.5)
+        (tmp_path / "scene.json").write_text(json.dumps(scene))
+        (tmp_path / "model.json").write_text(json.dumps(MODEL_CONFIG))
+        script = (
+            "import sys\n"
+            "import hbum, hbum.cli\n"
+            "t = sys.argv[1]\n"
+            "assert hbum.cli.main(['generate', t + '/scene.json', '--out', t + '/b']) == 0\n"
+            "assert hbum.cli.main(['run', t + '/b', t + '/model.json', '--out', t + '/r']) == 0\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+        )
+        env = dict(os.environ)
+        src = str(Path(hbum.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path)], env=env, capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
+        assert main(["evaluate", str(tmp_path / "r"), str(tmp_path / "b")]) == 0
 
 
 class TestEvaluate:

@@ -11,8 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
+from scipy.special import erfc, erfcinv
 
 from hbum.distributions import (
+    _truncnorm_central,
+    _truncnorm_standard,
     make_rng,
     project_to_simplex,
     sample_categorical_gumbel,
@@ -297,6 +300,82 @@ class TestTruncatedNormal:
             sample_truncated_normal(rng, 0.0, 0.0, 0.0, 1.0)
         with pytest.raises(InvalidParameterError):
             sample_truncated_normal(rng, 0.0, 1.0, 1.0, 0.0)
+
+
+def erfcinv_truncnorm(u, lo, hi):
+    """Inverse-CDF truncated-normal draws for given uniforms, through scipy's
+    erfc and erfcinv on the upper-tail probabilities."""
+    pl = 0.5 * erfc(lo / np.sqrt(2.0))  # P(X > lo)
+    pu = 0.5 * erfc(hi / np.sqrt(2.0))
+    return np.sqrt(2.0) * erfcinv(2.0 * (pl - (pl - pu) * u))
+
+
+class ConstantUniforms:
+    """Stands in for a generator whose every uniform is ``value``."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def random(self, size):
+        return np.full(size, self.value)
+
+
+class TestTruncatedNormalQuantiles:
+    """The central draws take their upper-tail probabilities from
+    ``math.erfc`` and their quantiles from ``NormalDist.inv_cdf``; they
+    agree with the erfc/erfcinv formula and with scipy's truncated normal."""
+
+    N = 4000
+    gen = np.random.default_rng(20)
+    lo = gen.uniform(-6.0, 6.0, N)
+    INTERVALS = {
+        "central": (lo, lo + gen.exponential(2.0, N)),
+        "upper one-sided": (lo, np.full(N, np.inf)),
+        "lower one-sided": (np.full(N, -np.inf), lo),
+        "narrow": (lo, lo + 1e-8),
+        "bounds at +-6": (np.full(N, -6.0), np.full(N, 6.0)),
+    }
+
+    @pytest.mark.parametrize("case", list(INTERVALS))
+    def test_matches_erfcinv_formula(self, case):
+        lo, hi = self.INTERVALS[case]
+        expected = erfcinv_truncnorm(make_rng(7).random(lo.size), lo, hi)
+        actual = _truncnorm_central(make_rng(7), lo, hi)
+        np.testing.assert_allclose(actual, expected, rtol=1e-12, atol=1e-12)
+
+    def test_certain_edges_give_infinities_like_erfcinv(self):
+        # An upper-tail probability of 0 or 1 has no finite quantile.
+        lo, hi = np.array([40.0, -np.inf]), np.array([np.inf, -40.0])
+        actual = _truncnorm_central(make_rng(1), lo, hi)
+        assert actual.tolist() == [np.inf, -np.inf]
+        assert erfcinv_truncnorm(make_rng(1).random(2), lo, hi).tolist() == [np.inf, -np.inf]
+
+    @pytest.mark.parametrize("u, expected", [(0.0, [0.0, 1.0]), (1.0, [1.0, 0.0])])
+    def test_infinite_draws_are_clipped_to_the_bounds(self, u, expected):
+        # sd is 7e-4, so each bound is hundreds of sd away: P(X > lo) = 1 and
+        # P(X > hi) = 0, and the uniform 0 (or 1) gives q = 1 (or 0).
+        draw = sample_gaussian_simplex_truncated_batch(
+            ConstantUniforms(u), np.array([[0.45, 0.55]]), np.full((1, 2), 1e-6)
+        )
+        assert draw.tolist() == [expected]
+
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [
+            (-1.0, 2.0),
+            (0.5, np.inf),
+            (-np.inf, -0.3),
+            (0.3, 0.3 + 1e-8),
+            (-6.0, 6.0),
+            (30.0, np.inf),
+            (-31.0, -30.0),
+        ],
+    )
+    def test_ks_against_scipy_truncnorm(self, lo, hi):
+        n = 4000
+        draws = _truncnorm_standard(make_rng(5), np.full(n, lo), np.full(n, hi))
+        assert np.all((draws >= lo) & (draws <= hi))
+        assert stats.kstest(draws, stats.truncnorm(lo, hi).cdf).pvalue > 0.01
 
 
 class TestSimplexTruncatedGaussian:

@@ -355,6 +355,45 @@ class TestAbundances:
             np.testing.assert_allclose(state.A.data, ref_state.A.data, rtol=0.0, atol=atol)
             assert rng_new.bit_generator.state == rng_ref.bit_generator.state
 
+    @pytest.mark.parametrize("case", ["empty clusters", "scene-2 sized"])
+    def test_stacked_factor_equals_per_cluster_factors(self, case, monkeypatch):
+        # The sweep factors the occupied clusters' precisions as one stack:
+        # each factor must equal, bit for bit, the one a per-cluster call
+        # gives for MᵀM/s2 + diag(1/sigma2_k).
+        shape, n_dims, labels, n_clusters = self.CASES[case]
+        state, pre = abundance_case(shape, n_dims, labels, n_clusters, seed=len(case))
+        cholesky, calls = np.linalg.cholesky, []
+
+        def recording_cholesky(a):
+            calls.append((a.copy(), cholesky(a)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(np.linalg, "cholesky", recording_cholesky)
+        _sample_abundances_all(state, pre, make_rng(0))
+        monkeypatch.undo()
+        (stack, factors), = calls
+        used = np.flatnonzero(np.bincount(labels, minlength=n_clusters))
+        assert stack.shape == factors.shape == (used.size, n_dims, n_dims)
+        for prec, factor, k in zip(stack, factors, used):
+            expected = pre.mtm / state.noise.s2 + np.diag(1.0 / state.clusters.sigma2[k])
+            assert prec.tobytes() == expected.tobytes()
+            assert factor.tobytes() == np.linalg.cholesky(expected).tobytes()
+
+    def test_same_error_when_not_positive_definite(self):
+        # A negative variance makes cluster 1's precision indefinite.
+        state, pre = abundance_case((6, 6), 3, random_labels(36, 3, 4), 3, seed=5)
+        state.clusters.sigma2[1] = -1e-4
+        messages, states = [], []
+        for kernel in (_sample_abundances_all, oracles.sample_abundances_all):
+            rng = make_rng(1)
+            with pytest.raises(NumericalDegeneracyError) as info:
+                kernel(copy.deepcopy(state), pre, rng)
+            messages.append(str(info.value))
+            states.append(rng.bit_generator.state)
+        assert messages[0] == messages[1]
+        assert messages[0] == "abundance precision not positive definite for cluster 1"
+        assert states[0] == states[1]
+
     def test_same_error_when_not_finite(self):
         # A subnormal noise variance overflows the precision.
         state, pre = abundance_case((6, 6), 3, random_labels(36, 3, 4), 3, seed=5, s2=1e-320)

@@ -1,6 +1,8 @@
 """Scene generator: spatial fields, mixing, noise scaling and the training
 split machinery."""
 
+import time
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -108,6 +110,30 @@ class TestClusterMeans:
     def test_too_many_clusters_rejected(self):
         with pytest.raises(GenerationError):
             default_cluster_means(8, 2)
+
+    @pytest.mark.parametrize("n_endmembers", range(1, 13))
+    def test_same_means_as_listing_every_support(self, n_endmembers):
+        # The first K supports are taken lazily, in the order of the list of
+        # every single, pair and triple; more clusters than supports fail
+        # with the same error.
+        for n_clusters in range(1, 21):
+            try:
+                expected = oracles.default_cluster_means(n_clusters, n_endmembers)
+            except GenerationError as exc:
+                with pytest.raises(GenerationError, match=str(exc)):
+                    default_cluster_means(n_clusters, n_endmembers)
+                continue
+            actual = default_cluster_means(n_clusters, n_endmembers)
+            assert actual.tobytes() == expected.tobytes()
+
+    def test_many_endmembers_build_only_the_used_supports(self):
+        # Listing every triple of 100 000 endmembers would take about 1.7e14
+        # tuples; the three used supports take microseconds.
+        start = time.perf_counter()
+        means = default_cluster_means(3, 100_000)
+        assert time.perf_counter() - start < 1.0
+        assert means.shape == (3, 100_000)
+        assert [np.flatnonzero(row > 0.5).tolist() for row in means] == [[0], [1], [2]]
 
 
 class TestEndmembers:
