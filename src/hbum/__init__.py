@@ -27,7 +27,7 @@ from .model import (
     ObservationMatrix,
     SupervisionData,
 )
-from .sampler import ChainState, Trace, initialize_state, run_chain
+from .sampler import ChainState, Trace, run_chain
 from .synthgen import (
     SceneSpec,
     TrainingSplit,
@@ -60,7 +60,6 @@ __all__ = [
     "ModelConfig",
     "ChainState",
     "Trace",
-    "initialize_state",
     "run_chain",
     "SceneSpec",
     "TrainingSplit",

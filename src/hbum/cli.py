@@ -9,17 +9,16 @@ Subcommands
   corruption and tabulate the resulting agreement scores.
 
 Exit codes: 0 success, 2 validation error, 3 numerical degeneracy, 4 I/O or
-file-format error. ``--threads`` (or the ``HBUM_THREADS`` environment
-variable), an integer >= 1, parallelizes sweep-corruption trials across
-processes, which share the one bundle the parent has read; every trial
-draws from its own substream of the master seed, so results do not depend on
-the worker count.
+file-format error. ``run`` and ``sweep-corruption`` form the scene statistics
+once and drop Y before the first sweep. ``--threads`` (an integer >= 1)
+parallelizes sweep-corruption trials across processes, which share those
+statistics; every trial draws from its own substream of the master seed, so
+results do not depend on the worker count.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -27,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, sampler
 from .distributions import make_rng
 from .errors import DataFormatError, NumericalDegeneracyError, ValidationError
 from .io import (
@@ -173,8 +172,9 @@ def cmd_run(args) -> int:
     bundle = read_bundle(args.bundle)
     config = load_model_config(args.config, overrides=_model_overrides(args))
     t0 = time.perf_counter()
+    pre, bundle.Y = sampler._make_precomp(bundle.Y, bundle.M), None
     estimates, trace = run_chain(
-        bundle.Y, bundle.M, bundle.sup, config, debug_validate=args.debug_validate
+        pre, bundle.M, bundle.sup, config, debug_validate=args.debug_validate
     )
     elapsed = time.perf_counter() - t0
     manifest = {
@@ -185,8 +185,8 @@ def cmd_run(args) -> int:
             "clusters": config.n_clusters,
             "classes": config.n_classes,
             "endmembers": config.n_endmembers,
-            "height": bundle.Y.lattice.height,
-            "width": bundle.Y.lattice.width,
+            "height": pre.lattice.height,
+            "width": pre.lattice.width,
         },
         "config": model_config_echo(config),
         "bundle": str(args.bundle),
@@ -246,8 +246,9 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-# The (bundle, config, eval_all, workers) of a sweep, set once in each pool
-# worker by ``_init_sweep_worker``; the parent process never sets it.
+# The (bundle without Y, scene statistics, config, eval_all, workers) of a
+# sweep, set once in each pool worker by ``_init_sweep_worker``; the parent
+# process never sets it.
 _sweep_inputs = None
 
 
@@ -259,36 +260,18 @@ def _init_sweep_worker(inputs) -> None:
 def _sweep_trial(task, inputs=None) -> tuple[int, int, float]:
     """One corruption trial; module-level so worker processes can import it.
     ``inputs`` defaults to the ones set in this pool worker."""
-    bundle, config, eval_all, workers = _sweep_inputs if inputs is None else inputs
+    bundle, pre, config, eval_all, workers = _sweep_inputs if inputs is None else inputs
     alpha, alpha_idx, trial = task
     corrupt_rng = make_rng(config.seed, _STREAM_CORRUPT_BASE + alpha_idx * 1000 + trial)
     sup = corrupt_labels(bundle.sup, alpha, corrupt_rng)
     chain_rng = make_rng(config.seed, alpha_idx * 1000 + trial)
-    estimates, _ = run_chain(bundle.Y, bundle.M, sup, config, chain_rng, chains_at_once=workers)
+    estimates, _ = run_chain(pre, bundle.M, sup, config, chain_rng, chains_at_once=workers)
     if eval_all:
         pixel_idx = None
     else:
         pixel_idx = np.flatnonzero(~bundle.sup.labeled_mask())
     cm = ConfusionMatrix.from_labels(bundle.omega_true, estimates.omega, pixel_idx)
     return alpha_idx, trial, cohen_kappa(cm)
-
-
-def _thread_count(option: int | None) -> int:
-    """Worker count from ``--threads``, else ``HBUM_THREADS``, else 1."""
-    if option is not None:
-        value, source = option, "--threads"
-    else:
-        text = os.environ.get("HBUM_THREADS", "1")
-        source = "HBUM_THREADS"
-        try:
-            value = int(text)
-        except ValueError:
-            raise ValidationError(
-                f"{source} must be an integer >= 1, got '{text}'"
-            ) from None
-    if value < 1:
-        raise ValidationError(f"{source} must be an integer >= 1, got {value}")
-    return value
 
 
 def _parse_alphas(text: str | None) -> list[float]:
@@ -310,21 +293,23 @@ def cmd_sweep_corruption(args) -> int:
     alphas = _parse_alphas(args.alphas)
     if not (1 <= args.trials <= _MAX_SWEEP_TRIALS):
         raise ValidationError(f"--trials must lie in 1..{_MAX_SWEEP_TRIALS}")
-    threads = _thread_count(args.threads)
-    # Read and validate the inputs once, before launching workers; every
-    # trial runs on them.
+    if args.threads < 1:
+        raise ValidationError(f"--threads must be an integer >= 1, got {args.threads}")
+    # Read the inputs and form the scene statistics once, before launching
+    # workers; every trial runs on them, and none needs Y.
     bundle = read_bundle(args.bundle)
     config = load_model_config(args.config, overrides=_model_overrides(args))
+    t0 = time.perf_counter()  # as in ``run``, the total counts the statistics
+    pre, bundle.Y = sampler._make_precomp(bundle.Y, bundle.M), None
     tasks = [
         (alpha, alpha_idx, trial)
         for alpha_idx, alpha in enumerate(alphas)
         for trial in range(args.trials)
     ]
     # The pool forks all its workers at once, so start no more than the tasks.
-    workers = min(threads, len(tasks))
-    inputs = (bundle, config, args.eval_all, workers)
+    workers = min(args.threads, len(tasks))
+    inputs = (bundle, pre, config, args.eval_all, workers)
 
-    t0 = time.perf_counter()
     kappas = np.zeros((len(alphas), args.trials))
     if workers > 1:
         with ProcessPoolExecutor(
@@ -415,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--out", required=True)
     p_sweep.add_argument("--alphas", default=None, help="comma-separated corruption rates")
     p_sweep.add_argument("--trials", type=int, default=20)
-    p_sweep.add_argument("--threads", type=int, default=None)
+    p_sweep.add_argument("--threads", type=int, default=1)
     p_sweep.add_argument("--eval-all", action="store_true")
     _add_model_overrides(p_sweep)
     p_sweep.set_defaults(func=cmd_sweep_corruption)

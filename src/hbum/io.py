@@ -291,6 +291,13 @@ def load_generate_config(path: str | Path, seed_override: int | None = None) -> 
     required = {"height", "width", "clusters", "classes", "endmembers", "cluster_to_class"}
     _check_keys(scene_raw, required, _keys(_SCENE_FIELDS) | {"dirichlet_means", "snr_db"}, where)
     scene = _parsed(scene_raw, _SCENE_FIELDS, where)
+    cluster_to_class = _field(scene_raw, "cluster_to_class", "count array", where) - 1
+    top = _parsed(data, _GENERATE_FIELDS, str(path))
+    # Checked before "auto" means allocate a clusters x endmembers matrix.
+    if cluster_to_class.shape != (scene["n_clusters"],):
+        raise ValidationError("cluster_to_class needs one entry per cluster")
+    if scene["n_endmembers"] > top.get("n_bands", DEFAULT_BANDS):
+        raise ValidationError("cannot place more endmembers than bands")
     if scene_raw.get("dirichlet_means") == "auto" or "dirichlet_means" not in scene_raw:
         means = default_cluster_means(scene["n_clusters"], scene["n_endmembers"])
     elif isinstance(scene_raw["dirichlet_means"], str):
@@ -308,13 +315,12 @@ def load_generate_config(path: str | Path, seed_override: int | None = None) -> 
             raise ValidationError(f"{where}: 'snr_db' must be finite or 'inf': {json.dumps(snr)}")
     seed = _field(data, "seed", "count", str(path)) if seed_override is None else int(seed_override)
     spec = SceneSpec(
-        **scene, dirichlet_means=means, seed=seed,
-        cluster_to_class=_field(scene_raw, "cluster_to_class", "count array", where) - 1,
+        **scene, dirichlet_means=means, seed=seed, cluster_to_class=cluster_to_class
     )
     where = f"{path}:training"
     _check_keys(training_raw, {"fraction"}, _keys(_TRAINING_FIELDS), where)
     training = TrainingSplit(**_parsed(training_raw, _TRAINING_FIELDS, where))
-    cfg = GenerateConfig(spec, training, **_parsed(data, _GENERATE_FIELDS, str(path)))
+    cfg = GenerateConfig(spec, training, **top)
     cfg.validate()
     return cfg
 

@@ -15,6 +15,10 @@ the synthetic map by Gumbel-max.
 A site left without a finite log-weight raises ``NumericalDegeneracyError``
 naming its pixel; :func:`run_chain` prefixes the sweep and the stage.
 
+The chain reads the d x P observations Y only through the scene statistics
+that :func:`_make_precomp` forms, so chains on one scene can share one set of
+them, and a caller can free Y before the sweeps.
+
 Gathers along the pixel axis use ``np.take``, which returns C-ordered rows;
 ``a[:, idx]`` returns a Fortran-ordered copy, over which the per-site
 reductions of the label draws run one short column at a time. Only values
@@ -52,7 +56,7 @@ from .distributions import (
     sample_inverse_gamma_array,
 )
 from .errors import InvalidParameterError, NumericalDegeneracyError, ValidationError
-from .lattice import neighbor_value_counts
+from .lattice import Lattice, neighbor_value_counts
 from .model import (
     AbundanceMatrix,
     ClusterParams,
@@ -184,20 +188,27 @@ def _tally(counts: np.ndarray, labels: np.ndarray) -> None:
 
 @dataclass
 class _Precomp:
-    """Quantities fixed for the whole chain; ``M = QR`` is M's reduced QR."""
+    """Scene statistics: all the chain reads of Y and M; ``M = QR`` is M's reduced QR."""
 
     mtm: np.ndarray  # (R, R)
     mty_t: np.ndarray  # (P, R), C-ordered: pixel rows for the abundance draws
     r: np.ndarray  # (min(d, R), R)
-    qty: np.ndarray  # (min(d, R), P) QᵀY
+    qty: np.ndarray  # (R, P) QᵀY
     resid0: float  # ||Y - QQᵀY||_F^2
     n_obs: int  # P * d
-    w1: np.ndarray  # (J, P) class log-prior matrix
+    lattice: Lattice
 
 
-def _make_precomp(Y: ObservationMatrix, M: EndmemberMatrix, sup: SupervisionData) -> _Precomp:
-    """Chain constants, formed without a d x P temporary: ``resid0`` is
-    summed over blocks of ``_RESID_BLOCK`` columns in one reused buffer."""
+def _make_precomp(Y: ObservationMatrix, M: EndmemberMatrix) -> _Precomp:
+    """Validate Y and M and form the scene statistics, without a d x P
+    temporary: ``resid0`` is summed over blocks of ``_RESID_BLOCK`` columns in
+    one reused buffer. This is the only code of the chain that reads Y."""
+    Y.validate()
+    M.validate()
+    if Y.n_bands != M.n_bands:
+        raise ValidationError(
+            f"observations have {Y.n_bands} bands but endmembers have {M.n_bands}"
+        )
     y, m = Y.data, M.data
     q, r = np.linalg.qr(m)
     qty = q.T @ y
@@ -217,7 +228,7 @@ def _make_precomp(Y: ObservationMatrix, M: EndmemberMatrix, sup: SupervisionData
         qty=qty,
         resid0=resid0,
         n_obs=y.size,
-        w1=class_log_prior_matrix(sup),
+        lattice=Y.lattice,
     )
 
 
@@ -506,31 +517,24 @@ def _kmeans_labels(
 
 
 def initialize_state(
-    Y: ObservationMatrix,
-    M: EndmemberMatrix,
-    sup: SupervisionData,
-    config: ModelConfig,
-    rng: np.random.Generator,
-    pre: _Precomp | None = None,
+    pre: _Precomp, sup: SupervisionData, config: ModelConfig, rng: np.random.Generator
 ) -> ChainState:
     """Deterministic-given-seed starting point: ridge unmixing clipped to
     [0, 1] for A, k-means++ clustering of the abundance columns for z,
     cluster moments for psi/sigma2, uniform-Dirichlet columns for Q, and the
     expert labels (proportion draws where unlabeled) for omega.
 
-    ``pre`` supplies the chain constants the chain has already formed; it
-    does not change the result. Class proportions come from ``sup.pi``:
-    :func:`run_chain` puts ``config.pi_override`` there."""
+    ``pre`` holds the scene statistics of :func:`_make_precomp`. Class
+    proportions come from ``sup.pi``: :func:`run_chain` puts
+    ``config.pi_override`` there."""
     from .distributions import project_to_simplex
 
-    n_pixels = Y.n_pixels
-    n_dims = M.n_endmembers
+    n_pixels = pre.lattice.n_pixels
+    n_dims = pre.mtm.shape[0]
     if config.n_clusters > n_pixels:
         raise ValidationError(
             f"cannot form {config.n_clusters} clusters from {n_pixels} pixels"
         )
-    if pre is None:
-        pre = _make_precomp(Y, M, sup)
     ridge = 1e-6 * np.trace(pre.mtm) / n_dims
     a = np.linalg.solve(pre.mtm + ridge * np.eye(n_dims), pre.mty_t.T)
     np.clip(a, 0.0, 1.0, out=a)
@@ -565,35 +569,14 @@ def initialize_state(
         A=AbundanceMatrix(a),
         noise=NoiseModel(s2),
         clusters=ClusterParams(psi, sigma2),
-        z=LabelField(z, config.n_clusters, Y.lattice),
+        z=LabelField(z, config.n_clusters, pre.lattice),
         q=InteractionMatrix(q),
-        omega=LabelField(omega, config.n_classes, Y.lattice),
+        omega=LabelField(omega, config.n_classes, pre.lattice),
         iteration=0,
         effective_beta1=config.beta1,
     )
     state.validate()
     return state
-
-
-def _check_dimensions(
-    Y: ObservationMatrix, M: EndmemberMatrix, sup: SupervisionData, config: ModelConfig
-) -> None:
-    Y.validate()
-    M.validate()
-    sup.validate()
-    config.validate()
-    if Y.n_bands != M.n_bands:
-        raise ValidationError(
-            f"observations have {Y.n_bands} bands but endmembers have {M.n_bands}"
-        )
-    if M.n_endmembers != config.n_endmembers:
-        raise ValidationError(
-            f"config expects {config.n_endmembers} endmembers, matrix has {M.n_endmembers}"
-        )
-    if sup.n_pixels != Y.n_pixels:
-        raise ValidationError("supervision pixel count does not match the observations")
-    if sup.n_classes != config.n_classes:
-        raise ValidationError("supervision class count does not match the config")
 
 
 class _NormalsAhead:
@@ -619,7 +602,7 @@ class _NormalsAhead:
 
 
 def run_chain(
-    Y: ObservationMatrix,
+    Y: ObservationMatrix | _Precomp,
     M: EndmemberMatrix,
     sup: SupervisionData,
     config: ModelConfig,
@@ -629,12 +612,25 @@ def run_chain(
 ) -> tuple[ChainState, Trace]:
     """Run one chain and return (point estimates, trace).
 
-    ``rng`` defaults to a fresh stream derived from ``config.seed``. With
+    ``Y`` is the observations or the scene statistics ``_make_precomp(Y, M)``
+    formed from them; chains on one scene can share those, and M is then not
+    read. ``rng`` defaults to a fresh stream derived from ``config.seed``. With
     ``debug_validate`` every sweep re-checks all state invariants.
     ``chains_at_once`` counts the chains running at once, this one included;
     the normals are drawn ahead only while it is at most half the usable CPUs.
     """
-    _check_dimensions(Y, M, sup, config)
+    pre = Y if isinstance(Y, _Precomp) else _make_precomp(Y, M)
+    sup.validate()
+    config.validate()
+    n_dims, n_pixels = pre.mtm.shape[0], pre.lattice.n_pixels
+    if n_dims != config.n_endmembers:
+        raise ValidationError(
+            f"config expects {config.n_endmembers} endmembers, matrix has {n_dims}"
+        )
+    if sup.n_pixels != n_pixels:
+        raise ValidationError("supervision pixel count does not match the observations")
+    if sup.n_classes != config.n_classes:
+        raise ValidationError("supervision class count does not match the config")
     if rng is None:
         rng = make_rng(config.seed)
     total = config.n_burnin + config.n_mc
@@ -650,13 +646,13 @@ def run_chain(
             sup.n_classes, sup.n_pixels,
         )
         sup.validate()
-    pre = _make_precomp(Y, M, sup)
-    state = initialize_state(Y, M, sup, config, rng, pre)
-    trace = Trace.empty(config.n_endmembers, Y.n_pixels, config.n_clusters, config.n_classes)
+    w1 = class_log_prior_matrix(sup)
+    state = initialize_state(pre, sup, config, rng)
+    trace = Trace.empty(config.n_endmembers, n_pixels, config.n_clusters, config.n_classes)
     # The thread starts at the first submit, so no block is resident through set-up.
     with ThreadPoolExecutor(1) as pool:
         if chains_at_once <= cpus // 2:
-            normals = _NormalsAhead(normals, (Y.n_pixels, config.n_endmembers), total, pool)
+            normals = _NormalsAhead(normals, (n_pixels, n_dims), total, pool)
         # The lambdas look each stage up on this module when called, so a stage
         # replaced there (by a test or a profiler) still takes part in the sweep.
         stages = (
@@ -666,7 +662,7 @@ def run_chain(
             ("cluster_variances", lambda: sample_cluster_variances(state, config, rng)),
             ("cluster_labels", lambda: sample_cluster_labels(state, rng)),
             ("interaction", lambda: sample_interaction_matrix(state, config, rng)),
-            ("class_labels", lambda: sample_class_labels(state, config, rng, pre.w1)),
+            ("class_labels", lambda: sample_class_labels(state, config, rng, w1)),
         )
         for it in range(total):
             state.effective_beta1 = config.beta1 if it < config.n_burnin else 0.0
@@ -680,4 +676,4 @@ def run_chain(
                 state.validate()
             if it >= config.n_burnin:
                 trace.record(state)
-        return trace.estimates(Y.lattice), trace
+        return trace.estimates(pre.lattice), trace

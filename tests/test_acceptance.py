@@ -318,8 +318,7 @@ class TestCriterion5ConjugateStatistics:
         )
         Y = ObservationMatrix(np.array([[np.sqrt(2.0)]]), lat1)
         M = EndmemberMatrix(np.array([[1.0]]))
-        sup = SupervisionData.from_labels(np.array([0]), np.array([0]), 0.9, 1, 1)
-        pre = _make_precomp(Y, M, sup)
+        pre = _make_precomp(Y, M)
         rng = make_rng(51)
         draws = np.array([_sample_noise_fast(state, pre, rng) for _ in range(20_000)])
         gap = abs(np.median(draws) - 0.8453178681)

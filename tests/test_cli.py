@@ -4,6 +4,7 @@ corruption sweep and exit-code behavior."""
 import json
 import os
 import re
+import resource
 import shutil
 import subprocess
 import sys
@@ -88,15 +89,21 @@ def results_bytes(results_dir):
     return {name: (Path(results_dir) / name).read_bytes() for name in RESULT_FILES}
 
 
-def run_cli(*argv):
+def run_cli(*argv, address_space=None):
     """``hbum`` in a child process: its exit code and its stderr, where an
-    uncaught exception would print its traceback."""
+    uncaught exception would print its traceback. ``address_space`` caps
+    the child's virtual memory, in bytes."""
     env = dict(os.environ)
     src = str(Path(hbum.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+
     proc = subprocess.run(
         [sys.executable, "-m", "hbum.cli", *map(str, argv)],
         env=env, capture_output=True, text=True,
+        preexec_fn=None if address_space is None else cap,
     )
     return proc.returncode, proc.stderr
 
@@ -234,6 +241,22 @@ class TestGenerate:
         assert code == 2
         assert "more endmembers than bands" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("scene, field", [
+        ({"clusters": 10**6, "endmembers": 10**6, "cluster_to_class": [1]}, "cluster_to_class"),
+        ({"clusters": 10**5, "endmembers": 10**5, "cluster_to_class": [1, 2] * 50_000},
+         "endmembers"),
+    ], ids=["cluster_to_class", "endmembers"])
+    def test_huge_counts_exit_2_before_the_means_are_built(self, tmp_path, scene, field):
+        # "auto" means are a clusters x endmembers matrix, 7.28 TiB for the
+        # first config; the counts are checked before it is allocated.
+        broken = json.loads(json.dumps(SCENE_CONFIG))
+        broken["scene"].update(scene)
+        path = tmp_path / "broken.json"
+        path.write_text(json.dumps(broken))
+        code, err = run_cli("generate", path, "--out", tmp_path / "x", address_space=2 << 30)
+        assert code == 2
+        assert field in err and "Traceback" not in err
+
     def test_overflowing_potts_beta_exits_2_naming_it(self, tmp_path, capsys):
         # 1e308 is finite, but 4 beta, the largest neighbour-count term, is not.
         broken = json.loads(json.dumps(SCENE_CONFIG))
@@ -310,6 +333,33 @@ class TestRun:
         main(["run", str(bundle), str(model_path), "--out", str(r1)])
         main(["run", str(bundle), str(model_path), "--out", str(r2)])
         assert results_bytes(r1) == results_bytes(r2)
+
+    def test_y_is_freed_before_the_first_sweep(self, small_bundle, configs, tmp_path,
+                                                monkeypatch):
+        # The chain reads Y only through the scene statistics, so nothing
+        # holds the array read_bundle returned once the sweeps start.
+        import weakref
+
+        import hbum.cli as cli
+        import hbum.sampler as sampler
+
+        _, model_path = configs
+        refs, alive = [], []
+        original = sampler._sample_abundances_all
+
+        def read_and_watch(path):
+            bundle = read_bundle(path)
+            refs.append(weakref.ref(bundle.Y.data))
+            return bundle
+
+        def first_stage(state, pre, normals):
+            alive.append(refs[0]() is not None)
+            return original(state, pre, normals)
+
+        monkeypatch.setattr(cli, "read_bundle", read_and_watch)
+        monkeypatch.setattr(sampler, "_sample_abundances_all", first_stage)
+        assert main(["run", str(small_bundle), str(model_path), "--out", str(tmp_path / "r")]) == 0
+        assert len(refs) == 1 and alive and not any(alive)
 
     def test_flag_overrides_apply(self, configs, tmp_path):
         scene_path, model_path = configs
@@ -614,7 +664,7 @@ class TestSweepCorruption:
         assert sweep["rows"][0]["alpha"] == 0.0
         assert sweep["rows"][0]["mean_kappa"] == pytest.approx(kappa_run, abs=0.0)
 
-    def test_parallel_workers_match_serial(self, configs, tmp_path, monkeypatch):
+    def test_parallel_workers_match_serial(self, configs, tmp_path):
         scene_path, model_path = configs
         bundle_dir = tmp_path / "bundle"
         main(["generate", str(scene_path), "--out", str(bundle_dir)])
@@ -624,8 +674,7 @@ class TestSweepCorruption:
             "--alphas", "0,0.2", "--trials", "2",
         ]
         main(args + ["--out", str(serial)])
-        monkeypatch.setenv("HBUM_THREADS", "2")
-        main(args + ["--out", str(parallel)])
+        main(args + ["--out", str(parallel), "--threads", "2"])
         assert (serial / "corruption_sweep.txt").read_text() == (
             parallel / "corruption_sweep.txt"
         ).read_text()
@@ -651,7 +700,9 @@ class TestSweepCorruption:
 
         monkeypatch.setattr(sampler, "_sample_abundances_all", spy)
         config = cli.load_model_config(str(model_path))
-        cli._sweep_trial((0.0, 0, 0), (read_bundle(small_bundle), config, False, threads))
+        bundle = read_bundle(small_bundle)
+        pre = sampler._make_precomp(bundle.Y, bundle.M)
+        cli._sweep_trial((0.0, 0, 0), (bundle, pre, config, False, threads))
         assert seen == [kind] * (config.n_burnin + config.n_mc)
 
     @pytest.mark.parametrize(
@@ -728,6 +779,26 @@ class TestSweepCorruption:
         )
         assert code == 2
 
+    def test_scene_statistics_formed_once_per_sweep(self, small_bundle, configs, tmp_path,
+                                                     monkeypatch):
+        import hbum.sampler as sampler
+
+        _, model_path = configs
+        calls = []
+        original = sampler._make_precomp
+
+        def spy(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(sampler, "_make_precomp", spy)
+        code = main(
+            ["sweep-corruption", str(small_bundle), str(model_path), "--out",
+             str(tmp_path / "s"), "--alphas", "0,0.2", "--trials", "2"]
+        )
+        assert code == 0
+        assert len(calls) == 1
+
     def test_bundle_read_once_per_sweep(self, configs, tmp_path, monkeypatch):
         import os
 
@@ -754,30 +825,18 @@ class TestSweepCorruption:
         assert main(args + ["--out", str(tmp_path / "parallel"), "--threads", "2"]) == 0
         assert len(reads) == 2
 
-    @pytest.mark.parametrize(
-        "option, env, named",
-        [
-            (["--threads", "0"], None, "0"),
-            (["--threads", "-4"], None, "-4"),
-            ([], "abc", "'abc'"),
-            ([], "0", "0"),
-            ([], "2.5", "'2.5'"),
-        ],
-    )
-    def test_bad_thread_count_exits_2(self, configs, tmp_path, monkeypatch, capsys,
-                                      option, env, named):
+    @pytest.mark.parametrize("value", ["0", "-4"])
+    def test_bad_thread_count_exits_2(self, configs, tmp_path, capsys, value):
         _, model_path = configs
-        if env is not None:
-            monkeypatch.setenv("HBUM_THREADS", env)
         # The count is checked before the bundle is read, so none is needed.
         code = main(
             ["sweep-corruption", str(tmp_path / "missing"), str(model_path),
-             "--out", str(tmp_path / "s")] + option
+             "--out", str(tmp_path / "s"), "--threads", value]
         )
         assert code == 2
         err = capsys.readouterr().err
-        assert ("--threads" if option else "HBUM_THREADS") in err
-        assert f"got {named}" in err
+        assert "--threads" in err
+        assert f"got {value}" in err
 
     def test_non_integer_threads_option_exits_2(self, configs, tmp_path, capsys):
         _, model_path = configs

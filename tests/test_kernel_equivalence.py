@@ -20,7 +20,7 @@ from hbum.distributions import (
     sample_categorical_log_many,
     sample_gaussian_simplex_truncated_batch,
 )
-from hbum.errors import InvalidParameterError, NumericalDegeneracyError
+from hbum.errors import InvalidParameterError, NumericalDegeneracyError, ValidationError
 from hbum.lattice import Lattice
 from hbum.model import (
     AbundanceMatrix,
@@ -307,7 +307,6 @@ def abundance_case(shape, n_dims, labels, n_clusters, seed, s2=1e-3):
     m = gen.uniform(0.05, 1.0, size=(24, n_dims))
     a = gen.dirichlet(np.ones(n_dims), size=n_pixels).T.copy()
     Y = ObservationMatrix(m @ a + gen.normal(scale=1e-2, size=(24, n_pixels)), lat)
-    sup = SupervisionData.from_labels(np.array([0]), np.array([0]), 0.9, 1, n_pixels)
     state = ChainState(
         A=AbundanceMatrix(a),
         noise=NoiseModel(s2),
@@ -320,7 +319,7 @@ def abundance_case(shape, n_dims, labels, n_clusters, seed, s2=1e-3):
         omega=LabelField(np.zeros(n_pixels, dtype=np.int32), 1, lat),
     )
     state.validate()
-    return state, _make_precomp(Y, EndmemberMatrix(m), sup)
+    return state, _make_precomp(Y, EndmemberMatrix(m))
 
 
 def random_labels(n_pixels, n_clusters, seed):
@@ -586,8 +585,8 @@ class TestInitialization:
         [(20, 3, 3), (413, 3, 3), (413, 9, 9), (413, 9, 7), (2, 3, 2), (5, 5, 4), (1, 1, 1)],
     )
     def test_mty_from_qr_within_rounding_bound(self, n_bands, n_dims, rank):
-        # M has rank ``rank``: its last columns are sums of earlier ones,
-        # and with d < R its QR factor R is wide.
+        # M has rank ``rank``: its last columns are sums of earlier ones.
+        # An M with fewer bands than columns is rejected.
         gen = np.random.default_rng(n_bands * n_dims + rank)
         m = gen.uniform(0.05, 1.0, size=(n_bands, n_dims))
         for col in range(rank, n_dims):
@@ -595,10 +594,12 @@ class TestInitialization:
         lat = Lattice(1, 997)
         y = m @ gen.dirichlet(np.ones(n_dims), size=lat.n_pixels).T
         y += gen.normal(scale=1e-2, size=y.shape)
-        sup = SupervisionData.from_labels(np.array([0]), np.array([0]), 0.9, 1, lat.n_pixels)
-        M = EndmemberMatrix(m)
-        pre = _make_precomp(ObservationMatrix(y, lat), M, sup)
         assert np.linalg.matrix_rank(m) == rank
+        if n_bands < n_dims:
+            with pytest.raises(ValidationError, match="more endmembers"):
+                _make_precomp(ObservationMatrix(y, lat), EndmemberMatrix(m))
+            return
+        pre = _make_precomp(ObservationMatrix(y, lat), EndmemberMatrix(m))
         assert_mty_within_rounding_bound(pre, y, m)
 
     @pytest.mark.parametrize(
@@ -610,9 +611,14 @@ class TestInitialization:
         # The QR set-up sums, over any number of column blocks, give the
         # initial residual's mean square of a fresh d x P temporary.
         Y, M = init_problem(n_bands, n_pixels, seed=n_bands + n_pixels)
-        sup = SupervisionData.from_labels(np.array([0]), np.array([0]), 0.9, 1, Y.n_pixels)
+        if n_bands < M.n_endmembers:
+            # An M with fewer bands than columns is rejected; the sums are
+            # checked with its first d columns.
+            with pytest.raises(ValidationError, match="more endmembers"):
+                _make_precomp(Y, M)
+            M = EndmemberMatrix(M.data[:, :n_bands])
         a_ref, s2_ref = oracles.init_unmixing(Y.data, M.data)
-        pre = _make_precomp(Y, M, sup)
+        pre = _make_precomp(Y, M)
         assert pre.resid0 >= 0.0
         s2 = max(_residual_sq(pre, a_ref) / pre.n_obs, 1e-12)
         np.testing.assert_allclose(s2, s2_ref, rtol=1e-12)
@@ -623,19 +629,13 @@ class TestInitialization:
         sup = SupervisionData.from_labels(np.array([0, 1]), np.array([0, 1]), 0.9, 2, Y.n_pixels)
         config = ModelConfig(n_clusters=3, n_classes=2, n_endmembers=3)
         a_ref, s2_ref = oracles.init_unmixing(Y.data, M.data)
-        pre = _make_precomp(Y, M, sup)
+        pre = _make_precomp(Y, M)
         assert_mty_within_rounding_bound(pre, Y.data, M.data)
-        shared = initialize_state(Y, M, sup, config, make_rng(3), pre)
-        alone = initialize_state(Y, M, sup, config, make_rng(3))
-        for state in (shared, alone):
-            # MᵀY's last bits pass through a well-conditioned 3x3 solve.
-            np.testing.assert_allclose(state.A.data, a_ref, rtol=0.0, atol=1e-12)
-            np.testing.assert_allclose(state.noise.s2, s2_ref, rtol=1e-12)
-        assert_same_bits(shared.A.data, alone.A.data)
-        assert shared.q.q.flags.c_contiguous  # Q feeds a GEMM in _class_log_partition
-        assert shared.noise.s2 == alone.noise.s2
-        assert_same_bits(shared.z.labels, alone.z.labels)
-        assert_same_bits(shared.omega.labels, alone.omega.labels)
+        state = initialize_state(pre, sup, config, make_rng(3))
+        # MᵀY's last bits pass through a well-conditioned 3x3 solve.
+        np.testing.assert_allclose(state.A.data, a_ref, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(state.noise.s2, s2_ref, rtol=1e-12)
+        assert state.q.q.flags.c_contiguous  # Q feeds a GEMM in _class_log_partition
 
 
 def with_oracle_kernels(monkeypatch):

@@ -91,13 +91,6 @@ def tiny_problem(seed=0, height=12, width=12, n_mc=20, n_burnin=5, snr_db=25.0, 
     return Y, M, sup, ModelConfig(**kwargs)
 
 
-def one_class_precomp(Y, M):
-    """Chain constants for a scene whose first pixel is the one labeled
-    pixel of a single class."""
-    sup = SupervisionData.from_labels(np.array([0]), np.array([0]), 0.9, 1, Y.n_pixels)
-    return _make_precomp(Y, M, sup)
-
-
 def draw_abundance(state, pre, rng):
     """One abundance sweep; returns a copy of the first pixel's draw."""
     _sample_abundances_all(state, pre, rng)
@@ -129,8 +122,8 @@ class TestAbundanceConditional:
             a=np.zeros((3, 4)), s2=1.0, psi=[psi], sigma2=[np.ones(3)],
             z=[0] * 4, q=[[1.0]], omega=[0] * 4, lat=lat,
         )
-        pre = one_class_precomp(ObservationMatrix(np.tile(y[:, None], (1, 4)), lat),
-                                EndmemberMatrix(np.eye(3)))
+        pre = _make_precomp(ObservationMatrix(np.tile(y[:, None], (1, 4)), lat),
+                            EndmemberMatrix(np.eye(3)))
         normals = np.vstack([np.zeros((1, 3)), np.eye(3)])
         _sample_abundances_all(state, pre, _FixedNormals(normals))
         mean = state.A.data[:, 0]
@@ -149,7 +142,7 @@ class TestAbundanceConditional:
             z=[0], q=[[1.0]], omega=[0], lat=lat,
         )
         Y = ObservationMatrix(np.array([[5.0], [-3.0]]), lat)
-        pre = one_class_precomp(Y, EndmemberMatrix(np.eye(2)))
+        pre = _make_precomp(Y, EndmemberMatrix(np.eye(2)))
         draw = draw_abundance(state, pre, make_rng(0))
         np.testing.assert_allclose(draw, psi[0], atol=1e-4)
 
@@ -161,7 +154,7 @@ class TestAbundanceConditional:
         )
         y = np.array([0.9, 0.25])
         Y = ObservationMatrix(y[:, None], lat)
-        pre = one_class_precomp(Y, EndmemberMatrix(np.eye(2)))
+        pre = _make_precomp(Y, EndmemberMatrix(np.eye(2)))
         draw = draw_abundance(state, pre, make_rng(1))
         np.testing.assert_allclose(draw, y, atol=1e-5)
 
@@ -174,7 +167,7 @@ class TestAbundanceConditional:
         )
         Y = ObservationMatrix(y[:, None], lat)
         M = EndmemberMatrix(np.array([[1.0, 0.3], [0.1, 0.8]]))
-        pre = one_class_precomp(Y, M)
+        pre = _make_precomp(Y, M)
         mean, cov = abundance_posterior(
             y, M.data, 0.5, state.clusters.psi[0], state.clusters.sigma2[0]
         )
@@ -198,7 +191,7 @@ class TestAbundanceConditional:
         )
         m = np.array([[1.0, 0.3, 0.2], [0.1, 0.8, 0.3], [0.2, 0.1, 0.9], [0.5, 0.5, 0.4]])
         y = np.random.default_rng(8).uniform(0.0, 1.0, size=(4, 6))
-        pre = one_class_precomp(ObservationMatrix(y, lat), EndmemberMatrix(m))
+        pre = _make_precomp(ObservationMatrix(y, lat), EndmemberMatrix(m))
         rng = make_rng(9)
         n_draws = 20_000
         draws = np.empty((n_draws, 3, 6))
@@ -230,7 +223,7 @@ class TestNoiseConditional:
         lat = Lattice(1, 1)
         state = self.base_state([[0.0]], lat)
         Y = ObservationMatrix(np.array([[np.sqrt(2.0)]]), lat)
-        pre = one_class_precomp(Y, EndmemberMatrix(np.array([[1.0]])))
+        pre = _make_precomp(Y, EndmemberMatrix(np.array([[1.0]])))
         rng = make_rng(3)
         draws = np.array([_sample_noise_fast(state, pre, rng) for _ in range(20_000)])
         assert abs(np.median(draws) - 0.8453178681) < 0.0202
@@ -243,7 +236,7 @@ class TestNoiseConditional:
         a = np.zeros((1, 4))
         state = self.base_state(a, lat)
         Y = ObservationMatrix(np.full((2, 4), 0.5), lat)
-        pre = one_class_precomp(Y, EndmemberMatrix(np.ones((2, 1))))
+        pre = _make_precomp(Y, EndmemberMatrix(np.ones((2, 1))))
         total_sq = 8 * 0.25
         scale = total_sq / 2.0
         expected_mean = scale / (5.0 - 1.0)
@@ -258,7 +251,7 @@ class TestNoiseConditional:
         a = np.array([[0.25, 0.75]])
         state = self.base_state(a, lat)
         M = EndmemberMatrix(np.array([[1.0], [0.0]]))
-        pre = one_class_precomp(ObservationMatrix(M.data @ a, lat), M)
+        pre = _make_precomp(ObservationMatrix(M.data @ a, lat), M)
         assert pre.resid0 == 0.0 and sampler_mod._residual_sq(pre, a) == 0.0
         draw = _sample_noise_fast(state, pre, make_rng(5))
         assert 0.0 < draw < 1e-250
@@ -395,7 +388,7 @@ class TestClusterMeanConditional:
     def test_rows_stay_on_simplex(self):
         Y, M, sup, config = tiny_problem(seed=1)
         rng = make_rng(12)
-        state = initialize_state(Y, M, sup, config, rng)
+        state = initialize_state(_make_precomp(Y, M), sup, config, rng)
         for _ in range(10):
             psi = sample_cluster_means(state, config, rng)
             assert np.all(psi >= 0.0)
@@ -612,19 +605,20 @@ class TestClassLabelConditional:
 class TestInitializeState:
     def test_expert_labels_seed_omega(self):
         Y, M, sup, config = tiny_problem(seed=2)
-        state = initialize_state(Y, M, sup, config, make_rng(24))
+        state = initialize_state(_make_precomp(Y, M), sup, config, make_rng(24))
         np.testing.assert_array_equal(state.omega.labels[sup.labeled_idx], sup.c)
 
     def test_cluster_means_on_simplex(self):
         Y, M, sup, config = tiny_problem(seed=3)
-        state = initialize_state(Y, M, sup, config, make_rng(25))
+        state = initialize_state(_make_precomp(Y, M), sup, config, make_rng(25))
         assert np.all(state.clusters.psi >= 0.0)
         np.testing.assert_allclose(state.clusters.psi.sum(axis=1), 1.0, atol=1e-9)
 
     def test_fixed_seed_reproducible(self):
         Y, M, sup, config = tiny_problem(seed=4)
-        a = initialize_state(Y, M, sup, config, make_rng(26))
-        b = initialize_state(Y, M, sup, config, make_rng(26))
+        pre = _make_precomp(Y, M)
+        a = initialize_state(pre, sup, config, make_rng(26))
+        b = initialize_state(pre, sup, config, make_rng(26))
         assert np.array_equal(a.A.data, b.A.data)
         assert np.array_equal(a.z.labels, b.z.labels)
         assert np.array_equal(a.q.q, b.q.q)
@@ -639,7 +633,7 @@ class TestInitializeState:
             n_clusters=5, n_classes=2, n_endmembers=2, n_mc=1, n_burnin=0
         )
         with pytest.raises(ValidationError):
-            initialize_state(Y, M, sup, bad, make_rng(27))
+            initialize_state(_make_precomp(Y, M), sup, bad, make_rng(27))
 
 
 class TestRunChain:
@@ -664,8 +658,9 @@ class TestRunChain:
 
         rng = make_rng(config.seed)
         normals = make_rng(config.seed).spawn(1)[0]
-        state = initialize_state(Y, M, sup, config, rng)
-        pre = sampler_mod._make_precomp(Y, M, sup)
+        pre = sampler_mod._make_precomp(Y, M)
+        state = initialize_state(pre, sup, config, rng)
+        w1 = class_log_prior_matrix(sup)
         for it in range(3):
             state.effective_beta1 = config.beta1 if it < 2 else 0.0
             sampler_mod._sample_abundances_all(state, pre, normals)
@@ -674,7 +669,7 @@ class TestRunChain:
             sample_cluster_variances(state, config, rng)
             sample_cluster_labels(state, rng)
             sample_interaction_matrix(state, config, rng)
-            sample_class_labels(state, config, rng, pre.w1)
+            sample_class_labels(state, config, rng, w1)
         assert np.array_equal(est.A.data, state.A.data)
         assert est.noise.s2 == state.noise.s2
         assert np.array_equal(est.z.labels, state.z.labels)
@@ -887,8 +882,39 @@ class TestRunChain:
     def test_dimension_mismatch_rejected(self):
         Y, M, sup, config = tiny_problem(seed=12)
         bad = ModelConfig(n_clusters=3, n_classes=2, n_endmembers=2, n_mc=2, n_burnin=0)
-        with pytest.raises(ValidationError):
-            run_chain(Y, M, sup, bad)
+        for observed in (Y, _make_precomp(Y, M)):
+            with pytest.raises(ValidationError, match="config expects 2 endmembers"):
+                run_chain(observed, M, sup, bad)
+
+    def test_scene_statistics_validate_y_and_m(self):
+        Y, M, _, _ = tiny_problem(seed=12)
+        with pytest.raises(ValidationError, match="24 bands but endmembers have 23"):
+            _make_precomp(Y, EndmemberMatrix(M.data[:-1]))
+        with pytest.raises(ValidationError, match="more endmembers"):
+            _make_precomp(ObservationMatrix(Y.data[:2], Y.lattice), EndmemberMatrix(M.data[:2]))
+        with pytest.raises(ValidationError, match="non-finite"):
+            _make_precomp(ObservationMatrix(Y.data * np.inf, Y.lattice), M)
+
+    @pytest.mark.parametrize("override", [None, [0.2, 0.8]])
+    def test_scene_statistics_stand_in_for_y(self, override):
+        # A chain handed _make_precomp(Y, M) gives the bits of one handed Y.
+        Y, M, sup, config = tiny_problem(seed=15, n_mc=3, n_burnin=1)
+        config.pi_override = None if override is None else np.array(override)
+        est, trace = run_chain(Y, M, sup, config)
+        shared, shared_trace = run_chain(_make_precomp(Y, M), M, sup, config)
+        for got, want in [
+            (shared.A.data, est.A.data), (shared.clusters.psi, est.clusters.psi),
+            (shared.clusters.sigma2, est.clusters.sigma2), (shared.q.q, est.q.q),
+            (shared.z.labels, est.z.labels), (shared.omega.labels, est.omega.labels),
+            (shared_trace.a_sum, trace.a_sum), (shared_trace.psi_sum, trace.psi_sum),
+            (shared_trace.sigma2_sum, trace.sigma2_sum), (shared_trace.q_sum, trace.q_sum),
+            (shared_trace.z_counts, trace.z_counts),
+            (shared_trace.omega_counts, trace.omega_counts),
+        ]:
+            assert got.tobytes() == want.tobytes()
+        assert shared.noise.s2 == est.noise.s2
+        assert shared_trace.s2_sum == trace.s2_sum
+        assert shared_trace.n_recorded == trace.n_recorded == 3
 
     def test_pi_override_used(self):
         # The override must act exactly as a supervision set carrying it.
