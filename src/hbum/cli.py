@@ -32,6 +32,7 @@ from .errors import DataFormatError, NumericalDegeneracyError, ValidationError
 from .io import (
     BUNDLE_FILES,
     RESULT_FILES,
+    SceneBundle,
     generate_config_echo,
     load_generate_config,
     load_model_config,
@@ -86,13 +87,14 @@ def _scene_manifest(cfg, spec, realized_snr_db: float, timings: dict) -> dict:
 
 def _signal_and_noise_power(y: np.ndarray, m: np.ndarray, a: np.ndarray) -> tuple[float, float]:
     """Total squares of the signal ``m @ a`` and of the noise ``y - m @ a``,
-    summed over blocks of 64 bands so that no d x P temporary is formed."""
+    summed over blocks of 64 bands (no d x P temporary) by einsum, not BLAS,
+    so their bits do not depend on the BLAS thread count."""
     signal_power = noise_power = 0.0
     for start in range(0, y.shape[0], 64):
         block = m[start : start + 64] @ a
-        signal_power += float(np.vdot(block, block))
+        signal_power += float(np.einsum("ij,ij->", block, block))
         np.subtract(y[start : start + 64], block, out=block)
-        noise_power += float(np.vdot(block, block))
+        noise_power += float(np.einsum("ij,ij->", block, block))
     return signal_power, noise_power
 
 
@@ -127,7 +129,7 @@ def cmd_generate(args) -> int:
         "training_split": t3 - t2,
     }
     manifest = _scene_manifest(cfg, spec, realized, timings)
-    write_bundle(args.out, Y, M, a_true, z_true, omega_true, sup, manifest)
+    write_bundle(args.out, SceneBundle(Y, M, a_true, z_true, omega_true, sup, manifest))
     print(f"wrote scene bundle to {args.out}")
     print(f"pixels={Y.n_pixels} bands={Y.n_bands} labeled={sup.n_labeled}")
     if np.isfinite(realized):
@@ -200,43 +202,38 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _evaluation_metrics(results, bundle, eval_all: bool) -> dict:
-    if eval_all:
-        pixel_idx = None
-        eval_set = "all"
-    else:
-        pixel_idx = np.flatnonzero(~bundle.sup.labeled_mask())
-        eval_set = "unlabeled"
-    cm = ConfusionMatrix.from_labels(bundle.omega_true, results.omega_map, pixel_idx)
-    return {
-        "rgmse": rgmse(results.a_hat, bundle.a_true),
-        "kappa": cohen_kappa(cm),
-        "cluster_accuracy": aligned_cluster_accuracy(results.z_map, bundle.z_true),
-        "eval_set": eval_set,
-        "chain_seconds": results.manifest.get("timings_s", {}).get("chain"),
-        "confusion": cm.counts.tolist(),
-        "q_hat": results.q_hat.tolist(),
-    }
+def _kappa(bundle, omega, eval_all: bool) -> tuple[ConfusionMatrix, float]:
+    """The confusion matrix of the class map ``omega`` against the bundle's
+    truth, over every pixel or only the unlabeled ones, and its kappa."""
+    pixel_idx = None if eval_all else np.flatnonzero(~bundle.sup.labeled_mask())
+    cm = ConfusionMatrix.from_labels(bundle.omega_true, omega, pixel_idx)
+    return cm, cohen_kappa(cm)
 
 
 def cmd_evaluate(args) -> int:
-    results = read_results(args.results)
+    estimates, _, manifest = read_results(args.results)
     bundle = read_bundle(args.bundle)
-    metrics = _evaluation_metrics(results, bundle, args.eval_all)
+    cm, kappa = _kappa(bundle, estimates.omega, args.eval_all)
+    metrics = {
+        "rgmse": rgmse(estimates.A, bundle.a_true),
+        "kappa": kappa,
+        "cluster_accuracy": aligned_cluster_accuracy(estimates.z, bundle.z_true),
+        "eval_set": "all" if args.eval_all else "unlabeled",
+        "chain_seconds": manifest.get("timings_s", {}).get("chain"),
+        "confusion": cm.counts.tolist(),
+        "q_hat": estimates.q.q.tolist(),
+    }
+    report = (
+        f"rgmse={metrics['rgmse']:.6e}\nkappa={kappa:.6f}\n"
+        f"cluster_accuracy={metrics['cluster_accuracy']:.6f}\neval_set={metrics['eval_set']}\n"
+    )
+    seconds = metrics["chain_seconds"]
     out_dir = Path(args.out) if args.out else Path(args.results)
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "metrics.txt", "w") as fh:
-        fh.write(f"rgmse={metrics['rgmse']:.6e}\n")
-        fh.write(f"kappa={metrics['kappa']:.6f}\n")
-        fh.write(f"cluster_accuracy={metrics['cluster_accuracy']:.6f}\n")
-        fh.write(f"eval_set={metrics['eval_set']}\n")
-        if metrics["chain_seconds"] is not None:
-            fh.write(f"chain_seconds={metrics['chain_seconds']:.3f}\n")
+        fh.write(report if seconds is None else report + f"chain_seconds={seconds:.3f}\n")
     write_manifest(out_dir / "metrics.json", metrics)
-    print(f"rgmse={metrics['rgmse']:.6e}")
-    print(f"kappa={metrics['kappa']:.6f}")
-    print(f"cluster_accuracy={metrics['cluster_accuracy']:.6f}")
-    print(f"eval_set={metrics['eval_set']}")
+    print(report, end="")
     print("confusion matrix (rows=truth, cols=prediction):")
     for row in metrics["confusion"]:
         print("  " + " ".join(f"{v:8d}" for v in row))
@@ -266,12 +263,7 @@ def _sweep_trial(task, inputs=None) -> tuple[int, int, float]:
     sup = corrupt_labels(bundle.sup, alpha, corrupt_rng)
     chain_rng = make_rng(config.seed, alpha_idx * 1000 + trial)
     estimates, _ = run_chain(pre, bundle.M, sup, config, chain_rng, chains_at_once=workers)
-    if eval_all:
-        pixel_idx = None
-    else:
-        pixel_idx = np.flatnonzero(~bundle.sup.labeled_mask())
-    cm = ConfusionMatrix.from_labels(bundle.omega_true, estimates.omega, pixel_idx)
-    return alpha_idx, trial, cohen_kappa(cm)
+    return alpha_idx, trial, _kappa(bundle, estimates.omega, eval_all)[1]
 
 
 def _parse_alphas(text: str | None) -> list[float]:

@@ -32,13 +32,17 @@ from .errors import DataFormatError, ValidationError
 from .lattice import Lattice
 from .model import (
     AbundanceMatrix,
+    ClusterParams,
     EndmemberMatrix,
+    InteractionMatrix,
     LabelField,
     ModelConfig,
+    NoiseModel,
     ObservationMatrix,
     SupervisionData,
     require_finite,
 )
+from .sampler import ChainState
 from .synthgen import DEFAULT_BANDS, SceneSpec, TrainingSplit, default_cluster_means
 
 MAGIC = b"HBUM1\n"
@@ -396,33 +400,6 @@ def read_manifest(path: str | Path) -> dict:
     return _load_json(path, "manifest")
 
 
-def write_bundle(
-    out_dir: str | Path,
-    Y: ObservationMatrix,
-    M: EndmemberMatrix,
-    a_true: AbundanceMatrix,
-    z_true: LabelField,
-    omega_true: LabelField,
-    sup: SupervisionData,
-    manifest: dict,
-) -> None:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    write_matrix(out / "Y.hbm", Y.data)
-    write_matrix(out / "M.hbm", M.data)
-    write_matrix(out / "A_true.hbm", a_true.data)
-    write_label_field(out / "z_true.hbm", z_true)
-    write_label_field(out / "omega_true.hbm", omega_true)
-    lat = Y.lattice
-    labeled = np.zeros(lat.n_pixels, dtype=np.uint32)
-    labeled[sup.labeled_idx] = sup.c.astype(np.int64) + 1
-    eta = np.zeros(lat.n_pixels)
-    eta[sup.labeled_idx] = sup.eta
-    write_matrix(out / "labeled.hbm", labeled.reshape(lat.height, lat.width))
-    write_matrix(out / "eta.hbm", eta.reshape(lat.height, lat.width))
-    write_manifest(out / "scene_manifest.json", manifest)
-
-
 @dataclass
 class SceneBundle:
     Y: ObservationMatrix
@@ -434,6 +411,25 @@ class SceneBundle:
     manifest: dict
 
 
+def write_bundle(out_dir: str | Path, bundle: SceneBundle) -> None:
+    """Write ``bundle`` as the files :func:`read_bundle` reads back."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    write_matrix(out / "Y.hbm", bundle.Y.data)
+    write_matrix(out / "M.hbm", bundle.M.data)
+    write_matrix(out / "A_true.hbm", bundle.a_true.data)
+    write_label_field(out / "z_true.hbm", bundle.z_true)
+    write_label_field(out / "omega_true.hbm", bundle.omega_true)
+    lat, sup = bundle.Y.lattice, bundle.sup
+    labeled = np.zeros(lat.n_pixels, dtype=np.uint32)
+    labeled[sup.labeled_idx] = sup.c.astype(np.int64) + 1
+    eta = np.zeros(lat.n_pixels)
+    eta[sup.labeled_idx] = sup.eta
+    write_matrix(out / "labeled.hbm", labeled.reshape(lat.height, lat.width))
+    write_matrix(out / "eta.hbm", eta.reshape(lat.height, lat.width))
+    write_manifest(out / "scene_manifest.json", bundle.manifest)
+
+
 def _manifest_counts(manifest: dict, where: Path) -> tuple[int, int]:
     try:
         counts = manifest["counts"]
@@ -443,6 +439,8 @@ def _manifest_counts(manifest: dict, where: Path) -> tuple[int, int]:
 
 
 def read_bundle(bundle_dir: str | Path) -> SceneBundle:
+    """Read a bundle, checking its files' format and shapes. The values of
+    Y and M are checked where the chain uses them, in ``_make_precomp``."""
     bdir = Path(bundle_dir)
     manifest = read_manifest(bdir / "scene_manifest.json")
     n_clusters, n_classes = _manifest_counts(manifest, bdir)
@@ -462,11 +460,10 @@ def read_bundle(bundle_dir: str | Path) -> SceneBundle:
     sup = SupervisionData.from_labels(
         idx, labeled[idx].astype(np.int64) - 1, eta[idx], n_classes, lat.n_pixels
     )
-    Y = ObservationMatrix(y_data, lat)
-    M = EndmemberMatrix(m_data)
-    Y.validate()
-    M.validate()
-    return SceneBundle(Y, M, AbundanceMatrix(a_data), z_true, omega_true, sup, manifest)
+    return SceneBundle(
+        ObservationMatrix(y_data, lat), EndmemberMatrix(m_data), AbundanceMatrix(a_data),
+        z_true, omega_true, sup, manifest,
+    )
 
 
 RESULT_FILES = (
@@ -489,34 +486,33 @@ def write_results(out_dir: str | Path, estimates, omega_freq: np.ndarray, manife
     write_manifest(out / "run_manifest.json", manifest)
 
 
-@dataclass
-class ResultSet:
-    a_hat: AbundanceMatrix
-    s2_hat: float
-    psi_hat: np.ndarray
-    sigma2_hat: np.ndarray
-    q_hat: np.ndarray
-    z_map: LabelField
-    omega_map: LabelField
-    omega_freq: np.ndarray
-    manifest: dict
-
-
-def read_results(results_dir: str | Path) -> ResultSet:
+def read_results(results_dir: str | Path) -> tuple[ChainState, np.ndarray, dict]:
+    """The ``(estimates, omega_freq, manifest)`` that :func:`write_results`
+    wrote. The estimates must pass ``ChainState.validate`` and ``omega_freq``
+    must be (J, P); otherwise DataFormatError names the set or the file."""
     rdir = Path(results_dir)
     manifest = read_manifest(rdir / "run_manifest.json")
     n_clusters, n_classes = _manifest_counts(manifest, rdir)
     s2_hat = read_matrix(rdir / "s2_hat.hbm")
     if s2_hat.shape != (1, 1):
         raise DataFormatError(f"{rdir / 's2_hat.hbm'}: expected a 1x1 matrix, got {s2_hat.shape}")
-    return ResultSet(
-        a_hat=AbundanceMatrix(read_matrix(rdir / "A_hat.hbm")),
-        s2_hat=float(s2_hat[0, 0]),
-        psi_hat=read_matrix(rdir / "psi_hat.hbm"),
-        sigma2_hat=read_matrix(rdir / "sigma2_hat.hbm"),
-        q_hat=read_matrix(rdir / "Q_hat.hbm"),
-        z_map=read_label_field(rdir / "z_map.hbm", n_clusters),
-        omega_map=read_label_field(rdir / "omega_map.hbm", n_classes),
-        omega_freq=read_matrix(rdir / "omega_freq.hbm"),
-        manifest=manifest,
+    estimates = ChainState(
+        AbundanceMatrix(read_matrix(rdir / "A_hat.hbm")),
+        NoiseModel(float(s2_hat[0, 0])),
+        ClusterParams(read_matrix(rdir / "psi_hat.hbm"), read_matrix(rdir / "sigma2_hat.hbm")),
+        read_label_field(rdir / "z_map.hbm", n_clusters),
+        InteractionMatrix(read_matrix(rdir / "Q_hat.hbm")),
+        read_label_field(rdir / "omega_map.hbm", n_classes),
     )
+    try:
+        estimates.validate()
+    except ValidationError as exc:
+        raise DataFormatError(f"{rdir}: result set fails its checks: {exc}") from exc
+    omega_freq = read_matrix(rdir / "omega_freq.hbm")
+    shape = (n_classes, estimates.omega.lattice.n_pixels)
+    if omega_freq.shape != shape:
+        raise DataFormatError(
+            f"{rdir / 'omega_freq.hbm'}: expected a {shape[0]}x{shape[1]} matrix, "
+            f"got {omega_freq.shape}"
+        )
+    return estimates, omega_freq, manifest

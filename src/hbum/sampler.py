@@ -192,7 +192,7 @@ class _Precomp:
 
     mtm: np.ndarray  # (R, R)
     mty_t: np.ndarray  # (P, R), C-ordered: pixel rows for the abundance draws
-    r: np.ndarray  # (min(d, R), R)
+    r: np.ndarray  # (R, R)
     qty: np.ndarray  # (R, P) QᵀY
     resid0: float  # ||Y - QQᵀY||_F^2
     n_obs: int  # P * d

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import hbum
+import hbum.cli
 from hbum.cli import _model_overrides, build_parser, main
 from hbum.io import (
     BUNDLE_FILES,
@@ -21,7 +22,9 @@ from hbum.io import (
     load_model_config,
     read_bundle,
     read_manifest,
+    read_matrix,
     read_results,
+    write_bundle,
     write_label_field,
     write_matrix,
     write_results,
@@ -81,6 +84,23 @@ def small_bundle(tmp_path_factory):
     return tmp / "bundle"
 
 
+@pytest.fixture(scope="module")
+def small_results(small_bundle, tmp_path_factory):
+    """A result set that ``hbum run`` wrote for ``small_bundle``."""
+    tmp = tmp_path_factory.mktemp("small_results")
+    model_path = tmp / "model.json"
+    model_path.write_text(json.dumps(MODEL_CONFIG))
+    assert main(["run", str(small_bundle), str(model_path), "--out", str(tmp / "results")]) == 0
+    return tmp / "results"
+
+
+def with_first(arr, value):
+    """A copy of ``arr`` with its first entry set to ``value``."""
+    arr = arr.copy()
+    arr.flat[0] = value
+    return arr
+
+
 def bundle_bytes(bundle_dir):
     return {name: (Path(bundle_dir) / name).read_bytes() for name in BUNDLE_FILES}
 
@@ -89,13 +109,19 @@ def results_bytes(results_dir):
     return {name: (Path(results_dir) / name).read_bytes() for name in RESULT_FILES}
 
 
+def child_env(**extra):
+    """The environment of a child process that imports this ``hbum``."""
+    env = dict(os.environ, **extra)
+    src = str(Path(hbum.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 def run_cli(*argv, address_space=None):
     """``hbum`` in a child process: its exit code and its stderr, where an
     uncaught exception would print its traceback. ``address_space`` caps
     the child's virtual memory, in bytes."""
-    env = dict(os.environ)
-    src = str(Path(hbum.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env = child_env()
 
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
@@ -310,6 +336,32 @@ class TestGenerate:
         assert "confusion matrix is empty" in capsys.readouterr().err
         assert main(["evaluate", str(results), str(bundle), "--eval-all"]) == 0
 
+    def test_rewritten_bundle_is_byte_identical(self, small_bundle, tmp_path):
+        write_bundle(tmp_path / "copy", read_bundle(small_bundle))
+        for name in (*BUNDLE_FILES, "scene_manifest.json"):
+            assert (tmp_path / "copy" / name).read_bytes() == (small_bundle / name).read_bytes()
+
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs 2 usable CPUs")
+    def test_realized_snr_sums_ignore_the_blas_thread_count(self):
+        # The manifest's realized SNR comes from these sums, so they must
+        # keep their bits whether BLAS runs on one thread or on two.
+        script = (
+            "import numpy as np\n"
+            "from hbum.cli import _signal_and_noise_power\n"
+            "rng = np.random.default_rng(0)\n"
+            "y, m, a = rng.standard_normal((64, 256)), rng.random((64, 3)), rng.random((3, 256))\n"
+            "print(*map(float.hex, _signal_and_noise_power(y, m, a)))\n"
+        )
+        sums = []
+        for threads in ("1", "2"):
+            proc = subprocess.run(
+                [sys.executable, "-c", script], capture_output=True, text=True,
+                env=child_env(OPENBLAS_NUM_THREADS=threads),
+            )
+            assert proc.returncode == 0, proc.stderr
+            sums.append(proc.stdout)
+        assert sums[0] == sums[1]
+
 
 class TestRun:
     def test_produces_readable_results(self, configs, tmp_path):
@@ -318,12 +370,12 @@ class TestRun:
         results = tmp_path / "results"
         main(["generate", str(scene_path), "--out", str(bundle)])
         assert main(["run", str(bundle), str(model_path), "--out", str(results)]) == 0
-        res = read_results(results)
-        assert res.a_hat.data.shape == (3, 256)
-        assert res.omega_freq.shape == (2, 256)
-        np.testing.assert_allclose(res.omega_freq.sum(axis=0), 1.0, atol=1e-12)
-        assert res.manifest["recorded_sweeps"] == 12
-        assert res.manifest["config"]["iterations"] == 16
+        estimates, omega_freq, manifest = read_results(results)
+        assert estimates.A.data.shape == (3, 256)
+        assert omega_freq.shape == (2, 256)
+        np.testing.assert_allclose(omega_freq.sum(axis=0), 1.0, atol=1e-12)
+        assert manifest["recorded_sweeps"] == 12
+        assert manifest["config"]["iterations"] == 16
 
     def test_rerun_byte_identical(self, configs, tmp_path):
         scene_path, model_path = configs
@@ -485,6 +537,50 @@ class TestRun:
         assert "z_true.hbm" in err
         assert "Traceback" not in err
 
+    def test_read_results_returns_the_chain_estimates(self, small_bundle, configs, tmp_path,
+                                                      monkeypatch):
+        original, returned = hbum.cli.run_chain, []
+
+        def recording_run_chain(*args, **kwargs):
+            estimates, trace = original(*args, **kwargs)
+            returned.append(estimates)
+            return estimates, trace
+
+        monkeypatch.setattr(hbum.cli, "run_chain", recording_run_chain)
+        _, model_path = configs
+        results = tmp_path / "results"
+        assert main(["run", str(small_bundle), str(model_path), "--out", str(results)]) == 0
+        (chain,) = returned
+        read, _, _ = read_results(results)
+        assert np.array_equal(read.A.data, chain.A.data)
+        assert read.noise.s2 == chain.noise.s2
+        assert np.array_equal(read.clusters.psi, chain.clusters.psi)
+        assert np.array_equal(read.clusters.sigma2, chain.clusters.sigma2)
+        assert np.array_equal(read.q.q, chain.q.q)
+        for name in ("z", "omega"):
+            got, want = getattr(read, name), getattr(chain, name)
+            assert np.array_equal(got.labels, want.labels)
+            assert got.domain_size == want.domain_size
+            assert got.lattice == want.lattice
+
+    def test_non_finite_observations_exit_2_in_the_chain(self, small_bundle, small_results,
+                                                          configs, tmp_path):
+        # Reading a bundle checks its format only; the chain's set-up checks
+        # Y's values. evaluate never uses them, so it still scores the set.
+        _, model_path = configs
+        bundle = tmp_path / "bundle"
+        shutil.copytree(small_bundle, bundle)
+        y = read_matrix(bundle / "Y.hbm")
+        y[0, 0] = np.nan
+        write_matrix(bundle / "Y.hbm", y)
+        code, err = run_cli("run", bundle, model_path, "--out", tmp_path / "r")
+        assert code == 2
+        assert "observations contain non-finite entries" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "r").exists()
+        code, err = run_cli("evaluate", small_results, bundle, "--out", tmp_path / "m")
+        assert (code, err) == (0, "")
+
     def test_run_and_sweep_take_the_same_model_overrides(self):
         # The five flags override exactly the fields load_model_config names.
         flags = ["--seed", "3", "--beta1", "0.5", "--beta2", "0.6", "--iters", "20",
@@ -627,6 +723,36 @@ class TestEvaluate:
         assert code == 4
         assert "s2_hat.hbm" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "name, corrupt, message",
+        [
+            ("A_hat.hbm", lambda a: with_first(a, np.nan), "abundances contain non-finite entries"),
+            ("Q_hat.hbm", lambda q: with_first(q, -0.5),
+             "interaction matrix column has negative entries"),
+            ("Q_hat.hbm", lambda q: np.vstack([q, np.zeros((1, q.shape[1]))]),
+             "cluster-count mismatch"),
+            ("psi_hat.hbm", lambda psi: with_first(psi, psi[0, 0] + 0.1),
+             "cluster mean matrix rows must sum to 1"),
+            ("s2_hat.hbm", lambda s2: with_first(s2, 0.0), "noise variance must be positive"),
+            ("omega_freq.hbm", lambda freq: freq.T.copy(), "expected a 2x256 matrix"),
+        ],
+        ids=["nan-abundance", "negative-q", "extra-q-row", "psi-off-simplex", "zero-s2",
+             "transposed-omega-freq"],
+    )
+    def test_corrupted_result_set_exits_4_naming_it(self, small_bundle, small_results,
+                                                    tmp_path, name, corrupt, message):
+        # A result set must pass the checks its estimates passed when the
+        # chain wrote them.
+        results = tmp_path / "results"
+        shutil.copytree(small_results, results)
+        write_matrix(results / name, corrupt(read_matrix(results / name)))
+        code, err = run_cli("evaluate", results, small_bundle)
+        assert code == 4
+        assert message in err
+        assert (name if name == "omega_freq.hbm" else str(results)) in err
+        assert "Traceback" not in err
+        assert not (results / "metrics.json").exists()
 
     def test_smaller_cluster_map_exits_2(self, small_bundle, configs, tmp_path):
         _, model_path = configs
