@@ -228,10 +228,10 @@ def cmd_evaluate(args) -> int:
         f"cluster_accuracy={metrics['cluster_accuracy']:.6f}\neval_set={metrics['eval_set']}\n"
     )
     seconds = metrics["chain_seconds"]
+    text = report if seconds is None else report + f"chain_seconds={seconds:.3f}\n"
     out_dir = Path(args.out) if args.out else Path(args.results)
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "metrics.txt", "w") as fh:
-        fh.write(report if seconds is None else report + f"chain_seconds={seconds:.3f}\n")
+    (out_dir / "metrics.txt").write_text(text)
     write_manifest(out_dir / "metrics.json", metrics)
     print(report, end="")
     print("confusion matrix (rows=truth, cols=prediction):")

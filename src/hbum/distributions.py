@@ -50,7 +50,7 @@ def sample_dirichlet(rng: np.random.Generator, alpha: np.ndarray) -> np.ndarray:
     alpha = np.asarray(alpha, dtype=np.float64)
     if alpha.ndim not in (1, 2) or alpha.shape[-1] < 1:
         raise InvalidParameterError("alpha must be a non-empty (K,) vector or (n, K) matrix")
-    if not np.all(np.isfinite(alpha)) or np.any(alpha <= 0.0):
+    if not (alpha.min(initial=np.inf) > 0.0 and alpha.max(initial=0.0) < np.inf):  # NaN: False
         raise InvalidParameterError(f"Dirichlet parameters must be positive, got {alpha}")
     if alpha.shape[-1] == 1:
         return np.ones(alpha.shape)
@@ -89,17 +89,17 @@ def sample_inverse_gamma_array(
     """Elementwise inverse-gamma draws for broadcastable shape/scale arrays."""
     shape = np.asarray(shape, dtype=np.float64)
     scale = np.asarray(scale, dtype=np.float64)
-    if np.any(~np.isfinite(shape)) or np.any(shape <= 0.0):
+    if not (shape.min(initial=np.inf) > 0.0 and shape.max(initial=0.0) < np.inf):  # NaN: False
         raise InvalidParameterError("inverse-gamma shapes must be positive")
-    if np.any(~np.isfinite(scale)) or np.any(scale <= 0.0):
+    if not (scale.min(initial=np.inf) > 0.0 and scale.max(initial=0.0) < np.inf):
         raise InvalidParameterError("inverse-gamma scales must be positive")
-    shape, scale = np.broadcast_arrays(shape, scale)
-    g = rng.standard_gamma(shape)
+    size = np.broadcast_shapes(shape.shape, scale.shape)
+    g = rng.standard_gamma(shape, size=size)
     for _ in range(100):
         zero = g == 0.0
         if not np.any(zero):
             return scale / g
-        g = np.where(zero, rng.standard_gamma(shape), g)
+        g = np.where(zero, rng.standard_gamma(shape, size=size), g)
     raise NumericalDegeneracyError("Gamma draws underflowed in the array sampler")
 
 
@@ -112,9 +112,9 @@ def _checked_log_weights(log_weights: np.ndarray) -> tuple[np.ndarray, np.ndarra
     if lw.ndim != 2 or lw.shape[0] < 1:
         raise InvalidParameterError("log_weights must be a (n_choices, n_sites) matrix")
     peak = lw.max(axis=0)
-    if not np.all(peak < np.inf):  # also False for NaN
-        raise InvalidParameterError("log_weights must be in [-inf, inf)")
-    if not np.all(peak > -np.inf):
+    if not np.isfinite(peak).all():
+        if not np.all(peak < np.inf):  # also False for NaN
+            raise InvalidParameterError("log_weights must be in [-inf, inf)")
         raise InvalidParameterError("some site has all categorical log-weights at -inf")
     return lw, peak
 
@@ -183,18 +183,18 @@ def _truncnorm_tail(rng: np.random.Generator, lo: np.ndarray, hi: np.ndarray) ->
     return np.sqrt(2.0 * x)
 
 
-def _truncnorm_standard(rng: np.random.Generator, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+def _truncnorm_standard(rng: np.random.Generator, lo, hi) -> np.ndarray:
     """Standard-normal draws conditioned to [lo, hi], elementwise.
 
     Central intervals use the inverse CDF of numerically stable upper-tail
     probabilities; intervals entirely beyond +-_TAIL_THRESHOLD standard
-    deviations use Rayleigh rejection. When every interval is central no
-    mask gathers are made; the draws are the same.
+    deviations use Rayleigh rejection. Bounds may be lists of floats.
     """
+    if not (any(a > _TAIL_THRESHOLD for a in lo) or any(b < -_TAIL_THRESHOLD for b in hi)):
+        return _truncnorm_central(rng, lo, hi)
+    lo, hi = np.asarray(lo), np.asarray(hi)
     right = lo > _TAIL_THRESHOLD
     left = hi < -_TAIL_THRESHOLD
-    if not (right | left).any():
-        return _truncnorm_central(rng, lo, hi)
     out = np.empty(lo.shape)
     central = ~(right | left)
     if np.any(right):
@@ -202,15 +202,15 @@ def _truncnorm_standard(rng: np.random.Generator, lo: np.ndarray, hi: np.ndarray
     if np.any(left):
         out[left] = -_truncnorm_tail(rng, -hi[left], -lo[left])
     if np.any(central):
-        out[central] = _truncnorm_central(rng, lo[central], hi[central])
+        out[central] = _truncnorm_central(rng, lo[central].tolist(), hi[central].tolist())
     return out
 
 
-def _truncnorm_central(rng: np.random.Generator, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Inverse-CDF standard-normal draws on [lo, hi] for (n,) bounds, one uniform
-    each; at a chain's few intervals a call, a scalar loop beats array functions."""
+def _truncnorm_central(rng: np.random.Generator, lo, hi) -> np.ndarray:
+    """Inverse-CDF standard-normal draws on [lo, hi] for (n,) bounds (lists
+    or arrays), one uniform each; a scalar loop beats array functions here."""
     draws = []
-    for a, b, v in zip(lo.tolist(), hi.tolist(), rng.random(size=lo.shape).tolist()):
+    for a, b, v in zip(lo, hi, rng.random(size=len(lo)).tolist()):
         pl = 0.5 * math.erfc(a / _SQRT2)  # P(X > a)
         q = pl - (pl - 0.5 * math.erfc(b / _SQRT2)) * v
         draws.append(math.inf if q <= 0.0 else -math.inf if q >= 1.0 else -_NORMAL_QUANTILE(q))
@@ -244,9 +244,9 @@ def sample_gaussian_simplex_truncated_batch(
     Gaussian conditional truncated to the interval that keeps the point
     inside the simplex. Used inside an outer Gibbs chain, a short inner scan
     started from the previous value (``init``) is a valid
-    Metropolis-within-Gibbs move. Rows share the scan schedule, so the whole
-    batch advances one coordinate at a time with vectorized truncated-normal
-    draws. Entries are >= 0, and each row's last coordinate is one minus the
+    Metropolis-within-Gibbs move. Rows share the scan schedule, a scalar
+    loop over the rows' floats that draws each coordinate for all rows at
+    once. Entries are >= 0, and each row's last coordinate is one minus the
     sum of the others.
     """
     means = np.asarray(means, dtype=np.float64)
@@ -279,24 +279,28 @@ def sample_gaussian_simplex_truncated_batch(
     sd = np.sqrt(cond_var)
     if not (np.all(sd > 0.0) and np.all(np.isfinite(sd))):
         raise InvalidParameterError("truncated-normal sd must be positive and finite")
-    # Columns as contiguous rows: x[r] is coordinate r of every batch row.
-    fixed = (means[:, :last] / var_diags[:, :last]).T.copy()
-    cond_var, sd = cond_var.T.copy(), sd.T.copy()
-    mean_last, var_last = means[:, last].copy(), var_diags[:, last].copy()
-    x = x.T.copy()
+    # x[r][i] is coordinate r of batch row i. Python floats make each IEEE
+    # operation numpy would make, in its order, so the draws keep their bits.
+    fixed = (means[:, :last] / var_diags[:, :last]).T.tolist()
+    cond_var, sd = cond_var.T.tolist(), sd.T.tolist()
+    mean_last, var_last = means[:, last].tolist(), var_diags[:, last].tolist()
+    x = x.T.tolist()
     for it in range(inner_iters):
         for r in range(last):
             # Budget shared between coordinate r and the eliminated last one.
-            t = x[r] + x[last]
-            if it == 0 and (t < 0.0).any():  # x >= 0 from the first scan on
+            t = [a + b for a, b in zip(x[r], x[last])]
+            if it == 0 and min(t) < 0.0:  # x >= 0 from the first scan on
                 raise InvalidParameterError("truncated-normal interval must satisfy lo <= hi")
-            cond_mean = cond_var[r] * (fixed[r] + (t - mean_last) / var_last)
-            draw = _truncnorm_standard(rng, (0.0 - cond_mean) / sd[r], (t - cond_mean) / sd[r])
-            draw *= sd[r]
-            draw += cond_mean
-            # Guard against round-off pushing a draw infinitesimally outside.
-            x[r] = np.clip(draw, 0.0, t)
-            x[last] = t - x[r]
-    x = x.T.copy()
+            mean = [c * (f + (b - m) / v)
+                    for c, f, b, m, v in zip(cond_var[r], fixed[r], t, mean_last, var_last)]
+            lo = [(0.0 - m) / s for m, s in zip(mean, sd[r])]
+            hi = [(b - m) / s for b, m, s in zip(t, mean, sd[r])]
+            draw = _truncnorm_standard(rng, lo, hi).tolist()
+            # Guard against round-off pushing a draw infinitesimally outside,
+            # comparing as np.clip does: a NaN passes and -0.0 becomes 0.0.
+            x[r] = [d * s + m for d, s, m in zip(draw, sd[r], mean)]
+            x[r] = [v if v != v else min(b, max(0.0, v)) for v, b in zip(x[r], t)]
+            x[last] = [b - a for a, b in zip(x[r], t)]
+    x = np.array(x).T.copy()
     x[:, last] = np.maximum(1.0 - x[:, :last].sum(axis=1), 0.0)
     return x

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
@@ -300,8 +301,12 @@ def load_generate_config(path: str | Path, seed_override: int | None = None) -> 
     # Checked before "auto" means allocate a clusters x endmembers matrix.
     if cluster_to_class.shape != (scene["n_clusters"],):
         raise ValidationError("cluster_to_class needs one entry per cluster")
-    if scene["n_endmembers"] > top.get("n_bands", DEFAULT_BANDS):
+    if scene["n_endmembers"] > (n_bands := top.get("n_bands", DEFAULT_BANDS)):
         raise ValidationError("cannot place more endmembers than bands")
+    # Y, M and the means each hold at most bands x widest entries: 2**31 is 16 GiB.
+    widest = max(scene["height"] * scene["width"], scene["n_endmembers"], cluster_to_class.size)
+    if n_bands * widest > 2**31:
+        raise ValidationError(f"{path}: 'bands' x max(pixels, endmembers, clusters) > 2**31")
     if scene_raw.get("dirichlet_means") == "auto" or "dirichlet_means" not in scene_raw:
         means = default_cluster_means(scene["n_clusters"], scene["n_endmembers"])
     elif isinstance(scene_raw["dirichlet_means"], str):
@@ -493,6 +498,9 @@ def read_results(results_dir: str | Path) -> tuple[ChainState, np.ndarray, dict]
     rdir = Path(results_dir)
     manifest = read_manifest(rdir / "run_manifest.json")
     n_clusters, n_classes = _manifest_counts(manifest, rdir)
+    chain = t.get("chain") if isinstance(t := manifest.get("timings_s", {}), dict) else "?"
+    if chain is not None and not (type(chain) in (int, float) and abs(chain) <= sys.float_info.max):
+        raise DataFormatError(f"{rdir / 'run_manifest.json'}: malformed 'timings_s'")
     s2_hat = read_matrix(rdir / "s2_hat.hbm")
     if s2_hat.shape != (1, 1):
         raise DataFormatError(f"{rdir / 's2_hat.hbm'}: expected a 1x1 matrix, got {s2_hat.shape}")

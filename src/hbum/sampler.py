@@ -140,8 +140,9 @@ class Trace:
         self.psi_sum += state.clusters.psi
         self.sigma2_sum += state.clusters.sigma2
         self.q_sum += state.q.q
-        _tally(self.z_counts, state.z.labels)
-        _tally(self.omega_counts, state.omega.labels)
+        for counts, field in ((self.z_counts, state.z), (self.omega_counts, state.omega)):
+            label = np.arange(len(counts), dtype=field.labels.dtype)[:, None]
+            np.add(counts, (field.labels == label).view(np.uint8), out=counts)
         self.n_recorded += 1
 
     def omega_frequencies(self) -> np.ndarray:
@@ -173,17 +174,6 @@ class Trace:
             iteration=self.n_recorded,
             effective_beta1=0.0,
         )
-
-
-def _tally(counts: np.ndarray, labels: np.ndarray) -> None:
-    """Add one to ``counts[labels[p], p]`` for every pixel p, through flat
-    indices into the C-ordered (n_labels, P) tallies. The indices are intp:
-    labels are int32 and n_labels * P can pass 2**31."""
-    n_pixels = counts.shape[1]
-    flat = labels.astype(np.intp)
-    flat *= n_pixels
-    flat += np.arange(n_pixels, dtype=np.intp)
-    counts.reshape(-1)[flat] += 1
 
 
 @dataclass
@@ -264,13 +254,10 @@ def potts_sweep(
     usual path. When it rejects them and some site has none, that is a
     degeneracy of the field, raised as one that names ``what`` and the
     first such pixel."""
-    n_values = field.domain_size
-    grid = field.grid()
-    for sites in field.lattice.color_sites:
+    for color, sites in enumerate(field.lattice.color_sites):
         weights = np.take(base, sites, axis=1)
         if beta > 0.0:
-            counts = neighbor_value_counts(grid, n_values).reshape(n_values, -1)
-            weights += beta * np.take(counts, sites, axis=1)
+            weights += beta * neighbor_value_counts(field.grid(), field.domain_size, color)
         try:
             field.labels[sites] = draw(rng, weights)
         except InvalidParameterError:

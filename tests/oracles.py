@@ -2,7 +2,8 @@
 
 The kernel references are the straightforward form of a kernel that
 ``hbum`` runs in an optimised form: fresh temporaries, boolean checkerboard
-masks, per-cluster index gathers, fancy-index gathers and tallies,
+masks, neighbor counts by shifted one-hot adds over the whole grid,
+per-cluster index gathers, fancy-index gathers and tallies,
 ``solve_triangular``, the unexpanded Gaussian square, ``Generator.gumbel``,
 ``np.cumsum`` with ``np.argmax``, one Dirichlet draw per column of Q, and a
 truncated-normal sampler that validates and masks on every call. The
@@ -41,7 +42,6 @@ from hbum.errors import (
     NumericalDegeneracyError,
     ValidationError,
 )
-from hbum.lattice import neighbor_value_counts
 from hbum.model import LabelField
 from hbum.sampler import (
     SIGMA2_FLOOR,
@@ -85,6 +85,18 @@ def neighbors(lattice, p: int) -> list[int]:
         if 0 <= r < lattice.height and 0 <= c < lattice.width:
             out.append(r * lattice.width + c)
     return out
+
+
+def neighbor_value_counts(labels_grid: np.ndarray, n_values: int) -> np.ndarray:
+    """(n_values, height, width) int32 counts of each value among every
+    pixel's 4-connected neighbors, by adding shifted one-hot grids."""
+    onehot = (labels_grid[None, :, :] == np.arange(n_values)[:, None, None]).astype(np.int32)
+    counts = np.zeros_like(onehot)
+    counts[:, 1:, :] += onehot[:, :-1, :]
+    counts[:, :-1, :] += onehot[:, 1:, :]
+    counts[:, :, 1:] += onehot[:, :, :-1]
+    counts[:, :, :-1] += onehot[:, :, 1:]
+    return counts
 
 
 def potts_neighbor_count(field, p: int, value: int) -> int:

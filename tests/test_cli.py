@@ -283,6 +283,19 @@ class TestGenerate:
         assert code == 2
         assert field in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("bands, endmembers", [(10**12, 10**12), (2**31, 3), (10**6, 10**6)])
+    def test_huge_band_count_exits_2_naming_it(self, tmp_path, bands, endmembers):
+        # Every scene matrix is at most bands x max(pixels, endmembers,
+        # clusters); 3 x 10**12 means would be 21.8 TiB.
+        broken = json.loads(json.dumps(SCENE_CONFIG))
+        broken["bands"] = bands
+        broken["scene"]["endmembers"] = endmembers
+        path = tmp_path / "broken.json"
+        path.write_text(json.dumps(broken))
+        code, err = run_cli("generate", path, "--out", tmp_path / "x", address_space=2 << 30)
+        assert code == 2
+        assert "'bands'" in err and "Traceback" not in err
+
     def test_overflowing_potts_beta_exits_2_naming_it(self, tmp_path, capsys):
         # 1e308 is finite, but 4 beta, the largest neighbour-count term, is not.
         broken = json.loads(json.dumps(SCENE_CONFIG))
@@ -753,6 +766,38 @@ class TestEvaluate:
         assert (name if name == "omega_freq.hbm" else str(results)) in err
         assert "Traceback" not in err
         assert not (results / "metrics.json").exists()
+
+    @pytest.mark.parametrize(
+        "timings", [{"chain": "fast"}, 5, [1], None, {"chain": True}, {"chain": float("nan")},
+                    {"chain": 10**400}],
+        ids=["string", "number", "list", "null", "bool", "nan", "huge-int"],
+    )
+    def test_malformed_timings_exit_4_naming_the_manifest(self, small_bundle, small_results,
+                                                          tmp_path, timings):
+        results = tmp_path / "results"
+        shutil.copytree(small_results, results)
+        manifest = read_manifest(results / "run_manifest.json")
+        manifest["timings_s"] = timings
+        (results / "run_manifest.json").write_text(json.dumps(manifest))
+        code, err = run_cli("evaluate", results, small_bundle)
+        assert code == 4
+        assert "run_manifest.json" in err and "timings_s" in err
+        assert "Traceback" not in err
+        assert not (results / "metrics.txt").exists()
+
+    @pytest.mark.parametrize("timings, line", [({}, None), ({"chain": None}, None),
+                                               ({"chain": 2}, "chain_seconds=2.000")])
+    def test_chain_seconds_absent_null_or_a_number(self, small_bundle, small_results,
+                                                   tmp_path, timings, line):
+        results = tmp_path / "results"
+        shutil.copytree(small_results, results)
+        manifest = read_manifest(results / "run_manifest.json")
+        manifest["timings_s"] = timings
+        (results / "run_manifest.json").write_text(json.dumps(manifest))
+        assert main(["evaluate", str(results), str(small_bundle)]) == 0
+        text = (results / "metrics.txt").read_text()
+        assert ("chain_seconds" in text) == (line is not None)
+        assert line is None or line in text
 
     def test_smaller_cluster_map_exits_2(self, small_bundle, configs, tmp_path):
         _, model_path = configs

@@ -181,17 +181,22 @@ class TestSimplexTruncated:
     truncated-normal call: the same bits and the same generator state."""
 
     @staticmethod
-    def case(n_batch, n_dims, seed):
+    def case(n_batch, n_dims, seed, var_range=(1e-6, 2.0)):
         gen = np.random.default_rng(seed)
         means = gen.normal(0.3, 0.6, size=(n_batch, n_dims))
         # Log-uniform variances down to 1e-6 put many standardized bounds
         # beyond the +-6 tail threshold.
-        var = np.exp(gen.uniform(np.log(1e-6), np.log(2.0), size=(n_batch, n_dims)))
+        var = np.exp(gen.uniform(*np.log(var_range), size=(n_batch, n_dims)))
         init = gen.dirichlet(np.ones(n_dims), size=n_batch) if seed % 3 else None
         return means, var, init
 
-    @pytest.mark.parametrize("n_batch, n_dims", [(3, 3), (12, 9)])
-    def test_same_bits(self, monkeypatch, n_batch, n_dims):
+    @pytest.mark.parametrize("n_batch, n_dims, var_range", [
+        pytest.param(3, 3, (1e-6, 2.0), id="3-3"),
+        pytest.param(12, 9, (1e-6, 2.0), id="12-9"),
+        # Scene 2: 12 cluster means over 9 endmembers, variances sigma2 / n_k.
+        pytest.param(12, 9, (5e-6, 2e-5), id="12-9-scene2"),
+    ])
+    def test_same_bits(self, monkeypatch, n_batch, n_dims, var_range):
         import hbum.distributions as dist
 
         tails = []
@@ -203,7 +208,7 @@ class TestSimplexTruncated:
 
         monkeypatch.setattr(dist, "_truncnorm_tail", counting_tail)
         for seed in range(200):
-            means, var, init = self.case(n_batch, n_dims, seed)
+            means, var, init = self.case(n_batch, n_dims, seed, var_range)
             rng_new, rng_ref = make_rng(seed), make_rng(seed)
             got = sample_gaussian_simplex_truncated_batch(rng_new, means, var, 3, init)
             ref = oracles.sample_gaussian_simplex_truncated_batch(rng_ref, means, var, 3, init)
@@ -512,17 +517,6 @@ class TestGatherLayout:
         assert rng_new.bit_generator.state == rng_ref.bit_generator.state
 
 
-class _IndexSpy(np.ndarray):
-    """Array that records every index it is assigned through: the dtype of
-    an index array, None for any other key."""
-
-    index_dtypes: list = []
-
-    def __setitem__(self, key, value):
-        _IndexSpy.index_dtypes.append(key.dtype if isinstance(key, np.ndarray) else None)
-        super().__setitem__(key, value)
-
-
 class TestTraceRecord:
     FIELDS = ("a_sum", "psi_sum", "sigma2_sum", "q_sum", "z_counts", "omega_counts")
 
@@ -544,16 +538,17 @@ class TestTraceRecord:
         assert trace.n_recorded == ref.n_recorded == 4
         assert trace.z_counts.sum() == trace.omega_counts.sum() == 4 * n_pixels
 
-    def test_tallies_through_intp_indices(self, monkeypatch):
-        # int32 labels times P would overflow once K * P passes 2**31.
-        monkeypatch.setattr(_IndexSpy, "index_dtypes", [])
-        state = random_state((5, 7), 3, 2, seed=0, beta1=0.0)
-        trace = Trace.empty(3, 35, 3, 2)
-        trace.z_counts = trace.z_counts.view(_IndexSpy)
-        trace.omega_counts = trace.omega_counts.view(_IndexSpy)
-        trace.record(state)
-        assert _IndexSpy.index_dtypes == [np.dtype(np.intp)] * 2
-        assert_same_bits(np.asarray(trace.z_counts).argmax(axis=0), state.z.labels.astype(np.intp))
+    def test_matches_fancy_index_reference_at_scene2_size(self):
+        # (K, P) = (12, 40 000), scene 2's cluster tallies.
+        n_pixels, n_clusters, n_classes = 40_000, 12, 5
+        trace = Trace.empty(3, n_pixels, n_clusters, n_classes)
+        ref = Trace.empty(3, n_pixels, n_clusters, n_classes)
+        for sweep in range(2):
+            state = random_state((200, 200), n_clusters, n_classes, seed=sweep, beta1=0.0)
+            trace.record(state)
+            oracles.trace_record(ref, state)
+        for field in self.FIELDS:
+            assert_same_bits(getattr(trace, field), getattr(ref, field))
 
 
 def init_problem(n_bands, n_pixels, seed, shape=None):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from hbum.errors import ValidationError
 from hbum.lattice import Lattice, neighbor_value_counts
+import oracles
 from oracles import color_masks, coords, index, neighbors
 
 lattice_dims = st.tuples(st.integers(1, 12), st.integers(1, 12))
@@ -126,3 +127,23 @@ class TestNeighborValueCounts:
         total = counts.sum(axis=0)
         assert total[1:-1, 1:-1].min() == 4
         assert total[0, 0] == 2
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1), (5, 6), (6, 5), (40, 40)])
+    @pytest.mark.parametrize("n_values", [1, 2, 3, 12])
+    def test_matches_shift_add_reference(self, shape, n_values):
+        # Each colour's counts, and the whole grid's, against the shifted
+        # one-hot adds; the centre of a uniform 3x3 block counts 4, which an
+        # add of two bool arrays (a logical or) would count as 1.
+        lat = Lattice(*shape)
+        labels = np.random.default_rng(n_values).integers(n_values, size=shape).astype(np.int32)
+        if min(shape) >= 3:
+            labels[:3, :3] = n_values - 1
+        ref = oracles.neighbor_value_counts(labels, n_values)
+        if min(shape) >= 3:
+            assert ref[n_values - 1, 1, 1] == 4
+        full = neighbor_value_counts(labels, n_values)
+        assert full.dtype == ref.dtype and np.array_equal(full, ref)
+        for color, sites in enumerate(lat.color_sites):
+            counts = neighbor_value_counts(labels, n_values, color)
+            assert counts.dtype == np.int32
+            assert np.array_equal(counts, ref.reshape(n_values, -1)[:, sites])

@@ -861,19 +861,22 @@ class TestRunChain:
         # Profilers count neighbor-count calls by wrapping this module's
         # name. A burn-in sweep makes two calls for the cluster field, one
         # for the class-side normalizer and two for the class field; a
-        # recorded sweep (beta1 off) makes the two class-field calls.
+        # recorded sweep (beta1 off) makes the two class-field calls. A
+        # field's calls count one colour each; the normalizer counts the
+        # whole grid.
         Y, M, sup, config = tiny_problem(seed=10, n_mc=3, n_burnin=2)
         assert config.beta1 > 0.0 and config.beta2 > 0.0
         original = sampler_mod.neighbor_value_counts
         calls = []
 
-        def spy(grid, n_values):
-            calls.append(n_values)
-            return original(grid, n_values)
+        def spy(grid, n_values, color=None):
+            calls.append(color)
+            return original(grid, n_values, color)
 
         monkeypatch.setattr(sampler_mod, "neighbor_value_counts", spy)
         run_chain(Y, M, sup, config)
         assert len(calls) == 2 * 5 + 3 * 2
+        assert calls[:5] == [0, 1, None, 0, 1] and calls[-2:] == [0, 1]
 
     def test_debug_validation_runs_clean(self):
         Y, M, sup, config = tiny_problem(seed=11, n_mc=5, n_burnin=2)
