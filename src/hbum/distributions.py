@@ -119,7 +119,10 @@ def _checked_log_weights(log_weights: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return lw, peak
 
 
-def sample_categorical_log_many(rng: np.random.Generator, log_weights: np.ndarray) -> np.ndarray:
+def sample_categorical_log_many(
+    rng: np.random.Generator, log_weights: np.ndarray, *,
+    overwrite: bool = False, order: np.ndarray | None = None,
+) -> np.ndarray:
     """Column-wise categorical draws from a (n_choices, n_sites) log-weight
     matrix, by inverse CDF: one uniform per site against the cumulative
     weights. Entries of -inf have zero probability and are never drawn;
@@ -134,22 +137,31 @@ def sample_categorical_log_many(rng: np.random.Generator, log_weights: np.ndarra
     first row whose sum exceeds ``u * total``, ``u`` in [0, 1): a
     zero-weight row never exceeds it, also for ``u == 0``. The draws do not
     depend on the memory layout of ``log_weights``.
+
+    With ``overwrite`` a C-ordered float64 ``log_weights`` is scratch for
+    the weights, written only after every check. ``order``, a permutation of
+    the sites, gives the i-th of one ``rng.random(n_sites)`` to site ``order[i]``.
     """
     lw, peak = _checked_log_weights(log_weights)
+    neg_inf = lw == -np.inf if lw.min(initial=0.0) == -np.inf else None
+    w = lw if overwrite else np.empty_like(lw)
     with np.errstate(over="ignore"):  # a finite difference past -DBL_MAX is -inf
-        w = lw - peak
+        np.subtract(lw, peak, out=w)
     np.maximum(w, _LOG_WEIGHT_FLOOR, out=w)
     np.exp(w, out=w)
-    if lw.min(initial=0.0) == -np.inf:
-        np.copyto(w, 0.0, where=lw == -np.inf)
-    for k in range(1, w.shape[0]):
+    if neg_inf is not None:
+        np.copyto(w, 0.0, where=neg_inf)
+    n_choices, n_sites = w.shape
+    for k in range(1, n_choices):
         np.add(w[k - 1], w[k], out=w[k])
-    u = rng.random(size=w.shape[1])
+    u = rng.random(size=n_sites) if order is None else np.empty(n_sites)
+    if order is not None:
+        u[order] = rng.random(size=n_sites)
     u *= w[-1]
-    label = np.zeros(w.shape[1], dtype=np.intp)
-    for k in range(w.shape[0] - 1):
-        label += w[k] <= u
-    return label
+    label = np.zeros(n_sites, dtype=np.min_scalar_type(n_choices - 1))
+    for k in range(n_choices - 1):
+        label += np.less_equal(w[k], u).view(np.uint8)
+    return label.astype(np.intp)
 
 
 def sample_categorical_gumbel(rng: np.random.Generator, log_weights: np.ndarray) -> np.ndarray:

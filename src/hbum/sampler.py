@@ -7,11 +7,11 @@ coupling at ``beta1`` and then ``n_mc`` recorded sweeps with it at zero; at
 zero the label-field partition function is constant, so the Dirichlet
 conditional used for Q's columns is exact on every recorded sweep.
 
-Every Potts label field is swept by :func:`potts_sweep`: the cluster field
-z, the class field omega and the Potts map of ``hbum.synthgen``. It runs a
-checkerboard schedule (two half-sweeps of conditionally independent sites)
-with the categorical draw it is handed: the chain's fields by inverse CDF,
-the synthetic map by Gumbel-max.
+Every Potts label field is swept by :func:`potts_sweep`: by checkerboard
+(two half-sweeps of conditionally independent sites) with the categorical
+draw it is handed, inverse CDF for the chain's z and omega, Gumbel-max for
+the Potts map of ``hbum.synthgen``. An uncoupled chain field (z in every
+recorded sweep) is drawn in one pass with the half-sweeps' uniforms.
 A site left without a finite log-weight raises ``NumericalDegeneracyError``
 naming its pixel; :func:`run_chain` prefixes the sweep and the stage.
 
@@ -43,7 +43,7 @@ from __future__ import annotations
 import os
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -226,7 +226,8 @@ def _residual_sq(pre: _Precomp, a: np.ndarray) -> float:
     """``||Y - MA||_F^2 = resid0 + ||QᵀY - RA||^2``, for every A: a sum of
     two sums of squares, which cannot cancel below zero, also when M is
     rank-deficient."""
-    fit = pre.qty - pre.r @ a
+    fit = pre.r @ a
+    np.subtract(pre.qty, fit, out=fit)
     return pre.resid0 + float(np.vdot(fit, fit))
 
 
@@ -241,19 +242,28 @@ def potts_sweep(
     base: np.ndarray,
     beta: float,
     what: str,
-    draw: Callable[[np.random.Generator, np.ndarray], np.ndarray],
+    draw: Callable[[np.random.Generator, np.ndarray], np.ndarray] | None = None,
 ) -> LabelField:
-    """One checkerboard sweep of ``field``, in place. Each half-sweep draws
-    the sites of one colour with ``draw(rng, log_weights)`` from the
-    (n_values, P) log-weights ``base`` plus, when ``beta`` is positive,
-    ``beta`` times the count of each site's neighbours carrying each value.
+    """One sweep of ``field``, in place, from the (n_values, P) log-weights
+    ``base`` plus, when ``beta`` is positive, ``beta`` times the count of each
+    site's neighbours carrying each value. Each checkerboard half-sweep draws
+    one colour's sites with ``draw(rng, log_weights)``; by default the chain's
+    inverse-CDF draw, with ``base`` as scratch, which draws an uncoupled field
+    (independent sites) in one call, its uniforms given out in colour order.
 
-    ``draw`` (one of the column-wise categorical samplers of
-    ``hbum.distributions``) rejects every site without a finite
-    log-weight, so its own checks are the only scan of the weights on the
-    usual path. When it rejects them and some site has none, that is a
-    degeneracy of the field, raised as one that names ``what`` and the
-    first such pixel."""
+    ``draw`` rejects every site without a finite log-weight, so its own
+    checks are the only scan of the weights on the usual path. When it
+    rejects them and some site has none, that is a degeneracy of the field,
+    raised as one naming ``what`` and the first such pixel. A rejected
+    one-pass call changes neither ``base`` nor ``rng``: the half-sweeps raise."""
+    if draw is None:
+        draw = lambda r, w, **kw: sample_categorical_log_many(r, w, overwrite=True, **kw)
+        if not beta > 0.0:
+            try:
+                field.labels[:] = draw(rng, base, order=np.concatenate(field.lattice.color_sites))
+                return field
+            except InvalidParameterError:
+                pass
     for color, sites in enumerate(field.lattice.color_sites):
         weights = np.take(base, sites, axis=1)
         if beta > 0.0:
@@ -355,8 +365,9 @@ def sample_cluster_variances(
     z = state.z.labels
     n_clusters = config.n_clusters
     n_k = np.bincount(z, minlength=n_clusters).astype(np.float64)
-    diff2 = (state.A.data - np.take(state.clusters.psi.T, z, axis=1)) ** 2
-    ssq = _cluster_sums(diff2, z, n_clusters)
+    diff = np.take(state.clusters.psi.T, z, axis=1)
+    np.subtract(state.A.data, diff, out=diff)
+    ssq = _cluster_sums(np.square(diff, out=diff), z, n_clusters)
     shape = n_k[:, None] / 2.0 + config.xi
     scale = config.gamma + ssq / 2.0
     draws = sample_inverse_gamma_array(rng, shape, scale)
@@ -418,9 +429,7 @@ def sample_cluster_labels(state: ChainState, rng: np.random.Generator) -> LabelF
     and, while ``effective_beta1`` is positive, the spatial agreement count."""
     base = _gaussian_cluster_loglik(state.A.data, state.clusters.psi, state.clusters.sigma2)
     base += np.take(_log_nonneg(state.q.q), state.omega.labels, axis=1)
-    return potts_sweep(
-        rng, state.z, base, state.effective_beta1, "cluster", sample_categorical_log_many
-    )
+    return potts_sweep(rng, state.z, base, state.effective_beta1, "cluster")
 
 
 def sample_interaction_matrix(
@@ -443,9 +452,9 @@ def _class_log_partition(state: ChainState, beta1: float) -> np.ndarray:
     conditional while the cluster coupling is active."""
     n_clusters = state.q.n_clusters
     counts = neighbor_value_counts(state.z.grid(), n_clusters).reshape(n_clusters, -1)
-    energy = beta1 * counts
-    peak = energy.max(axis=0)
-    boosted = np.exp(energy - peak[None, :])
+    boosted = beta1 * counts
+    peak = boosted.max(axis=0)
+    np.exp(np.subtract(boosted, peak, out=boosted), out=boosted)
     return (np.log(boosted.T @ state.q.q) + peak[:, None]).T
 
 
@@ -461,7 +470,7 @@ def sample_class_labels(
     base += w1
     if state.effective_beta1 > 0.0:
         base -= _class_log_partition(state, state.effective_beta1)
-    return potts_sweep(rng, state.omega, base, config.beta2, "class", sample_categorical_log_many)
+    return potts_sweep(rng, state.omega, base, config.beta2, "class")
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +481,8 @@ def sample_class_labels(
 def _kmeans_labels(
     a: np.ndarray, n_clusters: int, rng: np.random.Generator, n_iter: int = 10
 ) -> np.ndarray:
-    """k-means++ seeding plus a few Lloyd rounds on the columns of ``a``."""
+    """k-means++ seeding plus a few Lloyd rounds on the columns of ``a``; a
+    centre is its members' bincount sums, added in pixel order, over their count."""
     points = a.T
     n_points, n_dims = points.shape
     centers = np.empty((n_clusters, n_dims))
@@ -487,19 +497,21 @@ def _kmeans_labels(
             pick = min(int(np.searchsorted(np.cumsum(d2), u)), n_points - 1)
             centers[i] = points[pick]
         d2 = np.minimum(d2, np.sum((points - centers[i]) ** 2, axis=1))
-    sq_pts = np.sum(points * points, axis=1)
+    sq_pts = np.sum(points * points, axis=1)[:, None]
+    dists = np.empty((n_points, n_clusters))
     labels = np.zeros(n_points, dtype=np.int32)
     for _ in range(n_iter):
-        dists = sq_pts[:, None] - 2.0 * points @ centers.T + np.sum(centers * centers, axis=1)
+        np.matmul(points, centers.T, out=dists)
+        dists *= 2.0
+        np.subtract(sq_pts, dists, out=dists)
+        dists += np.sum(centers * centers, axis=1)
         new_labels = dists.argmin(axis=1).astype(np.int32)
         if np.array_equal(new_labels, labels):
-            labels = new_labels
             break
         labels = new_labels
-        for k in range(n_clusters):
-            members = labels == k
-            if np.any(members):
-                centers[k] = points[members].mean(axis=0)
+        sizes = np.bincount(labels, minlength=n_clusters)
+        used = sizes > 0
+        centers[used] = _cluster_sums(a, labels, n_clusters)[used] / sizes[used, None]
     return labels
 
 
@@ -527,18 +539,18 @@ def initialize_state(
     np.clip(a, 0.0, 1.0, out=a)
     s2 = max(_residual_sq(pre, a) / pre.n_obs, 1e-12)
 
+    # Moments from bincount sums, in pixel order as a[:, members] sums them.
     z = _kmeans_labels(a, config.n_clusters, rng)
-    psi = np.empty((config.n_clusters, n_dims))
-    sigma2 = np.empty((config.n_clusters, n_dims))
-    overall_var = np.maximum(a.var(axis=1), 1e-6)
-    for k in range(config.n_clusters):
-        members = z == k
-        if np.any(members):
-            psi[k] = project_to_simplex(a[:, members].mean(axis=1))
-            sigma2[k] = np.maximum(a[:, members].var(axis=1), 1e-6)
-        else:
-            psi[k] = 1.0 / n_dims
-            sigma2[k] = overall_var
+    sizes = np.bincount(z, minlength=config.n_clusters)[:, None]
+    means = _cluster_sums(a, z, config.n_clusters) / np.maximum(sizes, 1)
+    dev = np.take(means.T, z, axis=1)
+    np.square(np.subtract(a, dev, out=dev), out=dev)
+    sigma2 = _cluster_sums(dev, z, config.n_clusters) / np.maximum(sizes, 1)
+    sigma2[sizes[:, 0] == 0] = a.var(axis=1)
+    np.maximum(sigma2, 1e-6, out=sigma2)
+    psi = np.full((config.n_clusters, n_dims), 1.0 / n_dims)
+    for k in np.flatnonzero(sizes):
+        psi[k] = project_to_simplex(means[k])
 
     # C order: Q feeds a GEMM in _class_log_partition.
     q = sample_dirichlet(rng, np.ones((config.n_classes, config.n_clusters))).T.copy()
@@ -627,11 +639,7 @@ def run_chain(
     normals = np.random.Generator(type(rng.bit_generator)(ss))
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     if config.pi_override is not None:
-        sup = SupervisionData(
-            sup.labeled_idx, sup.c, sup.eta,
-            np.asarray(config.pi_override, dtype=np.float64),
-            sup.n_classes, sup.n_pixels,
-        )
+        sup = replace(sup, pi=np.asarray(config.pi_override, dtype=np.float64))
         sup.validate()
     w1 = class_log_prior_matrix(sup)
     state = initialize_state(pre, sup, config, rng)

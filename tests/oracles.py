@@ -320,6 +320,60 @@ def init_unmixing(Y: np.ndarray, M: np.ndarray) -> tuple[np.ndarray, float]:
     return a, s2
 
 
+def kmeans_labels(
+    a: np.ndarray, n_clusters: int, rng: np.random.Generator, n_iter: int = 10
+) -> np.ndarray:
+    """k-means++ seeding plus Lloyd rounds with a fresh distance matrix per
+    round and each centre the mean of its members' rows."""
+    points = a.T
+    n_points, n_dims = points.shape
+    centers = np.empty((n_clusters, n_dims))
+    centers[0] = points[int(rng.integers(n_points))]
+    d2 = np.sum((points - centers[0]) ** 2, axis=1)
+    for i in range(1, n_clusters):
+        total = d2.sum()
+        if total <= 0.0:
+            centers[i] = points[int(rng.integers(n_points))]
+        else:
+            u = rng.random() * total
+            pick = min(int(np.searchsorted(np.cumsum(d2), u)), n_points - 1)
+            centers[i] = points[pick]
+        d2 = np.minimum(d2, np.sum((points - centers[i]) ** 2, axis=1))
+    sq_pts = np.sum(points * points, axis=1)
+    labels = np.zeros(n_points, dtype=np.int32)
+    for _ in range(n_iter):
+        dists = sq_pts[:, None] - 2.0 * points @ centers.T + np.sum(centers * centers, axis=1)
+        new_labels = dists.argmin(axis=1).astype(np.int32)
+        if np.array_equal(new_labels, labels):
+            labels = new_labels
+            break
+        labels = new_labels
+        for k in range(n_clusters):
+            members = labels == k
+            if np.any(members):
+                centers[k] = points[members].mean(axis=0)
+    return labels
+
+
+def cluster_moments(a: np.ndarray, z: np.ndarray, n_clusters: int):
+    """Initial (psi, sigma2): per cluster, the simplex projection of its
+    members' mean and their variance floored at 1e-6; an empty cluster gets
+    the simplex centre and the floored variance over all pixels."""
+    n_dims = a.shape[0]
+    psi = np.empty((n_clusters, n_dims))
+    sigma2 = np.empty((n_clusters, n_dims))
+    overall_var = np.maximum(a.var(axis=1), 1e-6)
+    for k in range(n_clusters):
+        members = z == k
+        if np.any(members):
+            psi[k] = project_to_simplex(a[:, members].mean(axis=1))
+            sigma2[k] = np.maximum(a[:, members].var(axis=1), 1e-6)
+        else:
+            psi[k] = 1.0 / n_dims
+            sigma2[k] = overall_var
+    return psi, sigma2
+
+
 def generate_potts_field(spec, rng: np.random.Generator) -> LabelField:
     """Potts label map drawn with boolean checkerboard masks on the grid."""
     spec.validate()

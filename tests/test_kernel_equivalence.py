@@ -159,6 +159,56 @@ class TestCategoricalInverseCdf:
         assert draws.tolist() == [0, 2]
 
 
+class TestCategoricalScratch:
+    """Drawing on weights the caller hands over as scratch, and handing out
+    the uniforms in a given site order."""
+
+    @pytest.mark.parametrize("n_choices", [1, 2, 3, 12])
+    @pytest.mark.parametrize("n_sites", [1, 7, 5000])
+    @pytest.mark.parametrize("minus_inf_share", [0.0, 0.4])
+    def test_scratch_draw_matches_copy_draw(self, n_choices, n_sites, minus_inf_share):
+        lw = log_weights(n_choices, n_sites, seed=n_sites + n_choices,
+                         minus_inf_share=minus_inf_share)
+        lw[:, ::3] *= 800.0 / 3.0  # below the -700 floor
+        scratch = lw.copy()
+        rng_new, rng_ref = make_rng(n_choices), make_rng(n_choices)
+        got = sample_categorical_log_many(rng_new, scratch, overwrite=True)
+        assert got.dtype == np.intp
+        assert_same_bits(got, sample_categorical_log_many(rng_ref, lw))
+        assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+        assert not np.array_equal(scratch, lw)  # the weights were formed in place
+
+    @pytest.mark.parametrize("n_choices", [1, 2, 3, 12])
+    def test_uniforms_go_out_in_order(self, n_choices):
+        # One draw with ``order`` equals a draw per block of ``order``, in turn.
+        lw = log_weights(n_choices, 101, seed=n_choices, minus_inf_share=0.4)
+        order = np.random.default_rng(n_choices).permutation(101)
+        rng_new, rng_ref = make_rng(5), make_rng(5)
+        got = sample_categorical_log_many(rng_new, lw.copy(), overwrite=True, order=order)
+        want = np.empty(101, dtype=np.intp)
+        for block in (order[:40], order[40:]):
+            want[block] = sample_categorical_log_many(rng_ref, lw[:, block])
+        assert_same_bits(got, want)
+        assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("ordered", [False, True])
+    def test_rejected_call_leaves_weights_and_generator(self, bad, ordered):
+        lw = log_weights(3, 6, seed=2, minus_inf_share=0.3)
+        if bad == -np.inf:
+            lw[:, 4] = bad  # a site with no finite weight
+        else:
+            lw[1, 4] = bad
+        scratch, rng = lw.copy(), make_rng(9)
+        state = rng.bit_generator.state
+        with pytest.raises(InvalidParameterError):
+            sample_categorical_log_many(
+                rng, scratch, overwrite=True, order=np.arange(6)[::-1] if ordered else None
+            )
+        assert_same_bits(scratch, lw)
+        assert rng.bit_generator.state == state
+
+
 class TestCategoricalLayout:
     @pytest.mark.parametrize("n_choices", CHOICES)
     def test_draws_do_not_depend_on_layout(self, n_choices):
@@ -472,14 +522,62 @@ class TestLabelSweeps:
             assert rng_new.bit_generator.state == rng_ref.bit_generator.state
 
 
+class TestOnePassSweep:
+    """An uncoupled field drawn in one call against its two half-sweeps."""
+
+    @staticmethod
+    def sweep(base, lattice, draw, seed=3):
+        field = LabelField(np.zeros(lattice.n_pixels, dtype=np.int32), base.shape[0], lattice)
+        rng = make_rng(seed)
+        try:
+            sampler_mod.potts_sweep(rng, field, base.copy(), 0.0, "cluster", draw)
+        except (InvalidParameterError, NumericalDegeneracyError) as exc:
+            return field.labels, rng.bit_generator.state, exc
+        return field.labels, rng.bit_generator.state, None
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("n_values", [1, 2, 3, 12])
+    def test_matches_half_sweeps(self, shape, n_values):
+        lattice = Lattice(*shape)
+        base = log_weights(n_values, lattice.n_pixels, seed=n_values, minus_inf_share=0.4)
+        one, half = (self.sweep(base, lattice, d) for d in (None, sample_categorical_log_many))
+        assert_same_bits(one[0], half[0])
+        assert one[1] == half[1] and one[2] is None and half[2] is None
+
+    @pytest.mark.parametrize("dead, named", [((1, 4), 4), ((1, 3), 1), ((8, 1), 8), ((33,), 33)])
+    def test_dead_site_named_as_by_half_sweeps(self, dead, named):
+        # On a 5x7 grid pixels 4 and 8 are of the first colour, 1, 3 and 33
+        # of the second; the half-sweeps name the first dead pixel they meet.
+        lattice = Lattice(5, 7)
+        base = log_weights(3, lattice.n_pixels, seed=1)
+        base[:, list(dead)] = -np.inf
+        one, half = (self.sweep(base, lattice, d) for d in (None, sample_categorical_log_many))
+        for _, _, exc in (one, half):
+            assert isinstance(exc, NumericalDegeneracyError)
+            assert str(exc).endswith(f"(first affected pixel {named})")
+        assert_same_bits(one[0], half[0])
+        assert one[1] == half[1]
+
+    def test_invalid_weight_raises_as_half_sweeps_do(self):
+        # NaN at a first-colour pixel and a dead second-colour pixel: the first
+        # half-sweep rejects the NaN before the dead pixel is reached.
+        lattice = Lattice(5, 7)
+        base = log_weights(3, lattice.n_pixels, seed=1)
+        base[0, 4], base[:, 1] = np.nan, -np.inf
+        one, half = (self.sweep(base, lattice, d) for d in (None, sample_categorical_log_many))
+        for _, _, exc in (one, half):
+            assert type(exc) is InvalidParameterError
+        assert one[1] == half[1]
+
+
 class TestGatherLayout:
     @pytest.mark.parametrize("beta", [0.0, 0.8])
     def test_label_stages_pass_c_ordered_weights(self, monkeypatch, beta):
         seen = []
 
-        def spy(rng, log_weights):
+        def spy(rng, log_weights, **kwargs):
             seen.append((log_weights.shape, log_weights.flags.c_contiguous))
-            return sample_categorical_log_many(rng, log_weights)
+            return sample_categorical_log_many(rng, log_weights, **kwargs)
 
         monkeypatch.setattr(sampler_mod, "sample_categorical_log_many", spy)
         state = random_state((6, 7), 12, 5, seed=2, beta1=beta)
@@ -487,7 +585,10 @@ class TestGatherLayout:
         w1 = np.log(np.random.default_rng(1).dirichlet(np.ones(5), size=42).T)
         sample_cluster_labels(state, make_rng(0))
         sample_class_labels(state, config, make_rng(1), w1)
-        assert seen == [((12, 21), True)] * 2 + [((5, 21), True)] * 2
+        if beta > 0.0:
+            assert seen == [((12, 21), True)] * 2 + [((5, 21), True)] * 2
+        else:  # an uncoupled field is drawn in one call
+            assert seen == [((12, 42), True), ((5, 42), True)]
 
     @pytest.mark.parametrize("shape, n_clusters", [((5, 7), 3), ((1, 9), 12), ((4, 4), 1)])
     def test_cluster_variances(self, shape, n_clusters):
@@ -631,6 +732,57 @@ class TestInitialization:
         np.testing.assert_allclose(state.A.data, a_ref, rtol=0.0, atol=1e-12)
         np.testing.assert_allclose(state.noise.s2, s2_ref, rtol=1e-12)
         assert state.q.q.flags.c_contiguous  # Q feeds a GEMM in _class_log_partition
+
+
+def cluster_scene(n_dims, n_pixels, seed, distinct=None):
+    """Observations of ``n_pixels`` abundance columns, or of ``distinct``
+    columns repeated, so that k-means meets duplicate points."""
+    gen = np.random.default_rng(seed)
+    m = gen.uniform(0.05, 1.0, size=(20, n_dims))
+    cols = distinct or n_pixels
+    y = m @ gen.dirichlet(np.ones(n_dims), size=cols).T + gen.normal(scale=1e-2, size=(20, cols))
+    y = np.tile(y, -(-n_pixels // cols))[:, :n_pixels]
+    lat = Lattice(200, 200) if n_pixels == 40000 else Lattice(1, n_pixels)
+    return ObservationMatrix(y, lat), EndmemberMatrix(m)
+
+
+KMEANS_CASES = (
+    [(3, 500, 4, seed, None) for seed in range(10)]
+    + [(9, 2000, 12, seed, None) for seed in range(3)]
+    + [
+        (9, 40000, 12, 3, None),  # scene 2's size
+        (3, 60, 4, 0, 2),  # two distinct points: clusters left empty
+        (9, 60, 12, 1, 5),
+        (3, 50, 1, 2, None),  # K = 1
+        (3, 3, 3, 4, None),  # P = K
+        (9, 12, 12, 5, None),
+    ]
+)
+
+
+class TestKmeansInit:
+    """Bincount Lloyd rounds and cluster moments against the mean-per-member
+    forms, bit for bit."""
+
+    @pytest.mark.parametrize("n_dims, n_pixels, n_clusters, seed, distinct", KMEANS_CASES)
+    def test_labels_and_moments_match_reference(
+        self, n_dims, n_pixels, n_clusters, seed, distinct
+    ):
+        Y, M = cluster_scene(n_dims, n_pixels, seed, distinct)
+        sup = SupervisionData.from_labels(np.array([0, 1]), np.array([0, 1]), 0.9, 2, n_pixels)
+        config = ModelConfig(n_clusters=n_clusters, n_classes=2, n_endmembers=n_dims)
+        state = initialize_state(_make_precomp(Y, M), sup, config, make_rng(seed))
+        a = state.A.data
+        rng_new, rng_ref = make_rng(seed), make_rng(seed)
+        z = sampler_mod._kmeans_labels(a, n_clusters, rng_new)
+        assert_same_bits(z, oracles.kmeans_labels(a, n_clusters, rng_ref))
+        assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+        assert_same_bits(state.z.labels, z)
+        psi, sigma2 = oracles.cluster_moments(a, z, n_clusters)
+        assert_same_bits(state.clusters.psi, psi)
+        assert_same_bits(state.clusters.sigma2, sigma2)
+        if distinct is not None:
+            assert np.bincount(z, minlength=n_clusters).min() == 0
 
 
 def with_oracle_kernels(monkeypatch):
