@@ -10,7 +10,8 @@ Subcommands
 
 Exit codes: 0 success, 2 validation error, 3 numerical degeneracy, 4 I/O or
 file-format error. ``run`` and ``sweep-corruption`` form the scene statistics
-once and drop Y before the first sweep. ``--threads`` (an integer >= 1)
+once, from Y.hbm in band blocks, and never hold Y whole; ``evaluate`` reads
+only Y's header. ``--threads`` (an integer >= 1)
 parallelizes sweep-corruption trials across processes, which share those
 statistics; every trial draws from its own substream of the master seed, so
 results do not depend on the worker count.
@@ -171,10 +172,10 @@ def _model_overrides(args) -> dict:
 
 
 def cmd_run(args) -> int:
-    bundle = read_bundle(args.bundle)
+    bundle = read_bundle(args.bundle, stream_y=True)
     config = load_model_config(args.config, overrides=_model_overrides(args))
     t0 = time.perf_counter()
-    pre, bundle.Y = sampler._make_precomp(bundle.Y, bundle.M), None
+    pre = sampler._make_precomp(bundle.Y, bundle.M)
     estimates, trace = run_chain(
         pre, bundle.M, bundle.sup, config, debug_validate=args.debug_validate
     )
@@ -212,7 +213,7 @@ def _kappa(bundle, omega, eval_all: bool) -> tuple[ConfusionMatrix, float]:
 
 def cmd_evaluate(args) -> int:
     estimates, _, manifest = read_results(args.results)
-    bundle = read_bundle(args.bundle)
+    bundle = read_bundle(args.bundle, stream_y=True)  # Y is not scored
     cm, kappa = _kappa(bundle, estimates.omega, args.eval_all)
     metrics = {
         "rgmse": rgmse(estimates.A, bundle.a_true),
@@ -243,7 +244,7 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-# The (bundle without Y, scene statistics, config, eval_all, workers) of a
+# The (bundle, scene statistics, config, eval_all, workers) of a
 # sweep, set once in each pool worker by ``_init_sweep_worker``; the parent
 # process never sets it.
 _sweep_inputs = None
@@ -288,11 +289,11 @@ def cmd_sweep_corruption(args) -> int:
     if args.threads < 1:
         raise ValidationError(f"--threads must be an integer >= 1, got {args.threads}")
     # Read the inputs and form the scene statistics once, before launching
-    # workers; every trial runs on them, and none needs Y.
-    bundle = read_bundle(args.bundle)
+    # workers; every trial runs on them, and none reads Y.
+    bundle = read_bundle(args.bundle, stream_y=True)
     config = load_model_config(args.config, overrides=_model_overrides(args))
     t0 = time.perf_counter()  # as in ``run``, the total counts the statistics
-    pre, bundle.Y = sampler._make_precomp(bundle.Y, bundle.M), None
+    pre = sampler._make_precomp(bundle.Y, bundle.M)
     tasks = [
         (alpha, alpha_idx, trial)
         for alpha_idx, alpha in enumerate(alphas)

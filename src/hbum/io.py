@@ -20,6 +20,7 @@ rejected and missing required keys are reported by name.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import sys
@@ -94,14 +95,24 @@ def read_matrix(path: str | Path) -> np.ndarray:
     over the header and that array, so the file is held in memory once.
     """
     path = Path(path)
+    with _opened(path) as (fh, header_line, dtype, rows, cols):
+        arr = np.empty((rows, cols), dtype=dtype)
+        _check_footer(fh, path, _read_payload(fh, path, arr, zlib.crc32(header_line)))
+    return arr if arr.dtype.isnative else arr.astype(arr.dtype.newbyteorder("="))
+
+
+@contextlib.contextmanager
+def _opened(path: Path):
+    """The open container with its header line, dtype, rows and cols, once
+    the header and the file size check out; OSError becomes DataFormatError."""
     try:
         with open(path, "rb") as fh:
-            return _read_matrix_from(fh, path)
+            yield fh, *_read_header(fh, path)
     except OSError as exc:
         raise DataFormatError(f"cannot read {path}: {exc}") from exc
 
 
-def _read_matrix_from(fh, path: Path) -> np.ndarray:
+def _read_header(fh, path: Path) -> tuple[bytes, np.dtype, int, int]:
     file_size = os.fstat(fh.fileno()).st_size
     if fh.read(len(MAGIC)) != MAGIC:
         raise DataFormatError(f"{path}: bad magic, not a matrix container")
@@ -126,13 +137,20 @@ def _read_matrix_from(fh, path: Path) -> np.ndarray:
         raise DataFormatError(f"{path}: non-integer dimensions in header") from exc
     if rows < 0 or cols < 0:
         raise DataFormatError(f"{path}: negative dimensions")
-    n_bytes = rows * cols * dtype.itemsize
-    if file_size != len(MAGIC) + len(header_line) + n_bytes + _FOOTER_LEN:
+    if file_size != len(MAGIC) + len(header_line) + rows * cols * dtype.itemsize + _FOOTER_LEN:
         raise DataFormatError(f"{path}: truncated or oversized payload")
-    arr = np.empty((rows, cols), dtype=dtype)
-    payload = memoryview(arr.reshape(-1).view(np.uint8))
-    if fh.readinto(payload) != n_bytes:
+    return header_line, dtype, rows, cols
+
+
+def _read_payload(fh, path: Path, out: np.ndarray, crc: int) -> int:
+    """Read the next ``out.nbytes`` payload bytes into ``out``; returns the CRC run on."""
+    payload = memoryview(out.reshape(-1).view(np.uint8))
+    if fh.readinto(payload) != out.nbytes:
         raise DataFormatError(f"{path}: truncated or oversized payload")
+    return zlib.crc32(payload, crc)
+
+
+def _check_footer(fh, path: Path, crc: int) -> None:
     footer = fh.read(_FOOTER_LEN + 1)
     if len(footer) != _FOOTER_LEN:
         raise DataFormatError(f"{path}: truncated or oversized payload")
@@ -142,12 +160,44 @@ def _read_matrix_from(fh, path: Path) -> np.ndarray:
         expected = int(footer[6:-1], 16)
     except ValueError as exc:
         raise DataFormatError(f"{path}: malformed checksum footer") from exc
-    actual = zlib.crc32(payload, zlib.crc32(header_line)) & 0xFFFFFFFF
-    if expected != actual:
+    if expected != crc:
         raise DataFormatError(
-            f"{path}: checksum mismatch (stored {expected:08x}, computed {actual:08x})"
+            f"{path}: checksum mismatch (stored {expected:08x}, computed {crc:08x})"
         )
-    return arr if arr.dtype.isnative else arr.astype(arr.dtype.newbyteorder("="))
+
+
+@dataclass
+class ObservationFile:
+    """The d x P observations in a ``Y.hbm`` of which only the header has
+    been read. Like ``ObservationMatrix``, it serves its rows through
+    ``band_blocks``, here read from the file at every pass."""
+
+    path: Path
+    n_bands: int
+    lattice: Lattice
+
+    @classmethod
+    def open(cls, path: str | Path, lattice: Lattice) -> "ObservationFile":
+        with _opened(Path(path)) as (_, _, _, rows, cols):
+            if cols != lattice.n_pixels:
+                raise DataFormatError(f"{path}: observation columns do not match the label grid")
+        return cls(Path(path), rows, lattice)
+
+    def band_blocks(self, n_rows: int):
+        """Yield ``(first band, block)`` for float64 blocks of ``n_rows``
+        bands, read into one buffer, so a block lives until the next.
+        ``read_matrix``'s checks run on the same bytes, the checksum after
+        the last block: a caller must exhaust the blocks before it trusts
+        what it formed from them."""
+        with _opened(self.path) as (fh, header_line, dtype, rows, cols):
+            if (rows, cols) != (self.n_bands, self.lattice.n_pixels):
+                raise DataFormatError(f"{self.path}: changed since its header was read")
+            buf, crc = np.empty((min(n_rows, rows), cols), dtype=dtype), zlib.crc32(header_line)
+            for lo in range(0, rows, n_rows):
+                block = buf[: min(n_rows, rows - lo)]
+                crc = _read_payload(fh, self.path, block, crc)
+                yield lo, block.astype(np.float64, copy=False)
+            _check_footer(fh, self.path, crc)
 
 
 def write_label_field(path: str | Path, field: LabelField) -> None:
@@ -407,7 +457,7 @@ def read_manifest(path: str | Path) -> dict:
 
 @dataclass
 class SceneBundle:
-    Y: ObservationMatrix
+    Y: ObservationMatrix | ObservationFile
     M: EndmemberMatrix
     a_true: AbundanceMatrix
     z_true: LabelField
@@ -443,20 +493,26 @@ def _manifest_counts(manifest: dict, where: Path) -> tuple[int, int]:
         raise DataFormatError(f"{where}: manifest lacks a usable 'counts' section") from exc
 
 
-def read_bundle(bundle_dir: str | Path) -> SceneBundle:
+def read_bundle(bundle_dir: str | Path, *, stream_y: bool = False) -> SceneBundle:
     """Read a bundle, checking its files' format and shapes. The values of
-    Y and M are checked where the chain uses them, in ``_make_precomp``."""
+    Y and M are checked where the chain uses them, in ``_make_precomp``.
+    With ``stream_y`` only Y's header is read: ``Y`` is an ObservationFile,
+    whose payload and checksum are read when the statistics are formed."""
     bdir = Path(bundle_dir)
     manifest = read_manifest(bdir / "scene_manifest.json")
     n_clusters, n_classes = _manifest_counts(manifest, bdir)
-    y_data = read_matrix(bdir / "Y.hbm")
+    y_data = None if stream_y else read_matrix(bdir / "Y.hbm")
     m_data = read_matrix(bdir / "M.hbm")
     a_data = read_matrix(bdir / "A_true.hbm")
     z_true = read_label_field(bdir / "z_true.hbm", n_clusters)
     omega_true = read_label_field(bdir / "omega_true.hbm", n_classes)
     lat = z_true.lattice
-    if y_data.shape[1] != lat.n_pixels:
+    if stream_y:
+        Y = ObservationFile.open(bdir / "Y.hbm", lat)
+    elif y_data.shape[1] != lat.n_pixels:
         raise DataFormatError(f"{bdir}: observation columns do not match the label grid")
+    else:
+        Y = ObservationMatrix(y_data, lat)
     labeled = read_matrix(bdir / "labeled.hbm").ravel()
     eta = read_matrix(bdir / "eta.hbm").ravel()
     idx = np.flatnonzero(labeled > 0)
@@ -466,8 +522,7 @@ def read_bundle(bundle_dir: str | Path) -> SceneBundle:
         idx, labeled[idx].astype(np.int64) - 1, eta[idx], n_classes, lat.n_pixels
     )
     return SceneBundle(
-        ObservationMatrix(y_data, lat), EndmemberMatrix(m_data), AbundanceMatrix(a_data),
-        z_true, omega_true, sup, manifest,
+        Y, EndmemberMatrix(m_data), AbundanceMatrix(a_data), z_true, omega_true, sup, manifest
     )
 
 

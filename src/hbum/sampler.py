@@ -16,8 +16,8 @@ A site left without a finite log-weight raises ``NumericalDegeneracyError``
 naming its pixel; :func:`run_chain` prefixes the sweep and the stage.
 
 The chain reads the d x P observations Y only through the scene statistics
-that :func:`_make_precomp` forms, so chains on one scene can share one set of
-them, and a caller can free Y before the sweeps.
+that :func:`_make_precomp` forms, in band blocks of Y in memory or on disk, so
+chains on one scene can share one set of them and no caller holds Y whole.
 
 Gathers along the pixel axis use ``np.take``, which returns C-ordered rows;
 ``a[:, idx]`` returns a Fortran-ordered copy, over which the per-site
@@ -74,8 +74,8 @@ from .model import (
 SIGMA2_FLOOR = 1e-12
 NOISE_SCALE_FLOOR = 1e-300
 
-# Columns of Y per block of the set-up residual; see ``_make_precomp``.
-_RESID_BLOCK = 1024
+# Bands of Y per block of the scene statistics; see ``_make_precomp``.
+_BAND_BLOCK = 16
 
 
 @dataclass
@@ -190,34 +190,39 @@ class _Precomp:
 
 
 def _make_precomp(Y: ObservationMatrix, M: EndmemberMatrix) -> _Precomp:
-    """Validate Y and M and form the scene statistics, without a d x P
-    temporary: ``resid0`` is summed over blocks of ``_RESID_BLOCK`` columns in
-    one reused buffer. This is the only code of the chain that reads Y."""
-    Y.validate()
+    """Check Y and M and form the scene statistics: the only code that reads
+    Y, an ObservationMatrix or an ``io.ObservationFile``. Both serve the same
+    blocks of ``_BAND_BLOCK`` bands, so give the same bits. Pass 1 checks each
+    block is finite (after a file's checksum) and sums ``QᵀY += Q[b]ᵀ Y[b]``;
+    pass 2 sums ``resid0 += ||Y[b] - Q[b] QᵀY||²``, which cannot cancel. Sums
+    of squares use einsum: BLAS's dot splits them by its thread count."""
     M.validate()
     if Y.n_bands != M.n_bands:
         raise ValidationError(
             f"observations have {Y.n_bands} bands but endmembers have {M.n_bands}"
         )
-    y, m = Y.data, M.data
+    m = M.data
     q, r = np.linalg.qr(m)
-    qty = q.T @ y
-    n_bands, n_pixels = y.shape
-    buf = np.empty(n_bands * min(n_pixels, _RESID_BLOCK))
-    resid0 = 0.0
-    for lo in range(0, n_pixels, _RESID_BLOCK):
-        hi = min(lo + _RESID_BLOCK, n_pixels)
-        block = buf[: n_bands * (hi - lo)].reshape(n_bands, hi - lo)
-        np.matmul(q, qty[:, lo:hi], out=block)
-        np.subtract(y[:, lo:hi], block, out=block)
-        resid0 += float(np.vdot(block, block))
+    qty = np.zeros((m.shape[1], Y.lattice.n_pixels))
+    part, finite = np.empty_like(qty), True
+    for lo, block in Y.band_blocks(_BAND_BLOCK):
+        finite = finite and bool(np.isfinite(block).all())
+        if finite:
+            qty += np.matmul(q[lo : lo + len(block)].T, block, out=part)
+    if not finite:
+        raise ValidationError("observations contain non-finite entries")
+    fit, resid0 = np.empty((min(_BAND_BLOCK, Y.n_bands), qty.shape[1])), 0.0
+    for lo, block in Y.band_blocks(_BAND_BLOCK):
+        f = np.matmul(q[lo : lo + len(block)], qty, out=fit[: len(block)])
+        np.subtract(block, f, out=f)
+        resid0 += float(np.einsum("ij,ij->", f, f))
     return _Precomp(
         mtm=m.T @ m,
         mty_t=qty.T @ r,  # MᵀY = RᵀQᵀY, pixel rows
         r=r,
         qty=qty,
         resid0=resid0,
-        n_obs=y.size,
+        n_obs=Y.n_bands * qty.shape[1],
         lattice=Y.lattice,
     )
 
@@ -228,7 +233,7 @@ def _residual_sq(pre: _Precomp, a: np.ndarray) -> float:
     rank-deficient."""
     fit = pre.r @ a
     np.subtract(pre.qty, fit, out=fit)
-    return pre.resid0 + float(np.vdot(fit, fit))
+    return pre.resid0 + float(np.einsum("ij,ij->", fit, fit))
 
 
 def _log_nonneg(x: np.ndarray) -> np.ndarray:
@@ -480,9 +485,10 @@ def sample_class_labels(
 
 def _kmeans_labels(
     a: np.ndarray, n_clusters: int, rng: np.random.Generator, n_iter: int = 10
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
     """k-means++ seeding plus a few Lloyd rounds on the columns of ``a``; a
-    centre is its members' bincount sums, added in pixel order, over their count."""
+    centre is its members' bincount sums, added in pixel order, over their
+    count. Returns the labels and the (K, R) centres they were drawn to."""
     points = a.T
     n_points, n_dims = points.shape
     centers = np.empty((n_clusters, n_dims))
@@ -512,7 +518,7 @@ def _kmeans_labels(
         sizes = np.bincount(labels, minlength=n_clusters)
         used = sizes > 0
         centers[used] = _cluster_sums(a, labels, n_clusters)[used] / sizes[used, None]
-    return labels
+    return labels, centers
 
 
 def initialize_state(
@@ -540,7 +546,7 @@ def initialize_state(
     s2 = max(_residual_sq(pre, a) / pre.n_obs, 1e-12)
 
     # Moments from bincount sums, in pixel order as a[:, members] sums them.
-    z = _kmeans_labels(a, config.n_clusters, rng)
+    z, _ = _kmeans_labels(a, config.n_clusters, rng)
     sizes = np.bincount(z, minlength=config.n_clusters)[:, None]
     means = _cluster_sums(a, z, config.n_clusters) / np.maximum(sizes, 1)
     dev = np.take(means.T, z, axis=1)
@@ -611,13 +617,19 @@ def run_chain(
 ) -> tuple[ChainState, Trace]:
     """Run one chain and return (point estimates, trace).
 
-    ``Y`` is the observations or the scene statistics ``_make_precomp(Y, M)``
-    formed from them; chains on one scene can share those, and M is then not
-    read. ``rng`` defaults to a fresh stream derived from ``config.seed``. With
-    ``debug_validate`` every sweep re-checks all state invariants.
+    ``Y`` is the observations (in memory or a file) or the scene statistics
+    ``_make_precomp(Y, M)`` formed from them; chains on one scene can share
+    those, and M is then not read. ``rng`` defaults to a fresh stream derived
+    from ``config.seed``. With ``debug_validate`` every sweep re-checks all
+    state invariants.
     ``chains_at_once`` counts the chains running at once, this one included;
     the normals are drawn ahead only while it is at most half the usable CPUs.
     """
+    # glibc raises its mmap threshold (and twice it, its heap trim threshold)
+    # to the largest mmapped block freed, up to 32 MiB. This untouched block
+    # lifts both above every per-sweep temporary, so the sweeps reuse heap
+    # pages: without it the scene-2 benchmark's chains ran about 10 % longer.
+    np.empty(28 << 20, dtype=np.uint8)
     pre = Y if isinstance(Y, _Precomp) else _make_precomp(Y, M)
     sup.validate()
     config.validate()

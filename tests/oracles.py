@@ -324,7 +324,8 @@ def kmeans_labels(
     a: np.ndarray, n_clusters: int, rng: np.random.Generator, n_iter: int = 10
 ) -> np.ndarray:
     """k-means++ seeding plus Lloyd rounds with a fresh distance matrix per
-    round and each centre the mean of its members' rows."""
+    round and each centre the mean of its members' rows; returns the labels
+    and the centres."""
     points = a.T
     n_points, n_dims = points.shape
     centers = np.empty((n_clusters, n_dims))
@@ -352,7 +353,7 @@ def kmeans_labels(
             members = labels == k
             if np.any(members):
                 centers[k] = points[members].mean(axis=0)
-    return labels
+    return labels, centers
 
 
 def cluster_moments(a: np.ndarray, z: np.ndarray, n_clusters: int):

@@ -399,33 +399,6 @@ class TestRun:
         main(["run", str(bundle), str(model_path), "--out", str(r2)])
         assert results_bytes(r1) == results_bytes(r2)
 
-    def test_y_is_freed_before_the_first_sweep(self, small_bundle, configs, tmp_path,
-                                                monkeypatch):
-        # The chain reads Y only through the scene statistics, so nothing
-        # holds the array read_bundle returned once the sweeps start.
-        import weakref
-
-        import hbum.cli as cli
-        import hbum.sampler as sampler
-
-        _, model_path = configs
-        refs, alive = [], []
-        original = sampler._sample_abundances_all
-
-        def read_and_watch(path):
-            bundle = read_bundle(path)
-            refs.append(weakref.ref(bundle.Y.data))
-            return bundle
-
-        def first_stage(state, pre, normals):
-            alive.append(refs[0]() is not None)
-            return original(state, pre, normals)
-
-        monkeypatch.setattr(cli, "read_bundle", read_and_watch)
-        monkeypatch.setattr(sampler, "_sample_abundances_all", first_stage)
-        assert main(["run", str(small_bundle), str(model_path), "--out", str(tmp_path / "r")]) == 0
-        assert len(refs) == 1 and alive and not any(alive)
-
     def test_flag_overrides_apply(self, configs, tmp_path):
         scene_path, model_path = configs
         bundle = tmp_path / "bundle"
@@ -628,6 +601,109 @@ class TestRun:
         metrics = read_manifest(results / "metrics.json")
         assert metrics["rgmse"] < 1e-6
         assert metrics["kappa"] >= 0.99
+
+
+def y_payload_offset(path):
+    """The offset of the first payload byte of a matrix container."""
+    with open(path, "rb") as fh:
+        fh.readline()
+        fh.readline()
+        return fh.tell()
+
+
+class TestStreamedObservations:
+    """``run`` and ``sweep-corruption`` form the scene statistics from Y.hbm
+    in band blocks, and ``evaluate`` reads only Y's header."""
+
+    @pytest.fixture
+    def bundle(self, small_bundle, tmp_path):
+        shutil.copytree(small_bundle, tmp_path / "bundle")
+        return tmp_path / "bundle"
+
+    @staticmethod
+    def run_and_sweep(bundle, model_path, out):
+        return [
+            main(["run", str(bundle), str(model_path), "--out", str(out / "r")]),
+            main(["sweep-corruption", str(bundle), str(model_path), "--out", str(out / "s"),
+                  "--alphas", "0", "--trials", "1"]),
+        ]
+
+    def test_nan_in_the_last_band_block_exits_2(self, bundle, configs, tmp_path, capsys):
+        # 24 bands: the NaN sits in the second, shorter, block of 16.
+        _, model_path = configs
+        y = read_matrix(bundle / "Y.hbm")
+        y[-1, -1] = np.nan
+        write_matrix(bundle / "Y.hbm", y)
+        assert self.run_and_sweep(bundle, model_path, tmp_path) == [2, 2]
+        assert capsys.readouterr().err.count("observations contain non-finite entries") == 2
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("nan", [False, True])
+    def test_checksum_mismatch_exits_4_naming_y(self, bundle, configs, tmp_path, capsys, nan):
+        # The checksum is checked before the values, so a NaN in a corrupt
+        # file still reads as corruption.
+        _, model_path = configs
+        if nan:
+            y = read_matrix(bundle / "Y.hbm")
+            y[0, 0] = np.nan
+            write_matrix(bundle / "Y.hbm", y)
+        raw = bytearray((bundle / "Y.hbm").read_bytes())
+        raw[y_payload_offset(bundle / "Y.hbm") + 8 * 100] ^= 0x01  # a finite value's last bit
+        (bundle / "Y.hbm").write_bytes(bytes(raw))
+        assert self.run_and_sweep(bundle, model_path, tmp_path) == [4, 4]
+        err = capsys.readouterr().err
+        assert err.count("Y.hbm: checksum mismatch") == 2 and "non-finite" not in err
+
+    @pytest.mark.parametrize("edit", ["truncated", "oversized"])
+    def test_truncated_or_oversized_y_exits_4(self, bundle, configs, tmp_path, capsys, edit):
+        _, model_path = configs
+        raw = (bundle / "Y.hbm").read_bytes()
+        raw = raw[:-100] if edit == "truncated" else raw + b"\0" * 8
+        (bundle / "Y.hbm").write_bytes(raw)
+        assert self.run_and_sweep(bundle, model_path, tmp_path) == [4, 4]
+        assert capsys.readouterr().err.count("Y.hbm: truncated or oversized payload") == 2
+
+    def test_evaluate_never_reads_the_payload(self, bundle, small_results, tmp_path, capsys):
+        raw = bytearray((bundle / "Y.hbm").read_bytes())
+        raw[y_payload_offset(bundle / "Y.hbm")] ^= 0xFF
+        (bundle / "Y.hbm").write_bytes(bytes(raw))
+        assert main(["evaluate", str(small_results), str(bundle), "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_run_and_evaluate_never_hold_y_whole(self, small_bundle, configs, tmp_path):
+        # A 64 MiB Y over the small scene's 256 pixels. Each command runs in
+        # a child of a fresh wrapper, whose RUSAGE_CHILDREN peak is then the
+        # command's own; both stay below a child that only reads Y.
+        _, model_path = configs
+        bundle = tmp_path / "bundle"
+        shutil.copytree(small_bundle, bundle)
+        n_bands = 64 * 2**20 // (8 * 256)
+        m = np.random.default_rng(0).uniform(0.05, 1.0, size=(n_bands, 3))
+        write_matrix(bundle / "M.hbm", m)
+        write_matrix(bundle / "Y.hbm", m @ read_matrix(bundle / "A_true.hbm"))
+        del m
+        wrapper = (
+            "import resource, subprocess, sys\n"
+            "subprocess.run([sys.executable, '-c', sys.argv[1]], check=True)\n"
+            "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+        )
+
+        def peak(code):
+            proc = subprocess.run([sys.executable, "-c", wrapper, code], env=child_env(),
+                                  capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+            return int(proc.stdout.split()[-1])
+
+        cli = "from hbum.cli import main\nassert main({!r}) == 0"
+        run = ["run", str(bundle), str(model_path), "--out", str(tmp_path / "r"),
+               "--iters", "3", "--burnin", "1"]
+        read = "import hbum.cli\nhbum.cli.read_matrix({!r})"
+        peaks = {
+            "read_matrix": peak(read.format(str(bundle / "Y.hbm"))),
+            "run": peak(cli.format(run)),
+            "evaluate": peak(cli.format(["evaluate", str(tmp_path / "r"), str(bundle)])),
+        }
+        assert peaks["run"] < peaks["read_matrix"] and peaks["evaluate"] < peaks["read_matrix"], peaks
 
 
 class TestImports:
@@ -980,11 +1056,11 @@ class TestSweepCorruption:
         main(["generate", str(scene_path), "--out", str(bundle_dir)])
         parent, reads = os.getpid(), []
 
-        def read_in_parent_only(path):
+        def read_in_parent_only(path, **kwargs):
             # A pool worker inherits this stand-in; a read there fails the sweep.
             assert os.getpid() == parent, "a trial re-read the bundle"
             reads.append(path)
-            return read_bundle(path)
+            return read_bundle(path, **kwargs)
 
         monkeypatch.setattr(cli, "read_bundle", read_in_parent_only)
         args = [

@@ -27,6 +27,9 @@ from hbum.lattice import Lattice
 from hbum.model import LabelField
 
 
+_FOOTER_BYTES = len(b"crc32:00000000\n")
+
+
 def write_json(path, payload):
     path.write_text(json.dumps(payload))
     return path
@@ -190,6 +193,61 @@ class TestMatrixContainer:
     def test_unsupported_dtype_rejected(self, tmp_path):
         with pytest.raises(ValidationError):
             write_matrix(tmp_path / "m.hbm", np.ones((2, 2), dtype=np.float32))
+
+
+class TestObservationFile:
+    """Y.hbm read in band blocks: the header when opened, the payload only
+    when the blocks are asked for."""
+
+    @pytest.mark.parametrize("rows, n_rows", [(1, 16), (16, 16), (17, 16), (40, 16), (5, 2)])
+    @pytest.mark.parametrize("dtype", [np.float64, np.uint32])
+    def test_blocks_are_the_rows_as_float64(self, tmp_path, rows, n_rows, dtype):
+        data = np.random.default_rng(rows).integers(0, 1000, size=(rows, 6)).astype(dtype)
+        write_matrix(tmp_path / "Y.hbm", data)
+        obs = io.ObservationFile.open(tmp_path / "Y.hbm", Lattice(2, 3))
+        assert obs.n_bands == rows
+        firsts, blocks = zip(*[(lo, block.copy()) for lo, block in obs.band_blocks(n_rows)])
+        assert list(firsts) == list(range(0, rows, n_rows))
+        assert [len(b) for b in blocks] == [min(n_rows, rows - lo) for lo in range(0, rows, n_rows)]
+        assert all(b.dtype == np.float64 and b.flags.c_contiguous for b in blocks)
+        assert np.array_equal(np.vstack(blocks), data.astype(np.float64))
+
+    def test_checksum_is_checked_after_the_last_block(self, tmp_path):
+        write_matrix(tmp_path / "Y.hbm", np.ones((40, 6)))
+        raw = bytearray((tmp_path / "Y.hbm").read_bytes())
+        raw[-_FOOTER_BYTES - 1] ^= 0x01  # the last payload byte
+        (tmp_path / "Y.hbm").write_bytes(bytes(raw))
+        obs = io.ObservationFile.open(tmp_path / "Y.hbm", Lattice(2, 3))
+        seen = []
+        with pytest.raises(DataFormatError, match="Y.hbm: checksum mismatch"):
+            for _, block in obs.band_blocks(16):
+                seen.append(len(block))
+        assert seen == [16, 16, 8]
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda raw: raw[:-3], "truncated or oversized"),
+        (lambda raw: raw + b"\0", "truncated or oversized"),
+        (lambda raw: b"NOPE1\n" + raw[6:], "bad magic"),
+    ])
+    def test_open_checks_the_header_and_size(self, tmp_path, edit, message):
+        write_matrix(tmp_path / "Y.hbm", np.ones((4, 6)))
+        (tmp_path / "Y.hbm").write_bytes(edit((tmp_path / "Y.hbm").read_bytes()))
+        with pytest.raises(DataFormatError, match=message):
+            io.ObservationFile.open(tmp_path / "Y.hbm", Lattice(2, 3))
+
+    def test_open_checks_the_columns_and_the_file(self, tmp_path):
+        write_matrix(tmp_path / "Y.hbm", np.ones((4, 6)))
+        with pytest.raises(DataFormatError, match="columns do not match the label grid"):
+            io.ObservationFile.open(tmp_path / "Y.hbm", Lattice(2, 4))
+        with pytest.raises(DataFormatError, match="cannot read"):
+            io.ObservationFile.open(tmp_path / "absent.hbm", Lattice(2, 3))
+
+    def test_a_file_changed_after_opening_is_rejected(self, tmp_path):
+        write_matrix(tmp_path / "Y.hbm", np.ones((4, 6)))
+        obs = io.ObservationFile.open(tmp_path / "Y.hbm", Lattice(2, 3))
+        write_matrix(tmp_path / "Y.hbm", np.ones((5, 6)))
+        with pytest.raises(DataFormatError, match="changed since"):
+            list(obs.band_blocks(16))
 
 
 class TestLabelFieldFiles:

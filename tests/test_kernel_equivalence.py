@@ -21,6 +21,7 @@ from hbum.distributions import (
     sample_gaussian_simplex_truncated_batch,
 )
 from hbum.errors import InvalidParameterError, NumericalDegeneracyError, ValidationError
+from hbum.io import ObservationFile, write_matrix
 from hbum.lattice import Lattice
 from hbum.model import (
     AbundanceMatrix,
@@ -734,6 +735,49 @@ class TestInitialization:
         assert state.q.q.flags.c_contiguous  # Q feeds a GEMM in _class_log_partition
 
 
+class TestStreamedStatistics:
+    """``_make_precomp`` over an ``io.ObservationFile`` reads Y.hbm in band
+    blocks; it must give the bits of the same Y held in memory."""
+
+    @pytest.mark.parametrize(
+        "n_bands, n_dims, shape",
+        [(5, 3, (1, 37)), (15, 3, (4, 9)), (16, 3, (4, 9)), (17, 3, (4, 9)),
+         (31, 3, (3, 11)), (32, 2, (3, 11)), (33, 3, (3, 11)), (47, 9, (5, 8)),
+         (49, 9, (5, 8)), (1, 1, (2, 7)), (20, 3, (1, 1)), (1, 1, (1, 1)), (413, 9, (7, 13))],
+    )
+    def test_file_and_memory_give_the_same_bits(self, tmp_path, n_bands, n_dims, shape):
+        gen = np.random.default_rng(n_bands * 100 + n_dims)
+        lat = Lattice(*shape)
+        m = gen.uniform(0.05, 1.0, size=(n_bands, n_dims))
+        y = m @ gen.dirichlet(np.ones(n_dims), size=lat.n_pixels).T
+        y += gen.normal(scale=1e-2, size=y.shape)
+        write_matrix(tmp_path / "Y.hbm", y)
+        streamed = ObservationFile.open(tmp_path / "Y.hbm", lat)
+        assert streamed.n_bands == n_bands
+        M = EndmemberMatrix(m)
+        ref = _make_precomp(ObservationMatrix(y, lat), M)
+        got = _make_precomp(streamed, M)
+        for field in ("mtm", "mty_t", "r", "qty"):
+            assert_same_bits(getattr(got, field), getattr(ref, field))
+        assert got.resid0.hex() == ref.resid0.hex()
+        assert (got.n_obs, got.lattice) == (ref.n_obs, ref.lattice) == (y.size, lat)
+        assert got.mty_t.flags.c_contiguous
+
+    def test_chains_on_file_and_memory_agree(self, tmp_path):
+        # The benchmark's grid cell (0, 0), formed from the file by the CLI,
+        # must equal a chain run on the in-memory Y.
+        Y, M = init_problem(40, None, seed=4, shape=(6, 7))
+        write_matrix(tmp_path / "Y.hbm", Y.data)
+        sup = SupervisionData.from_labels(np.arange(0, 42, 3), np.arange(14) % 2, 0.9, 2, 42)
+        config = ModelConfig(n_clusters=3, n_classes=2, n_endmembers=3, n_burnin=2, n_mc=3)
+        ref, _ = run_chain(Y, M, sup, config)
+        got, _ = run_chain(ObservationFile.open(tmp_path / "Y.hbm", Y.lattice), M, sup, config)
+        for a, b in ((got.A.data, ref.A.data), (got.clusters.psi, ref.clusters.psi),
+                     (got.q.q, ref.q.q), (got.z.labels, ref.z.labels)):
+            assert_same_bits(a, b)
+        assert got.noise.s2 == ref.noise.s2
+
+
 def cluster_scene(n_dims, n_pixels, seed, distinct=None):
     """Observations of ``n_pixels`` abundance columns, or of ``distinct``
     columns repeated, so that k-means meets duplicate points."""
@@ -774,8 +818,11 @@ class TestKmeansInit:
         state = initialize_state(_make_precomp(Y, M), sup, config, make_rng(seed))
         a = state.A.data
         rng_new, rng_ref = make_rng(seed), make_rng(seed)
-        z = sampler_mod._kmeans_labels(a, n_clusters, rng_new)
-        assert_same_bits(z, oracles.kmeans_labels(a, n_clusters, rng_ref))
+        z, centers = sampler_mod._kmeans_labels(a, n_clusters, rng_new)
+        ref_z, ref_centers = oracles.kmeans_labels(a, n_clusters, rng_ref)
+        assert_same_bits(z, ref_z)
+        # Labels alone can miss a last-bit change in the centres.
+        assert_same_bits(centers, ref_centers)
         assert rng_new.bit_generator.state == rng_ref.bit_generator.state
         assert_same_bits(state.z.labels, z)
         psi, sigma2 = oracles.cluster_moments(a, z, n_clusters)
