@@ -174,59 +174,28 @@ def sample_categorical_gumbel(rng: np.random.Generator, log_weights: np.ndarray)
     return np.argmax(lw + rng.gumbel(size=lw.shape), axis=0)
 
 
-def _truncnorm_tail(rng: np.random.Generator, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Standard-normal draws on [lo, hi] with lo deep in the right tail.
+def _truncnorm_tail(rng: np.random.Generator, lo: float, hi: float) -> float:
+    """One standard-normal draw on [lo, hi] with lo deep in the right tail.
 
     Accept-reject from a Rayleigh proposal restricted to the interval
-    (Marsaglia-style); exact for arbitrarily far tails and for narrow
-    intervals where inverse-CDF differences cancel.
+    (Marsaglia-style), two uniforms an attempt; exact for arbitrarily far
+    tails and for narrow intervals where inverse-CDF differences cancel.
     """
     c = 0.5 * lo * lo
-    f = np.expm1(c - 0.5 * hi * hi)  # hi = inf gives f = -1
-    x = c - np.log1p(rng.random(size=lo.shape) * f)
-    reject = rng.random(size=lo.shape) ** 2 * x > c
-    while np.any(reject):
-        n_rej = int(reject.sum())
-        y = c[reject] - np.log1p(rng.random(size=n_rej) * f[reject])
-        ok = rng.random(size=n_rej) ** 2 * y <= c[reject]
-        idx = np.flatnonzero(reject)
-        x[idx[ok]] = y[ok]
-        reject[idx[ok]] = False
-    return np.sqrt(2.0 * x)
+    f = math.expm1(c - 0.5 * hi * hi)  # hi = inf gives f = -1
+    while True:
+        u, v = rng.random(2).tolist()
+        x = c - math.log1p(u * f)
+        if v * v * x <= c:
+            return math.sqrt(2.0 * x)
 
 
-def _truncnorm_standard(rng: np.random.Generator, lo, hi) -> np.ndarray:
-    """Standard-normal draws conditioned to [lo, hi], elementwise.
-
-    Central intervals use the inverse CDF of numerically stable upper-tail
-    probabilities; intervals entirely beyond +-_TAIL_THRESHOLD standard
-    deviations use Rayleigh rejection. Bounds may be lists of floats.
-    """
-    if not (any(a > _TAIL_THRESHOLD for a in lo) or any(b < -_TAIL_THRESHOLD for b in hi)):
-        return _truncnorm_central(rng, lo, hi)
-    lo, hi = np.asarray(lo), np.asarray(hi)
-    right = lo > _TAIL_THRESHOLD
-    left = hi < -_TAIL_THRESHOLD
-    out = np.empty(lo.shape)
-    central = ~(right | left)
-    if np.any(right):
-        out[right] = _truncnorm_tail(rng, lo[right], hi[right])
-    if np.any(left):
-        out[left] = -_truncnorm_tail(rng, -hi[left], -lo[left])
-    if np.any(central):
-        out[central] = _truncnorm_central(rng, lo[central].tolist(), hi[central].tolist())
-    return out
-
-
-def _truncnorm_central(rng: np.random.Generator, lo, hi) -> np.ndarray:
-    """Inverse-CDF standard-normal draws on [lo, hi] for (n,) bounds (lists
-    or arrays), one uniform each; a scalar loop beats array functions here."""
-    draws = []
-    for a, b, v in zip(lo, hi, rng.random(size=len(lo)).tolist()):
-        pl = 0.5 * math.erfc(a / _SQRT2)  # P(X > a)
-        q = pl - (pl - 0.5 * math.erfc(b / _SQRT2)) * v
-        draws.append(math.inf if q <= 0.0 else -math.inf if q >= 1.0 else -_NORMAL_QUANTILE(q))
-    return np.array(draws)
+def _truncnorm_central(lo: float, hi: float, u: float) -> float:
+    """The inverse-CDF standard-normal draw on [lo, hi] for the uniform ``u``,
+    from numerically stable upper-tail probabilities."""
+    pl = 0.5 * math.erfc(lo / _SQRT2)  # P(X > lo)
+    q = pl - (pl - 0.5 * math.erfc(hi / _SQRT2)) * u
+    return math.inf if q <= 0.0 else -math.inf if q >= 1.0 else -_NORMAL_QUANTILE(q)
 
 
 def project_to_simplex(v: np.ndarray) -> np.ndarray:
@@ -256,10 +225,10 @@ def sample_gaussian_simplex_truncated_batch(
     Gaussian conditional truncated to the interval that keeps the point
     inside the simplex. Used inside an outer Gibbs chain, a short inner scan
     started from the previous value (``init``) is a valid
-    Metropolis-within-Gibbs move. Rows share the scan schedule, a scalar
-    loop over the rows' floats that draws each coordinate for all rows at
-    once. Entries are >= 0, and each row's last coordinate is one minus the
-    sum of the others.
+    Metropolis-within-Gibbs move. The uniforms are drawn first, as scans
+    over all rows at once would use them; then each row runs its scans in
+    a scalar loop over its floats. Entries are >= 0, and each row's last
+    coordinate is one minus the sum of the others.
     """
     means = np.asarray(means, dtype=np.float64)
     var_diags = np.asarray(var_diags, dtype=np.float64)
@@ -282,8 +251,8 @@ def sample_gaussian_simplex_truncated_batch(
         if x.shape != means.shape or not np.isfinite(x).all():
             raise InvalidParameterError("init must be finite and match the shape of means")
 
-    # Per free coordinate r: the 1-D conditional's variance and the part of
-    # its mean that does not move during the scan.
+    # Row i's parts of coordinate r's 1-D conditional that stay fixed through
+    # the scans: its variance, its sd and means / var_diags.
     last = n_dim - 1
     with np.errstate(over="ignore"):  # a subnormal variance gives sd 0, rejected below
         inv_var = 1.0 / var_diags
@@ -291,28 +260,35 @@ def sample_gaussian_simplex_truncated_batch(
     sd = np.sqrt(cond_var)
     if not (np.all(sd > 0.0) and np.all(np.isfinite(sd))):
         raise InvalidParameterError("truncated-normal sd must be positive and finite")
-    # x[r][i] is coordinate r of batch row i. Python floats make each IEEE
-    # operation numpy would make, in its order, so the draws keep their bits.
-    fixed = (means[:, :last] / var_diags[:, :last]).T.tolist()
-    cond_var, sd = cond_var.T.tolist(), sd.T.tolist()
-    mean_last, var_last = means[:, last].tolist(), var_diags[:, last].tolist()
-    x = x.T.tolist()
-    for it in range(inner_iters):
-        for r in range(last):
-            # Budget shared between coordinate r and the eliminated last one.
-            t = [a + b for a, b in zip(x[r], x[last])]
-            if it == 0 and min(t) < 0.0:  # x >= 0 from the first scan on
+    # One uniform a draw, in the order of scans over all rows at once: scan,
+    # coordinate, row. A draw past the tail threshold leaves its uniform
+    # unused and takes its own from ``rng`` after these.
+    uniforms = rng.random((inner_iters * last, n_batch)).T.tolist()
+    rows = zip(x.tolist(), uniforms, cond_var.tolist(), sd.tolist(),
+               (means[:, :last] / var_diags[:, :last]).tolist(),
+               means[:, last].tolist(), var_diags[:, last].tolist())
+    scan, out = list(range(last)) * inner_iters, []
+    # Python floats make each IEEE operation numpy would make, in its order.
+    for x_i, u_i, var_i, sd_i, fixed_i, mean_last, var_last in rows:
+        x_last = x_i[last]
+        for r, u in zip(scan, u_i):
+            t = x_i[r] + x_last  # budget shared by coordinate r and the last one
+            if t < 0.0:  # an init off the simplex: x >= 0 from its first draw on
                 raise InvalidParameterError("truncated-normal interval must satisfy lo <= hi")
-            mean = [c * (f + (b - m) / v)
-                    for c, f, b, m, v in zip(cond_var[r], fixed[r], t, mean_last, var_last)]
-            lo = [(0.0 - m) / s for m, s in zip(mean, sd[r])]
-            hi = [(b - m) / s for b, m, s in zip(t, mean, sd[r])]
-            draw = _truncnorm_standard(rng, lo, hi).tolist()
+            mean, s = var_i[r] * (fixed_i[r] + (t - mean_last) / var_last), sd_i[r]
+            lo, hi = (0.0 - mean) / s, (t - mean) / s
+            if lo > _TAIL_THRESHOLD:
+                draw = _truncnorm_tail(rng, lo, hi)
+            elif hi < -_TAIL_THRESHOLD:
+                draw = -_truncnorm_tail(rng, -hi, -lo)
+            else:
+                draw = _truncnorm_central(lo, hi, u)
             # Guard against round-off pushing a draw infinitesimally outside,
             # comparing as np.clip does: a NaN passes and -0.0 becomes 0.0.
-            x[r] = [d * s + m for d, s, m in zip(draw, sd[r], mean)]
-            x[r] = [v if v != v else min(b, max(0.0, v)) for v, b in zip(x[r], t)]
-            x[last] = [b - a for a, b in zip(x[r], t)]
-    x = np.array(x).T.copy()
+            v = draw * s + mean
+            x_i[r] = v if v != v else min(t, max(0.0, v))
+            x_last = t - x_i[r]
+        out.append(x_i)
+    x = np.array(out)
     x[:, last] = np.maximum(1.0 - x[:, :last].sum(axis=1), 0.0)
     return x

@@ -74,8 +74,11 @@ from .model import (
 SIGMA2_FLOOR = 1e-12
 NOISE_SCALE_FLOOR = 1e-300
 
-# Bands of Y per block of the scene statistics; see ``_make_precomp``.
-_BAND_BLOCK = 16
+# Bands of Y per block of the scene statistics, and pixels per column tile of
+# a block (16 x 5120 doubles, 640 KiB, stay in L2); see ``_make_precomp``.
+# _TILE is a multiple of 1024: tiles 2, 3 or 5 wide moved bits in the
+# one-band products, which numpy runs as GEMV.
+_BAND_BLOCK, _TILE = 16, 5120
 
 
 @dataclass
@@ -194,8 +197,10 @@ def _make_precomp(Y: ObservationMatrix, M: EndmemberMatrix) -> _Precomp:
     Y, an ObservationMatrix or an ``io.ObservationFile``. Both serve the same
     blocks of ``_BAND_BLOCK`` bands, so give the same bits. Pass 1 checks each
     block is finite (after a file's checksum) and sums ``QᵀY += Q[b]ᵀ Y[b]``;
-    pass 2 sums ``resid0 += ||Y[b] - Q[b] QᵀY||²``, which cannot cancel. Sums
-    of squares use einsum: BLAS's dot splits them by its thread count."""
+    pass 2 sums ``resid0 += ||Y[b] - Q[b] QᵀY||²``, which cannot cancel. Both
+    work a block in column tiles of ``_TILE`` pixels, which keeps each output
+    column's bits; only the residual's sum runs over the whole block. Sums of
+    squares use einsum: BLAS's dot splits them by its thread count."""
     M.validate()
     if Y.n_bands != M.n_bands:
         raise ValidationError(
@@ -203,18 +208,29 @@ def _make_precomp(Y: ObservationMatrix, M: EndmemberMatrix) -> _Precomp:
         )
     m = M.data
     q, r = np.linalg.qr(m)
-    qty = np.zeros((m.shape[1], Y.lattice.n_pixels))
+    n_pixels = Y.lattice.n_pixels
+    # numpy runs a one-column product as GEMV, whose sums round otherwise
+    # than GEMM's, so a lone last column joins the tile before it.
+    cuts = [*range(0, max(n_pixels - 1, 1), _TILE), n_pixels]
+    tiles = [slice(a, b) for a, b in zip(cuts, cuts[1:])]
+    qty = np.zeros((m.shape[1], n_pixels))
+    # ``part`` spans all pixels so that the hole it leaves in the heap holds
+    # the sweeps' temporaries: a tile-wide one raised scene 2's peak RSS.
     part, finite = np.empty_like(qty), True
     for lo, block in Y.band_blocks(_BAND_BLOCK):
-        finite = finite and bool(np.isfinite(block).all())
-        if finite:
-            qty += np.matmul(q[lo : lo + len(block)].T, block, out=part)
+        q_t = q[lo : lo + len(block)].T
+        for cols in tiles:
+            finite = finite and bool(np.isfinite(block[:, cols]).all())
+            if finite:
+                qty[:, cols] += np.matmul(q_t, block[:, cols], out=part[:, cols])
     if not finite:
         raise ValidationError("observations contain non-finite entries")
-    fit, resid0 = np.empty((min(_BAND_BLOCK, Y.n_bands), qty.shape[1])), 0.0
+    fit, resid0 = np.empty((min(_BAND_BLOCK, Y.n_bands), n_pixels)), 0.0
     for lo, block in Y.band_blocks(_BAND_BLOCK):
-        f = np.matmul(q[lo : lo + len(block)], qty, out=fit[: len(block)])
-        np.subtract(block, f, out=f)
+        f, q_b = fit[: len(block)], q[lo : lo + len(block)]
+        for cols in tiles:
+            tile = np.matmul(q_b, qty[:, cols], out=f[:, cols])
+            np.subtract(block[:, cols], tile, out=tile)
         resid0 += float(np.einsum("ij,ij->", f, f))
     return _Precomp(
         mtm=m.T @ m,
@@ -507,8 +523,9 @@ def _kmeans_labels(
     dists = np.empty((n_points, n_clusters))
     labels = np.zeros(n_points, dtype=np.int32)
     for _ in range(n_iter):
-        np.matmul(points, centers.T, out=dists)
-        dists *= 2.0
+        # 2 p·c as p·(2c): doubling is exact, so every product and sum is
+        # the old one doubled, bit for bit, unless a product is subnormal.
+        np.matmul(points, (2.0 * centers).T, out=dists)
         np.subtract(sq_pts, dists, out=dists)
         dists += np.sum(centers * centers, axis=1)
         new_labels = dists.argmin(axis=1).astype(np.int32)
@@ -552,7 +569,9 @@ def initialize_state(
     dev = np.take(means.T, z, axis=1)
     np.square(np.subtract(a, dev, out=dev), out=dev)
     sigma2 = _cluster_sums(dev, z, config.n_clusters) / np.maximum(sizes, 1)
-    sigma2[sizes[:, 0] == 0] = a.var(axis=1)
+    empty = sizes[:, 0] == 0
+    if empty.any():
+        sigma2[empty] = a.var(axis=1)
     np.maximum(sigma2, 1e-6, out=sigma2)
     psi = np.full((config.n_clusters, n_dims), 1.0 / n_dims)
     for k in np.flatnonzero(sizes):

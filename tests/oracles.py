@@ -5,8 +5,9 @@ The kernel references are the straightforward form of a kernel that
 masks, neighbor counts by shifted one-hot adds over the whole grid,
 per-cluster index gathers, fancy-index gathers and tallies,
 ``solve_triangular``, the unexpanded Gaussian square, ``Generator.gumbel``,
-``np.cumsum`` with ``np.argmax``, one Dirichlet draw per column of Q, and a
-truncated-normal sampler that validates and masks on every call. The
+``np.cumsum`` with ``np.argmax``, one Dirichlet draw per column of Q, a
+truncated-normal sampler that validates and masks on every call, and the
+scene statistics over whole band blocks. The
 kernel-equivalence tests require the optimised kernels to leave the
 generator in the same state and to return the same bits, or, where the
 optimised kernel runs its arithmetic as GEMMs (the abundance draw and the
@@ -45,6 +46,7 @@ from hbum.errors import (
 from hbum.model import LabelField
 from hbum.sampler import (
     SIGMA2_FLOOR,
+    _Precomp,
     _class_log_partition,
     _cluster_sums,
     _log_nonneg,
@@ -406,9 +408,28 @@ def default_cluster_means(n_clusters: int, n_endmembers: int) -> np.ndarray:
     return means
 
 
+def truncnorm_tail(rng: np.random.Generator, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Right-tail standard-normal draws on [lo, hi] for arrays of bounds:
+    Rayleigh proposals for every interval at once, then again for the
+    rejected ones, so one call's uniforms come in that order."""
+    c = 0.5 * lo * lo
+    f = np.expm1(c - 0.5 * hi * hi)  # hi = inf gives f = -1
+    x = c - np.log1p(rng.random(size=lo.shape) * f)
+    reject = rng.random(size=lo.shape) ** 2 * x > c
+    while np.any(reject):
+        n_rej = int(reject.sum())
+        y = c[reject] - np.log1p(rng.random(size=n_rej) * f[reject])
+        ok = rng.random(size=n_rej) ** 2 * y <= c[reject]
+        idx = np.flatnonzero(reject)
+        x[idx[ok]] = y[ok]
+        reject[idx[ok]] = False
+    return np.sqrt(2.0 * x)
+
+
 def truncnorm_standard(rng: np.random.Generator, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Standard-normal draws on [lo, hi] with boolean-mask gathers of the
-    right-tail, left-tail and central intervals on every call. The central
+    right-tail, left-tail and central intervals on every call: the tail
+    draws first, then one uniform each for the central ones. The central
     draws use ``hbum``'s own inverse-CDF primitive, which
     ``test_distributions.py`` checks against the erfc/erfcinv formula."""
     out = np.empty(lo.shape)
@@ -416,11 +437,13 @@ def truncnorm_standard(rng: np.random.Generator, lo: np.ndarray, hi: np.ndarray)
     left = hi < -_TAIL_THRESHOLD
     central = ~(right | left)
     if np.any(right):
-        out[right] = _truncnorm_tail(rng, lo[right], hi[right])
+        out[right] = truncnorm_tail(rng, lo[right], hi[right])
     if np.any(left):
-        out[left] = -_truncnorm_tail(rng, -hi[left], -lo[left])
+        out[left] = -truncnorm_tail(rng, -hi[left], -lo[left])
     if np.any(central):
-        out[central] = _truncnorm_central(rng, lo[central], hi[central])
+        u = rng.random(size=int(central.sum()))
+        out[central] = [_truncnorm_central(a, b, v)
+                        for a, b, v in zip(lo[central], hi[central], u)]
     return out
 
 
@@ -445,11 +468,8 @@ def sample_truncated_normal(rng: np.random.Generator, mean, sd, lo, hi) -> np.nd
     return np.clip(draw, lo, hi)
 
 
-def sample_gaussian_simplex_truncated_batch(
-    rng: np.random.Generator, means, var_diags, inner_iters: int = 5, init=None
-) -> np.ndarray:
-    """Simplex-truncated Gaussian draws that form every coordinate's
-    conditional afresh and draw it with :func:`sample_truncated_normal`."""
+def _simplex_start(means, var_diags, inner_iters, init):
+    """The simplex samplers' checks; the (batch, R) start, or None for R = 1."""
     means = np.asarray(means, dtype=np.float64)
     var_diags = np.asarray(var_diags, dtype=np.float64)
     if means.ndim != 2 or means.shape != var_diags.shape:
@@ -460,15 +480,29 @@ def sample_gaussian_simplex_truncated_batch(
         raise InvalidParameterError("simplex-truncated sampler needs finite means")
     if inner_iters < 1:
         raise InvalidParameterError("inner_iters must be >= 1")
-    n_batch, n_dim = means.shape
-    if n_dim == 1:
-        return np.ones((n_batch, 1))
+    if means.shape[1] == 1:
+        return None
     if init is None:
-        x = np.stack([project_to_simplex(m) for m in means])
-    else:
-        x = np.array(init, dtype=np.float64)
-        if x.shape != means.shape or not np.isfinite(x).all():
-            raise InvalidParameterError("init must be finite and match the shape of means")
+        return np.stack([project_to_simplex(m) for m in means])
+    x = np.array(init, dtype=np.float64)
+    if x.shape != means.shape or not np.isfinite(x).all():
+        raise InvalidParameterError("init must be finite and match the shape of means")
+    return x
+
+
+def sample_gaussian_simplex_truncated_batch(
+    rng: np.random.Generator, means, var_diags, inner_iters: int = 5, init=None
+) -> np.ndarray:
+    """Simplex-truncated Gaussian draws that scan a coordinate over all rows
+    at a time, forming its conditional afresh and drawing it with
+    :func:`sample_truncated_normal`. Without a tail draw, ``hbum`` must give
+    these bits and leave the generator in this state."""
+    x = _simplex_start(means, var_diags, inner_iters, init)
+    means = np.asarray(means, dtype=np.float64)
+    var_diags = np.asarray(var_diags, dtype=np.float64)
+    n_batch, n_dim = means.shape
+    if x is None:
+        return np.ones((n_batch, 1))
     last = n_dim - 1
     for _ in range(inner_iters):
         for r in range(n_dim - 1):
@@ -484,3 +518,74 @@ def sample_gaussian_simplex_truncated_batch(
             x[:, last] = t - x[:, r]
     x[:, last] = np.maximum(1.0 - x[:, :last].sum(axis=1), 0.0)
     return x
+
+
+def sample_gaussian_simplex_truncated_rows(
+    rng: np.random.Generator, means, var_diags, inner_iters: int = 5, init=None
+) -> np.ndarray:
+    """Simplex-truncated Gaussian draws one row at a time: the uniforms are
+    drawn first as an (inner_iters, R - 1, batch) array, then each row runs
+    its scans, forming every conditional afresh. A draw past the tail
+    threshold leaves its uniform unused and takes Rayleigh uniforms from
+    ``rng`` as it comes."""
+    x = _simplex_start(means, var_diags, inner_iters, init)
+    means = np.asarray(means, dtype=np.float64)
+    var_diags = np.asarray(var_diags, dtype=np.float64)
+    n_batch, n_dim = means.shape
+    if x is None:
+        return np.ones((n_batch, 1))
+    last = n_dim - 1
+    u = rng.random(size=(inner_iters, last, n_batch))
+    for i in range(n_batch):
+        for it in range(inner_iters):
+            for r in range(last):
+                t = x[i, r] + x[i, last]
+                if t < 0.0:
+                    raise InvalidParameterError("truncated-normal interval must satisfy lo <= hi")
+                cond_var = 1.0 / (1.0 / var_diags[i, r] + 1.0 / var_diags[i, last])
+                cond_mean = cond_var * (
+                    means[i, r] / var_diags[i, r] + (t - means[i, last]) / var_diags[i, last]
+                )
+                sd = np.sqrt(cond_var)
+                if not (sd > 0.0 and np.isfinite(sd)):
+                    raise InvalidParameterError("truncated-normal sd must be positive and finite")
+                lo, hi = (0.0 - cond_mean) / sd, (t - cond_mean) / sd
+                if lo > _TAIL_THRESHOLD:
+                    draw = _truncnorm_tail(rng, float(lo), float(hi))
+                elif hi < -_TAIL_THRESHOLD:
+                    draw = -_truncnorm_tail(rng, float(-hi), float(-lo))
+                else:
+                    draw = _truncnorm_central(float(lo), float(hi), float(u[it, r, i]))
+                x[i, r] = np.clip(cond_mean + sd * draw, 0.0, t)
+                x[i, last] = t - x[i, r]
+    x[:, last] = np.maximum(1.0 - x[:, :last].sum(axis=1), 0.0)
+    return x
+
+
+def make_precomp(Y, M):
+    """The scene statistics as ``_make_precomp`` formed them before it worked
+    in column tiles: every 16-band block of Y whole, in both passes."""
+    M.validate()
+    if Y.n_bands != M.n_bands:
+        raise ValidationError(
+            f"observations have {Y.n_bands} bands but endmembers have {M.n_bands}"
+        )
+    m = M.data
+    q, r = np.linalg.qr(m)
+    qty = np.zeros((m.shape[1], Y.lattice.n_pixels))
+    part, finite = np.empty_like(qty), True
+    for lo, block in Y.band_blocks(16):
+        finite = finite and bool(np.isfinite(block).all())
+        if finite:
+            qty += np.matmul(q[lo : lo + len(block)].T, block, out=part)
+    if not finite:
+        raise ValidationError("observations contain non-finite entries")
+    fit, resid0 = np.empty((min(16, Y.n_bands), qty.shape[1])), 0.0
+    for lo, block in Y.band_blocks(16):
+        f = np.matmul(q[lo : lo + len(block)], qty, out=fit[: len(block)])
+        np.subtract(block, f, out=f)
+        resid0 += float(np.einsum("ij,ij->", f, f))
+    return _Precomp(
+        mtm=m.T @ m, mty_t=qty.T @ r, r=r, qty=qty, resid0=resid0,
+        n_obs=Y.n_bands * qty.shape[1], lattice=Y.lattice,
+    )

@@ -654,6 +654,35 @@ class TestStreamedObservations:
         err = capsys.readouterr().err
         assert err.count("Y.hbm: checksum mismatch") == 2 and "non-finite" not in err
 
+    @pytest.mark.parametrize("corrupt", [False, True])
+    def test_nan_in_the_last_tile_of_the_last_block(self, tmp_path, capsys, corrupt):
+        # 72 x 72 = 5 184 pixels: each band block is worked in two column
+        # tiles, and the NaN sits in the second tile of the second block.
+        from hbum.sampler import _BAND_BLOCK, _TILE
+
+        scene = dict(SCENE_CONFIG, scene=dict(SCENE_CONFIG["scene"], height=72, width=72))
+        (tmp_path / "scene.json").write_text(json.dumps(scene))
+        (tmp_path / "model.json").write_text(json.dumps(MODEL_CONFIG))
+        bundle = tmp_path / "bundle"
+        assert main(["generate", str(tmp_path / "scene.json"), "--out", str(bundle)]) == 0
+        y = read_matrix(bundle / "Y.hbm")
+        assert _TILE < y.shape[1] < 2 * _TILE and _BAND_BLOCK < y.shape[0] < 2 * _BAND_BLOCK
+        y[-1, -1] = np.nan
+        write_matrix(bundle / "Y.hbm", y)
+        if corrupt:
+            raw = bytearray((bundle / "Y.hbm").read_bytes())
+            raw[y_payload_offset(bundle / "Y.hbm") + 8 * 100] ^= 0x01  # a finite value's last bit
+            (bundle / "Y.hbm").write_bytes(bytes(raw))
+        codes = self.run_and_sweep(bundle, tmp_path / "model.json", tmp_path)
+        err = capsys.readouterr().err
+        if corrupt:
+            assert codes == [4, 4]
+            assert err.count("Y.hbm: checksum mismatch") == 2 and "non-finite" not in err
+        else:
+            assert codes == [2, 2]
+            assert err.count("observations contain non-finite entries") == 2
+        assert not (tmp_path / "r").exists()
+
     @pytest.mark.parametrize("edit", ["truncated", "oversized"])
     def test_truncated_or_oversized_y_exits_4(self, bundle, configs, tmp_path, capsys, edit):
         _, model_path = configs

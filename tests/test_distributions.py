@@ -14,8 +14,9 @@ from scipy import stats
 from scipy.special import erfc, erfcinv
 
 from hbum.distributions import (
+    _TAIL_THRESHOLD,
     _truncnorm_central,
-    _truncnorm_standard,
+    _truncnorm_tail,
     make_rng,
     project_to_simplex,
     sample_categorical_gumbel,
@@ -310,6 +311,21 @@ def erfcinv_truncnorm(u, lo, hi):
     return np.sqrt(2.0) * erfcinv(2.0 * (pl - (pl - pu) * u))
 
 
+def central_draws(rng, lo, hi):
+    """``_truncnorm_central`` on (n,) bounds, one uniform each."""
+    return np.array([_truncnorm_central(a, b, u) for a, b, u in zip(lo, hi, rng.random(lo.size))])
+
+
+def standard_draws(rng, lo, hi, n):
+    """``n`` standard-normal draws on [lo, hi], by the primitive the simplex
+    sampler's scan picks for that interval."""
+    if lo > _TAIL_THRESHOLD:
+        return np.array([_truncnorm_tail(rng, lo, hi) for _ in range(n)])
+    if hi < -_TAIL_THRESHOLD:
+        return -np.array([_truncnorm_tail(rng, -hi, -lo) for _ in range(n)])
+    return central_draws(rng, np.full(n, lo), np.full(n, hi))
+
+
 class ConstantUniforms:
     """Stands in for a generator whose every uniform is ``value``."""
 
@@ -340,13 +356,13 @@ class TestTruncatedNormalQuantiles:
     def test_matches_erfcinv_formula(self, case):
         lo, hi = self.INTERVALS[case]
         expected = erfcinv_truncnorm(make_rng(7).random(lo.size), lo, hi)
-        actual = _truncnorm_central(make_rng(7), lo, hi)
+        actual = central_draws(make_rng(7), lo, hi)
         np.testing.assert_allclose(actual, expected, rtol=1e-12, atol=1e-12)
 
     def test_certain_edges_give_infinities_like_erfcinv(self):
         # An upper-tail probability of 0 or 1 has no finite quantile.
         lo, hi = np.array([40.0, -np.inf]), np.array([np.inf, -40.0])
-        actual = _truncnorm_central(make_rng(1), lo, hi)
+        actual = central_draws(make_rng(1), lo, hi)
         assert actual.tolist() == [np.inf, -np.inf]
         assert erfcinv_truncnorm(make_rng(1).random(2), lo, hi).tolist() == [np.inf, -np.inf]
 
@@ -373,9 +389,26 @@ class TestTruncatedNormalQuantiles:
     )
     def test_ks_against_scipy_truncnorm(self, lo, hi):
         n = 4000
-        draws = _truncnorm_standard(make_rng(5), np.full(n, lo), np.full(n, hi))
+        draws = standard_draws(make_rng(5), lo, hi, n)
         assert np.all((draws >= lo) & (draws <= hi))
         assert stats.kstest(draws, stats.truncnorm(lo, hi).cdf).pvalue > 0.01
+
+
+    @pytest.mark.parametrize("side", ["right", "left"])
+    def test_simplex_tail_draws_against_scipy_truncnorm(self, side):
+        # With the start (0, 1) and one scan, each row's first coordinate is
+        # one draw from N(mean, 5e-7) on [0, 1], its mean 14 sd outside.
+        n = 4000
+        m0, m1 = (-0.01, 1.01) if side == "right" else (1.01, -0.01)
+        means, var = np.tile([m0, m1], (n, 1)), np.full((n, 2), 1e-6)
+        x = sample_gaussian_simplex_truncated_batch(
+            make_rng(6), means, var, inner_iters=1, init=np.tile([0.0, 1.0], (n, 1))
+        )[:, 0]
+        mean, sd = 0.5 * (m0 + 1.0 - m1), np.sqrt(5e-7)
+        lo, hi = (0.0 - mean) / sd, (1.0 - mean) / sd
+        assert min(abs(lo), abs(hi)) > _TAIL_THRESHOLD
+        assert np.all((x >= 0.0) & (x <= 1.0))
+        assert stats.kstest((x - mean) / sd, stats.truncnorm(lo, hi).cdf).pvalue > 0.01
 
 
 class TestSimplexTruncatedGaussian:

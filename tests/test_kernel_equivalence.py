@@ -227,45 +227,79 @@ class TestCategoricalLayout:
 
 
 class TestSimplexTruncated:
-    """The batch sampler's lean inner loop against the reference that forms
-    each coordinate's conditional afresh and validates and masks on every
-    truncated-normal call: the same bits and the same generator state."""
+    """The batch sampler's row-wise scan against two references that form
+    each coordinate's conditional afresh. Without a draw past the tail
+    threshold it must give the bits and the generator state of the
+    by-coordinate reference, whose uniform order it keeps; with one, those
+    of the row-wise reference, whose tail draws follow the uniform block."""
 
     @staticmethod
-    def case(n_batch, n_dims, seed, var_range=(1e-6, 2.0)):
+    def case(n_batch, n_dims, seed, var_range=(1e-6, 2.0), dirichlet=False):
         gen = np.random.default_rng(seed)
-        means = gen.normal(0.3, 0.6, size=(n_batch, n_dims))
+        if dirichlet:  # means on the simplex, as a chain's cluster means are
+            means = gen.dirichlet(np.ones(n_dims), size=n_batch)
+        else:
+            means = gen.normal(0.3, 0.6, size=(n_batch, n_dims))
         # Log-uniform variances down to 1e-6 put many standardized bounds
         # beyond the +-6 tail threshold.
         var = np.exp(gen.uniform(*np.log(var_range), size=(n_batch, n_dims)))
         init = gen.dirichlet(np.ones(n_dims), size=n_batch) if seed % 3 else None
         return means, var, init
 
-    @pytest.mark.parametrize("n_batch, n_dims, var_range", [
-        pytest.param(3, 3, (1e-6, 2.0), id="3-3"),
-        pytest.param(12, 9, (1e-6, 2.0), id="12-9"),
+    @pytest.mark.parametrize("n_batch, n_dims, var_range, dirichlet", [
+        pytest.param(3, 3, (1e-6, 2.0), False, id="3-3"),
+        pytest.param(12, 9, (1e-6, 2.0), False, id="12-9"),
         # Scene 2: 12 cluster means over 9 endmembers, variances sigma2 / n_k.
-        pytest.param(12, 9, (5e-6, 2e-5), id="12-9-scene2"),
+        pytest.param(12, 9, (5e-6, 2e-5), False, id="12-9-scene2"),
+        # Means on the simplex: most cases make no tail draw.
+        pytest.param(3, 3, (1e-5, 1e-2), True, id="3-3-simplex"),
+        pytest.param(12, 9, (1e-3, 1.0), True, id="12-9-simplex"),
     ])
-    def test_same_bits(self, monkeypatch, n_batch, n_dims, var_range):
+    def test_same_bits(self, monkeypatch, n_batch, n_dims, var_range, dirichlet):
         import hbum.distributions as dist
 
         tails = []
         tail = dist._truncnorm_tail
 
         def counting_tail(rng, lo, hi):
-            tails.append(lo.size)
+            tails.append(lo)
             return tail(rng, lo, hi)
 
         monkeypatch.setattr(dist, "_truncnorm_tail", counting_tail)
+        without_tails = 0
         for seed in range(200):
-            means, var, init = self.case(n_batch, n_dims, seed, var_range)
-            rng_new, rng_ref = make_rng(seed), make_rng(seed)
+            means, var, init = self.case(n_batch, n_dims, seed, var_range, dirichlet)
+            before = len(tails)
+            rng_new, rng_rows = make_rng(seed), make_rng(seed)
             got = sample_gaussian_simplex_truncated_batch(rng_new, means, var, 3, init)
-            ref = oracles.sample_gaussian_simplex_truncated_batch(rng_ref, means, var, 3, init)
+            ref = oracles.sample_gaussian_simplex_truncated_rows(rng_rows, means, var, 3, init)
             assert_same_bits(got, ref)
-            assert rng_new.bit_generator.state == rng_ref.bit_generator.state
-        assert len(tails) > 50
+            assert rng_new.bit_generator.state == rng_rows.bit_generator.state
+            if len(tails) == before:
+                without_tails += 1
+                rng_ref = make_rng(seed)
+                ref = oracles.sample_gaussian_simplex_truncated_batch(rng_ref, means, var, 3, init)
+                assert_same_bits(got, ref)
+                assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+        if dirichlet:
+            assert without_tails > 100
+        else:
+            assert len(tails) > 50
+
+    @pytest.mark.parametrize("u", [0.0, 0.5])
+    def test_stand_in_generator_with_only_random(self, u):
+        class ConstantUniforms:
+            def random(self, size):
+                return np.full(size, u)
+
+        # Row 0 is central; row 1's first coordinate lies 14 sd below its
+        # interval, so it is a right-tail draw.
+        means = np.array([[0.45, 0.55], [-0.01, 1.01]])
+        var = np.full((2, 2), 1e-6)
+        got = sample_gaussian_simplex_truncated_batch(ConstantUniforms(), means, var, 2)
+        ref = oracles.sample_gaussian_simplex_truncated_rows(ConstantUniforms(), means, var, 2)
+        assert_same_bits(got, ref)
+        assert np.all(got >= 0.0) and np.all(np.abs(got.sum(axis=1) - 1.0) <= 1e-12)
 
     @pytest.mark.parametrize(
         "change",
@@ -295,8 +329,10 @@ class TestSimplexTruncated:
             kwargs["init"] = np.array([[0.3, -0.6, 0.1]] + [[0.2, 0.3, 0.5]] * 3)
         with pytest.raises(InvalidParameterError):
             sample_gaussian_simplex_truncated_batch(make_rng(0), means, var, **kwargs)
-        with np.errstate(all="ignore"), pytest.raises(InvalidParameterError):
-            oracles.sample_gaussian_simplex_truncated_batch(make_rng(0), means, var, **kwargs)
+        for oracle in (oracles.sample_gaussian_simplex_truncated_batch,
+                       oracles.sample_gaussian_simplex_truncated_rows):
+            with np.errstate(all="ignore"), pytest.raises(InvalidParameterError):
+                oracle(make_rng(0), means, var, **kwargs)
 
 
 def loglik_case(n_clusters, n_dims, n_pixels, seed):
@@ -776,6 +812,49 @@ class TestStreamedStatistics:
                      (got.q.q, ref.q.q), (got.z.labels, ref.z.labels)):
             assert_same_bits(a, b)
         assert got.noise.s2 == ref.noise.s2
+
+
+TILE = sampler_mod._TILE
+
+
+class TestTiledStatistics:
+    """``_make_precomp`` works each 16-band block in column tiles; it must give
+    the bits of the reference that works every block whole, from memory and
+    from a file, whatever tile the last column falls in."""
+
+    @pytest.mark.parametrize(
+        "n_pixels", [1, 2, TILE - 1, TILE, TILE + 1, TILE + 2, 2 * TILE + 1, 40000]
+    )
+    @pytest.mark.parametrize(
+        "n_bands, n_dims", [(1, 1), (15, 9), (16, 9), (17, 3), (413, 3), (413, 9)]
+    )
+    def test_same_bits_as_whole_blocks(self, tmp_path, n_bands, n_dims, n_pixels):
+        gen = np.random.default_rng(n_bands * 10 + n_dims + n_pixels)
+        lat = Lattice(1, n_pixels)
+        m = gen.uniform(0.05, 1.0, size=(n_bands, n_dims))
+        y = gen.normal(scale=1e-2, size=(n_bands, n_pixels))
+        y += m @ gen.dirichlet(np.ones(n_dims), size=n_pixels).T
+        write_matrix(tmp_path / "Y.hbm", y)
+        M = EndmemberMatrix(m)
+        ref = oracles.make_precomp(ObservationMatrix(y, lat), M)
+        for Y in (ObservationMatrix(y, lat), ObservationFile.open(tmp_path / "Y.hbm", lat)):
+            got = _make_precomp(Y, M)
+            for field in ("mtm", "mty_t", "r", "qty"):
+                assert_same_bits(getattr(got, field), getattr(ref, field))
+            assert got.resid0.hex() == ref.resid0.hex()
+            assert got.mty_t.flags.c_contiguous
+
+    def test_non_finite_entry_in_any_tile_rejected(self):
+        # One NaN or inf in the last column of the last tile of each block.
+        Y, M = init_problem(40, None, seed=2, shape=(1, 2 * TILE + 1))
+        for band in (0, 15, 16, 39):
+            for bad in (np.nan, np.inf):
+                y = Y.data.copy()
+                y[band, -1] = bad
+                with pytest.raises(ValidationError, match="non-finite"):
+                    _make_precomp(ObservationMatrix(y, Y.lattice), M)
+                with pytest.raises(ValidationError, match="non-finite"):
+                    oracles.make_precomp(ObservationMatrix(y, Y.lattice), M)
 
 
 def cluster_scene(n_dims, n_pixels, seed, distinct=None):
