@@ -66,27 +66,17 @@ def sample_dirichlet(rng: np.random.Generator, alpha: np.ndarray) -> np.ndarray:
 
 
 def sample_inverse_gamma(rng: np.random.Generator, shape: float, scale: float) -> float:
-    """One draw from the inverse-gamma distribution IG(shape, scale).
-
-    Uses the duality 1/X ~ IG(shape, scale) for X ~ Gamma(shape, rate=scale).
-    For shape > 1 the mean is scale / (shape - 1).
-    """
-    if not (np.isfinite(shape) and shape > 0.0):
-        raise InvalidParameterError(f"inverse-gamma shape must be positive, got {shape}")
-    if not (np.isfinite(scale) and scale > 0.0):
-        raise InvalidParameterError(f"inverse-gamma scale must be positive, got {scale}")
-    # Gamma draws can underflow to zero for very small shapes; retry.
-    for _ in range(100):
-        g = rng.standard_gamma(shape)
-        if g > 0.0:
-            return float(scale / g)
-    raise NumericalDegeneracyError(f"Gamma draws underflowed for shape={shape}")
+    """One draw of IG(shape, scale) by :func:`sample_inverse_gamma_array`."""
+    return float(sample_inverse_gamma_array(rng, shape, scale))
 
 
 def sample_inverse_gamma_array(
     rng: np.random.Generator, shape: np.ndarray, scale: np.ndarray
 ) -> np.ndarray:
-    """Elementwise inverse-gamma draws for broadcastable shape/scale arrays."""
+    """Elementwise inverse-gamma draws for broadcastable shape/scale arrays:
+    1/X ~ IG(shape, scale) for X ~ Gamma(shape, rate=scale), with the mean
+    scale / (shape - 1) for shape > 1. A Gamma draw that underflows to zero
+    (very small shapes) is drawn again."""
     shape = np.asarray(shape, dtype=np.float64)
     scale = np.asarray(scale, dtype=np.float64)
     if not (shape.min(initial=np.inf) > 0.0 and shape.max(initial=0.0) < np.inf):  # NaN: False
@@ -101,22 +91,6 @@ def sample_inverse_gamma_array(
             return scale / g
         g = np.where(zero, rng.standard_gamma(shape, size=size), g)
     raise NumericalDegeneracyError("Gamma draws underflowed in the array sampler")
-
-
-def _checked_log_weights(log_weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """C-ordered float64 copy (or view) of a (n_choices, n_sites) log-weight
-    matrix and its per-site maximum, or ``InvalidParameterError``. The
-    maximum is NaN for a site holding NaN and +inf for one holding +inf, so
-    one reduction checks every entry."""
-    lw = np.ascontiguousarray(log_weights, dtype=np.float64)
-    if lw.ndim != 2 or lw.shape[0] < 1:
-        raise InvalidParameterError("log_weights must be a (n_choices, n_sites) matrix")
-    peak = lw.max(axis=0)
-    if not np.isfinite(peak).all():
-        if not np.all(peak < np.inf):  # also False for NaN
-            raise InvalidParameterError("log_weights must be in [-inf, inf)")
-        raise InvalidParameterError("some site has all categorical log-weights at -inf")
-    return lw, peak
 
 
 def sample_categorical_log_many(
@@ -142,7 +116,14 @@ def sample_categorical_log_many(
     the weights, written only after every check. ``order``, a permutation of
     the sites, gives the i-th of one ``rng.random(n_sites)`` to site ``order[i]``.
     """
-    lw, peak = _checked_log_weights(log_weights)
+    lw = np.ascontiguousarray(log_weights, dtype=np.float64)
+    if lw.ndim != 2 or lw.shape[0] < 1:
+        raise InvalidParameterError("log_weights must be a (n_choices, n_sites) matrix")
+    peak = lw.max(axis=0)  # NaN at a site holding NaN, +inf at one holding +inf
+    if not np.isfinite(peak).all():
+        if not np.all(peak < np.inf):  # also False for NaN
+            raise InvalidParameterError("log_weights must be in [-inf, inf)")
+        raise InvalidParameterError("some site has all categorical log-weights at -inf")
     neg_inf = lw == -np.inf if lw.min(initial=0.0) == -np.inf else None
     w = lw if overwrite else np.empty_like(lw)
     with np.errstate(over="ignore"):  # a finite difference past -DBL_MAX is -inf
@@ -162,16 +143,6 @@ def sample_categorical_log_many(
     for k in range(n_choices - 1):
         label += np.less_equal(w[k], u).view(np.uint8)
     return label.astype(np.intp)
-
-
-def sample_categorical_gumbel(rng: np.random.Generator, log_weights: np.ndarray) -> np.ndarray:
-    """Column-wise Gumbel-max draws from a (n_choices, n_sites) log-weight
-    matrix: ``argmax(lw + G)`` per site, ``G`` from ``Generator.gumbel``.
-    Entries of -inf have zero probability; every site needs at least one
-    finite entry. Scene generation draws its Potts maps with it, so scenes
-    stay as they were when the chain moved to inverse-CDF draws."""
-    lw = _checked_log_weights(log_weights)[0]
-    return np.argmax(lw + rng.gumbel(size=lw.shape), axis=0)
 
 
 def _truncnorm_tail(rng: np.random.Generator, lo: float, hi: float) -> float:

@@ -7,11 +7,10 @@ coupling at ``beta1`` and then ``n_mc`` recorded sweeps with it at zero; at
 zero the label-field partition function is constant, so the Dirichlet
 conditional used for Q's columns is exact on every recorded sweep.
 
-Every Potts label field is swept by :func:`potts_sweep`: by checkerboard
-(two half-sweeps of conditionally independent sites) with the categorical
-draw it is handed, inverse CDF for the chain's z and omega, Gumbel-max for
-the Potts map of ``hbum.synthgen``. An uncoupled chain field (z in every
-recorded sweep) is drawn in one pass with the half-sweeps' uniforms.
+The chain's label fields z and omega are swept by :func:`potts_sweep`: by
+checkerboard (two half-sweeps of conditionally independent sites) with
+inverse-CDF categorical draws. An uncoupled field (z in every recorded
+sweep) is drawn in one pass with the half-sweeps' uniforms.
 A site left without a finite log-weight raises ``NumericalDegeneracyError``
 naming its pixel; :func:`run_chain` prefixes the sweep and the stage.
 
@@ -41,7 +40,6 @@ per-pixel most frequently sampled label for z and omega.
 from __future__ import annotations
 
 import os
-from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -258,39 +256,34 @@ def _log_nonneg(x: np.ndarray) -> np.ndarray:
 
 
 def potts_sweep(
-    rng: np.random.Generator,
-    field: LabelField,
-    base: np.ndarray,
-    beta: float,
-    what: str,
-    draw: Callable[[np.random.Generator, np.ndarray], np.ndarray] | None = None,
+    rng: np.random.Generator, field: LabelField, base: np.ndarray, beta: float, what: str
 ) -> LabelField:
-    """One sweep of ``field``, in place, from the (n_values, P) log-weights
-    ``base`` plus, when ``beta`` is positive, ``beta`` times the count of each
-    site's neighbours carrying each value. Each checkerboard half-sweep draws
-    one colour's sites with ``draw(rng, log_weights)``; by default the chain's
-    inverse-CDF draw, with ``base`` as scratch, which draws an uncoupled field
-    (independent sites) in one call, its uniforms given out in colour order.
+    """One sweep of ``field``, in place, by inverse-CDF draws from the
+    (n_values, P) log-weights ``base`` plus, when ``beta`` is positive,
+    ``beta`` times the count of each site's neighbours carrying each value.
+    Each checkerboard half-sweep draws one colour's sites; an uncoupled field
+    (independent sites) is drawn in one call with ``base`` as scratch, its
+    uniforms given out in colour order.
 
-    ``draw`` rejects every site without a finite log-weight, so its own
+    The draw rejects every site without a finite log-weight, so its own
     checks are the only scan of the weights on the usual path. When it
     rejects them and some site has none, that is a degeneracy of the field,
     raised as one naming ``what`` and the first such pixel. A rejected
     one-pass call changes neither ``base`` nor ``rng``: the half-sweeps raise."""
-    if draw is None:
-        draw = lambda r, w, **kw: sample_categorical_log_many(r, w, overwrite=True, **kw)
-        if not beta > 0.0:
-            try:
-                field.labels[:] = draw(rng, base, order=np.concatenate(field.lattice.color_sites))
-                return field
-            except InvalidParameterError:
-                pass
+    if not beta > 0.0:
+        try:
+            field.labels[:] = sample_categorical_log_many(
+                rng, base, overwrite=True, order=np.concatenate(field.lattice.color_sites)
+            )
+            return field
+        except InvalidParameterError:
+            pass
     for color, sites in enumerate(field.lattice.color_sites):
         weights = np.take(base, sites, axis=1)
         if beta > 0.0:
             weights += beta * neighbor_value_counts(field.grid(), field.domain_size, color)
         try:
-            field.labels[sites] = draw(rng, weights)
+            field.labels[sites] = sample_categorical_log_many(rng, weights, overwrite=True)
         except InvalidParameterError:
             dead = ~np.any(np.isfinite(weights), axis=0)
             if np.any(dead):

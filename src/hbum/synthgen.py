@@ -16,9 +16,9 @@ from itertools import chain, combinations, islice
 
 import numpy as np
 
-from .distributions import sample_categorical_gumbel, sample_dirichlet
+from .distributions import sample_dirichlet
 from .errors import GenerationError, InvalidParameterError, ValidationError
-from .lattice import Lattice
+from .lattice import Lattice, neighbor_value_counts
 from .model import (
     AbundanceMatrix,
     EndmemberMatrix,
@@ -27,7 +27,6 @@ from .model import (
     SupervisionData,
     require_finite,
 )
-from .sampler import potts_sweep
 
 #: Band count of the default synthetic endmember library.
 DEFAULT_BANDS = 413
@@ -96,8 +95,12 @@ class SceneSpec:
             )
         if self.potts_sweeps < 1:
             raise ValidationError("potts_sweeps must be >= 1")
-        if np.isnan(self.snr_db):
-            raise ValidationError("snr_db must be a real number or inf")
+        with np.errstate(over="ignore"):  # generate_scene divides the signal power by it
+            ratio = np.float64(10.0) ** (self.snr_db / 10.0)
+        if not (0.0 < ratio < np.inf or self.snr_db == np.inf):  # NaN: rejected
+            raise ValidationError(
+                f"snr_db must be inf or keep 10 ** (snr_db / 10) in (0, inf), got {self.snr_db}"
+            )
         if self.seed < 0:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
 
@@ -195,16 +198,18 @@ def make_endmembers(
 def generate_potts_field(spec: SceneSpec, rng: np.random.Generator) -> LabelField:
     """Spatially coherent label map: ``potts_sweeps`` checkerboard Gibbs
     sweeps of a ``n_clusters``-state Potts model at coupling ``potts_beta``,
-    started from uniform random labels."""
+    started from uniform random labels. A half-sweep draws one colour's sites
+    by Gumbel-max: ``argmax(beta * counts + G)``, ``G`` from ``rng.gumbel``."""
     spec.validate()
     lat = spec.lattice
     n_states = spec.n_clusters
     labels = rng.integers(n_states, size=lat.n_pixels).astype(np.int32)
-    field = LabelField(labels, n_states, lat)
-    base = np.zeros((n_states, lat.n_pixels))
+    grid = labels.reshape(lat.height, lat.width)
     for _ in range(spec.potts_sweeps):
-        potts_sweep(rng, field, base, spec.potts_beta, "Potts", sample_categorical_gumbel)
-    return field
+        for color, sites in enumerate(lat.color_sites):
+            weights = spec.potts_beta * neighbor_value_counts(grid, n_states, color)
+            labels[sites] = np.argmax(weights + rng.gumbel(size=weights.shape), axis=0)
+    return LabelField(labels, n_states, lat)
 
 
 def generate_scene(

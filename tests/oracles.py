@@ -5,7 +5,8 @@ The kernel references are the straightforward form of a kernel that
 masks, neighbor counts by shifted one-hot adds over the whole grid,
 per-cluster index gathers, fancy-index gathers and tallies,
 ``solve_triangular``, the unexpanded Gaussian square, ``Generator.gumbel``,
-``np.cumsum`` with ``np.argmax``, one Dirichlet draw per column of Q, a
+``np.cumsum`` with ``np.argmax``, two half-sweeps where the chain draws
+an uncoupled field in one pass, one Dirichlet draw per column of Q, a
 truncated-normal sampler that validates and masks on every call, and the
 scene statistics over whole band blocks. The
 kernel-equivalence tests require the optimised kernels to leave the
@@ -33,7 +34,6 @@ from hbum.distributions import (
     _truncnorm_central,
     _truncnorm_tail,
     project_to_simplex,
-    sample_categorical_gumbel,
     sample_dirichlet,
     sample_inverse_gamma_array,
 )
@@ -181,6 +181,28 @@ def color_masks(lattice) -> tuple[np.ndarray, np.ndarray]:
     rows, cols = np.indices((lattice.height, lattice.width))
     even = (rows + cols) % 2 == 0
     return even, ~even
+
+
+def potts_half_sweeps(rng: np.random.Generator, field, base: np.ndarray, what: str):
+    """An uncoupled field swept as two checkerboard half-sweeps of inverse-CDF
+    draws from the (n_values, P) log-weights ``base``, by boolean masks. A
+    half-sweep with a site whose log-weights are all -inf raises
+    ``NumericalDegeneracyError`` naming the first such pixel; one that meets
+    any other invalid weight raises the draw's ``InvalidParameterError``.
+    Labels drawn before the error stay drawn."""
+    for mask in color_masks(field.lattice):
+        sites = np.flatnonzero(mask)
+        weights = base[:, sites]
+        try:
+            field.labels[sites] = categorical_inverse_cdf(rng, weights)
+        except InvalidParameterError:
+            dead = ~np.any(np.isfinite(weights), axis=0)
+            if np.any(dead):
+                raise NumericalDegeneracyError(
+                    f"all {what} log-weights are -inf (first affected pixel {sites[dead][0]})"
+                )
+            raise
+    return field
 
 
 def _require_finite_option(log_weights: np.ndarray, what: str, state) -> None:
@@ -388,7 +410,7 @@ def generate_potts_field(spec, rng: np.random.Generator) -> LabelField:
         for mask in color_masks(lat):
             counts = neighbor_value_counts(grid, n_states)
             weights = spec.potts_beta * counts[:, mask].astype(np.float64)
-            grid[mask] = sample_categorical_gumbel(rng, weights)
+            grid[mask] = categorical_gumbel(rng, weights)
     return LabelField(labels, n_states, lat)
 
 

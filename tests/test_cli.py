@@ -256,6 +256,18 @@ class TestGenerate:
         assert "snr_db" in err and "Traceback" not in err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("value", [4000.0, -4000.0])
+    def test_extreme_snr_exits_2_naming_it(self, tmp_path, capsys, value):
+        # 10 ** (snr_db / 10) overflows at +4000 dB and is 0 at -4000 dB, so
+        # no noise variance follows from either.
+        broken = json.loads(json.dumps(SCENE_CONFIG))
+        broken["scene"]["snr_db"] = value
+        path = tmp_path / "broken.json"
+        path.write_text(json.dumps(broken))
+        assert main(["generate", str(path), "--out", str(tmp_path / "x")]) == 2
+        assert "snr_db" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_huge_endmember_count_exits_2_at_once(self, tmp_path):
         # Only the supports of the used cluster means are built, so the
         # config fails at once on placing more endmembers than bands.

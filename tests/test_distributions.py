@@ -19,13 +19,13 @@ from hbum.distributions import (
     _truncnorm_tail,
     make_rng,
     project_to_simplex,
-    sample_categorical_gumbel,
     sample_categorical_log_many,
     sample_dirichlet,
     sample_gaussian_simplex_truncated_batch,
     sample_inverse_gamma,
 )
 from hbum.errors import InvalidParameterError, NumericalDegeneracyError
+import oracles
 from oracles import sample_truncated_normal
 
 
@@ -200,7 +200,8 @@ class TestInverseGamma:
 
 class TestCategoricalLog:
     """The chain's inverse-CDF draw; :class:`TestCategoricalGumbel` runs the
-    same cases on the Gumbel-max draw of scene generation."""
+    same cases on the Gumbel-max reference draw that the Potts maps of scene
+    generation are checked against."""
 
     draw = staticmethod(sample_categorical_log_many)
 
@@ -254,7 +255,7 @@ class TestCategoricalLog:
 
 
 class TestCategoricalGumbel(TestCategoricalLog):
-    draw = staticmethod(sample_categorical_gumbel)
+    draw = staticmethod(oracles.categorical_gumbel)
 
 
 class TestTruncatedNormal:

@@ -16,7 +16,6 @@ import oracles
 import hbum.sampler as sampler_mod
 from hbum.distributions import (
     make_rng,
-    sample_categorical_gumbel,
     sample_categorical_log_many,
     sample_gaussian_simplex_truncated_batch,
 )
@@ -71,19 +70,6 @@ def log_weights(n_choices, n_sites, seed, minus_inf_share=0.0):
 
 
 class TestCategorical:
-    @pytest.mark.parametrize("n_choices", CHOICES)
-    @pytest.mark.parametrize("n_sites", [1, 7, 5000])
-    @pytest.mark.parametrize("minus_inf_share", [0.0, 0.4])
-    def test_matches_gumbel_reference(self, n_choices, n_sites, minus_inf_share):
-        lw = log_weights(n_choices, n_sites, seed=n_sites, minus_inf_share=minus_inf_share)
-        before = lw.copy()
-        rng_new, rng_ref = make_rng(7 + n_choices), make_rng(7 + n_choices)
-        assert_same_bits(
-            sample_categorical_gumbel(rng_new, lw), oracles.categorical_gumbel(rng_ref, lw)
-        )
-        assert rng_new.bit_generator.state == rng_ref.bit_generator.state
-        assert_same_bits(lw, before)  # the caller's weights are left alone
-
     @pytest.mark.parametrize(
         "bad, message",
         [(np.nan, r"\[-inf, inf\)"), (np.inf, r"\[-inf, inf\)"), (-np.inf, "all categorical")],
@@ -93,7 +79,7 @@ class TestCategorical:
         lw[:, 2] = bad
         for kernel in (
             sample_categorical_log_many, oracles.categorical_inverse_cdf,
-            sample_categorical_gumbel, oracles.categorical_gumbel,
+            oracles.categorical_gumbel,
         ):
             rng = make_rng(9)
             state = rng.bit_generator.state
@@ -563,11 +549,14 @@ class TestOnePassSweep:
     """An uncoupled field drawn in one call against its two half-sweeps."""
 
     @staticmethod
-    def sweep(base, lattice, draw, seed=3):
+    def sweep(base, lattice, one_pass, seed=3):
         field = LabelField(np.zeros(lattice.n_pixels, dtype=np.int32), base.shape[0], lattice)
         rng = make_rng(seed)
         try:
-            sampler_mod.potts_sweep(rng, field, base.copy(), 0.0, "cluster", draw)
+            if one_pass:
+                sampler_mod.potts_sweep(rng, field, base.copy(), 0.0, "cluster")
+            else:
+                oracles.potts_half_sweeps(rng, field, base.copy(), "cluster")
         except (InvalidParameterError, NumericalDegeneracyError) as exc:
             return field.labels, rng.bit_generator.state, exc
         return field.labels, rng.bit_generator.state, None
@@ -577,7 +566,7 @@ class TestOnePassSweep:
     def test_matches_half_sweeps(self, shape, n_values):
         lattice = Lattice(*shape)
         base = log_weights(n_values, lattice.n_pixels, seed=n_values, minus_inf_share=0.4)
-        one, half = (self.sweep(base, lattice, d) for d in (None, sample_categorical_log_many))
+        one, half = (self.sweep(base, lattice, one_pass) for one_pass in (True, False))
         assert_same_bits(one[0], half[0])
         assert one[1] == half[1] and one[2] is None and half[2] is None
 
@@ -588,7 +577,7 @@ class TestOnePassSweep:
         lattice = Lattice(5, 7)
         base = log_weights(3, lattice.n_pixels, seed=1)
         base[:, list(dead)] = -np.inf
-        one, half = (self.sweep(base, lattice, d) for d in (None, sample_categorical_log_many))
+        one, half = (self.sweep(base, lattice, one_pass) for one_pass in (True, False))
         for _, _, exc in (one, half):
             assert isinstance(exc, NumericalDegeneracyError)
             assert str(exc).endswith(f"(first affected pixel {named})")
@@ -601,9 +590,10 @@ class TestOnePassSweep:
         lattice = Lattice(5, 7)
         base = log_weights(3, lattice.n_pixels, seed=1)
         base[0, 4], base[:, 1] = np.nan, -np.inf
-        one, half = (self.sweep(base, lattice, d) for d in (None, sample_categorical_log_many))
+        one, half = (self.sweep(base, lattice, one_pass) for one_pass in (True, False))
         for _, _, exc in (one, half):
             assert type(exc) is InvalidParameterError
+        assert_same_bits(one[0], half[0])
         assert one[1] == half[1]
 
 

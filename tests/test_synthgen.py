@@ -1,15 +1,19 @@
 """Scene generator: spatial fields, mixing, noise scaling and the training
 split machinery."""
 
+import hashlib
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats
 
 import oracles
+from hbum.cli import _STREAM_SCENE
 from hbum.distributions import make_rng
 from hbum.errors import GenerationError, InvalidParameterError, ValidationError
+from hbum.io import load_generate_config
 from hbum.lattice import Lattice, neighbor_value_counts
 from hbum.model import LabelField
 from hbum.synthgen import (
@@ -75,8 +79,13 @@ class TestPottsField:
         assert np.array_equal(a.labels, b.labels)
 
     @pytest.mark.parametrize("height, width", [(1, 1), (1, 9), (7, 1), (5, 8), (20, 20)])
-    def test_matches_mask_reference(self, height, width):
-        spec = image1_spec(potts_sweeps=6, height=height, width=width)
+    @pytest.mark.parametrize("n_clusters", [1, 2, 3, 12])
+    def test_matches_mask_reference(self, height, width, n_clusters):
+        spec = image1_spec(
+            potts_sweeps=6, height=height, width=width, n_clusters=n_clusters,
+            n_classes=1, cluster_to_class=np.zeros(n_clusters),
+            dirichlet_means=np.full((n_clusters, 3), 1.0 / 3.0),
+        )
         rng, ref_rng = make_rng(3), make_rng(3)
         got = generate_potts_field(spec, rng)
         want = oracles.generate_potts_field(spec, ref_rng)
@@ -84,14 +93,29 @@ class TestPottsField:
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     def test_zero_coupling_matches_mask_reference(self):
-        # At coupling 0 the sweep skips the neighbour counts; the draws and
-        # the generator's consumption stay those of the reference.
+        # At coupling 0 every log-weight is 0.0: the draws and the
+        # generator's consumption stay those of the reference.
         spec = image1_spec(potts_beta=0.0, potts_sweeps=3, height=6, width=7)
         rng, ref_rng = make_rng(4), make_rng(4)
         got = generate_potts_field(spec, rng)
         want = oracles.generate_potts_field(spec, ref_rng)
         assert got.labels.tobytes() == want.labels.tobytes()
         assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+    @pytest.mark.parametrize("name, digest", [
+        ("image1", "504b2217ea0db694315bebb058188dfc58cff88dc15d3c020a42a5e53c8be3f7"),
+        ("image2", "425bf306cb82e51285663744c9aca5b6278b4cbdd0446f7703957d0a598ef87a"),
+    ])
+    def test_shipped_scene_maps_keep_their_bits(self, name, digest):
+        # SHA-256 of the int32 Potts maps that ``hbum generate`` draws for the
+        # shipped configs; integer-only, so no BLAS build moves them. A
+        # re-baseline of the scenes re-measures these.
+        config = Path(__file__).resolve().parents[1] / "configs" / f"{name}.json"
+        spec = load_generate_config(config).scene
+        field = generate_potts_field(spec, make_rng(spec.seed, _STREAM_SCENE))
+        assert field.labels.dtype == np.int32
+        assert hashlib.sha256(field.labels.tobytes()).hexdigest() == digest
 
 
 class TestClusterMeans:
