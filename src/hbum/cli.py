@@ -86,19 +86,6 @@ def _scene_manifest(cfg, spec, realized_snr_db: float, timings: dict) -> dict:
     }
 
 
-def _signal_and_noise_power(y: np.ndarray, m: np.ndarray, a: np.ndarray) -> tuple[float, float]:
-    """Total squares of the signal ``m @ a`` and of the noise ``y - m @ a``,
-    summed over blocks of 64 bands (no d x P temporary) by einsum, not BLAS,
-    so their bits do not depend on the BLAS thread count."""
-    signal_power = noise_power = 0.0
-    for start in range(0, y.shape[0], 64):
-        block = m[start : start + 64] @ a
-        signal_power += float(np.einsum("ij,ij->", block, block))
-        np.subtract(y[start : start + 64], block, out=block)
-        noise_power += float(np.einsum("ij,ij->", block, block))
-    return signal_power, noise_power
-
-
 def cmd_generate(args) -> int:
     cfg = load_generate_config(args.config, seed_override=args.seed)
     spec = cfg.scene
@@ -112,18 +99,12 @@ def cmd_generate(args) -> int:
             min_angle_deg=cfg.min_endmember_angle_deg,
         )
     t1 = time.perf_counter()
-    Y, a_true, z_true, omega_true = generate_scene(spec, M, make_rng(spec.seed, _STREAM_SCENE))
+    Y, a_true, z_true, omega_true, realized = generate_scene(
+        spec, M, make_rng(spec.seed, _STREAM_SCENE)
+    )
     t2 = time.perf_counter()
     sup = split_training(omega_true, cfg.training, make_rng(spec.seed, _STREAM_TRAINING))
     t3 = time.perf_counter()
-
-    # A noiseless scene is told by its config, not by a zero noise power:
-    # a band block's product can differ from the full one in the last bit.
-    realized = np.inf
-    if not np.isinf(spec.snr_db):
-        signal_power, noise_power = _signal_and_noise_power(Y.data, M.data, a_true.data)
-        if noise_power > 0.0:
-            realized = 10.0 * np.log10(signal_power / noise_power)
     timings = {
         "endmembers": t1 - t0,
         "scene": t2 - t1,

@@ -183,8 +183,8 @@ def sample_gaussian_simplex_truncated_batch(
     rng: np.random.Generator,
     means: np.ndarray,
     var_diags: np.ndarray,
-    inner_iters: int = 5,
-    init: np.ndarray | None = None,
+    inner_iters: int,
+    init: np.ndarray,
 ) -> np.ndarray:
     """Draws from diagonal-covariance Gaussians restricted to the probability
     simplex, one per row of ``means``.
@@ -215,12 +215,9 @@ def sample_gaussian_simplex_truncated_batch(
     if n_dim == 1:
         return np.ones((n_batch, 1))
 
-    if init is None:
-        x = np.stack([project_to_simplex(m) for m in means])
-    else:
-        x = np.array(init, dtype=np.float64)
-        if x.shape != means.shape or not np.isfinite(x).all():
-            raise InvalidParameterError("init must be finite and match the shape of means")
+    x = np.array(init, dtype=np.float64)
+    if x.shape != means.shape or not np.isfinite(x).all():
+        raise InvalidParameterError("init must be finite and match the shape of means")
 
     # Row i's parts of coordinate r's 1-D conditional that stay fixed through
     # the scans: its variance, its sd and means / var_diags.

@@ -32,12 +32,13 @@ def _check_simplex_rows(mat: np.ndarray, what: str) -> None:
 
 @dataclass
 class ObservationMatrix:
-    """Pixel spectra: d x P matrix, one column per lattice pixel."""
+    """Pixel spectra: d x P matrix, one column per lattice pixel. Only its shape
+    is checked here: Y's values are checked where they are read."""
 
     data: np.ndarray
     lattice: Lattice
 
-    def validate(self, values: bool = True) -> None:
+    def validate(self) -> None:
         if self.data.ndim != 2:
             raise ValidationError("observations must be a d x P matrix")
         if self.data.shape[1] != self.lattice.n_pixels:
@@ -45,14 +46,12 @@ class ObservationMatrix:
                 f"observation columns ({self.data.shape[1]}) do not match "
                 f"lattice pixels ({self.lattice.n_pixels})"
             )
-        if values and not np.all(np.isfinite(self.data)):
-            raise ValidationError("observations contain non-finite entries")
 
     def band_blocks(self, n_rows: int):
         """Yield ``(first band, block)`` for float64 blocks of ``n_rows``
         bands, after the shape checks of :meth:`validate`; the caller checks
         the values."""
-        self.validate(values=False)
+        self.validate()
         for lo in range(0, self.n_bands, n_rows):
             yield lo, self.data[lo : lo + n_rows].astype(np.float64, copy=False)
 

@@ -493,9 +493,9 @@ def sample_class_labels(
 
 
 def _kmeans_labels(
-    a: np.ndarray, n_clusters: int, rng: np.random.Generator, n_iter: int = 10
+    a: np.ndarray, n_clusters: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """k-means++ seeding plus a few Lloyd rounds on the columns of ``a``; a
+    """k-means++ seeding plus up to ten Lloyd rounds on the columns of ``a``; a
     centre is its members' bincount sums, added in pixel order, over their
     count. Returns the labels and the (K, R) centres they were drawn to."""
     points = a.T
@@ -515,7 +515,7 @@ def _kmeans_labels(
     sq_pts = np.sum(points * points, axis=1)[:, None]
     dists = np.empty((n_points, n_clusters))
     labels = np.zeros(n_points, dtype=np.int32)
-    for _ in range(n_iter):
+    for _ in range(10):
         # 2 p·c as p·(2c): doubling is exact, so every product and sum is
         # the old one doubled, bit for bit, unless a product is subnormal.
         np.matmul(points, (2.0 * centers).T, out=dists)

@@ -167,20 +167,19 @@ def make_endmembers(
     n_bands: int,
     n_endmembers: int,
     rng: np.random.Generator,
-    min_angle_deg: float = 5.0,
-    max_attempts: int = 100,
+    min_angle_deg: float,
 ) -> EndmemberMatrix:
     """Random smooth synthetic endmember signatures.
 
     Spectra are resampled until every pair is separated by at least
-    ``min_angle_deg`` of spectral angle; generation fails after
-    ``max_attempts`` rejections of a single spectrum.
+    ``min_angle_deg`` of spectral angle; generation fails after 100
+    rejections of a single spectrum.
     """
     if n_endmembers > n_bands:
         raise ValidationError("cannot place more endmembers than bands")
     spectra: list[np.ndarray] = []
     for _ in range(n_endmembers):
-        for _attempt in range(max_attempts):
+        for _attempt in range(100):
             cand = _smooth_spectrum(n_bands, rng)
             if all(_angle_deg(cand, s) >= min_angle_deg for s in spectra):
                 spectra.append(cand)
@@ -188,7 +187,7 @@ def make_endmembers(
         else:
             raise GenerationError(
                 f"could not reach {min_angle_deg} degrees of pairwise separation "
-                f"after {max_attempts} attempts"
+                "after 100 attempts"
             )
     out = EndmemberMatrix(np.column_stack(spectra))
     out.validate()
@@ -214,12 +213,16 @@ def generate_potts_field(spec: SceneSpec, rng: np.random.Generator) -> LabelFiel
 
 def generate_scene(
     spec: SceneSpec, M: EndmemberMatrix, rng: np.random.Generator
-) -> tuple[ObservationMatrix, AbundanceMatrix, LabelField, LabelField]:
+) -> tuple[ObservationMatrix, AbundanceMatrix, LabelField, LabelField, float]:
     """Draw one full scene.
 
-    Returns the noisy observations together with the ground-truth abundance
-    matrix, cluster map and class map. The noise variance is set so that the
-    ratio of total signal power to noise power matches ``snr_db``.
+    Returns the noisy observations, the ground-truth abundance matrix,
+    cluster map and class map, and the realized SNR in dB. The noise variance
+    is set so that the ratio of total signal power to noise power matches
+    ``snr_db``. Noise is added in 64-band blocks, which sum both powers by
+    einsum: its bits, unlike BLAS's dot, do not depend on the thread count.
+    The realized SNR is ``inf`` if no noise is drawn or it all rounds away;
+    noise that overflows raises a ValidationError naming ``snr_db``.
     """
     spec.validate()
     M.validate()
@@ -237,22 +240,23 @@ def generate_scene(
         alpha = spec.concentration * spec.dirichlet_means[k]
         a[:, idx] = sample_dirichlet(rng, np.broadcast_to(alpha, (idx.size, alpha.size))).T
 
-    signal = M.data @ a
-    if np.isinf(spec.snr_db):
-        y = signal
-    else:
-        power = float(np.mean(signal * signal))
-        s2 = power / 10.0 ** (spec.snr_db / 10.0)
-        sd = np.sqrt(s2)
-        y = signal
-        # Add noise in band blocks to keep the extra allocation small.
+    y, realized = M.data @ a, np.inf
+    if not np.isinf(spec.snr_db):
+        sd = np.sqrt(float(np.mean(y * y)) / 10.0 ** (spec.snr_db / 10.0))
+        signal_power = noise_power = 0.0
         for start in range(0, y.shape[0], 64):
-            stop = min(start + 64, y.shape[0])
-            y[start:stop] += sd * rng.standard_normal((stop - start, y.shape[1]))
+            block = y[start : start + 64]
+            noise = block.copy()  # the signal, until the noise is added
+            block += sd * rng.standard_normal(block.shape)
+            signal_power += float(np.einsum("ij,ij->", noise, noise))
+            np.subtract(block, noise, out=noise)
+            noise_power += float(np.einsum("ij,ij->", noise, noise))
+        ratio = signal_power / noise_power if noise_power > 0.0 else np.inf
+        if not (math.isfinite(noise_power) and ratio > 0.0):  # ratio 0 or NaN: overflow
+            raise ValidationError(f"snr_db {spec.snr_db} makes the noise overflow")
+        realized = 10.0 * np.log10(ratio)
 
-    obs = ObservationMatrix(y, lat)
-    obs.validate()
-    return obs, AbundanceMatrix(a), z, omega
+    return ObservationMatrix(y, lat), AbundanceMatrix(a), z, omega, realized
 
 
 def split_training(

@@ -430,6 +430,19 @@ def default_cluster_means(n_clusters: int, n_endmembers: int) -> np.ndarray:
     return means
 
 
+def signal_and_noise_power(y: np.ndarray, m: np.ndarray, a: np.ndarray) -> tuple[float, float]:
+    """Total squares of the signal ``m @ a`` and of the noise ``y - m @ a``,
+    the signal formed afresh over blocks of 64 bands and both summed there by
+    einsum: the realized SNR of a scene is ``10 log10`` of their ratio."""
+    signal_power = noise_power = 0.0
+    for start in range(0, y.shape[0], 64):
+        block = m[start : start + 64] @ a
+        signal_power += float(np.einsum("ij,ij->", block, block))
+        np.subtract(y[start : start + 64], block, out=block)
+        noise_power += float(np.einsum("ij,ij->", block, block))
+    return signal_power, noise_power
+
+
 def truncnorm_tail(rng: np.random.Generator, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Right-tail standard-normal draws on [lo, hi] for arrays of bounds:
     Rayleigh proposals for every interval at once, then again for the
@@ -504,8 +517,6 @@ def _simplex_start(means, var_diags, inner_iters, init):
         raise InvalidParameterError("inner_iters must be >= 1")
     if means.shape[1] == 1:
         return None
-    if init is None:
-        return np.stack([project_to_simplex(m) for m in means])
     x = np.array(init, dtype=np.float64)
     if x.shape != means.shape or not np.isfinite(x).all():
         raise InvalidParameterError("init must be finite and match the shape of means")
@@ -513,7 +524,7 @@ def _simplex_start(means, var_diags, inner_iters, init):
 
 
 def sample_gaussian_simplex_truncated_batch(
-    rng: np.random.Generator, means, var_diags, inner_iters: int = 5, init=None
+    rng: np.random.Generator, means, var_diags, inner_iters: int, init
 ) -> np.ndarray:
     """Simplex-truncated Gaussian draws that scan a coordinate over all rows
     at a time, forming its conditional afresh and drawing it with
@@ -543,7 +554,7 @@ def sample_gaussian_simplex_truncated_batch(
 
 
 def sample_gaussian_simplex_truncated_rows(
-    rng: np.random.Generator, means, var_diags, inner_iters: int = 5, init=None
+    rng: np.random.Generator, means, var_diags, inner_iters: int, init
 ) -> np.ndarray:
     """Simplex-truncated Gaussian draws one row at a time: the uniforms are
     drawn first as an (inner_iters, R - 1, batch) array, then each row runs

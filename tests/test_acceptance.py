@@ -105,7 +105,7 @@ def image2_spec(seed: int) -> SceneSpec:
 
 def build_scene(spec: SceneSpec):
     M = make_endmembers(IMAGE1_BANDS, spec.n_endmembers, make_rng(spec.seed, 1), 15.0)
-    Y, a_true, z_true, omega_true = generate_scene(spec, M, make_rng(spec.seed, 2))
+    Y, a_true, z_true, omega_true, _ = generate_scene(spec, M, make_rng(spec.seed, 2))
     sup = split_training(omega_true, TrainingSplit("top_rows", 0.25, 0.95))
     return Y, M, a_true, z_true, omega_true, sup
 
@@ -374,7 +374,7 @@ class TestCriterion5ConjugateStatistics:
         draws = np.array(
             [
                 sample_gaussian_simplex_truncated_batch(
-                    rng, np.array([[0.5, 0.5]]), np.array([[1.0, 1.0]])
+                    rng, np.array([[0.5, 0.5]]), np.array([[1.0, 1.0]]), 5, np.array([[0.5, 0.5]])
                 )[0, 0]
                 for _ in range(20_000)
             ]
@@ -471,7 +471,7 @@ class TestCriterion8InvariantSuite:
             potts_beta=1.0, potts_sweeps=20, seed=8,
         )
         M = make_endmembers(40, 3, make_rng(8, 1), 15.0)
-        Y, _, _, omega_true = generate_scene(spec, M, make_rng(8, 2))
+        Y, _, _, omega_true, _ = generate_scene(spec, M, make_rng(8, 2))
         sup = split_training(omega_true, TrainingSplit("top_rows", 0.25, 0.95))
         config = ModelConfig(
             n_clusters=3, n_classes=2, n_endmembers=3,

@@ -8,6 +8,7 @@ import resource
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -268,6 +269,37 @@ class TestGenerate:
         assert "snr_db" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("value", [-3090.0, -3200.0])
+    def test_overflowing_noise_exits_2_naming_snr(self, tmp_path, capsys, value):
+        # 10 ** (snr_db / 10) stays above 0, but the noise it scales to
+        # overflows: its summed power at -3090 dB, its draws at -3200 dB.
+        broken = json.loads(json.dumps(SCENE_CONFIG))
+        broken["scene"]["snr_db"] = value
+        path = tmp_path / "broken.json"
+        path.write_text(json.dumps(broken))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["generate", str(path), "--out", str(tmp_path / "x")]) == 2
+        assert f"snr_db {value} makes the noise overflow" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_noise_that_rounds_away_reports_realized_inf(self, tmp_path):
+        # At 3000 dB the noise's sd is about 1e-150, lost in the signal's
+        # rounding: the bundle is the noiseless one, its realized SNR inf.
+        bundles = {}
+        for snr_db in (3000.0, "inf"):
+            scene = json.loads(json.dumps(SCENE_CONFIG))
+            scene["scene"]["snr_db"] = snr_db
+            path = tmp_path / f"{snr_db}.json"
+            path.write_text(json.dumps(scene))
+            bundles[snr_db] = tmp_path / f"bundle-{snr_db}"
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main(["generate", str(path), "--out", str(bundles[snr_db])]) == 0
+            manifest = read_manifest(bundles[snr_db] / "scene_manifest.json")
+            assert manifest["realized"] == {"snr_db": "inf"}
+        assert bundle_bytes(bundles[3000.0]) == bundle_bytes(bundles["inf"])
+
     def test_huge_endmember_count_exits_2_at_once(self, tmp_path):
         # Only the supports of the used cluster means are built, so the
         # config fails at once on placing more endmembers than bands.
@@ -368,24 +400,25 @@ class TestGenerate:
 
     @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs 2 usable CPUs")
     def test_realized_snr_sums_ignore_the_blas_thread_count(self):
-        # The manifest's realized SNR comes from these sums, so they must
-        # keep their bits whether BLAS runs on one thread or on two.
+        # The manifest's realized SNR comes from generation's einsum sums,
+        # so it must keep its bits whether BLAS runs on one thread or on two.
         script = (
-            "import numpy as np\n"
-            "from hbum.cli import _signal_and_noise_power\n"
-            "rng = np.random.default_rng(0)\n"
-            "y, m, a = rng.standard_normal((64, 256)), rng.random((64, 3)), rng.random((3, 256))\n"
-            "print(*map(float.hex, _signal_and_noise_power(y, m, a)))\n"
+            "from hbum.distributions import make_rng\n"
+            "from hbum.synthgen import SceneSpec, default_cluster_means, generate_scene,"
+            " make_endmembers\n"
+            "spec = SceneSpec(16, 16, 3, 2, 3, [0, 0, 1], default_cluster_means(3, 3))\n"
+            "M = make_endmembers(130, 3, make_rng(0), min_angle_deg=5.0)\n"
+            "print(float.hex(float(generate_scene(spec, M, make_rng(1))[4])))\n"
         )
-        sums = []
+        realized = []
         for threads in ("1", "2"):
             proc = subprocess.run(
                 [sys.executable, "-c", script], capture_output=True, text=True,
                 env=child_env(OPENBLAS_NUM_THREADS=threads),
             )
             assert proc.returncode == 0, proc.stderr
-            sums.append(proc.stdout)
-        assert sums[0] == sums[1]
+            realized.append(proc.stdout)
+        assert realized[0] == realized[1]
 
 
 class TestRun:

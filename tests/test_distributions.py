@@ -29,10 +29,13 @@ import oracles
 from oracles import sample_truncated_normal
 
 
-def simplex_draw(rng, mean, var_diag, **kw):
-    """One simplex-truncated draw: the batch sampler on a single row."""
+def simplex_draw(rng, mean, var_diag, inner_iters=5):
+    """One simplex-truncated draw: the batch sampler on a single row, started
+    from the mean's projection onto the simplex."""
+    mean = np.asarray(mean)
     return sample_gaussian_simplex_truncated_batch(
-        rng, np.asarray(mean)[None, :], np.asarray(var_diag)[None, :], **kw
+        rng, mean[None, :], np.asarray(var_diag)[None, :], inner_iters,
+        project_to_simplex(mean)[None, :],
     )[0]
 
 
@@ -371,8 +374,9 @@ class TestTruncatedNormalQuantiles:
     def test_infinite_draws_are_clipped_to_the_bounds(self, u, expected):
         # sd is 7e-4, so each bound is hundreds of sd away: P(X > lo) = 1 and
         # P(X > hi) = 0, and the uniform 0 (or 1) gives q = 1 (or 0).
+        means = np.array([[0.45, 0.55]])  # on the simplex: its own start
         draw = sample_gaussian_simplex_truncated_batch(
-            ConstantUniforms(u), np.array([[0.45, 0.55]]), np.full((1, 2), 1e-6)
+            ConstantUniforms(u), means, np.full((1, 2), 1e-6), 5, means
         )
         assert draw.tolist() == [expected]
 
@@ -462,7 +466,7 @@ class TestSimplexTruncatedGaussian:
         state = rng.bit_generator.state
         with pytest.raises(InvalidParameterError, match="init must be finite"):
             sample_gaussian_simplex_truncated_batch(
-                rng, np.full((2, 3), 0.3), np.full((2, 3), 0.1), init=init
+                rng, np.full((2, 3), 0.3), np.full((2, 3), 0.1), 5, init
             )
         assert rng.bit_generator.state == state
 

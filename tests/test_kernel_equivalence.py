@@ -16,6 +16,7 @@ import oracles
 import hbum.sampler as sampler_mod
 from hbum.distributions import (
     make_rng,
+    project_to_simplex,
     sample_categorical_log_many,
     sample_gaussian_simplex_truncated_batch,
 )
@@ -229,7 +230,10 @@ class TestSimplexTruncated:
         # Log-uniform variances down to 1e-6 put many standardized bounds
         # beyond the +-6 tail threshold.
         var = np.exp(gen.uniform(*np.log(var_range), size=(n_batch, n_dims)))
-        init = gen.dirichlet(np.ones(n_dims), size=n_batch) if seed % 3 else None
+        if seed % 3:
+            init = gen.dirichlet(np.ones(n_dims), size=n_batch)
+        else:  # the means' projection onto the simplex
+            init = np.stack([project_to_simplex(m) for m in means])
         return means, var, init
 
     @pytest.mark.parametrize("n_batch, n_dims, var_range, dirichlet", [
@@ -282,8 +286,11 @@ class TestSimplexTruncated:
         # interval, so it is a right-tail draw.
         means = np.array([[0.45, 0.55], [-0.01, 1.01]])
         var = np.full((2, 2), 1e-6)
-        got = sample_gaussian_simplex_truncated_batch(ConstantUniforms(), means, var, 2)
-        ref = oracles.sample_gaussian_simplex_truncated_rows(ConstantUniforms(), means, var, 2)
+        init = np.stack([project_to_simplex(m) for m in means])
+        got = sample_gaussian_simplex_truncated_batch(ConstantUniforms(), means, var, 2, init)
+        ref = oracles.sample_gaussian_simplex_truncated_rows(
+            ConstantUniforms(), means, var, 2, init
+        )
         assert_same_bits(got, ref)
         assert np.all(got >= 0.0) and np.all(np.abs(got.sum(axis=1) - 1.0) <= 1e-12)
 

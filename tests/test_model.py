@@ -16,6 +16,7 @@ from hbum.model import (
     SupervisionData,
     class_log_prior_matrix,
 )
+from hbum.sampler import _make_precomp
 from oracles import log_prior_class, potts_neighbor_count
 
 
@@ -32,10 +33,14 @@ class TestTypeInvariants:
             obs.validate()
 
     def test_observation_rejects_non_finite(self):
+        # validate checks the shape; Y's values are checked where the scene
+        # statistics read them.
         data = np.ones((2, 4))
         data[0, 1] = np.nan
-        with pytest.raises(ValidationError):
-            ObservationMatrix(data, Lattice(2, 2)).validate()
+        obs = ObservationMatrix(data, Lattice(2, 2))
+        obs.validate()
+        with pytest.raises(ValidationError, match="observations contain non-finite entries"):
+            _make_precomp(obs, EndmemberMatrix(np.eye(2)))
 
     def test_endmembers_reject_wide_matrix(self):
         with pytest.raises(ValidationError):

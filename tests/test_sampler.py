@@ -88,7 +88,7 @@ def tiny_problem(seed=0, height=12, width=12, n_mc=20, n_burnin=5, snr_db=25.0, 
         seed=seed,
     )
     M = make_endmembers(24, 3, make_rng(seed, 1), min_angle_deg=15.0)
-    Y, a_true, z_true, omega_true = generate_scene(spec, M, make_rng(seed, 2))
+    Y, a_true, z_true, omega_true, _ = generate_scene(spec, M, make_rng(seed, 2))
     sup = split_training(omega_true, TrainingSplit("top_rows", 0.25, 0.95))
     kwargs = dict(
         n_clusters=3, n_classes=2, n_endmembers=3,

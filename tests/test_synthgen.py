@@ -173,28 +173,28 @@ class TestEndmembers:
                 assert np.degrees(np.arccos(cos)) >= 15.0 - 1e-9
 
     def test_single_endmember_trivial(self):
-        M = make_endmembers(50, 1, make_rng(4))
+        M = make_endmembers(50, 1, make_rng(4), min_angle_deg=5.0)
         assert M.data.shape == (50, 1)
 
     def test_fixed_seed_reproducible(self):
-        a = make_endmembers(100, 3, make_rng(5))
-        b = make_endmembers(100, 3, make_rng(5))
+        a = make_endmembers(100, 3, make_rng(5), min_angle_deg=5.0)
+        b = make_endmembers(100, 3, make_rng(5), min_angle_deg=5.0)
         assert np.array_equal(a.data, b.data)
 
     def test_impossible_separation_fails_cleanly(self):
         with pytest.raises(GenerationError):
-            make_endmembers(40, 6, make_rng(6), min_angle_deg=88.0, max_attempts=5)
+            make_endmembers(40, 6, make_rng(6), min_angle_deg=88.0)
 
     def test_more_endmembers_than_bands_rejected(self):
         with pytest.raises(ValidationError):
-            make_endmembers(3, 5, make_rng(7))
+            make_endmembers(3, 5, make_rng(7), min_angle_deg=5.0)
 
 
 class TestGenerateScene:
     def test_image1_shapes(self):
         spec = image1_spec()
-        M = make_endmembers(413, 3, make_rng(8))
-        Y, A, z, omega = generate_scene(spec, M, make_rng(9))
+        M = make_endmembers(413, 3, make_rng(8), min_angle_deg=5.0)
+        Y, A, z, omega, _ = generate_scene(spec, M, make_rng(9))
         assert Y.data.shape == (413, 10_000)
         assert A.data.shape == (3, 10_000)
         assert z.labels.shape == (10_000,)
@@ -202,30 +202,47 @@ class TestGenerateScene:
 
     def test_realized_snr_close_to_target(self):
         spec = image1_spec(height=50, width=50)
-        M = make_endmembers(413, 3, make_rng(10))
-        Y, A, _, _ = generate_scene(spec, M, make_rng(11))
+        M = make_endmembers(413, 3, make_rng(10), min_angle_deg=5.0)
+        Y, A, _, _, _ = generate_scene(spec, M, make_rng(11))
         signal = M.data @ A.data
         noise = Y.data - signal
         realized = 10.0 * np.log10(np.sum(signal**2) / np.sum(noise**2))
         assert abs(realized - 30.0) < 0.1
 
+    @pytest.mark.parametrize("n_bands, same_bits", [
+        (24, True), (64, True), (130, True), (413, True), (65, False), (129, False),
+    ])
+    def test_realized_snr_matches_block_reference(self, n_bands, same_bits):
+        # The reference forms each 64-band block's signal afresh. A lone
+        # last band runs as a GEMV, whose sums may round otherwise.
+        spec = image1_spec(height=40, width=40, potts_sweeps=5)
+        M = make_endmembers(n_bands, 3, make_rng(18), min_angle_deg=5.0)
+        Y, A, _, _, realized = generate_scene(spec, M, make_rng(19))
+        signal_power, noise_power = oracles.signal_and_noise_power(Y.data, M.data, A.data)
+        want = 10.0 * np.log10(signal_power / noise_power)
+        if same_bits:
+            assert float(realized).hex() == float(want).hex()
+        else:
+            assert realized == pytest.approx(want, rel=1e-12, abs=0.0)
+
     def test_infinite_snr_is_noiseless(self):
         spec = image1_spec(height=10, width=10, snr_db=np.inf, potts_sweeps=5)
-        M = make_endmembers(30, 3, make_rng(12))
-        Y, A, _, _ = generate_scene(spec, M, make_rng(13))
+        M = make_endmembers(30, 3, make_rng(12), min_angle_deg=5.0)
+        Y, A, _, _, realized = generate_scene(spec, M, make_rng(13))
         assert np.array_equal(Y.data, M.data @ A.data)
+        assert realized == np.inf
 
     def test_abundances_on_simplex(self):
         spec = image1_spec(height=20, width=20, potts_sweeps=5)
-        M = make_endmembers(40, 3, make_rng(14))
-        _, A, _, _ = generate_scene(spec, M, make_rng(15))
+        M = make_endmembers(40, 3, make_rng(14), min_angle_deg=5.0)
+        _, A, _, _, _ = generate_scene(spec, M, make_rng(15))
         assert A.data.min() >= 0.0
         np.testing.assert_allclose(A.data.sum(axis=0), 1.0, atol=1e-9)
 
     def test_class_map_follows_cluster_map(self):
         spec = image1_spec(height=15, width=15, potts_sweeps=5)
-        M = make_endmembers(40, 3, make_rng(16))
-        _, _, z, omega = generate_scene(spec, M, make_rng(17))
+        M = make_endmembers(40, 3, make_rng(16), min_angle_deg=5.0)
+        _, _, z, omega, _ = generate_scene(spec, M, make_rng(17))
         np.testing.assert_array_equal(omega.labels, spec.cluster_to_class[z.labels])
 
     def test_spec_validation(self):
