@@ -18,6 +18,7 @@ from .errors import (
 from .lattice import Lattice
 from .model import (
     AbundanceMatrix,
+    ChainState,
     ClusterParams,
     EndmemberMatrix,
     InteractionMatrix,
@@ -27,7 +28,7 @@ from .model import (
     ObservationMatrix,
     SupervisionData,
 )
-from .sampler import ChainState, Trace, run_chain
+from .sampler import Trace, run_chain
 from .synthgen import (
     SceneSpec,
     TrainingSplit,

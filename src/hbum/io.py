@@ -34,6 +34,7 @@ from .errors import DataFormatError, ValidationError
 from .lattice import Lattice
 from .model import (
     AbundanceMatrix,
+    ChainState,
     ClusterParams,
     EndmemberMatrix,
     InteractionMatrix,
@@ -44,7 +45,6 @@ from .model import (
     SupervisionData,
     require_finite,
 )
-from .sampler import ChainState
 from .synthgen import DEFAULT_BANDS, SceneSpec, TrainingSplit, default_cluster_means
 
 MAGIC = b"HBUM1\n"
@@ -244,7 +244,6 @@ _MODEL_FIELDS = (
     ("endmembers", "n_endmembers", "count"), ("beta1", "beta1", "number"),
     ("beta2", "beta2", "number"), ("zeta", "zeta", "array"), ("xi", "xi", "number"),
     ("gamma", "gamma", "number"), ("seed", "seed", "count"),
-    ("inner_iters", "inner_iters", "count"),
 )
 
 
@@ -493,9 +492,17 @@ def _manifest_counts(manifest: dict, where: Path) -> tuple[int, int]:
         raise DataFormatError(f"{where}: manifest lacks a usable 'counts' section") from exc
 
 
+def _check_shape(path: Path, shape: tuple, expected: tuple) -> None:
+    if shape != expected:
+        raise DataFormatError(
+            f"{path}: expected a {expected[0]}x{expected[1]} matrix, got {shape}"
+        )
+
+
 def read_bundle(bundle_dir: str | Path, *, stream_y: bool = False) -> SceneBundle:
-    """Read a bundle, checking its files' format and shapes. The values of
-    Y and M are checked where the chain uses them, in ``_make_precomp``.
+    """Read a bundle, checking its files' format and shapes: every grid is
+    z_true's, and A_true is (columns of M) x P. The values of Y and M are
+    checked where the chain uses them, in ``_make_precomp``.
     With ``stream_y`` only Y's header is read: ``Y`` is an ObservationFile,
     whose payload and checksum are read when the statistics are formed."""
     bdir = Path(bundle_dir)
@@ -507,14 +514,19 @@ def read_bundle(bundle_dir: str | Path, *, stream_y: bool = False) -> SceneBundl
     z_true = read_label_field(bdir / "z_true.hbm", n_clusters)
     omega_true = read_label_field(bdir / "omega_true.hbm", n_classes)
     lat = z_true.lattice
+    grid = (lat.height, lat.width)
+    _check_shape(bdir / "omega_true.hbm", omega_true.grid().shape, grid)
+    _check_shape(bdir / "A_true.hbm", a_data.shape, (m_data.shape[1], lat.n_pixels))
     if stream_y:
         Y = ObservationFile.open(bdir / "Y.hbm", lat)
     elif y_data.shape[1] != lat.n_pixels:
         raise DataFormatError(f"{bdir}: observation columns do not match the label grid")
     else:
         Y = ObservationMatrix(y_data, lat)
-    labeled = read_matrix(bdir / "labeled.hbm").ravel()
-    eta = read_matrix(bdir / "eta.hbm").ravel()
+    labeled, eta = read_matrix(bdir / "labeled.hbm"), read_matrix(bdir / "eta.hbm")
+    _check_shape(bdir / "labeled.hbm", labeled.shape, grid)
+    _check_shape(bdir / "eta.hbm", eta.shape, grid)
+    labeled, eta = labeled.ravel(), eta.ravel()
     idx = np.flatnonzero(labeled > 0)
     if idx.size == 0:
         raise DataFormatError(f"{bdir}: bundle contains no labeled pixels")
@@ -557,8 +569,7 @@ def read_results(results_dir: str | Path) -> tuple[ChainState, np.ndarray, dict]
     if chain is not None and not (type(chain) in (int, float) and abs(chain) <= sys.float_info.max):
         raise DataFormatError(f"{rdir / 'run_manifest.json'}: malformed 'timings_s'")
     s2_hat = read_matrix(rdir / "s2_hat.hbm")
-    if s2_hat.shape != (1, 1):
-        raise DataFormatError(f"{rdir / 's2_hat.hbm'}: expected a 1x1 matrix, got {s2_hat.shape}")
+    _check_shape(rdir / "s2_hat.hbm", s2_hat.shape, (1, 1))
     estimates = ChainState(
         AbundanceMatrix(read_matrix(rdir / "A_hat.hbm")),
         NoiseModel(float(s2_hat[0, 0])),
@@ -572,10 +583,6 @@ def read_results(results_dir: str | Path) -> tuple[ChainState, np.ndarray, dict]
     except ValidationError as exc:
         raise DataFormatError(f"{rdir}: result set fails its checks: {exc}") from exc
     omega_freq = read_matrix(rdir / "omega_freq.hbm")
-    shape = (n_classes, estimates.omega.lattice.n_pixels)
-    if omega_freq.shape != shape:
-        raise DataFormatError(
-            f"{rdir / 'omega_freq.hbm'}: expected a {shape[0]}x{shape[1]} matrix, "
-            f"got {omega_freq.shape}"
-        )
+    n_pixels = estimates.z.lattice.n_pixels
+    _check_shape(rdir / "omega_freq.hbm", omega_freq.shape, (n_classes, n_pixels))
     return estimates, omega_freq, manifest

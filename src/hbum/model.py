@@ -100,22 +100,12 @@ class AbundanceMatrix:
 
     data: np.ndarray
 
-    def validate(self) -> None:
-        if self.data.ndim != 2:
-            raise ValidationError("abundances must be an R x P matrix")
-        if not np.all(np.isfinite(self.data)):
-            raise ValidationError("abundances contain non-finite entries")
-
 
 @dataclass
 class NoiseModel:
     """Isotropic Gaussian observation noise with variance ``s2``."""
 
     s2: float
-
-    def validate(self) -> None:
-        if not (math.isfinite(self.s2) and self.s2 > 0.0):
-            raise ValidationError(f"noise variance must be positive, got {self.s2}")
 
 
 @dataclass
@@ -125,17 +115,6 @@ class ClusterParams:
 
     psi: np.ndarray
     sigma2: np.ndarray
-
-    def validate(self) -> None:
-        if self.psi.ndim != 2 or self.psi.shape != self.sigma2.shape:
-            raise ValidationError("psi and sigma2 must be matching K x R matrices")
-        _check_simplex_rows(self.psi, "cluster mean matrix")
-        if np.any(self.sigma2 <= 0.0) or not np.all(np.isfinite(self.sigma2)):
-            raise ValidationError("cluster variances must be positive and finite")
-
-    @property
-    def n_clusters(self) -> int:
-        return self.psi.shape[0]
 
 
 @dataclass
@@ -149,14 +128,6 @@ class LabelField:
     def __post_init__(self) -> None:
         # grid() must be a writable view, which needs a contiguous buffer
         self.labels = np.ascontiguousarray(self.labels)
-
-    def validate(self) -> None:
-        if self.labels.shape != (self.lattice.n_pixels,):
-            raise ValidationError("label field length must equal the pixel count")
-        if not np.issubdtype(self.labels.dtype, np.integer):
-            raise ValidationError("labels must be integers")
-        if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= self.domain_size):
-            raise ValidationError(f"labels must lie in [0, {self.domain_size})")
 
     def grid(self) -> np.ndarray:
         """(height, width) view of the flat label vector."""
@@ -172,18 +143,55 @@ class InteractionMatrix:
 
     q: np.ndarray
 
+
+@dataclass
+class ChainState:
+    """The parameters one chain samples: A, s2, (psi, sigma2), z, Q and omega."""
+
+    A: AbundanceMatrix
+    noise: NoiseModel
+    clusters: ClusterParams
+    z: LabelField
+    q: InteractionMatrix
+    omega: LabelField
+
     def validate(self) -> None:
-        if self.q.ndim != 2:
+        """Check every part and that the parts fit one R, K, J and grid."""
+        a, s2, psi, sigma2, q = (
+            self.A.data, self.noise.s2, self.clusters.psi, self.clusters.sigma2, self.q.q
+        )
+        if a.ndim != 2:
+            raise ValidationError("abundances must be an R x P matrix")
+        if not np.all(np.isfinite(a)):
+            raise ValidationError("abundances contain non-finite entries")
+        if not (math.isfinite(s2) and s2 > 0.0):
+            raise ValidationError(f"noise variance must be positive, got {s2}")
+        if psi.ndim != 2 or psi.shape != sigma2.shape:
+            raise ValidationError("psi and sigma2 must be matching K x R matrices")
+        _check_simplex_rows(psi, "cluster mean matrix")
+        if np.any(sigma2 <= 0.0) or not np.all(np.isfinite(sigma2)):
+            raise ValidationError("cluster variances must be positive and finite")
+        if q.ndim != 2:
             raise ValidationError("interaction matrix must be K x J")
-        _check_simplex_rows(self.q.T, "interaction matrix column")
-
-    @property
-    def n_clusters(self) -> int:
-        return self.q.shape[0]
-
-    @property
-    def n_classes(self) -> int:
-        return self.q.shape[1]
+        _check_simplex_rows(q.T, "interaction matrix column")
+        for field in (self.z, self.omega):
+            labels, domain = field.labels, field.domain_size
+            if labels.shape != (field.lattice.n_pixels,):
+                raise ValidationError("label field length must equal the pixel count")
+            if not np.issubdtype(labels.dtype, np.integer):
+                raise ValidationError("labels must be integers")
+            if labels.size and (labels.min() < 0 or labels.max() >= domain):
+                raise ValidationError(f"labels must lie in [0, {domain})")
+        if self.omega.lattice != self.z.lattice:
+            raise ValidationError("z and omega lie on different grids")
+        if a.shape[0] != psi.shape[1]:
+            raise ValidationError("abundance rows do not match cluster dimensions")
+        if a.shape[1] != self.z.lattice.n_pixels:
+            raise ValidationError("abundance columns do not match the pixel count")
+        if self.z.domain_size != psi.shape[0] or q.shape[0] != psi.shape[0]:
+            raise ValidationError("cluster-count mismatch between z, Q and cluster params")
+        if self.omega.domain_size != q.shape[1]:
+            raise ValidationError("class-count mismatch between omega and Q")
 
 
 @dataclass
@@ -288,7 +296,6 @@ class ModelConfig:
     n_mc: int = 250
     n_burnin: int = 50
     seed: int = 0
-    inner_iters: int = 5  # scans of the simplex-truncated mean sampler
     pi_override: np.ndarray | None = None
 
     def __post_init__(self) -> None:
@@ -324,8 +331,6 @@ class ModelConfig:
             raise ValidationError("variance-prior parameters must be positive")
         if self.n_mc < 1 or self.n_burnin < 0:
             raise ValidationError("need n_mc >= 1 and n_burnin >= 0")
-        if self.inner_iters < 1:
-            raise ValidationError("inner_iters must be >= 1")
         if self.seed < 0:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
 

@@ -57,6 +57,7 @@ from .errors import InvalidParameterError, NumericalDegeneracyError, ValidationE
 from .lattice import Lattice, neighbor_value_counts
 from .model import (
     AbundanceMatrix,
+    ChainState,
     ClusterParams,
     EndmemberMatrix,
     InteractionMatrix,
@@ -78,36 +79,8 @@ NOISE_SCALE_FLOOR = 1e-300
 # one-band products, which numpy runs as GEMV.
 _BAND_BLOCK, _TILE = 16, 5120
 
-
-@dataclass
-class ChainState:
-    """Full parameter state of one chain."""
-
-    A: AbundanceMatrix
-    noise: NoiseModel
-    clusters: ClusterParams
-    z: LabelField
-    q: InteractionMatrix
-    omega: LabelField
-    iteration: int = 0
-    effective_beta1: float = 0.0
-
-    def validate(self) -> None:
-        self.A.validate()
-        self.noise.validate()
-        self.clusters.validate()
-        self.z.validate()
-        self.q.validate()
-        self.omega.validate()
-        n_clusters, n_dims = self.clusters.psi.shape
-        if self.A.data.shape[0] != n_dims:
-            raise ValidationError("abundance rows do not match cluster dimensions")
-        if self.z.domain_size != n_clusters or self.q.n_clusters != n_clusters:
-            raise ValidationError("cluster-count mismatch between z, Q and cluster params")
-        if self.omega.domain_size != self.q.n_classes:
-            raise ValidationError("class-count mismatch between omega and Q")
-        if self.effective_beta1 < 0.0:
-            raise ValidationError("effective_beta1 must be nonnegative")
+# Gibbs scans of the simplex-truncated cluster-mean draw per sweep.
+_SIMPLEX_SCANS = 5
 
 
 @dataclass
@@ -172,8 +145,6 @@ class Trace:
                 self.omega_counts.shape[0],
                 lattice,
             ),
-            iteration=self.n_recorded,
-            effective_beta1=0.0,
         )
 
 
@@ -198,7 +169,8 @@ def _make_precomp(Y: ObservationMatrix, M: EndmemberMatrix) -> _Precomp:
     pass 2 sums ``resid0 += ||Y[b] - Q[b] QᵀY||²``, which cannot cancel. Both
     work a block in column tiles of ``_TILE`` pixels, which keeps each output
     column's bits; only the residual's sum runs over the whole block. Sums of
-    squares use einsum: BLAS's dot splits them by its thread count."""
+    squares use einsum: BLAS's dot splits them by its thread count. MᵀM, MᵀY
+    and resid0 must be finite, which huge endmembers can break."""
     M.validate()
     if Y.n_bands != M.n_bands:
         raise ValidationError(
@@ -215,30 +187,26 @@ def _make_precomp(Y: ObservationMatrix, M: EndmemberMatrix) -> _Precomp:
     # ``part`` spans all pixels so that the hole it leaves in the heap holds
     # the sweeps' temporaries: a tile-wide one raised scene 2's peak RSS.
     part, finite = np.empty_like(qty), True
-    for lo, block in Y.band_blocks(_BAND_BLOCK):
-        q_t = q[lo : lo + len(block)].T
-        for cols in tiles:
-            finite = finite and bool(np.isfinite(block[:, cols]).all())
-            if finite:
-                qty[:, cols] += np.matmul(q_t, block[:, cols], out=part[:, cols])
-    if not finite:
-        raise ValidationError("observations contain non-finite entries")
-    fit, resid0 = np.empty((min(_BAND_BLOCK, Y.n_bands), n_pixels)), 0.0
-    for lo, block in Y.band_blocks(_BAND_BLOCK):
-        f, q_b = fit[: len(block)], q[lo : lo + len(block)]
-        for cols in tiles:
-            tile = np.matmul(q_b, qty[:, cols], out=f[:, cols])
-            np.subtract(block[:, cols], tile, out=tile)
-        resid0 += float(np.einsum("ij,ij->", f, f))
-    return _Precomp(
-        mtm=m.T @ m,
-        mty_t=qty.T @ r,  # MᵀY = RᵀQᵀY, pixel rows
-        r=r,
-        qty=qty,
-        resid0=resid0,
-        n_obs=Y.n_bands * qty.shape[1],
-        lattice=Y.lattice,
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is checked below
+        for lo, block in Y.band_blocks(_BAND_BLOCK):
+            q_t = q[lo : lo + len(block)].T
+            for cols in tiles:
+                finite = finite and bool(np.isfinite(block[:, cols]).all())
+                if finite:
+                    qty[:, cols] += np.matmul(q_t, block[:, cols], out=part[:, cols])
+        if not finite:
+            raise ValidationError("observations contain non-finite entries")
+        fit, resid0 = np.empty((min(_BAND_BLOCK, Y.n_bands), n_pixels)), 0.0
+        for lo, block in Y.band_blocks(_BAND_BLOCK):
+            f, q_b = fit[: len(block)], q[lo : lo + len(block)]
+            for cols in tiles:
+                tile = np.matmul(q_b, qty[:, cols], out=f[:, cols])
+                np.subtract(block[:, cols], tile, out=tile)
+            resid0 += float(np.einsum("ij,ij->", f, f))
+        mtm, mty_t = m.T @ m, qty.T @ r  # MᵀY = RᵀQᵀY, pixel rows
+    if not (np.isfinite(resid0) and np.isfinite(mtm).all() and np.isfinite(mty_t).all()):
+        raise ValidationError("the endmembers overflow M^T M, M^T Y or the residual")
+    return _Precomp(mtm, mty_t, r, qty, resid0, Y.n_bands * n_pixels, Y.lattice)
 
 
 def _residual_sq(pre: _Precomp, a: np.ndarray) -> float:
@@ -317,7 +285,7 @@ def _sample_abundances_all(state: ChainState, pre: _Precomp, rng: np.random.Gene
     s2 = state.noise.s2
     noise = rng.standard_normal((n_pixels, n_dims))
     z = state.z.labels
-    n_clusters = state.clusters.n_clusters
+    n_clusters = len(state.clusters.psi)
     # Narrow keys let numpy's stable sort run as a radix sort.
     order = np.argsort(z.astype(np.min_scalar_type(n_clusters - 1)), kind="stable")
     sizes = np.bincount(z, minlength=n_clusters)
@@ -407,7 +375,7 @@ def sample_cluster_means(
     means[empty] = 1.0 / n_dims
     varis[empty] = 1.0
     draws = sample_gaussian_simplex_truncated_batch(
-        rng, means, varis, inner_iters=config.inner_iters, init=state.clusters.psi
+        rng, means, varis, inner_iters=_SIMPLEX_SCANS, init=state.clusters.psi
     )
     if empty.any():
         draws[empty] = sample_dirichlet(rng, np.ones((int(empty.sum()), n_dims)))
@@ -437,20 +405,23 @@ def _gaussian_cluster_loglik(
     return out
 
 
-def sample_cluster_labels(state: ChainState, rng: np.random.Generator) -> LabelField:
+def sample_cluster_labels(
+    state: ChainState, rng: np.random.Generator, beta1: float
+) -> LabelField:
     """Redraw the cluster field. Per-site log-weights combine the Gaussian
     abundance likelihood, the interaction weight of the site's current class
-    and, while ``effective_beta1`` is positive, the spatial agreement count."""
+    and, while the sweep's coupling ``beta1`` is positive, the spatial
+    agreement count."""
     base = _gaussian_cluster_loglik(state.A.data, state.clusters.psi, state.clusters.sigma2)
     base += np.take(_log_nonneg(state.q.q), state.omega.labels, axis=1)
-    return potts_sweep(rng, state.z, base, state.effective_beta1, "cluster")
+    return potts_sweep(rng, state.z, base, beta1, "cluster")
 
 
 def sample_interaction_matrix(
     state: ChainState, config: ModelConfig, rng: np.random.Generator
 ) -> InteractionMatrix:
     """Redraw every column of Q from its Dirichlet conditional built on the
-    joint (cluster, class) label counts. Exact once ``effective_beta1`` is
+    joint (cluster, class) label counts. Exact once the cluster coupling is
     zero; during burn-in it serves as the stated approximation."""
     n_clusters, n_classes = config.n_clusters, config.n_classes
     counts = np.bincount(
@@ -464,7 +435,7 @@ def sample_interaction_matrix(
 def _class_log_partition(state: ChainState, beta1: float) -> np.ndarray:
     """(J, P) log of the cluster-side normalizer entering the class-field
     conditional while the cluster coupling is active."""
-    n_clusters = state.q.n_clusters
+    n_clusters = len(state.q.q)
     counts = neighbor_value_counts(state.z.grid(), n_clusters).reshape(n_clusters, -1)
     boosted = beta1 * counts
     peak = boosted.max(axis=0)
@@ -473,17 +444,18 @@ def _class_log_partition(state: ChainState, beta1: float) -> np.ndarray:
 
 
 def sample_class_labels(
-    state: ChainState, config: ModelConfig, rng: np.random.Generator, w1: np.ndarray
+    state: ChainState, config: ModelConfig, rng: np.random.Generator, w1: np.ndarray,
+    beta1: float,
 ) -> LabelField:
     """Redraw the class field. Per-site log-weights combine the interaction
     weight of the site's cluster, the (J, P) supervision log-prior ``w1``
-    and the spatial agreement count at ``beta2``; while ``effective_beta1``
-    is positive the cluster-side normalizer is subtracted (at zero it is
-    identically one and skipped)."""
+    and the spatial agreement count at ``beta2``; while the sweep's cluster
+    coupling ``beta1`` is positive the cluster-side normalizer is subtracted
+    (at zero it is identically one and skipped)."""
     base = np.take(_log_nonneg(state.q.q).T, state.z.labels, axis=1)
     base += w1
-    if state.effective_beta1 > 0.0:
-        base -= _class_log_partition(state, state.effective_beta1)
+    if beta1 > 0.0:
+        base -= _class_log_partition(state, beta1)
     return potts_sweep(rng, state.omega, base, config.beta2, "class")
 
 
@@ -589,8 +561,6 @@ def initialize_state(
         z=LabelField(z, config.n_clusters, pre.lattice),
         q=InteractionMatrix(q),
         omega=LabelField(omega, config.n_classes, pre.lattice),
-        iteration=0,
-        effective_beta1=config.beta1,
     )
     state.validate()
     return state
@@ -679,18 +649,17 @@ def run_chain(
             ("noise", lambda: _sample_noise_fast(state, pre, rng)),
             ("cluster_means", lambda: sample_cluster_means(state, config, rng)),
             ("cluster_variances", lambda: sample_cluster_variances(state, config, rng)),
-            ("cluster_labels", lambda: sample_cluster_labels(state, rng)),
+            ("cluster_labels", lambda: sample_cluster_labels(state, rng, beta1)),
             ("interaction", lambda: sample_interaction_matrix(state, config, rng)),
-            ("class_labels", lambda: sample_class_labels(state, config, rng, w1)),
+            ("class_labels", lambda: sample_class_labels(state, config, rng, w1, beta1)),
         )
         for it in range(total):
-            state.effective_beta1 = config.beta1 if it < config.n_burnin else 0.0
+            beta1 = config.beta1 if it < config.n_burnin else 0.0
             for name, stage in stages:
                 try:
                     stage()
                 except NumericalDegeneracyError as exc:
                     raise NumericalDegeneracyError(f"sweep {it}, {name}: {exc}") from exc
-            state.iteration += 1
             if debug_validate:
                 state.validate()
             if it >= config.n_burnin:

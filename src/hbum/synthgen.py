@@ -221,8 +221,9 @@ def generate_scene(
     is set so that the ratio of total signal power to noise power matches
     ``snr_db``. Noise is added in 64-band blocks, which sum both powers by
     einsum: its bits, unlike BLAS's dot, do not depend on the thread count.
-    The realized SNR is ``inf`` if no noise is drawn or it all rounds away;
-    noise that overflows raises a ValidationError naming ``snr_db``.
+    The realized SNR is ``inf`` if no noise is drawn or it all rounds away.
+    A signal power ``mean((MA)²)`` that overflows raises a ValidationError
+    naming the endmembers, and noise that overflows one naming ``snr_db``.
     """
     spec.validate()
     M.validate()
@@ -240,9 +241,14 @@ def generate_scene(
         alpha = spec.concentration * spec.dirichlet_means[k]
         a[:, idx] = sample_dirichlet(rng, np.broadcast_to(alpha, (idx.size, alpha.size))).T
 
-    y, realized = M.data @ a, np.inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = M.data @ a
+        power = float(np.mean(y * y))
+    if not math.isfinite(power):
+        raise ValidationError(f"the endmembers make the signal power overflow: {power}")
+    realized = np.inf
     if not np.isinf(spec.snr_db):
-        sd = np.sqrt(float(np.mean(y * y)) / 10.0 ** (spec.snr_db / 10.0))
+        sd = np.sqrt(power / 10.0 ** (spec.snr_db / 10.0))
         signal_power = noise_power = 0.0
         for start in range(0, y.shape[0], 64):
             block = y[start : start + 64]

@@ -205,17 +205,17 @@ def potts_half_sweeps(rng: np.random.Generator, field, base: np.ndarray, what: s
     return field
 
 
-def _require_finite_option(log_weights: np.ndarray, what: str, state) -> None:
+def _require_finite_option(log_weights: np.ndarray, what: str) -> None:
     dead = ~np.any(np.isfinite(log_weights), axis=0)
     if np.any(dead):
         raise NumericalDegeneracyError(
-            f"all {what} log-weights are -inf at iteration {state.iteration} "
+            f"all {what} log-weights are -inf "
             f"(first affected site {int(np.flatnonzero(dead)[0])})"
         )
 
 
-def sample_cluster_labels(state, rng: np.random.Generator):
-    """Checkerboard cluster-label sweep over boolean masks."""
+def sample_cluster_labels(state, rng: np.random.Generator, beta1: float):
+    """Checkerboard cluster-label sweep over boolean masks, coupled at ``beta1``."""
     n_clusters = state.z.domain_size
     base = gaussian_cluster_loglik(state.A.data, state.clusters.psi, state.clusters.sigma2)
     base += _log_nonneg(state.q.q)[:, state.omega.labels]
@@ -224,20 +224,21 @@ def sample_cluster_labels(state, rng: np.random.Generator):
     base_grid = base.reshape(n_clusters, lat.height, lat.width)
     for mask in color_masks(lat):
         weights = base_grid[:, mask]
-        if state.effective_beta1 > 0.0:
+        if beta1 > 0.0:
             counts = neighbor_value_counts(grid, n_clusters)
-            weights = weights + state.effective_beta1 * counts[:, mask]
-        _require_finite_option(weights, "cluster", state)
+            weights = weights + beta1 * counts[:, mask]
+        _require_finite_option(weights, "cluster")
         grid[mask] = categorical_inverse_cdf(rng, weights)
     return state.z
 
 
-def sample_class_labels(state, config, rng: np.random.Generator, w1: np.ndarray):
-    """Checkerboard class-label sweep over boolean masks."""
+def sample_class_labels(state, config, rng: np.random.Generator, w1: np.ndarray, beta1: float):
+    """Checkerboard class-label sweep over boolean masks, with the cluster
+    field coupled at ``beta1``."""
     n_classes = config.n_classes
     base = _log_nonneg(state.q.q)[state.z.labels, :].T + w1
-    if state.effective_beta1 > 0.0:
-        base = base - _class_log_partition(state, state.effective_beta1)
+    if beta1 > 0.0:
+        base = base - _class_log_partition(state, beta1)
     lat = state.omega.lattice
     grid = state.omega.grid()
     base_grid = base.reshape(n_classes, lat.height, lat.width)
@@ -246,7 +247,7 @@ def sample_class_labels(state, config, rng: np.random.Generator, w1: np.ndarray)
         if config.beta2 > 0.0:
             counts = neighbor_value_counts(grid, n_classes)
             weights = weights + config.beta2 * counts[:, mask]
-        _require_finite_option(weights, "class", state)
+        _require_finite_option(weights, "class")
         grid[mask] = categorical_inverse_cdf(rng, weights)
     return state.omega
 
@@ -298,7 +299,7 @@ def sample_abundances_all(state, pre, rng: np.random.Generator) -> None:
     s2 = state.noise.s2
     noise = rng.standard_normal((n_pixels, n_dims))
     used = 0
-    for k in range(state.clusters.n_clusters):
+    for k in range(len(state.clusters.psi)):
         idx = np.flatnonzero(state.z.labels == k)
         if idx.size == 0:
             continue

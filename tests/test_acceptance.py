@@ -45,6 +45,7 @@ from hbum.lattice import Lattice
 from hbum.metrics import ConfusionMatrix, align_clusters, cohen_kappa, rgmse
 from hbum.model import (
     AbundanceMatrix,
+    ChainState,
     ClusterParams,
     EndmemberMatrix,
     InteractionMatrix,
@@ -56,7 +57,6 @@ from hbum.model import (
     class_log_prior_matrix,
 )
 from hbum.sampler import (
-    ChainState,
     _make_precomp,
     _sample_noise_fast,
     run_chain,
@@ -276,7 +276,6 @@ class TestCriterion4ExactEnumeration:
             z=LabelField(np.zeros(4, dtype=np.int32), 2, lat),
             q=InteractionMatrix(q.copy()),
             omega=LabelField(np.array([0, 1, 0, 1], dtype=np.int32), 2, lat),
-            effective_beta1=0.0,
         )
         w1 = class_log_prior_matrix(sup)
         rng = make_rng(4242)
@@ -285,8 +284,8 @@ class TestCriterion4ExactEnumeration:
         omega_hits = np.zeros(4)
         start = time.perf_counter()
         for sweep in range(n_sweeps + burn_in):
-            sample_cluster_labels(state, rng)
-            sample_class_labels(state, config, rng, w1)
+            sample_cluster_labels(state, rng, config.beta1)
+            sample_class_labels(state, config, rng, w1, config.beta1)
             if sweep >= burn_in:
                 z_hits += state.z.labels == 0
                 omega_hits += state.omega.labels == 0

@@ -1,6 +1,7 @@
 """Command-line pipeline: bundle generation, inference, evaluation, the
 corruption sweep and exit-code behavior."""
 
+import dataclasses
 import json
 import os
 import re
@@ -31,8 +32,15 @@ from hbum.io import (
     write_results,
 )
 from hbum.lattice import Lattice
-from hbum.model import ClusterParams, InteractionMatrix, LabelField, NoiseModel
-from hbum.sampler import ChainState
+from hbum.model import (
+    ChainState,
+    ClusterParams,
+    EndmemberMatrix,
+    InteractionMatrix,
+    LabelField,
+    NoiseModel,
+    ObservationMatrix,
+)
 
 
 SCENE_CONFIG = {
@@ -300,6 +308,26 @@ class TestGenerate:
             assert manifest["realized"] == {"snr_db": "inf"}
         assert bundle_bytes(bundles[3000.0]) == bundle_bytes(bundles["inf"])
 
+    @pytest.mark.parametrize("scale", [1e200, np.finfo(float).max], ids=["1e200", "max"])
+    @pytest.mark.parametrize("snr_db", ["inf", 30.0])
+    def test_overflowing_signal_exits_2_naming_the_endmembers(self, tmp_path, capsys, scale,
+                                                              snr_db):
+        # M @ A or its power mean((M A)^2) overflows: the endmembers are at
+        # fault, whatever the noise.
+        library = tmp_path / "library.hbm"
+        write_matrix(library, scale * np.random.default_rng(0).uniform(0.5, 1.0, (24, 3)))
+        scene = json.loads(json.dumps(SCENE_CONFIG))
+        scene["endmember_file"] = str(library)
+        scene["scene"]["snr_db"] = snr_db
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps(scene))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["generate", str(path), "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert "the endmembers make the signal power overflow" in err and "snr_db" not in err
+        assert not (tmp_path / "x").exists()
+
     def test_huge_endmember_count_exits_2_at_once(self, tmp_path):
         # Only the supports of the used cluster means are built, so the
         # config fails at once on placing more endmembers than bands.
@@ -487,7 +515,6 @@ class TestRun:
         "key, value",
         [
             ("beta1", None),
-            ("inner_iters", "x"),
             ("class_proportions", "x"),
             ("zeta", [1.0, 2.0]),
             ("zeta", [[1.0, 2.0, 3.0]]),
@@ -495,6 +522,7 @@ class TestRun:
             ("burnin", True),
             ("seed", -1),
             ("schedule", "raster"),
+            ("inner_iters", 5),  # the simplex draw's scan count is fixed
         ],
     )
     def test_bad_model_field_exits_2_naming_it(self, small_bundle, tmp_path, capsys,
@@ -611,6 +639,24 @@ class TestRun:
         assert not (tmp_path / "r").exists()
         code, err = run_cli("evaluate", small_results, bundle, "--out", tmp_path / "m")
         assert (code, err) == (0, "")
+
+    def test_overflowing_scene_statistics_exit_2_naming_the_endmembers(self, small_bundle,
+                                                                       configs, tmp_path,
+                                                                       capsys):
+        # M and Y scaled by 1e200 stay finite, but MᵀM and MᵀY do not.
+        _, model_path = configs
+        bundle = read_bundle(small_bundle)
+        huge = tmp_path / "bundle"
+        write_bundle(huge, dataclasses.replace(
+            bundle, Y=ObservationMatrix(1e200 * bundle.Y.data, bundle.Y.lattice),
+            M=EndmemberMatrix(1e200 * bundle.M.data),
+        ))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["run", str(huge), str(model_path), "--out", str(tmp_path / "r")])
+        assert code == 2
+        assert "the endmembers overflow M^T M, M^T Y or the residual" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
 
     def test_run_and_sweep_take_the_same_model_overrides(self):
         # The five flags override exactly the fields load_model_config names.
@@ -862,19 +908,24 @@ class TestEvaluate:
         assert main(["evaluate", str(results), str(small_bundle)]) == 0
         assert 0.0 < read_manifest(results / "metrics.json")["cluster_accuracy"] <= 1.0
 
-    def test_mismatched_pair_fails(self, configs, tmp_path):
+    @pytest.mark.parametrize("smaller", ["bundle", "results"])
+    def test_mismatched_pair_fails(self, configs, tmp_path, capsys, smaller):
+        # A sound result set cannot be scored against a bundle on another
+        # grid, whichever of the two is the 8x16 one.
         scene_path, model_path = configs
         b1, b2 = tmp_path / "b1", tmp_path / "b2"
         results = tmp_path / "results"
         main(["generate", str(scene_path), "--out", str(b1)])
-        # a different-geometry bundle cannot score these results
         other = json.loads(json.dumps(SCENE_CONFIG))
         other["scene"]["height"] = 8
         other_path = tmp_path / "other.json"
         other_path.write_text(json.dumps(other))
         main(["generate", str(other_path), "--out", str(b2)])
-        main(["run", str(b1), str(model_path), "--out", str(results)])
-        assert main(["evaluate", str(results), str(b2)]) == 2
+        run_on, score_on = (b1, b2) if smaller == "bundle" else (b2, b1)
+        main(["run", str(run_on), str(model_path), "--out", str(results)])
+        capsys.readouterr()
+        assert main(["evaluate", str(results), str(score_on)]) == 2
+        assert "field sizes" in capsys.readouterr().err
 
     def test_malformed_noise_estimate_exits_4_naming_the_file(self, small_bundle, configs,
                                                               tmp_path):
@@ -899,9 +950,13 @@ class TestEvaluate:
              "cluster mean matrix rows must sum to 1"),
             ("s2_hat.hbm", lambda s2: with_first(s2, 0.0), "noise variance must be positive"),
             ("omega_freq.hbm", lambda freq: freq.T.copy(), "expected a 2x256 matrix"),
+            ("A_hat.hbm", lambda a: a[:, :-8].copy(),
+             "abundance columns do not match the pixel count"),
+            ("omega_map.hbm", lambda grid: grid.reshape(8, 32).copy(),
+             "z and omega lie on different grids"),
         ],
         ids=["nan-abundance", "negative-q", "extra-q-row", "psi-off-simplex", "zero-s2",
-             "transposed-omega-freq"],
+             "transposed-omega-freq", "short-abundances", "omega-map-8x32"],
     )
     def test_corrupted_result_set_exits_4_naming_it(self, small_bundle, small_results,
                                                     tmp_path, name, corrupt, message):
@@ -949,7 +1004,9 @@ class TestEvaluate:
         assert ("chain_seconds" in text) == (line is not None)
         assert line is None or line in text
 
-    def test_smaller_cluster_map_exits_2(self, small_bundle, configs, tmp_path):
+    def test_smaller_cluster_map_exits_4(self, small_bundle, configs, tmp_path):
+        # A z_map on 8x16 under the set's own 16x16 A and omega: the set is
+        # unsound, whatever bundle it is scored against.
         _, model_path = configs
         results = tmp_path / "results"
         assert main(["run", str(small_bundle), str(model_path), "--out", str(results)]) == 0
@@ -957,9 +1014,39 @@ class TestEvaluate:
         z_map = LabelField(np.zeros(lat.n_pixels, dtype=np.int32), 3, lat)
         write_label_field(results / "z_map.hbm", z_map)
         code, err = run_cli("evaluate", results, small_bundle)
-        assert code == 2
-        assert "field sizes" in err
+        assert code == 4
+        assert "result set fails its checks" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "name, reshape",
+        [
+            ("omega_true.hbm", lambda grid: grid.reshape(8, 32).copy()),
+            ("A_true.hbm", lambda a: a[:, :-8].copy()),
+            ("A_true.hbm", lambda a: a[:-1].copy()),
+            ("labeled.hbm", lambda grid: grid.reshape(8, 32).copy()),
+            ("eta.hbm", lambda eta: np.hstack([eta, eta])),
+        ],
+        ids=["omega-true-8x32", "a-true-short", "a-true-one-row-less", "labeled-8x32",
+             "eta-16x32"],
+    )
+    @pytest.mark.parametrize("command", ["run", "evaluate"])
+    def test_bundle_file_off_the_grid_exits_4_naming_it(self, small_bundle, small_results,
+                                                        configs, tmp_path, capsys, name,
+                                                        reshape, command):
+        # Every grid of a bundle is z_true's, and A_true is R x P.
+        _, model_path = configs
+        bundle = tmp_path / "bundle"
+        shutil.copytree(small_bundle, bundle)
+        write_matrix(bundle / name, reshape(read_matrix(bundle / name)))
+        if command == "run":
+            argv = ["run", str(bundle), str(model_path), "--out", str(tmp_path / "r")]
+        else:
+            argv = ["evaluate", str(small_results), str(bundle), "--out", str(tmp_path / "m")]
+        assert main(argv) == 4
+        err = capsys.readouterr().err
+        assert name in err and "expected a" in err
+        assert not (tmp_path / "r").exists() and not (tmp_path / "m").exists()
 
 
 class TestSweepCorruption:

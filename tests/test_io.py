@@ -23,8 +23,17 @@ from hbum.io import (
     write_label_field,
     write_matrix,
 )
+from hbum.distributions import make_rng
 from hbum.lattice import Lattice
-from hbum.model import LabelField
+from hbum.model import (
+    AbundanceMatrix,
+    ChainState,
+    ClusterParams,
+    InteractionMatrix,
+    LabelField,
+    NoiseModel,
+)
+from hbum.sampler import Trace
 
 
 _FOOTER_BYTES = len(b"crc32:00000000\n")
@@ -440,7 +449,6 @@ MODEL_CASES = [
     {"iterations": 30},
     {"burnin": 9},
     {"seed": 4},
-    {"inner_iters": 2},
     {"class_proportions": [0.3, 0.7]},
 ]
 
@@ -520,3 +528,28 @@ class TestConfigEcho:
         echo = model_config_echo(load_model_config(path))
         assert accepted == {None: set(echo)}
         assert {next(iter(patch)) for patch in MODEL_CASES} == set(echo)
+
+
+class TestResultSetRoundTrip:
+    def test_read_results_gives_back_the_estimates(self, tmp_path):
+        # Every field of the state, compared by type and value: a field the
+        # files do not hold would read back as its default.
+        gen = make_rng(3)
+        lat, n_clusters, n_classes = Lattice(4, 5), 3, 2
+        trace = Trace.empty(3, lat.n_pixels, n_clusters, n_classes)
+        for _ in range(3):
+            trace.record(ChainState(
+                A=AbundanceMatrix(gen.dirichlet(np.ones(3), size=lat.n_pixels).T.copy()),
+                noise=NoiseModel(float(gen.uniform(0.1, 1.0))),
+                clusters=ClusterParams(gen.dirichlet(np.ones(3), size=n_clusters),
+                                       gen.uniform(0.1, 1.0, size=(n_clusters, 3))),
+                z=LabelField(gen.integers(n_clusters, size=lat.n_pixels), n_clusters, lat),
+                q=InteractionMatrix(gen.dirichlet(np.ones(n_clusters), size=n_classes).T),
+                omega=LabelField(gen.integers(n_classes, size=lat.n_pixels), n_classes, lat),
+            ))
+        estimates = trace.estimates(lat)
+        counts = {"clusters": n_clusters, "classes": n_classes}
+        io.write_results(tmp_path, estimates, trace.omega_frequencies(), {"counts": counts})
+        read, omega_freq, _ = io.read_results(tmp_path)
+        assert same_config(read, estimates)
+        assert same_config(omega_freq, trace.omega_frequencies())

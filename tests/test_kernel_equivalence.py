@@ -25,6 +25,7 @@ from hbum.io import ObservationFile, write_matrix
 from hbum.lattice import Lattice
 from hbum.model import (
     AbundanceMatrix,
+    ChainState,
     ClusterParams,
     EndmemberMatrix,
     InteractionMatrix,
@@ -36,7 +37,6 @@ from hbum.model import (
 )
 from hbum.sampler import (
     SIGMA2_FLOOR,
-    ChainState,
     _gaussian_cluster_loglik,
     _make_precomp,
     _residual_sq,
@@ -493,7 +493,7 @@ class TestAbundances:
         assert states[0] == states[1]
 
 
-def random_state(shape, n_clusters, n_classes, seed, beta1):
+def random_state(shape, n_clusters, n_classes, seed):
     gen = np.random.default_rng(seed)
     lat = Lattice(*shape)
     n_pixels, n_dims = lat.n_pixels, 3
@@ -512,7 +512,6 @@ def random_state(shape, n_clusters, n_classes, seed, beta1):
         z=LabelField(gen.integers(n_clusters, size=n_pixels).astype(np.int32), n_clusters, lat),
         q=InteractionMatrix(q),
         omega=LabelField(gen.integers(n_classes, size=n_pixels).astype(np.int32), n_classes, lat),
-        effective_beta1=beta1,
     )
     state.validate()
     return state
@@ -523,12 +522,12 @@ class TestLabelSweeps:
     @pytest.mark.parametrize("n_clusters", CHOICES)
     @pytest.mark.parametrize("beta1", [0.0, 0.8])
     def test_cluster_sweep(self, shape, n_clusters, beta1):
-        state = random_state(shape, n_clusters, 3, seed=n_clusters, beta1=beta1)
+        state = random_state(shape, n_clusters, 3, seed=n_clusters)
         ref_state = copy.deepcopy(state)
         for sweep in range(3):
             rng_new, rng_ref = make_rng(sweep), make_rng(sweep)
-            sample_cluster_labels(state, rng_new)
-            oracles.sample_cluster_labels(ref_state, rng_ref)
+            sample_cluster_labels(state, rng_new, beta1)
+            oracles.sample_cluster_labels(ref_state, rng_ref, beta1)
             assert_same_bits(state.z.labels, ref_state.z.labels)
             assert rng_new.bit_generator.state == rng_ref.bit_generator.state
 
@@ -537,7 +536,7 @@ class TestLabelSweeps:
     @pytest.mark.parametrize("beta1", [0.0, 0.8])
     @pytest.mark.parametrize("beta2", [0.0, 0.8])
     def test_class_sweep(self, shape, n_classes, beta1, beta2):
-        state = random_state(shape, 4, n_classes, seed=n_classes, beta1=beta1)
+        state = random_state(shape, 4, n_classes, seed=n_classes)
         config = ModelConfig(n_clusters=4, n_classes=n_classes, n_endmembers=3, beta2=beta2)
         gen = np.random.default_rng(1)
         w1 = np.log(gen.dirichlet(np.ones(n_classes), size=state.z.lattice.n_pixels).T)
@@ -546,8 +545,8 @@ class TestLabelSweeps:
         ref_state = copy.deepcopy(state)
         for sweep in range(3):
             rng_new, rng_ref = make_rng(sweep), make_rng(sweep)
-            sample_class_labels(state, config, rng_new, w1)
-            oracles.sample_class_labels(ref_state, config, rng_ref, w1)
+            sample_class_labels(state, config, rng_new, w1, beta1)
+            oracles.sample_class_labels(ref_state, config, rng_ref, w1, beta1)
             assert_same_bits(state.omega.labels, ref_state.omega.labels)
             assert rng_new.bit_generator.state == rng_ref.bit_generator.state
 
@@ -614,11 +613,11 @@ class TestGatherLayout:
             return sample_categorical_log_many(rng, log_weights, **kwargs)
 
         monkeypatch.setattr(sampler_mod, "sample_categorical_log_many", spy)
-        state = random_state((6, 7), 12, 5, seed=2, beta1=beta)
+        state = random_state((6, 7), 12, 5, seed=2)
         config = ModelConfig(n_clusters=12, n_classes=5, n_endmembers=3, beta2=beta)
         w1 = np.log(np.random.default_rng(1).dirichlet(np.ones(5), size=42).T)
-        sample_cluster_labels(state, make_rng(0))
-        sample_class_labels(state, config, make_rng(1), w1)
+        sample_cluster_labels(state, make_rng(0), beta)
+        sample_class_labels(state, config, make_rng(1), w1, beta)
         if beta > 0.0:
             assert seen == [((12, 21), True)] * 2 + [((5, 21), True)] * 2
         else:  # an uncoupled field is drawn in one call
@@ -626,7 +625,7 @@ class TestGatherLayout:
 
     @pytest.mark.parametrize("shape, n_clusters", [((5, 7), 3), ((1, 9), 12), ((4, 4), 1)])
     def test_cluster_variances(self, shape, n_clusters):
-        state = random_state(shape, n_clusters, 2, seed=n_clusters, beta1=0.0)
+        state = random_state(shape, n_clusters, 2, seed=n_clusters)
         if n_clusters > 2:
             state.z.labels[state.z.labels == 1] = 0  # an empty cluster
         config = ModelConfig(n_clusters=n_clusters, n_classes=2, n_endmembers=3)
@@ -641,7 +640,7 @@ class TestGatherLayout:
     @pytest.mark.parametrize("n_clusters, n_classes", [(3, 2), (12, 5), (1, 3), (4, 1)])
     def test_interaction_matrix(self, n_clusters, n_classes):
         # One (J, K) Dirichlet call against one call per column of Q.
-        state = random_state((5, 7), n_clusters, n_classes, seed=n_clusters, beta1=0.0)
+        state = random_state((5, 7), n_clusters, n_classes, seed=n_clusters)
         config = ModelConfig(n_clusters=n_clusters, n_classes=n_classes, n_endmembers=3)
         ref_state = copy.deepcopy(state)
         rng_new, rng_ref = make_rng(6), make_rng(6)
@@ -664,7 +663,7 @@ class TestTraceRecord:
         trace = Trace.empty(3, n_pixels, n_clusters, n_classes)
         ref = Trace.empty(3, n_pixels, n_clusters, n_classes)
         for sweep in range(4):
-            state = random_state(shape, n_clusters, n_classes, seed=sweep, beta1=0.0)
+            state = random_state(shape, n_clusters, n_classes, seed=sweep)
             trace.record(state)
             oracles.trace_record(ref, state)
         for field in self.FIELDS:
@@ -679,7 +678,7 @@ class TestTraceRecord:
         trace = Trace.empty(3, n_pixels, n_clusters, n_classes)
         ref = Trace.empty(3, n_pixels, n_clusters, n_classes)
         for sweep in range(2):
-            state = random_state((200, 200), n_clusters, n_classes, seed=sweep, beta1=0.0)
+            state = random_state((200, 200), n_clusters, n_classes, seed=sweep)
             trace.record(state)
             oracles.trace_record(ref, state)
         for field in self.FIELDS:

@@ -1,11 +1,15 @@
 """Domain-type invariants and the local prior evaluations."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from hbum.errors import ValidationError
 from hbum.lattice import Lattice, neighbor_value_counts
 from hbum.model import (
+    AbundanceMatrix,
+    ChainState,
     ClusterParams,
     EndmemberMatrix,
     InteractionMatrix,
@@ -24,6 +28,21 @@ def make_sup(labeled_idx, c, eta, n_classes, n_pixels, **kw):
     return SupervisionData.from_labels(
         np.array(labeled_idx), np.array(c), eta, n_classes, n_pixels, **kw
     )
+
+
+def chain_state(**parts) -> ChainState:
+    """A sound state on a 1x3 grid, with R = 2, K = 3 and J = 2, with
+    ``parts`` put in place of its own."""
+    lat = Lattice(1, 3)
+    state = ChainState(
+        A=AbundanceMatrix(np.full((2, 3), 0.5)),
+        noise=NoiseModel(0.5),
+        clusters=ClusterParams(np.full((3, 2), 0.5), np.ones((3, 2))),
+        z=LabelField(np.array([0, 1, 2], dtype=np.int32), 3, lat),
+        q=InteractionMatrix(np.full((3, 2), 1.0 / 3.0)),
+        omega=LabelField(np.array([0, 1, 0], dtype=np.int32), 2, lat),
+    )
+    return dataclasses.replace(state, **parts)
 
 
 class TestTypeInvariants:
@@ -53,32 +72,48 @@ class TestTypeInvariants:
             EndmemberMatrix(data).validate()
 
     def test_noise_variance_positive(self):
-        with pytest.raises(ValidationError):
-            NoiseModel(0.0).validate()
-        NoiseModel(0.5).validate()
+        with pytest.raises(ValidationError, match="noise variance must be positive"):
+            chain_state(noise=NoiseModel(0.0)).validate()
+        chain_state(noise=NoiseModel(0.5)).validate()
 
     def test_cluster_means_must_be_on_simplex(self):
-        psi = np.array([[0.6, 0.6]])
-        with pytest.raises(ValidationError):
-            ClusterParams(psi, np.ones((1, 2))).validate()
+        psi = np.array([[0.6, 0.6], [0.5, 0.5], [0.5, 0.5]])
+        with pytest.raises(ValidationError, match="cluster mean matrix rows must sum to 1"):
+            chain_state(clusters=ClusterParams(psi, np.ones((3, 2)))).validate()
 
     def test_cluster_variances_positive(self):
-        psi = np.array([[0.5, 0.5]])
-        with pytest.raises(ValidationError):
-            ClusterParams(psi, np.array([[1.0, 0.0]])).validate()
+        sigma2 = np.array([[1.0, 0.0], [1.0, 1.0], [1.0, 1.0]])
+        with pytest.raises(ValidationError, match="cluster variances must be positive"):
+            chain_state(clusters=ClusterParams(np.full((3, 2), 0.5), sigma2)).validate()
 
     def test_label_field_range(self):
         lat = Lattice(1, 3)
-        LabelField(np.array([0, 1, 2], dtype=np.int32), 3, lat).validate()
-        with pytest.raises(ValidationError):
-            LabelField(np.array([0, 1, 3], dtype=np.int32), 3, lat).validate()
-        with pytest.raises(ValidationError):
-            LabelField(np.array([0, -1, 2], dtype=np.int32), 3, lat).validate()
+        chain_state(z=LabelField(np.array([0, 1, 2], dtype=np.int32), 3, lat)).validate()
+        for labels in ([0, 1, 3], [0, -1, 2]):
+            z = LabelField(np.array(labels, dtype=np.int32), 3, lat)
+            with pytest.raises(ValidationError, match=r"labels must lie in \[0, 3\)"):
+                chain_state(z=z).validate()
 
     def test_interaction_columns_must_be_simplex(self):
-        InteractionMatrix(np.array([[0.25, 1.0], [0.75, 0.0]])).validate()
-        with pytest.raises(ValidationError):
-            InteractionMatrix(np.array([[0.5, 1.0], [0.6, 0.0]])).validate()
+        q = np.array([[0.25, 1.0], [0.75, 0.0], [0.0, 0.0]])
+        chain_state(q=InteractionMatrix(q)).validate()
+        q = np.array([[0.5, 1.0], [0.6, 0.0], [0.0, 0.0]])
+        with pytest.raises(ValidationError, match="interaction matrix column rows must sum"):
+            chain_state(q=InteractionMatrix(q)).validate()
+
+    def test_abundances_must_cover_the_grid(self):
+        with pytest.raises(ValidationError, match="abundance columns do not match"):
+            chain_state(A=AbundanceMatrix(np.full((2, 2), 0.5))).validate()
+
+    def test_z_and_omega_share_one_grid(self):
+        # Same pixel count, other shape: the fields disagree on every neighbour.
+        omega = LabelField(np.array([0, 1, 0], dtype=np.int32), 2, Lattice(3, 1))
+        with pytest.raises(ValidationError, match="z and omega lie on different grids"):
+            chain_state(omega=omega).validate()
+
+    def test_state_holds_only_the_parameters(self):
+        names = [f.name for f in dataclasses.fields(ChainState)]
+        assert names == ["A", "noise", "clusters", "z", "q", "omega"]
 
 
 class TestSupervisionData:

@@ -22,6 +22,7 @@ from hbum.errors import NumericalDegeneracyError, ValidationError
 from hbum.lattice import Lattice
 from hbum.model import (
     AbundanceMatrix,
+    ChainState,
     ClusterParams,
     EndmemberMatrix,
     InteractionMatrix,
@@ -33,7 +34,6 @@ from hbum.model import (
     class_log_prior_matrix,
 )
 from hbum.sampler import (
-    ChainState,
     _class_log_partition,
     _make_precomp,
     _sample_abundances_all,
@@ -57,7 +57,7 @@ from hbum.synthgen import (
 from oracles import abundance_posterior, index, potts_neighbor_count, residual_mean_square
 
 
-def build_state(a, s2, psi, sigma2, z, q, omega, lat, beta1=0.0):
+def build_state(a, s2, psi, sigma2, z, q, omega, lat):
     state = ChainState(
         A=AbundanceMatrix(np.array(a, dtype=np.float64)),
         noise=NoiseModel(s2),
@@ -65,7 +65,6 @@ def build_state(a, s2, psi, sigma2, z, q, omega, lat, beta1=0.0):
         z=LabelField(np.array(z, dtype=np.int32), np.array(psi).shape[0], lat),
         q=InteractionMatrix(np.array(q, float)),
         omega=LabelField(np.array(omega, dtype=np.int32), np.array(q).shape[1], lat),
-        effective_beta1=beta1,
     )
     state.validate()
     return state
@@ -425,7 +424,7 @@ class TestClusterLabelConditional:
                 a=a, s2=1.0, psi=psi, sigma2=sigma2,
                 z=[0], q=[[0.5], [0.5]], omega=[0], lat=lat,
             )
-            hits += int(sample_cluster_labels(state, rng).labels[0] == 0)
+            hits += int(sample_cluster_labels(state, rng, 0.0).labels[0] == 0)
         se = np.sqrt(expected[0] * (1 - expected[0]) / n)
         assert abs(hits / n - expected[0]) < 3.0 * se
 
@@ -438,7 +437,7 @@ class TestClusterLabelConditional:
                 psi=[[0.5, 0.5], [0.5, 0.5]], sigma2=np.ones((2, 2)),
                 z=[0], q=[[0.0], [1.0]], omega=[0], lat=lat,
             )
-            assert sample_cluster_labels(state, rng).labels[0] == 1
+            assert sample_cluster_labels(state, rng, 0.0).labels[0] == 1
 
     def test_strong_coupling_follows_neighborhood_majority(self):
         # 3x3 grid, all-equal likelihood and interaction terms, center
@@ -454,9 +453,8 @@ class TestClusterLabelConditional:
                 a=np.full((2, 9), 0.5), s2=1.0,
                 psi=[[0.5, 0.5], [0.5, 0.5]], sigma2=np.ones((2, 2)),
                 z=labels, q=[[0.5], [0.5]], omega=[0] * 9, lat=lat,
-                beta1=10.0,
             )
-            assert sample_cluster_labels(state, rng).labels[center] == 1
+            assert sample_cluster_labels(state, rng, 10.0).labels[center] == 1
 
     def test_dead_site_error_names_the_pixel(self):
         # pixel 13 of a 4x4 grid is the seventh site of its colour; its
@@ -472,7 +470,7 @@ class TestClusterLabelConditional:
         )
         state.q.q[:, 1] = 0.0
         with pytest.raises(NumericalDegeneracyError, match=r"cluster .*pixel 13\)$"):
-            sample_cluster_labels(state, make_rng(16))
+            sample_cluster_labels(state, make_rng(16), 0.0)
 
 
 class TestInteractionConditional:
@@ -544,7 +542,7 @@ class TestClassLabelConditional:
                 a=np.full((1, 3), 0.5), s2=1.0, psi=[[1.0]] * 2,
                 sigma2=[[1.0]] * 2, z=[0, 1, 1], q=q, omega=[0, 1, 0], lat=lat,
             )
-            hits += int(sample_class_labels(state, config, rng, w1).labels[2] == 1)
+            hits += int(sample_class_labels(state, config, rng, w1, 0.0).labels[2] == 1)
         assert abs(hits / n - expected) < 3.0 * np.sqrt(expected * (1 - expected) / n)
 
     def test_total_confidence_pins_expert_labels(self):
@@ -561,7 +559,7 @@ class TestClassLabelConditional:
                 a=np.full((1, 3), 0.5), s2=1.0, psi=[[1.0]] * 2,
                 sigma2=[[1.0]] * 2, z=[0, 1, 0], q=q, omega=[1, 0, 0], lat=lat,
             )
-            omega = sample_class_labels(state, config, rng, w1)
+            omega = sample_class_labels(state, config, rng, w1, 0.0)
             assert omega.labels[0] == 0 and omega.labels[1] == 1
 
     def test_cluster_side_normalizer_is_one_without_coupling(self):
@@ -606,7 +604,7 @@ class TestClassLabelConditional:
             omega=[0, 1, 0], lat=lat,
         )
         with pytest.raises(NumericalDegeneracyError):
-            sample_class_labels(state, config, make_rng(23), class_log_prior_matrix(sup))
+            sample_class_labels(state, config, make_rng(23), class_log_prior_matrix(sup), 0.0)
 
 
 class TestInitializeState:
@@ -669,14 +667,14 @@ class TestRunChain:
         state = initialize_state(pre, sup, config, rng)
         w1 = class_log_prior_matrix(sup)
         for it in range(3):
-            state.effective_beta1 = config.beta1 if it < 2 else 0.0
+            beta1 = config.beta1 if it < 2 else 0.0
             sampler_mod._sample_abundances_all(state, pre, normals)
             sampler_mod._sample_noise_fast(state, pre, rng)
             sample_cluster_means(state, config, rng)
             sample_cluster_variances(state, config, rng)
-            sample_cluster_labels(state, rng)
+            sample_cluster_labels(state, rng, beta1)
             sample_interaction_matrix(state, config, rng)
-            sample_class_labels(state, config, rng, w1)
+            sample_class_labels(state, config, rng, w1, beta1)
         assert np.array_equal(est.A.data, state.A.data)
         assert est.noise.s2 == state.noise.s2
         assert np.array_equal(est.z.labels, state.z.labels)
@@ -748,8 +746,11 @@ class TestRunChain:
         assert during == [start + 1] * 5
         assert threading.active_count() == start
 
+        sweeps = []
+
         def failing(state, config, rng):
-            if state.iteration == 2:
+            sweeps.append(rng)
+            if len(sweeps) == 3:  # the third sweep, sweep 2
                 raise NumericalDegeneracyError("cluster means degenerate")
             return original(state, config, rng)
 
@@ -856,9 +857,9 @@ class TestRunChain:
         seen = []
         original = sampler_mod.sample_cluster_labels
 
-        def spy(state, rng):
-            seen.append(state.effective_beta1)
-            return original(state, rng)
+        def spy(state, rng, beta1):
+            seen.append(beta1)
+            return original(state, rng, beta1)
 
         monkeypatch.setattr(sampler_mod, "sample_cluster_labels", spy)
         run_chain(Y, M, sup, config)
