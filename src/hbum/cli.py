@@ -286,6 +286,7 @@ def cmd_sweep_corruption(args) -> int:
 
     kappas = np.zeros((len(alphas), args.trials))
     if workers > 1:
+        pre.resid0  # pass 2 of the statistics runs here: a forked worker gets no thread
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_init_sweep_worker, initargs=(inputs,)
         ) as pool:

@@ -501,8 +501,8 @@ def _check_shape(path: Path, shape: tuple, expected: tuple) -> None:
 
 def read_bundle(bundle_dir: str | Path, *, stream_y: bool = False) -> SceneBundle:
     """Read a bundle, checking its files' format and shapes: every grid is
-    z_true's, and A_true is (columns of M) x P. The values of Y and M are
-    checked where the chain uses them, in ``_make_precomp``.
+    z_true's, and A_true is (columns of M) x P, with finite entries. The values
+    of Y and M are checked where the chain uses them, in ``_make_precomp``.
     With ``stream_y`` only Y's header is read: ``Y`` is an ObservationFile,
     whose payload and checksum are read when the statistics are formed."""
     bdir = Path(bundle_dir)
@@ -517,6 +517,8 @@ def read_bundle(bundle_dir: str | Path, *, stream_y: bool = False) -> SceneBundl
     grid = (lat.height, lat.width)
     _check_shape(bdir / "omega_true.hbm", omega_true.grid().shape, grid)
     _check_shape(bdir / "A_true.hbm", a_data.shape, (m_data.shape[1], lat.n_pixels))
+    if not np.isfinite(a_data).all():
+        raise DataFormatError(f"{bdir / 'A_true.hbm'}: abundances contain non-finite entries")
     if stream_y:
         Y = ObservationFile.open(bdir / "Y.hbm", lat)
     elif y_data.shape[1] != lat.n_pixels:

@@ -226,12 +226,8 @@ class SupervisionData:
         order = np.argsort(labeled_idx)
         labeled_idx = labeled_idx[order]
         c = np.asarray(c, dtype=np.int32)[order]
-        eta_arr = np.asarray(eta, dtype=np.float64)
-        if eta_arr.ndim == 0:
-            eta_arr = np.full(labeled_idx.shape, float(eta_arr))
-        else:
-            eta_arr = eta_arr[order]
-        eta = eta_arr
+        eta = np.asarray(eta, dtype=np.float64)
+        eta = np.full(labeled_idx.shape, float(eta)) if eta.ndim == 0 else eta[order]
         if require_all_classes:
             present = np.unique(c)
             if present.size != n_classes:
@@ -256,7 +252,7 @@ class SupervisionData:
             raise ValidationError("labels and confidences must match the labeled set")
         if self.c.min() < 0 or self.c.max() >= self.n_classes:
             raise ValidationError(f"class labels must lie in [0, {self.n_classes})")
-        if np.any(self.eta <= 0.0) or np.any(self.eta >= 1.0):
+        if not np.all((self.eta > 0.0) & (self.eta < 1.0)):  # also rejects NaN
             raise ValidationError("confidences must lie strictly inside (0, 1)")
         if self.pi.shape != (self.n_classes,):
             raise ValidationError("pi must have one entry per class")

@@ -39,8 +39,9 @@ per-pixel most frequently sampled label for z and omega.
 
 from __future__ import annotations
 
+import itertools
 import os
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -130,35 +131,38 @@ class Trace:
         if self.n_recorded < 1:
             raise ValidationError("no recorded sweeps to estimate from")
         n = float(self.n_recorded)
+
+        def modal(counts: np.ndarray) -> LabelField:
+            return LabelField(np.argmax(counts, axis=0).astype(np.int32), len(counts), lattice)
+
         return ChainState(
             A=AbundanceMatrix(self.a_sum / n),
             noise=NoiseModel(self.s2_sum / n),
             clusters=ClusterParams(self.psi_sum / n, self.sigma2_sum / n),
-            z=LabelField(
-                np.argmax(self.z_counts, axis=0).astype(np.int32),
-                self.z_counts.shape[0],
-                lattice,
-            ),
+            z=modal(self.z_counts),
             q=InteractionMatrix(self.q_sum / n),
-            omega=LabelField(
-                np.argmax(self.omega_counts, axis=0).astype(np.int32),
-                self.omega_counts.shape[0],
-                lattice,
-            ),
+            omega=modal(self.omega_counts),
         )
 
 
-@dataclass
 class _Precomp:
-    """Scene statistics: all the chain reads of Y and M; ``M = QR`` is M's reduced QR."""
+    """Scene statistics: all the chain reads of Y and M; ``M = QR`` is M's reduced QR.
+    MᵀM and R are (R, R), QᵀY (R, P), MᵀY C-ordered (P, R) pixel rows, n_obs P * d."""
 
-    mtm: np.ndarray  # (R, R)
-    mty_t: np.ndarray  # (P, R), C-ordered: pixel rows for the abundance draws
-    r: np.ndarray  # (R, R)
-    qty: np.ndarray  # (R, P) QᵀY
-    resid0: float  # ||Y - QQᵀY||_F^2
-    n_obs: int  # P * d
-    lattice: Lattice
+    def __init__(self, mtm, mty_t, r, qty, resid0, n_obs: int, lattice: Lattice) -> None:
+        self.mtm, self.mty_t, self.r, self.qty = mtm, mty_t, r, qty
+        self._resid0, self.n_obs, self.lattice = resid0, n_obs, lattice
+
+    def hand_off(self, pool) -> None:
+        """Run a pending ``resid0`` pass on ``pool``'s thread."""
+        self._resid0 = pool.submit(self._resid0) if callable(self._resid0) else self._resid0
+
+    @property
+    def resid0(self) -> float:
+        """``||Y - QQᵀY||_F^2``: the first read waits for or runs its pending pass."""
+        r = self._resid0
+        self._resid0 = r.result() if isinstance(r, Future) else r() if callable(r) else r
+        return self._resid0
 
 
 def _make_precomp(Y: ObservationMatrix, M: EndmemberMatrix) -> _Precomp:
@@ -170,7 +174,8 @@ def _make_precomp(Y: ObservationMatrix, M: EndmemberMatrix) -> _Precomp:
     work a block in column tiles of ``_TILE`` pixels, which keeps each output
     column's bits; only the residual's sum runs over the whole block. Sums of
     squares use einsum: BLAS's dot splits them by its thread count. MᵀM, MᵀY
-    and resid0 must be finite, which huge endmembers can break."""
+    and resid0 must be finite, which huge endmembers can break. Pass 2 waits
+    for the first read of ``resid0``; this thread takes its first block and buffer."""
     M.validate()
     if Y.n_bands != M.n_bands:
         raise ValidationError(
@@ -196,17 +201,26 @@ def _make_precomp(Y: ObservationMatrix, M: EndmemberMatrix) -> _Precomp:
                     qty[:, cols] += np.matmul(q_t, block[:, cols], out=part[:, cols])
         if not finite:
             raise ValidationError("observations contain non-finite entries")
-        fit, resid0 = np.empty((min(_BAND_BLOCK, Y.n_bands), n_pixels)), 0.0
-        for lo, block in Y.band_blocks(_BAND_BLOCK):
-            f, q_b = fit[: len(block)], q[lo : lo + len(block)]
-            for cols in tiles:
-                tile = np.matmul(q_b, qty[:, cols], out=f[:, cols])
-                np.subtract(block[:, cols], tile, out=tile)
-            resid0 += float(np.einsum("ij,ij->", f, f))
+        blocks = Y.band_blocks(_BAND_BLOCK)
+        blocks = itertools.chain(list(itertools.islice(blocks, 1)), blocks)
+        fit = np.empty((min(_BAND_BLOCK, Y.n_bands), n_pixels))
         mtm, mty_t = m.T @ m, qty.T @ r  # MᵀY = RᵀQᵀY, pixel rows
-    if not (np.isfinite(resid0) and np.isfinite(mtm).all() and np.isfinite(mty_t).all()):
+    if not (np.isfinite(mtm).all() and np.isfinite(mty_t).all()):
         raise ValidationError("the endmembers overflow M^T M, M^T Y or the residual")
-    return _Precomp(mtm, mty_t, r, qty, resid0, Y.n_bands * n_pixels, Y.lattice)
+
+    def residual() -> float:
+        resid0 = 0.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            for lo, block in blocks:
+                f, q_b = fit[: len(block)], q[lo : lo + len(block)]
+                for cols in tiles:
+                    tile = np.matmul(q_b, qty[:, cols], out=f[:, cols])
+                    np.subtract(block[:, cols], tile, out=tile)
+                resid0 += float(np.einsum("ij,ij->", f, f))
+        if not np.isfinite(resid0):
+            raise ValidationError("the endmembers overflow M^T M, M^T Y or the residual")
+        return resid0
+    return _Precomp(mtm, mty_t, r, qty, residual, Y.n_bands * n_pixels, Y.lattice)
 
 
 def _residual_sq(pre: _Precomp, a: np.ndarray) -> float:
@@ -525,7 +539,6 @@ def initialize_state(
     ridge = 1e-6 * np.trace(pre.mtm) / n_dims
     a = np.linalg.solve(pre.mtm + ridge * np.eye(n_dims), pre.mty_t.T)
     np.clip(a, 0.0, 1.0, out=a)
-    s2 = max(_residual_sq(pre, a) / pre.n_obs, 1e-12)
 
     # Moments from bincount sums, in pixel order as a[:, members] sums them.
     z, _ = _kmeans_labels(a, config.n_clusters, rng)
@@ -554,6 +567,8 @@ def initialize_state(
     )
     omega[sup.labeled_idx] = sup.c
 
+    # Last, as it draws nothing: it may wait for pass 2 of the scene statistics.
+    s2 = max(_residual_sq(pre, a) / pre.n_obs, 1e-12)
     state = ChainState(
         A=AbundanceMatrix(a),
         noise=NoiseModel(s2),
@@ -613,34 +628,41 @@ def run_chain(
     # pages: without it the scene-2 benchmark's chains ran about 10 % longer.
     np.empty(28 << 20, dtype=np.uint8)
     pre = Y if isinstance(Y, _Precomp) else _make_precomp(Y, M)
-    sup.validate()
-    config.validate()
-    n_dims, n_pixels = pre.mtm.shape[0], pre.lattice.n_pixels
-    if n_dims != config.n_endmembers:
-        raise ValidationError(
-            f"config expects {config.n_endmembers} endmembers, matrix has {n_dims}"
-        )
-    if sup.n_pixels != n_pixels:
-        raise ValidationError("supervision pixel count does not match the observations")
-    if sup.n_classes != config.n_classes:
-        raise ValidationError("supervision class count does not match the config")
-    if rng is None:
-        rng = make_rng(config.seed)
-    total = config.n_burnin + config.n_mc
-    # The normals' stream is ``rng.spawn(1)[0]`` of a fresh rng, whatever rng has spawned.
-    ss = rng.bit_generator.seed_seq
-    ss = np.random.SeedSequence(ss.entropy, spawn_key=(*ss.spawn_key, 0), pool_size=ss.pool_size)
-    normals = np.random.Generator(type(rng.bit_generator)(ss))
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    if config.pi_override is not None:
-        sup = replace(sup, pi=np.asarray(config.pi_override, dtype=np.float64))
-        sup.validate()
-    w1 = class_log_prior_matrix(sup)
-    state = initialize_state(pre, sup, config, rng)
-    trace = Trace.empty(config.n_endmembers, n_pixels, config.n_clusters, config.n_classes)
-    # The thread starts at the first submit, so no block is resident through set-up.
+    ahead = chains_at_once <= cpus // 2
+    # The helper's jobs, from the first submit: a pending pass 2, then the normals.
     with ThreadPoolExecutor(1) as pool:
-        if chains_at_once <= cpus // 2:
+        if ahead:
+            pre.hand_off(pool)
+        try:
+            sup.validate()
+            config.validate()
+            n_dims, n_pixels = pre.mtm.shape[0], pre.lattice.n_pixels
+            if n_dims != config.n_endmembers:
+                raise ValidationError(
+                    f"config expects {config.n_endmembers} endmembers, matrix has {n_dims}"
+                )
+            if sup.n_pixels != n_pixels:
+                raise ValidationError("supervision pixel count does not match the observations")
+            if sup.n_classes != config.n_classes:
+                raise ValidationError("supervision class count does not match the config")
+            rng = make_rng(config.seed) if rng is None else rng
+            total = config.n_burnin + config.n_mc
+            # The normals' stream is ``rng.spawn(1)[0]`` of a fresh rng, whatever rng spawned.
+            ss = rng.bit_generator.seed_seq
+            ss = np.random.SeedSequence(ss.entropy, spawn_key=(*ss.spawn_key, 0),
+                                        pool_size=ss.pool_size)
+            normals = np.random.Generator(type(rng.bit_generator)(ss))
+            if config.pi_override is not None:
+                sup = replace(sup, pi=np.asarray(config.pi_override, dtype=np.float64))
+                sup.validate()
+            w1 = class_log_prior_matrix(sup)
+            state = initialize_state(pre, sup, config, rng)
+        except Exception:
+            pre.resid0  # an error of pass 2 comes first, as it did when pass 2 ran first
+            raise
+        trace = Trace.empty(config.n_endmembers, n_pixels, config.n_clusters, config.n_classes)
+        if ahead:
             normals = _NormalsAhead(normals, (n_pixels, n_dims), total, pool)
         # The lambdas look each stage up on this module when called, so a stage
         # replaced there (by a test or a profiler) still takes part in the sweep.

@@ -32,6 +32,7 @@ from hbum.io import (
     write_results,
 )
 from hbum.lattice import Lattice
+from hbum.errors import NumericalDegeneracyError
 from hbum.model import (
     ChainState,
     ClusterParams,
@@ -658,6 +659,22 @@ class TestRun:
         assert "the endmembers overflow M^T M, M^T Y or the residual" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
 
+    @pytest.mark.parametrize("eta", [1.5, np.nan])
+    def test_confidence_outside_the_open_interval_exits_2(self, small_bundle, configs,
+                                                          tmp_path, capsys, eta):
+        # NaN fails every comparison, so it is rejected as 1.5 is, before any chain.
+        _, model_path = configs
+        bundle = tmp_path / "bundle"
+        shutil.copytree(small_bundle, bundle)
+        conf = read_matrix(bundle / "eta.hbm")
+        conf.flat[np.flatnonzero(read_matrix(bundle / "labeled.hbm"))[0]] = eta
+        write_matrix(bundle / "eta.hbm", conf)
+        assert main(["run", str(bundle), str(model_path), "--out", str(tmp_path / "r")]) == 2
+        assert capsys.readouterr().err == (
+            "error: confidences must lie strictly inside (0, 1)\n"
+        )
+        assert not (tmp_path / "r").exists()
+
     def test_run_and_sweep_take_the_same_model_overrides(self):
         # The five flags override exactly the fields load_model_config names.
         flags = ["--seed", "3", "--beta1", "0.5", "--beta2", "0.6", "--iters", "20",
@@ -824,6 +841,105 @@ class TestStreamedObservations:
             "evaluate": peak(cli.format(["evaluate", str(tmp_path / "r"), str(bundle)])),
         }
         assert peaks["run"] < peaks["read_matrix"] and peaks["evaluate"] < peaks["read_matrix"], peaks
+
+
+class TestDeferredResidual:
+    """``_make_precomp`` leaves pass 2 of the scene statistics, the residual,
+    to ``run_chain``'s helper thread or to its first reader. The CLI's exit
+    codes, messages and results stay those of a pass run before the chain."""
+
+    @staticmethod
+    def overflowing(bundle, monkeypatch):
+        # At 1e200, MᵀM and MᵀY stay finite, but the residual's square does not.
+        write_matrix(bundle / "Y.hbm", 1e200 * read_matrix(bundle / "Y.hbm"))
+        return 2, "error: the endmembers overflow M^T M, M^T Y or the residual\n"
+
+    @staticmethod
+    def rewritten(bundle, monkeypatch):
+        # Y.hbm changes between the passes, so pass 2's checksum fails.
+        import hbum.io as io
+
+        blocks, calls = io.ObservationFile.band_blocks, []
+
+        def band_blocks(self, n_rows):
+            calls.append(n_rows)
+            if len(calls) == 2:
+                raw = bytearray(self.path.read_bytes())
+                raw[y_payload_offset(self.path) + 8 * 100] ^= 0x01
+                self.path.write_bytes(bytes(raw))
+            return blocks(self, n_rows)
+
+        monkeypatch.setattr(io.ObservationFile, "band_blocks", band_blocks)
+        return 4, f"i/o error: {bundle / 'Y.hbm'}: checksum mismatch (stored "
+
+    @pytest.mark.parametrize("command", ["run", "sweep-corruption"])
+    @pytest.mark.parametrize("cpus", [1, 4])
+    @pytest.mark.parametrize("later", [None, "endmembers", "kmeans"])
+    @pytest.mark.parametrize("failure", ["overflowing", "rewritten"])
+    def test_the_pass_error_comes_first(self, small_bundle, tmp_path, capsys, monkeypatch,
+                                        failure, later, cpus, command):
+        # Handed to the helper (4 CPUs) or run inline (1 CPU), the pass's
+        # error wins over every check that follows it, as when it ran first.
+        import hbum.sampler as sampler
+
+        bundle = tmp_path / "bundle"
+        shutil.copytree(small_bundle, bundle)
+        code, message = getattr(self, failure)(bundle, monkeypatch)
+        monkeypatch.setattr(sampler.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        model = dict(MODEL_CONFIG, endmembers=2) if later == "endmembers" else MODEL_CONFIG
+        (tmp_path / "model.json").write_text(json.dumps(model))
+        if later == "kmeans":
+            def kmeans(a, n_clusters, rng):
+                raise NumericalDegeneracyError("k-means failed")
+
+            monkeypatch.setattr(sampler, "_kmeans_labels", kmeans)
+        argv = [command, str(bundle), str(tmp_path / "model.json"), "--out", str(tmp_path / "o")]
+        if command == "sweep-corruption":
+            argv += ["--alphas", "0", "--trials", "1"]
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        assert err.startswith(message) and err.count("\n") == 1, err
+        assert not (tmp_path / "o").exists()
+
+    def test_scene_without_bands_exits_2_in_the_chain(self, small_bundle, configs, tmp_path,
+                                                      capsys):
+        # Pass 2 of zero bands has no first block to take.
+        _, model_path = configs
+        bundle = tmp_path / "bundle"
+        shutil.copytree(small_bundle, bundle)
+        for name in ("Y.hbm", "M.hbm", "A_true.hbm"):
+            cols = 0 if name == "M.hbm" else None
+            write_matrix(bundle / name, read_matrix(bundle / name)[:0, :cols])
+        assert main(["run", str(bundle), str(model_path), "--out", str(tmp_path / "r")]) == 2
+        assert capsys.readouterr().err == "error: config expects 3 endmembers, matrix has 0\n"
+
+    def test_sweep_pool_forks_after_the_residual_exists(self, small_bundle, configs, tmp_path):
+        # Every read of Y.hbm sleeps 0.5 s after its last block: a fork while
+        # pass 2 is pending or on a thread would leave the workers without it.
+        _, model_path = configs
+        code = (
+            "import sys, time\n"
+            "import hbum.io as io\n"
+            "from hbum.cli import main\n"
+            "blocks = io.ObservationFile.band_blocks\n"
+            "def slow(self, n_rows):\n"
+            "    yield from blocks(self, n_rows)\n"
+            "    time.sleep(0.5)\n"
+            "io.ObservationFile.band_blocks = slow\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        rows = []
+        for threads in ("2", "1"):
+            out = tmp_path / f"threads-{threads}"
+            proc = subprocess.run(
+                [sys.executable, "-c", code, "sweep-corruption", str(small_bundle),
+                 str(model_path), "--out", str(out), "--alphas", "0,0.2", "--trials", "2",
+                 "--iters", "6", "--burnin", "2", "--threads", threads],
+                env=child_env(), capture_output=True, text=True, timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr
+            rows.append(read_manifest(out / "corruption_sweep.json")["rows"])
+        assert rows[0] == rows[1]
 
 
 class TestImports:
@@ -1047,6 +1163,29 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert name in err and "expected a" in err
         assert not (tmp_path / "r").exists() and not (tmp_path / "m").exists()
+
+
+    @pytest.mark.parametrize("command", ["run", "evaluate", "sweep-corruption"])
+    def test_non_finite_true_abundances_exit_4_naming_them(self, small_bundle, small_results,
+                                                           configs, tmp_path, capsys, command):
+        # One NaN in A_true would be scored as rgmse=nan, which is not JSON.
+        _, model_path = configs
+        bundle = tmp_path / "bundle"
+        shutil.copytree(small_bundle, bundle)
+        a_true = read_matrix(bundle / "A_true.hbm")
+        write_matrix(bundle / "A_true.hbm", with_first(a_true, np.nan))
+        out = tmp_path / "out"
+        argv = {
+            "run": ["run", str(bundle), str(model_path)],
+            "evaluate": ["evaluate", str(small_results), str(bundle)],
+            "sweep-corruption": ["sweep-corruption", str(bundle), str(model_path),
+                                 "--alphas", "0", "--trials", "1"],
+        }[command]
+        assert main([*argv, "--out", str(out)]) == 4
+        assert capsys.readouterr().err == (
+            f"i/o error: {bundle / 'A_true.hbm'}: abundances contain non-finite entries\n"
+        )
+        assert not out.exists()
 
 
 class TestSweepCorruption:

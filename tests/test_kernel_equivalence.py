@@ -8,6 +8,7 @@ a tolerance from the rounding analysis of that arithmetic instead.
 """
 
 import copy
+from concurrent.futures import Future, ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -767,6 +768,18 @@ class TestInitialization:
         assert state.q.q.flags.c_contiguous  # Q feeds a GEMM in _class_log_partition
 
 
+def resid0_both_ways(Y, M) -> tuple[float, float]:
+    """``resid0`` of ``_make_precomp(Y, M)`` with its pass handed to a
+    helper thread, and with it run by the first read on this thread."""
+    handed, inline = _make_precomp(Y, M), _make_precomp(Y, M)
+    with ThreadPoolExecutor(1) as pool:
+        handed.hand_off(pool)
+        assert isinstance(handed._resid0, Future)
+        on_helper = handed.resid0
+    assert callable(inline._resid0)
+    return on_helper, inline.resid0
+
+
 class TestStreamedStatistics:
     """``_make_precomp`` over an ``io.ObservationFile`` reads Y.hbm in band
     blocks; it must give the bits of the same Y held in memory."""
@@ -791,7 +804,8 @@ class TestStreamedStatistics:
         got = _make_precomp(streamed, M)
         for field in ("mtm", "mty_t", "r", "qty"):
             assert_same_bits(getattr(got, field), getattr(ref, field))
-        assert got.resid0.hex() == ref.resid0.hex()
+        for resid0 in resid0_both_ways(streamed, M):
+            assert resid0.hex() == ref.resid0.hex()
         assert (got.n_obs, got.lattice) == (ref.n_obs, ref.lattice) == (y.size, lat)
         assert got.mty_t.flags.c_contiguous
 
@@ -837,7 +851,8 @@ class TestTiledStatistics:
             got = _make_precomp(Y, M)
             for field in ("mtm", "mty_t", "r", "qty"):
                 assert_same_bits(getattr(got, field), getattr(ref, field))
-            assert got.resid0.hex() == ref.resid0.hex()
+            for resid0 in resid0_both_ways(Y, M):
+                assert resid0.hex() == ref.resid0.hex()
             assert got.mty_t.flags.c_contiguous
 
     def test_non_finite_entry_in_any_tile_rejected(self):

@@ -9,6 +9,7 @@ import os
 import platform
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -758,6 +759,28 @@ class TestRunChain:
         with pytest.raises(NumericalDegeneracyError,
                            match=r"^sweep 2, cluster_means: cluster means degenerate$"):
             run_chain(Y, M, sup, config)
+        assert threading.active_count() == start
+
+        # initialize_state fails while pass 2 of the scene statistics, slowed
+        # down after its last block, is still running on the helper.
+        blocks, passes, done = ObservationMatrix.band_blocks, [], threading.Event()
+
+        def slow_blocks(self, n_rows):
+            passes.append(threading.current_thread())
+            yield from blocks(self, n_rows)
+            if len(passes) == 2:
+                time.sleep(0.3)
+                done.set()
+
+        def kmeans(a, n_clusters, rng):
+            assert not done.is_set() and threading.active_count() == start + 1
+            raise ValidationError("k-means failed")
+
+        monkeypatch.setattr(ObservationMatrix, "band_blocks", slow_blocks)
+        monkeypatch.setattr(sampler_mod, "_kmeans_labels", kmeans)
+        with pytest.raises(ValidationError, match="^k-means failed$"):
+            run_chain(Y, M, sup, config)
+        assert done.is_set() and passes == [threading.main_thread()] * 2
         assert threading.active_count() == start
 
     def test_concurrent_chains_under_a_short_switch_interval(self, monkeypatch):
