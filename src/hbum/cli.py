@@ -153,7 +153,7 @@ def _model_overrides(args) -> dict:
 
 
 def cmd_run(args) -> int:
-    bundle = read_bundle(args.bundle, stream_y=True)
+    bundle = read_bundle(args.bundle)
     config = load_model_config(args.config, overrides=_model_overrides(args))
     t0 = time.perf_counter()
     pre = sampler._make_precomp(bundle.Y, bundle.M)
@@ -194,7 +194,7 @@ def _kappa(bundle, omega, eval_all: bool) -> tuple[ConfusionMatrix, float]:
 
 def cmd_evaluate(args) -> int:
     estimates, _, manifest = read_results(args.results)
-    bundle = read_bundle(args.bundle, stream_y=True)  # Y is not scored
+    bundle = read_bundle(args.bundle)  # Y is not scored
     cm, kappa = _kappa(bundle, estimates.omega, args.eval_all)
     metrics = {
         "rgmse": rgmse(estimates.A, bundle.a_true),
@@ -271,7 +271,7 @@ def cmd_sweep_corruption(args) -> int:
         raise ValidationError(f"--threads must be an integer >= 1, got {args.threads}")
     # Read the inputs and form the scene statistics once, before launching
     # workers; every trial runs on them, and none reads Y.
-    bundle = read_bundle(args.bundle, stream_y=True)
+    bundle = read_bundle(args.bundle)
     config = load_model_config(args.config, overrides=_model_overrides(args))
     t0 = time.perf_counter()  # as in ``run``, the total counts the statistics
     pre = sampler._make_precomp(bundle.Y, bundle.M)

@@ -58,30 +58,32 @@ _DTYPES = {"f64": np.dtype("<f8"), "u32": np.dtype("<u4")}
 
 def write_matrix(path: str | Path, arr: np.ndarray) -> None:
     """Write a 2-D float64 or uint32 array to the checksummed container."""
-    arr = np.ascontiguousarray(arr)
+    arr = np.asarray(arr)
     if arr.ndim != 2:
         raise ValidationError("only 2-D arrays are stored")
-    if arr.dtype == np.float64:
-        name, stored = "f64", arr.astype("<f8", copy=False)
-    elif arr.dtype == np.uint32:
-        name, stored = "u32", arr.astype("<u4", copy=False)
-    else:
-        raise ValidationError(f"unsupported dtype {arr.dtype}; use float64 or uint32")
-    header = (
-        json.dumps(
-            {"dtype": name, "rows": arr.shape[0], "cols": arr.shape[1], "order": "row-major"},
-            sort_keys=True,
-        ).encode()
-        + b"\n"
-    )
-    # The CRC runs over the header and then the C-ordered array's own
-    # buffer, and the array is written as it is: the payload is not copied.
-    crc = zlib.crc32(stored, zlib.crc32(header)) & 0xFFFFFFFF
+    _write_blocks(path, arr.dtype, arr.shape, [arr])
+
+
+def _write_blocks(path: str | Path, dtype: np.dtype, shape: tuple, blocks) -> None:
+    """Write the ``shape`` matrix whose consecutive row blocks ``blocks``
+    yields. The CRC runs over the header and each block as it is written,
+    and the footer follows the last block: a source that raises, as a file
+    whose checksum fails does after its last block, leaves a file that fails
+    its size check."""
+    name = next((key for key, stored in _DTYPES.items() if stored == dtype), None)
+    if name is None:
+        raise ValidationError(f"unsupported dtype {dtype}; use float64 or uint32")
+    header = json.dumps(
+        {"dtype": name, "rows": shape[0], "cols": shape[1], "order": "row-major"}, sort_keys=True
+    ).encode() + b"\n"
+    crc = zlib.crc32(header)
     with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(header)
-        fh.write(stored)
-        fh.write(b"crc32:%08x\n" % crc)
+        fh.write(MAGIC + header)
+        for block in blocks:  # a C-ordered little-endian block is written as it is
+            stored = np.ascontiguousarray(block, dtype=_DTYPES[name])
+            crc = zlib.crc32(stored, crc)
+            fh.write(stored)
+        fh.write(b"crc32:%08x\n" % (crc & 0xFFFFFFFF))
 
 
 _FOOTER_LEN = len(b"crc32:%08x\n" % 0)
@@ -467,14 +469,17 @@ class SceneBundle:
 
 def write_bundle(out_dir: str | Path, bundle: SceneBundle) -> None:
     """Write ``bundle`` as the files :func:`read_bundle` reads back."""
-    out = Path(out_dir)
+    out, Y = Path(out_dir), bundle.Y
     out.mkdir(parents=True, exist_ok=True)
-    write_matrix(out / "Y.hbm", bundle.Y.data)
+    if isinstance(Y, ObservationFile) and Y.path.resolve() == (out / "Y.hbm").resolve():
+        raise ValidationError(f"{Y.path}: Y cannot be written onto the file it streams from")
+    blocks = (block for _, block in Y.band_blocks(16))  # a file source holds one block
+    _write_blocks(out / "Y.hbm", np.float64, (Y.n_bands, Y.lattice.n_pixels), blocks)
     write_matrix(out / "M.hbm", bundle.M.data)
     write_matrix(out / "A_true.hbm", bundle.a_true.data)
     write_label_field(out / "z_true.hbm", bundle.z_true)
     write_label_field(out / "omega_true.hbm", bundle.omega_true)
-    lat, sup = bundle.Y.lattice, bundle.sup
+    lat, sup = Y.lattice, bundle.sup
     labeled = np.zeros(lat.n_pixels, dtype=np.uint32)
     labeled[sup.labeled_idx] = sup.c.astype(np.int64) + 1
     eta = np.zeros(lat.n_pixels)
@@ -499,16 +504,15 @@ def _check_shape(path: Path, shape: tuple, expected: tuple) -> None:
         )
 
 
-def read_bundle(bundle_dir: str | Path, *, stream_y: bool = False) -> SceneBundle:
+def read_bundle(bundle_dir: str | Path) -> SceneBundle:
     """Read a bundle, checking its files' format and shapes: every grid is
-    z_true's, and A_true is (columns of M) x P, with finite entries. The values
-    of Y and M are checked where the chain uses them, in ``_make_precomp``.
-    With ``stream_y`` only Y's header is read: ``Y`` is an ObservationFile,
-    whose payload and checksum are read when the statistics are formed."""
+    z_true's, and A_true is (columns of M) x P, with finite entries. Of Y
+    only the header is read: ``Y`` is an ObservationFile, whose payload and
+    checksum are read, and whose values and M's are checked, where the chain
+    forms its statistics, in ``_make_precomp``."""
     bdir = Path(bundle_dir)
     manifest = read_manifest(bdir / "scene_manifest.json")
     n_clusters, n_classes = _manifest_counts(manifest, bdir)
-    y_data = None if stream_y else read_matrix(bdir / "Y.hbm")
     m_data = read_matrix(bdir / "M.hbm")
     a_data = read_matrix(bdir / "A_true.hbm")
     z_true = read_label_field(bdir / "z_true.hbm", n_clusters)
@@ -519,12 +523,7 @@ def read_bundle(bundle_dir: str | Path, *, stream_y: bool = False) -> SceneBundl
     _check_shape(bdir / "A_true.hbm", a_data.shape, (m_data.shape[1], lat.n_pixels))
     if not np.isfinite(a_data).all():
         raise DataFormatError(f"{bdir / 'A_true.hbm'}: abundances contain non-finite entries")
-    if stream_y:
-        Y = ObservationFile.open(bdir / "Y.hbm", lat)
-    elif y_data.shape[1] != lat.n_pixels:
-        raise DataFormatError(f"{bdir}: observation columns do not match the label grid")
-    else:
-        Y = ObservationMatrix(y_data, lat)
+    Y = ObservationFile.open(bdir / "Y.hbm", lat)
     labeled, eta = read_matrix(bdir / "labeled.hbm"), read_matrix(bdir / "eta.hbm")
     _check_shape(bdir / "labeled.hbm", labeled.shape, grid)
     _check_shape(bdir / "eta.hbm", eta.shape, grid)

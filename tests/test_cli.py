@@ -152,7 +152,7 @@ class TestGenerate:
         for name in BUNDLE_FILES:
             assert (out / name).exists(), name
         bundle = read_bundle(out)
-        assert bundle.Y.data.shape == (24, 256)
+        assert (bundle.Y.n_bands, bundle.Y.lattice.n_pixels) == (24, 256)
         assert bundle.sup.n_labeled == 64
         manifest = read_manifest(out / "scene_manifest.json")
         assert manifest["kind"] == "scene"
@@ -649,7 +649,8 @@ class TestRun:
         bundle = read_bundle(small_bundle)
         huge = tmp_path / "bundle"
         write_bundle(huge, dataclasses.replace(
-            bundle, Y=ObservationMatrix(1e200 * bundle.Y.data, bundle.Y.lattice),
+            bundle, Y=ObservationMatrix(1e200 * read_matrix(small_bundle / "Y.hbm"),
+                                        bundle.Y.lattice),
             M=EndmemberMatrix(1e200 * bundle.M.data),
         ))
         with warnings.catch_warnings():
@@ -1356,11 +1357,11 @@ class TestSweepCorruption:
         main(["generate", str(scene_path), "--out", str(bundle_dir)])
         parent, reads = os.getpid(), []
 
-        def read_in_parent_only(path, **kwargs):
+        def read_in_parent_only(path):
             # A pool worker inherits this stand-in; a read there fails the sweep.
             assert os.getpid() == parent, "a trial re-read the bundle"
             reads.append(path)
-            return read_bundle(path, **kwargs)
+            return read_bundle(path)
 
         monkeypatch.setattr(cli, "read_bundle", read_in_parent_only)
         args = [

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hbum import io
+from hbum import cli, io, sampler
 from hbum.errors import DataFormatError, ValidationError
 from hbum.io import (
     generate_config_echo,
@@ -257,6 +257,66 @@ class TestObservationFile:
         write_matrix(tmp_path / "Y.hbm", np.ones((5, 6)))
         with pytest.raises(DataFormatError, match="changed since"):
             list(obs.band_blocks(16))
+
+
+@pytest.fixture
+def bundle_dir(tmp_path):
+    """A bundle that ``hbum generate`` wrote from SCENE_CONFIG, with training
+    pixels drawn at random so that both classes have some."""
+    config = dict(SCENE_CONFIG, training=dict(SCENE_CONFIG["training"], kind="random"))
+    scene = write_json(tmp_path / "scene.json", config)
+    assert cli.main(["generate", str(scene), "--out", str(tmp_path / "bundle")]) == 0
+    return tmp_path / "bundle"
+
+
+def flip_first_payload_bit(path):
+    """Flip the lowest bit of the first payload value: it stays finite, but
+    the checksum no longer holds."""
+    raw = bytearray(path.read_bytes())
+    raw[len(io.MAGIC) + raw[len(io.MAGIC):].index(b"\n") + 1] ^= 0x01
+    path.write_bytes(bytes(raw))
+
+
+class TestBundleFiles:
+    """A bundle's Y is read in band blocks from its file, never whole."""
+
+    def test_read_bundle_reads_only_the_header_of_y(self, bundle_dir, monkeypatch):
+        read, seen = io.read_matrix, []
+
+        def spy(path):
+            seen.append(Path(path).name)
+            return read(path)
+
+        monkeypatch.setattr(io, "read_matrix", spy)
+        bundle = io.read_bundle(bundle_dir)
+        assert "Y.hbm" not in seen and "M.hbm" in seen
+        assert isinstance(bundle.Y, io.ObservationFile)
+        assert (bundle.Y.n_bands, bundle.Y.lattice.n_pixels) == (16, 64)
+
+    def test_a_corrupt_y_payload_loads_and_fails_where_the_statistics_form(self, bundle_dir):
+        flip_first_payload_bit(bundle_dir / "Y.hbm")
+        bundle = io.read_bundle(bundle_dir)
+        with pytest.raises(DataFormatError, match="Y.hbm: checksum mismatch"):
+            sampler._make_precomp(bundle.Y, bundle.M)
+
+    def test_rewriting_a_corrupt_y_leaves_no_file_that_reads_back(self, bundle_dir, tmp_path):
+        flip_first_payload_bit(bundle_dir / "Y.hbm")
+        with pytest.raises(DataFormatError, match="Y.hbm: checksum mismatch"):
+            io.write_bundle(tmp_path / "copy", io.read_bundle(bundle_dir))
+        with pytest.raises(DataFormatError, match="truncated or oversized"):
+            read_matrix(tmp_path / "copy" / "Y.hbm")
+
+    def test_y_is_not_written_onto_the_file_it_streams_from(self, bundle_dir):
+        before = (bundle_dir / "Y.hbm").read_bytes()
+        with pytest.raises(ValidationError, match="file it streams from"):
+            io.write_bundle(bundle_dir, io.read_bundle(bundle_dir))
+        assert (bundle_dir / "Y.hbm").read_bytes() == before
+
+    def test_blocks_are_written_as_one_matrix(self, tmp_path):
+        data = np.random.default_rng(1).normal(size=(37, 5))
+        write_matrix(tmp_path / "whole.hbm", data)
+        io._write_blocks(tmp_path / "blocks.hbm", data.dtype, data.shape, np.split(data, [16, 32]))
+        assert (tmp_path / "blocks.hbm").read_bytes() == (tmp_path / "whole.hbm").read_bytes()
 
 
 class TestLabelFieldFiles:
