@@ -57,11 +57,13 @@ from .synthgen import corrupt_labels, generate_scene, make_endmembers, split_tra
 # Substream offsets of the master seed (documented so runs are re-derivable).
 # Sweep-corruption chains use stream alpha_idx * 1000 + trial; the (0, 0)
 # cell is therefore stream 0, identical to a plain `run` with the same seed.
+# The caps on alphas and trials keep those streams below _STREAM_CORRUPT_BASE.
 _STREAM_ENDMEMBERS = 2_000_001
 _STREAM_SCENE = 2_000_002
 _STREAM_TRAINING = 2_000_003
 _STREAM_CORRUPT_BASE = 1_000_000
 _MAX_SWEEP_TRIALS = 999
+_MAX_SWEEP_ALPHAS = 1000
 
 
 def _scene_manifest(cfg, spec, realized_snr_db: float, timings: dict) -> dict:
@@ -225,9 +227,8 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-# The (bundle, scene statistics, config, eval_all, workers) of a
-# sweep, set once in each pool worker by ``_init_sweep_worker``; the parent
-# process never sets it.
+# The (bundle, scene statistics, config, eval_all) of a sweep, set once in
+# each pool worker by ``_init_sweep_worker``; the parent process never sets it.
 _sweep_inputs = None
 
 
@@ -239,12 +240,12 @@ def _init_sweep_worker(inputs) -> None:
 def _sweep_trial(task, inputs=None) -> tuple[int, int, float]:
     """One corruption trial; module-level so worker processes can import it.
     ``inputs`` defaults to the ones set in this pool worker."""
-    bundle, pre, config, eval_all, workers = _sweep_inputs if inputs is None else inputs
+    bundle, pre, config, eval_all = _sweep_inputs if inputs is None else inputs
     alpha, alpha_idx, trial = task
     corrupt_rng = make_rng(config.seed, _STREAM_CORRUPT_BASE + alpha_idx * 1000 + trial)
     sup = corrupt_labels(bundle.sup, alpha, corrupt_rng)
     chain_rng = make_rng(config.seed, alpha_idx * 1000 + trial)
-    estimates, _ = run_chain(pre, bundle.M, sup, config, chain_rng, chains_at_once=workers)
+    estimates, _ = run_chain(pre, bundle.M, sup, config, chain_rng)
     return alpha_idx, trial, _kappa(bundle, estimates.omega, eval_all)[1]
 
 
@@ -257,6 +258,8 @@ def _parse_alphas(text: str | None) -> list[float]:
         raise ValidationError(f"cannot parse --alphas '{text}': {exc}") from exc
     if not alphas:
         raise ValidationError("--alphas must list at least one value")
+    if len(alphas) > _MAX_SWEEP_ALPHAS:
+        raise ValidationError(f"--alphas lists {len(alphas)} values, at most {_MAX_SWEEP_ALPHAS}")
     for alpha in alphas:
         if not 0.0 <= alpha < 1.0:  # also rejects NaN
             raise ValidationError(f"--alphas values must lie in [0, 1), got {alpha}")
@@ -282,7 +285,7 @@ def cmd_sweep_corruption(args) -> int:
     ]
     # The pool forks all its workers at once, so start no more than the tasks.
     workers = min(args.threads, len(tasks))
-    inputs = (bundle, pre, config, args.eval_all, workers)
+    inputs = (bundle, pre, config, args.eval_all)
 
     kappas = np.zeros((len(alphas), args.trials))
     if workers > 1:

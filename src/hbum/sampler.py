@@ -25,8 +25,7 @@ are copied, so no bit changes. Sums and means keep the layout of their
 input, because their rounding can depend on it.
 
 The abundance normals come from child 0 of the chain generator's seed
-sequence. While the chains running at once are at most half the usable CPUs,
-a helper thread draws them ahead of the sweeps; the results are the same.
+sequence, one (P, R) block a sweep, drawn inline by the abundance stage.
 
 The abundance draw and the Gaussian cluster log-likelihood run as small
 GEMMs. They differ from triangular solves and from the unexpanded square
@@ -40,7 +39,6 @@ per-pixel most frequently sampled label for z and omega.
 from __future__ import annotations
 
 import itertools
-import os
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -581,28 +579,6 @@ def initialize_state(
     return state
 
 
-class _NormalsAhead:
-    """``count`` standard-normal blocks of ``shape`` from ``rng``, in order:
-    ``pool``'s thread fills the next chunk of whole blocks (about 2**18 normals;
-    one draw of n blocks equals n draws of one), allocated here, while the
-    caller uses the last, whose blocks only the caller's views keep alive."""
-
-    def __init__(self, rng: np.random.Generator, shape: tuple, count: int, pool) -> None:
-        per = max(1, (1 << 18) // (shape[0] * shape[1]))
-        self._sizes = [min(per, count - i) for i in range(0, count, per)][::-1]
-        self._draw = lambda n: pool.submit(rng.standard_normal, out=np.empty((n, *shape)))
-        self._next, self._blocks = self._draw(self._sizes.pop()), []
-
-    def standard_normal(self, size: tuple) -> np.ndarray:
-        if not self._blocks:
-            self._blocks = list(self._next.result())[::-1]
-            if self._sizes:
-                self._next = self._draw(self._sizes.pop())
-        block = self._blocks.pop()
-        assert block.shape == tuple(size), (block.shape, size)
-        return block
-
-
 def run_chain(
     Y: ObservationMatrix | _Precomp,
     M: EndmemberMatrix,
@@ -610,7 +586,6 @@ def run_chain(
     config: ModelConfig,
     rng: np.random.Generator | None = None,
     debug_validate: bool = False,
-    *, chains_at_once: int = 1,
 ) -> tuple[ChainState, Trace]:
     """Run one chain and return (point estimates, trace).
 
@@ -618,9 +593,9 @@ def run_chain(
     ``_make_precomp(Y, M)`` formed from them; chains on one scene can share
     those, and M is then not read. ``rng`` defaults to a fresh stream derived
     from ``config.seed``. With ``debug_validate`` every sweep re-checks all
-    state invariants.
-    ``chains_at_once`` counts the chains running at once, this one included;
-    the normals are drawn ahead only while it is at most half the usable CPUs.
+    state invariants. A pending pass 2 of the scene statistics runs on a
+    helper thread while ``initialize_state`` runs; the helper ends before the
+    first sweep.
     """
     # glibc raises its mmap threshold (and twice it, its heap trim threshold)
     # to the largest mmapped block freed, up to 32 MiB. This untouched block
@@ -628,12 +603,9 @@ def run_chain(
     # pages: without it the scene-2 benchmark's chains ran about 10 % longer.
     np.empty(28 << 20, dtype=np.uint8)
     pre = Y if isinstance(Y, _Precomp) else _make_precomp(Y, M)
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    ahead = chains_at_once <= cpus // 2
-    # The helper's jobs, from the first submit: a pending pass 2, then the normals.
+    # With no pass pending, the helper thread never starts.
     with ThreadPoolExecutor(1) as pool:
-        if ahead:
-            pre.hand_off(pool)
+        pre.hand_off(pool)
         try:
             sup.validate()
             config.validate()
@@ -647,7 +619,6 @@ def run_chain(
             if sup.n_classes != config.n_classes:
                 raise ValidationError("supervision class count does not match the config")
             rng = make_rng(config.seed) if rng is None else rng
-            total = config.n_burnin + config.n_mc
             # The normals' stream is ``rng.spawn(1)[0]`` of a fresh rng, whatever rng spawned.
             ss = rng.bit_generator.seed_seq
             ss = np.random.SeedSequence(ss.entropy, spawn_key=(*ss.spawn_key, 0),
@@ -661,29 +632,27 @@ def run_chain(
         except Exception:
             pre.resid0  # an error of pass 2 comes first, as it did when pass 2 ran first
             raise
-        trace = Trace.empty(config.n_endmembers, n_pixels, config.n_clusters, config.n_classes)
-        if ahead:
-            normals = _NormalsAhead(normals, (n_pixels, n_dims), total, pool)
-        # The lambdas look each stage up on this module when called, so a stage
-        # replaced there (by a test or a profiler) still takes part in the sweep.
-        stages = (
-            ("abundances", lambda: _sample_abundances_all(state, pre, normals)),
-            ("noise", lambda: _sample_noise_fast(state, pre, rng)),
-            ("cluster_means", lambda: sample_cluster_means(state, config, rng)),
-            ("cluster_variances", lambda: sample_cluster_variances(state, config, rng)),
-            ("cluster_labels", lambda: sample_cluster_labels(state, rng, beta1)),
-            ("interaction", lambda: sample_interaction_matrix(state, config, rng)),
-            ("class_labels", lambda: sample_class_labels(state, config, rng, w1, beta1)),
-        )
-        for it in range(total):
-            beta1 = config.beta1 if it < config.n_burnin else 0.0
-            for name, stage in stages:
-                try:
-                    stage()
-                except NumericalDegeneracyError as exc:
-                    raise NumericalDegeneracyError(f"sweep {it}, {name}: {exc}") from exc
-            if debug_validate:
-                state.validate()
-            if it >= config.n_burnin:
-                trace.record(state)
-        return trace.estimates(pre.lattice), trace
+    trace = Trace.empty(config.n_endmembers, n_pixels, config.n_clusters, config.n_classes)
+    # The lambdas look each stage up on this module when called, so a stage
+    # replaced there (by a test or a profiler) still takes part in the sweep.
+    stages = (
+        ("abundances", lambda: _sample_abundances_all(state, pre, normals)),
+        ("noise", lambda: _sample_noise_fast(state, pre, rng)),
+        ("cluster_means", lambda: sample_cluster_means(state, config, rng)),
+        ("cluster_variances", lambda: sample_cluster_variances(state, config, rng)),
+        ("cluster_labels", lambda: sample_cluster_labels(state, rng, beta1)),
+        ("interaction", lambda: sample_interaction_matrix(state, config, rng)),
+        ("class_labels", lambda: sample_class_labels(state, config, rng, w1, beta1)),
+    )
+    for it in range(config.n_burnin + config.n_mc):
+        beta1 = config.beta1 if it < config.n_burnin else 0.0
+        for name, stage in stages:
+            try:
+                stage()
+            except NumericalDegeneracyError as exc:
+                raise NumericalDegeneracyError(f"sweep {it}, {name}: {exc}") from exc
+        if debug_validate:
+            state.validate()
+        if it >= config.n_burnin:
+            trace.record(state)
+    return trace.estimates(pre.lattice), trace

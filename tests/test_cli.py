@@ -104,6 +104,31 @@ def small_results(small_bundle, tmp_path_factory):
     return tmp / "results"
 
 
+@pytest.fixture
+def in_process_pool(monkeypatch):
+    """Make sweep-corruption's process pool run its tasks in this process,
+    starting none; returns the pool sizes asked for."""
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers, initializer, initargs):
+            sizes.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(hbum.cli, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(hbum.cli, "_sweep_inputs", None)  # restored after the test
+    return sizes
+
+
 def with_first(arr, value):
     """A copy of ``arr`` with its first entry set to ``value``."""
     arr = arr.copy()
@@ -873,20 +898,23 @@ class TestDeferredResidual:
         monkeypatch.setattr(io.ObservationFile, "band_blocks", band_blocks)
         return 4, f"i/o error: {bundle / 'Y.hbm'}: checksum mismatch (stored "
 
-    @pytest.mark.parametrize("command", ["run", "sweep-corruption"])
-    @pytest.mark.parametrize("cpus", [1, 4])
+    @pytest.mark.parametrize("command, place", [
+        ("run", "helper"), ("sweep-corruption", "helper"), ("sweep-corruption", "parent"),
+        ("sweep-corruption", "capped pool"),
+    ])
     @pytest.mark.parametrize("later", [None, "endmembers", "kmeans"])
     @pytest.mark.parametrize("failure", ["overflowing", "rewritten"])
     def test_the_pass_error_comes_first(self, small_bundle, tmp_path, capsys, monkeypatch,
-                                        failure, later, cpus, command):
-        # Handed to the helper (4 CPUs) or run inline (1 CPU), the pass's
-        # error wins over every check that follows it, as when it ran first.
+                                        in_process_pool, failure, later, command, place):
+        # On run_chain's helper, or in sweep-corruption's parent before the
+        # pool of two forks, the pass's error wins over every check that
+        # follows it, as when it ran first. Two threads for one task start
+        # no pool, so the pass runs on run_chain's helper.
         import hbum.sampler as sampler
 
         bundle = tmp_path / "bundle"
         shutil.copytree(small_bundle, bundle)
         code, message = getattr(self, failure)(bundle, monkeypatch)
-        monkeypatch.setattr(sampler.os, "sched_getaffinity", lambda pid: set(range(cpus)))
         model = dict(MODEL_CONFIG, endmembers=2) if later == "endmembers" else MODEL_CONFIG
         (tmp_path / "model.json").write_text(json.dumps(model))
         if later == "kmeans":
@@ -894,13 +922,22 @@ class TestDeferredResidual:
                 raise NumericalDegeneracyError("k-means failed")
 
             monkeypatch.setattr(sampler, "_kmeans_labels", kmeans)
+        chains = []
+
+        def counted_chain(*args, **kwargs):
+            chains.append(args)
+            return sampler.run_chain(*args, **kwargs)
+
+        monkeypatch.setattr(hbum.cli, "run_chain", counted_chain)
         argv = [command, str(bundle), str(tmp_path / "model.json"), "--out", str(tmp_path / "o")]
         if command == "sweep-corruption":
-            argv += ["--alphas", "0", "--trials", "1"]
+            argv += ["--alphas", "0", "--trials", "2" if place == "parent" else "1",
+                     "--threads", "1" if place == "helper" else "2"]
         assert main(argv) == code
         err = capsys.readouterr().err
         assert err.startswith(message) and err.count("\n") == 1, err
         assert not (tmp_path / "o").exists()
+        assert in_process_pool == [] and len(chains) == (place != "parent")
 
     def test_scene_without_bands_exits_2_in_the_chain(self, small_bundle, configs, tmp_path,
                                                       capsys):
@@ -1227,76 +1264,64 @@ class TestSweepCorruption:
             parallel / "corruption_sweep.txt"
         ).read_text()
 
-    @pytest.mark.parametrize("threads, cpus, kind", [
-        (1, 2, "_NormalsAhead"), (2, 2, "Generator"), (2, 4, "_NormalsAhead"),
-    ])
-    def test_trial_draws_ahead_only_with_a_spare_cpu(self, small_bundle, configs,
-                                                      monkeypatch, threads, cpus, kind):
-        # A pool of T workers runs T chains at once: each draws its normals
-        # a sweep ahead only when T is at most half the usable CPUs.
-        import hbum.cli as cli
-        import hbum.sampler as sampler
-
-        _, model_path = configs
-        monkeypatch.setattr(sampler.os, "sched_getaffinity", lambda pid: set(range(cpus)))
-        seen = []
-        original = sampler._sample_abundances_all
-
-        def spy(state, pre, normals):
-            seen.append(type(normals).__name__)
-            return original(state, pre, normals)
-
-        monkeypatch.setattr(sampler, "_sample_abundances_all", spy)
-        config = cli.load_model_config(str(model_path))
-        bundle = read_bundle(small_bundle)
-        pre = sampler._make_precomp(bundle.Y, bundle.M)
-        cli._sweep_trial((0.0, 0, 0), (bundle, pre, config, False, threads))
-        assert seen == [kind] * (config.n_burnin + config.n_mc)
-
     @pytest.mark.parametrize(
-        "threads, alphas, trials, pool_size, chains_at_once",
-        [(8, "0,0.2", 1, 2, 2), (8, "0.1", 1, None, 1), (2, "0,0.2", 2, 2, 2)],
+        "threads, alphas, trials, pool_size",
+        [(8, "0,0.2", 1, 2), (8, "0.1", 1, None), (2, "0,0.2", 2, 2)],
     )
     def test_pool_is_capped_at_the_task_count(self, small_bundle, configs, tmp_path,
-                                              monkeypatch, threads, alphas, trials,
-                                              pool_size, chains_at_once):
+                                              monkeypatch, in_process_pool, threads, alphas,
+                                              trials, pool_size):
         import hbum.cli as cli
 
         _, model_path = configs
-        pools, seen = [], []
+        seen = []
 
-        class InProcessPool:
-            """Records its size and runs the tasks here; starts no process."""
-
-            def __init__(self, max_workers, initializer, initargs):
-                pools.append(max_workers)
-                initializer(*initargs)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks):
-                return map(fn, tasks)
-
-        def spy(*args, chains_at_once):
-            seen.append(chains_at_once)
-            return run_chain(*args, chains_at_once=chains_at_once)
+        def spy(*args):
+            seen.append(args)
+            return run_chain(*args)
 
         run_chain = cli.run_chain
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
         monkeypatch.setattr(cli, "run_chain", spy)
-        monkeypatch.setattr(cli, "_sweep_inputs", None)  # restored after the test
         code = main(
             ["sweep-corruption", str(small_bundle), str(model_path), "--out",
              str(tmp_path / "s"), "--alphas", alphas, "--trials", str(trials),
              "--threads", str(threads)]
         )
         assert code == 0
-        assert pools == ([] if pool_size is None else [pool_size])
-        assert seen == [chains_at_once] * (len(alphas.split(",")) * trials)
+        assert in_process_pool == ([] if pool_size is None else [pool_size])
+        assert len(seen) == len(alphas.split(",")) * trials
+
+    @pytest.mark.parametrize("threads", [1, 2, 4])
+    def test_trial_draws_inline_at_any_thread_count(self, small_bundle, configs, tmp_path,
+                                                    monkeypatch, in_process_pool, threads):
+        # Pass 2 of the statistics runs on run_chain's helper (one worker) or
+        # in the parent before the pool forks (two): either way no thread is
+        # left during the sweeps, and every sweep draws its normals inline.
+        import threading
+
+        import hbum.cli as cli
+        import hbum.sampler as sampler
+
+        _, model_path = configs
+        seen = []
+        original = sampler._sample_abundances_all
+
+        def spy(state, pre, normals):
+            seen.append((type(normals).__name__, threading.active_count()))
+            return original(state, pre, normals)
+
+        monkeypatch.setattr(sampler, "_sample_abundances_all", spy)
+        config = cli.load_model_config(str(model_path))
+        start = threading.active_count()
+        code = main(
+            ["sweep-corruption", str(small_bundle), str(model_path), "--out",
+             str(tmp_path / "s"), "--alphas", "0,0.2", "--trials", "1",
+             "--threads", str(threads)]
+        )
+        assert code == 0
+        assert in_process_pool == ([] if threads == 1 else [2])
+        assert seen == [("Generator", start)] * (2 * (config.n_burnin + config.n_mc))
+        assert threading.active_count() == start
 
     @pytest.mark.parametrize("bad", ["1.5", "-0.1", "nan", "inf"])
     def test_bad_alpha_exits_2_before_any_chain(self, small_bundle, configs, tmp_path,
@@ -1314,6 +1339,27 @@ class TestSweepCorruption:
         )
         assert code == 2
         assert f"got {float(bad)}" in capsys.readouterr().err
+
+    def test_more_than_1000_alphas_exit_2_before_any_chain(self, small_bundle, configs,
+                                                           tmp_path, monkeypatch, capsys):
+        # Chain streams are alpha_idx * 1000 + trial: the 1,001st alpha's
+        # chains would reuse the label-corruption streams of the first alpha.
+        import hbum.cli as cli
+
+        def no_chain(*args, **kwargs):
+            raise AssertionError("a chain ran before --alphas was checked")
+
+        _, model_path = configs
+        monkeypatch.setattr(cli, "run_chain", no_chain)
+        alphas = ",".join(["0.1"] * 1001)
+        code = main(
+            ["sweep-corruption", str(small_bundle), str(model_path), "--out",
+             str(tmp_path / "s"), "--alphas", alphas, "--trials", "1"]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == "error: --alphas lists 1001 values, at most 1000\n"
+        assert not (tmp_path / "s").exists()
+        assert len(cli._parse_alphas(",".join(["0.1"] * 1000))) == 1000
 
     def test_trial_count_validated(self, configs, tmp_path):
         scene_path, model_path = configs

@@ -682,70 +682,77 @@ class TestRunChain:
         assert np.array_equal(est.omega.labels, state.omega.labels)
         assert np.array_equal(est.q.q, state.q.q)
 
-    @staticmethod
-    def spy_on_normals(monkeypatch):
-        """Record the type of the abundance stage's normals source per sweep."""
+    @pytest.mark.parametrize("seed, n_mc, n_burnin", [(7, 6, 3), (8, 1, 0), (9, 4, 1), (10, 2, 5)])
+    def test_pass_two_on_the_helper_changes_nothing(self, monkeypatch, seed, n_mc, n_burnin):
+        # Pass 2 of the statistics run on the helper during init, or already
+        # run in this thread (as sweep-corruption's parent does before its
+        # pool forks): every bit and the chain generator's end state agree,
+        # and each sweep draws its normals inline with no other thread alive.
+        import threading
+
+        Y, M, sup, config = tiny_problem(seed=seed, n_mc=n_mc, n_burnin=n_burnin)
         seen = []
         original = sampler_mod._sample_abundances_all
 
         def spy(state, pre, normals):
-            seen.append(type(normals).__name__)
+            seen.append((type(normals).__name__, threading.active_count()))
             return original(state, pre, normals)
 
         monkeypatch.setattr(sampler_mod, "_sample_abundances_all", spy)
-        return seen
-
-    def test_draw_ahead_changes_nothing(self, monkeypatch):
-        # One CPU, two CPUs with two chains at once, and a host without
-        # sched_getaffinity that reports one CPU all draw inline; two spare
-        # CPUs draw ahead. Every bit and the chain generator's end state agree.
-        Y, M, sup, config = tiny_problem(seed=7, n_mc=6, n_burnin=3)
-        seen = self.spy_on_normals(monkeypatch)
-        runs = {}
-        for name, cpus, chains in [("ahead", 4, 1), ("pool of two", 2, 2),
-                                   ("one cpu", 1, 1), ("no affinity", None, 1)]:
-            if cpus is None:
-                monkeypatch.delattr(sampler_mod.os, "sched_getaffinity")
-                monkeypatch.setattr(sampler_mod.os, "cpu_count", lambda: 1)
-            else:
-                monkeypatch.setattr(sampler_mod.os, "sched_getaffinity",
-                                    lambda pid, n=cpus: set(range(n)))
+        start = threading.active_count()
+        runs = []
+        for formed in (False, True):
+            pre = sampler_mod._make_precomp(Y, M)
+            if formed:
+                pre.resid0
             rng = make_rng(config.seed)
             seen.clear()
-            est, trace = run_chain(Y, M, sup, config, rng, chains_at_once=chains)
-            expected = "_NormalsAhead" if name == "ahead" else "Generator"
-            assert seen == [expected] * 9
-            runs[name] = (est, trace, rng.bit_generator.state)
-        est0, trace0, state0 = runs["ahead"]
-        for est, trace, state in runs.values():
-            for got, want in [
-                (est.A.data, est0.A.data), (est.clusters.psi, est0.clusters.psi),
-                (est.clusters.sigma2, est0.clusters.sigma2), (est.q.q, est0.q.q),
-                (est.z.labels, est0.z.labels), (est.omega.labels, est0.omega.labels),
-                (trace.z_counts, trace0.z_counts), (trace.omega_counts, trace0.omega_counts),
-                (trace.a_sum, trace0.a_sum),
-            ]:
-                assert got.tobytes() == want.tobytes()
-            assert est.noise.s2 == est0.noise.s2
-            assert state == state0
+            est, trace = run_chain(pre, None, sup, config, rng)
+            assert seen == [("Generator", start)] * (n_mc + n_burnin)
+            runs.append((est, trace, rng.bit_generator.state))
+        (est0, trace0, state0), (est, trace, state) = runs
+        for got, want in [
+            (est.A.data, est0.A.data), (est.clusters.psi, est0.clusters.psi),
+            (est.clusters.sigma2, est0.clusters.sigma2), (est.q.q, est0.q.q),
+            (est.z.labels, est0.z.labels), (est.omega.labels, est0.omega.labels),
+            (trace.z_counts, trace0.z_counts), (trace.omega_counts, trace0.omega_counts),
+            (trace.a_sum, trace0.a_sum),
+        ]:
+            assert got.tobytes() == want.tobytes()
+        assert est.noise.s2 == est0.noise.s2
+        assert state == state0
 
     def test_helper_thread_ends_on_return_and_on_error(self, monkeypatch):
         import threading
 
+        # Pass 2 of the scene statistics runs on the helper while init runs;
+        # the helper is joined before the first sweep, so none outlives init.
         Y, M, sup, config = tiny_problem(seed=7, n_mc=3, n_burnin=2)
-        monkeypatch.setattr(sampler_mod.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
         start = threading.active_count()
-        during = []
-        original = sampler_mod.sample_cluster_means
+        in_init, during = [], []
+        kmeans_labels, original = sampler_mod._kmeans_labels, sampler_mod.sample_cluster_means
+
+        def counted_kmeans(a, n_clusters, rng):
+            in_init.append(threading.active_count())
+            return kmeans_labels(a, n_clusters, rng)
 
         def means(state, config, rng):
             during.append(threading.active_count())
             return original(state, config, rng)
 
+        monkeypatch.setattr(sampler_mod, "_kmeans_labels", counted_kmeans)
         monkeypatch.setattr(sampler_mod, "sample_cluster_means", means)
         run_chain(Y, M, sup, config)
-        assert during == [start + 1] * 5
+        assert in_init == [start + 1]
+        assert during == [start] * 5
         assert threading.active_count() == start
+
+        # Statistics whose residual is already formed start no helper.
+        pre = sampler_mod._make_precomp(Y, M)
+        pre.resid0
+        in_init.clear()
+        run_chain(pre, None, sup, config)
+        assert in_init == [start]
 
         sweeps = []
 
@@ -783,16 +790,15 @@ class TestRunChain:
         assert done.is_set() and passes == [threading.main_thread()] * 2
         assert threading.active_count() == start
 
-    def test_concurrent_chains_under_a_short_switch_interval(self, monkeypatch):
-        # Three chains on three threads, each with its own helper thread,
-        # with the interpreter switching threads every microsecond: every
-        # chain still gets its own blocks in order, as an inline run does.
+    def test_concurrent_chains_under_a_short_switch_interval(self):
+        # Three chains on three threads, each handing pass 2 of its scene
+        # statistics to its own helper, with the interpreter switching threads
+        # every microsecond: every chain still gives the bits of a plain run.
         import sys
         import threading
 
         Y, M, sup, config = tiny_problem(seed=9, n_mc=8, n_burnin=2)
-        monkeypatch.setattr(sampler_mod.os, "sched_getaffinity", lambda pid: set(range(16)))
-        want = run_chain(Y, M, sup, config, chains_at_once=99)[0].A.data.tobytes()
+        want = run_chain(Y, M, sup, config)[0].A.data.tobytes()
         results = []
 
         def one_chain():
@@ -810,35 +816,6 @@ class TestRunChain:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert results == [want] * 3
-
-    @pytest.mark.parametrize("shape, count", [((1000, 100), 5), ((10, 3), 7), ((300_000, 1), 3)])
-    def test_normals_ahead_draws_each_block_once_in_order(self, shape, count):
-        # Chunks of 2, 2 and 1 blocks; one chunk of 7; one block a chunk.
-        from concurrent.futures import ThreadPoolExecutor
-
-        rng, ref = make_rng(5), make_rng(5)
-        with ThreadPoolExecutor(1) as pool:
-            ahead = sampler_mod._NormalsAhead(rng, shape, count, pool)
-            for _ in range(count):
-                block = ahead.standard_normal(shape)
-                assert block.tobytes() == ref.standard_normal(shape).tobytes()
-        assert rng.bit_generator.state == ref.bit_generator.state
-
-    def test_normals_ahead_frees_a_used_chunk_with_its_block(self):
-        # One block a chunk: once the caller drops its block, that chunk is
-        # gone, so only the chunk in use and the next one are resident.
-        import weakref
-        from concurrent.futures import ThreadPoolExecutor
-
-        shape = (300_000, 1)
-        with ThreadPoolExecutor(1) as pool:
-            ahead = sampler_mod._NormalsAhead(make_rng(5), shape, 3, pool)
-            block = ahead.standard_normal(shape)
-            chunk = weakref.ref(block.base)
-            del block
-            assert chunk() is None
-            with pytest.raises(AssertionError):
-                ahead.standard_normal((shape[0] - 1, 1))
 
     def test_rerun_from_a_restored_generator_repeats_the_chain(self):
         # The normals come from child 0 of the generator's seed sequence
