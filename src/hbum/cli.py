@@ -124,7 +124,7 @@ def cmd_generate(args) -> int:
 def _load_endmember_file(path: str, n_bands: int, n_endmembers: int):
     from .model import EndmemberMatrix
 
-    data = read_matrix(path)
+    data = read_matrix(path, "f64")
     if data.shape != (n_bands, n_endmembers):
         raise ValidationError(
             f"endmember file {path} has shape {data.shape}, "

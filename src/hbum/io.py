@@ -89,32 +89,33 @@ def _write_blocks(path: str | Path, dtype: np.dtype, shape: tuple, blocks) -> No
 _FOOTER_LEN = len(b"crc32:%08x\n" % 0)
 
 
-def read_matrix(path: str | Path) -> np.ndarray:
+def read_matrix(path: str | Path, dtype: str | None = None) -> np.ndarray:
     """Read a container written by :func:`write_matrix`, verifying the
-    checksum. Raises :class:`DataFormatError` on any corruption.
+    checksum and the ``dtype`` ("f64" or "u32") if given. Raises
+    :class:`DataFormatError` on any corruption or another dtype.
 
     The payload is read straight into the returned array, and the CRC32 runs
     over the header and that array, so the file is held in memory once.
     """
     path = Path(path)
-    with _opened(path) as (fh, header_line, dtype, rows, cols):
-        arr = np.empty((rows, cols), dtype=dtype)
+    with _opened(path, dtype) as (fh, header_line, stored, rows, cols):
+        arr = np.empty((rows, cols), dtype=stored)
         _check_footer(fh, path, _read_payload(fh, path, arr, zlib.crc32(header_line)))
     return arr if arr.dtype.isnative else arr.astype(arr.dtype.newbyteorder("="))
 
 
 @contextlib.contextmanager
-def _opened(path: Path):
-    """The open container with its header line, dtype, rows and cols, once
-    the header and the file size check out; OSError becomes DataFormatError."""
+def _opened(path: Path, dtype: str | None):
+    """The open container with its header line, dtype, rows and cols, once the
+    header, of ``dtype`` if given, and the size check out; OSError becomes DataFormatError."""
     try:
         with open(path, "rb") as fh:
-            yield fh, *_read_header(fh, path)
+            yield fh, *_read_header(fh, path, dtype)
     except OSError as exc:
         raise DataFormatError(f"cannot read {path}: {exc}") from exc
 
 
-def _read_header(fh, path: Path) -> tuple[bytes, np.dtype, int, int]:
+def _read_header(fh, path: Path, expected: str | None) -> tuple[bytes, np.dtype, int, int]:
     file_size = os.fstat(fh.fileno()).st_size
     if fh.read(len(MAGIC)) != MAGIC:
         raise DataFormatError(f"{path}: bad magic, not a matrix container")
@@ -130,8 +131,10 @@ def _read_header(fh, path: Path) -> tuple[bytes, np.dtype, int, int]:
         raise DataFormatError(f"{path}: header keys {keys} unexpected")
     if header["order"] != "row-major":
         raise DataFormatError(f"{path}: unsupported element order {header['order']}")
-    if header["dtype"] not in _DTYPES:
+    if not isinstance(header["dtype"], str) or header["dtype"] not in _DTYPES:
         raise DataFormatError(f"{path}: unsupported dtype {header['dtype']}")
+    if expected not in (None, header["dtype"]):
+        raise DataFormatError(f"{path}: must be stored as {expected}, not {header['dtype']}")
     dtype = _DTYPES[header["dtype"]]
     try:
         rows, cols = int(header["rows"]), int(header["cols"])
@@ -180,7 +183,7 @@ class ObservationFile:
 
     @classmethod
     def open(cls, path: str | Path, lattice: Lattice) -> "ObservationFile":
-        with _opened(Path(path)) as (_, _, _, rows, cols):
+        with _opened(Path(path), "f64") as (_, _, _, rows, cols):
             if cols != lattice.n_pixels:
                 raise DataFormatError(f"{path}: observation columns do not match the label grid")
         return cls(Path(path), rows, lattice)
@@ -191,7 +194,7 @@ class ObservationFile:
         ``read_matrix``'s checks run on the same bytes, the checksum after
         the last block: a caller must exhaust the blocks before it trusts
         what it formed from them."""
-        with _opened(self.path) as (fh, header_line, dtype, rows, cols):
+        with _opened(self.path, "f64") as (fh, header_line, dtype, rows, cols):
             if (rows, cols) != (self.n_bands, self.lattice.n_pixels):
                 raise DataFormatError(f"{self.path}: changed since its header was read")
             buf, crc = np.empty((min(n_rows, rows), cols), dtype=dtype), zlib.crc32(header_line)
@@ -209,9 +212,7 @@ def write_label_field(path: str | Path, field: LabelField) -> None:
 
 
 def read_label_field(path: str | Path, domain_size: int) -> LabelField:
-    grid = read_matrix(path)
-    if grid.dtype != np.uint32:
-        raise DataFormatError(f"{path}: label fields must be stored as u32")
+    grid = read_matrix(path, "u32")
     if grid.size == 0:
         raise DataFormatError(f"{path}: empty label grid ({grid.shape[0]}x{grid.shape[1]})")
     if grid.min() < 1 or grid.max() > domain_size:
@@ -513,8 +514,8 @@ def read_bundle(bundle_dir: str | Path) -> SceneBundle:
     bdir = Path(bundle_dir)
     manifest = read_manifest(bdir / "scene_manifest.json")
     n_clusters, n_classes = _manifest_counts(manifest, bdir)
-    m_data = read_matrix(bdir / "M.hbm")
-    a_data = read_matrix(bdir / "A_true.hbm")
+    m_data = read_matrix(bdir / "M.hbm", "f64")
+    a_data = read_matrix(bdir / "A_true.hbm", "f64")
     z_true = read_label_field(bdir / "z_true.hbm", n_clusters)
     omega_true = read_label_field(bdir / "omega_true.hbm", n_classes)
     lat = z_true.lattice
@@ -524,7 +525,7 @@ def read_bundle(bundle_dir: str | Path) -> SceneBundle:
     if not np.isfinite(a_data).all():
         raise DataFormatError(f"{bdir / 'A_true.hbm'}: abundances contain non-finite entries")
     Y = ObservationFile.open(bdir / "Y.hbm", lat)
-    labeled, eta = read_matrix(bdir / "labeled.hbm"), read_matrix(bdir / "eta.hbm")
+    labeled, eta = read_matrix(bdir / "labeled.hbm", "u32"), read_matrix(bdir / "eta.hbm", "f64")
     _check_shape(bdir / "labeled.hbm", labeled.shape, grid)
     _check_shape(bdir / "eta.hbm", eta.shape, grid)
     labeled, eta = labeled.ravel(), eta.ravel()
@@ -569,21 +570,21 @@ def read_results(results_dir: str | Path) -> tuple[ChainState, np.ndarray, dict]
     chain = t.get("chain") if isinstance(t := manifest.get("timings_s", {}), dict) else "?"
     if chain is not None and not (type(chain) in (int, float) and abs(chain) <= sys.float_info.max):
         raise DataFormatError(f"{rdir / 'run_manifest.json'}: malformed 'timings_s'")
-    s2_hat = read_matrix(rdir / "s2_hat.hbm")
+    s2_hat = read_matrix(rdir / "s2_hat.hbm", "f64")
     _check_shape(rdir / "s2_hat.hbm", s2_hat.shape, (1, 1))
     estimates = ChainState(
-        AbundanceMatrix(read_matrix(rdir / "A_hat.hbm")),
+        AbundanceMatrix(read_matrix(rdir / "A_hat.hbm", "f64")),
         NoiseModel(float(s2_hat[0, 0])),
-        ClusterParams(read_matrix(rdir / "psi_hat.hbm"), read_matrix(rdir / "sigma2_hat.hbm")),
+        ClusterParams(*(read_matrix(rdir / f"{n}_hat.hbm", "f64") for n in ("psi", "sigma2"))),
         read_label_field(rdir / "z_map.hbm", n_clusters),
-        InteractionMatrix(read_matrix(rdir / "Q_hat.hbm")),
+        InteractionMatrix(read_matrix(rdir / "Q_hat.hbm", "f64")),
         read_label_field(rdir / "omega_map.hbm", n_classes),
     )
     try:
         estimates.validate()
     except ValidationError as exc:
         raise DataFormatError(f"{rdir}: result set fails its checks: {exc}") from exc
-    omega_freq = read_matrix(rdir / "omega_freq.hbm")
+    omega_freq = read_matrix(rdir / "omega_freq.hbm", "f64")
     n_pixels = estimates.z.lattice.n_pixels
     _check_shape(rdir / "omega_freq.hbm", omega_freq.shape, (n_classes, n_pixels))
     return estimates, omega_freq, manifest

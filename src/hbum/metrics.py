@@ -84,25 +84,54 @@ def cohen_kappa(cm: ConfusionMatrix) -> float:
     return float((p_obs - p_exp) / (1.0 - p_exp))
 
 
+def _max_weight_assignment(w: np.ndarray) -> np.ndarray:
+    """Distinct columns for the rows of ``w`` (no more rows than columns) of
+    greatest total weight: the Hungarian method by shortest augmenting paths
+    with row and column potentials (Kuhn 1955; Jonker & Volgenant 1987).
+    Index 0 of ``u``, ``v`` and ``row_of`` is a virtual row and column."""
+    n, m = w.shape
+    cost = -np.pad(w, ((1, 0), (1, 0)))
+    u, v = np.zeros(n + 1), np.zeros(m + 1)
+    row_of = np.zeros(m + 1, dtype=np.int64)  # each column's row, 1-based; 0 while free
+    way = np.zeros(m + 1, dtype=np.int64)  # each column's predecessor on its shortest path
+    for i in range(1, n + 1):
+        row_of[0], j = i, 0
+        dist, used = np.full(m + 1, np.inf), np.zeros(m + 1, dtype=bool)
+        while row_of[j]:  # grow the shortest-path tree from row i until it reaches a free column
+            used[j] = True
+            reduced = cost[row_of[j]] - u[row_of[j]] - v
+            closer = ~used & (reduced < dist)
+            dist[closer], way[closer] = reduced[closer], j
+            j = int(np.argmin(np.where(used, np.inf, dist)))
+            delta = dist[j]
+            u[row_of[used]] += delta
+            v[used] -= delta
+            dist[~used] -= delta
+        while j:  # shift the matches along the path back to the virtual column
+            row_of[j], j = row_of[way[j]], way[j]
+    return np.argsort(row_of[1:])[m - n:]  # the m - n free columns sort first
+
+
 def align_clusters(z_hat: LabelField, z_true: LabelField) -> np.ndarray:
     """Assignment resolving label switching between two cluster fields.
 
     Returns ``perm`` with ``perm[k]`` the true-label identity assigned to
-    estimated label ``k``, chosen to maximize the number of matched pixels
-    (exact assignment on the co-occurrence matrix). The two fields may have
-    different cluster counts: estimated labels left without a true label
-    map to -1, so their pixels never match.
+    estimated label ``k``, chosen to maximize the number of matched pixels:
+    an exact assignment on the co-occurrence counts by the Hungarian method.
+    The two fields may have different cluster counts. With more estimated
+    labels than true ones, the assignment is solved on the transposed counts
+    and the estimated labels left over map to -1, so their pixels never match.
     """
-    from scipy.optimize import linear_sum_assignment  # here, so that the chain never loads scipy
     if z_hat.labels.shape != z_true.labels.shape:
         raise ValidationError("cluster alignment needs matching field sizes")
     n_hat, n_true = z_hat.domain_size, z_true.domain_size
     co = np.bincount(
         z_hat.labels.astype(np.int64) * n_true + z_true.labels, minlength=n_hat * n_true
     ).reshape(n_hat, n_true)
-    rows, cols = linear_sum_assignment(co, maximize=True)
+    if n_hat <= n_true:
+        return _max_weight_assignment(co)
     perm = np.full(n_hat, -1, dtype=np.int64)
-    perm[rows] = cols
+    perm[_max_weight_assignment(co.T)] = np.arange(n_true)
     return perm
 
 

@@ -354,6 +354,18 @@ class TestGenerate:
         assert "the endmembers make the signal power overflow" in err and "snr_db" not in err
         assert not (tmp_path / "x").exists()
 
+    def test_u32_endmember_file_exits_4_naming_it(self, tmp_path, capsys):
+        # Endmembers are reflectances: a u32 library would be written as a
+        # u32 M.hbm that the chain cannot use.
+        library = tmp_path / "library.hbm"
+        spectra = np.random.default_rng(0).uniform(0.5, 1.0, (24, 3))
+        write_matrix(library, np.round(7e4 * spectra).astype(np.uint32))
+        scene = dict(SCENE_CONFIG, endmember_file=str(library))
+        (tmp_path / "scene.json").write_text(json.dumps(scene))
+        assert main(["generate", str(tmp_path / "scene.json"), "--out", str(tmp_path / "x")]) == 4
+        assert f"{library}: must be stored as f64, not u32" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_huge_endmember_count_exits_2_at_once(self, tmp_path):
         # Only the supports of the used cluster means are built, so the
         # config fails at once on placing more endmembers than bands.
@@ -621,6 +633,20 @@ class TestRun:
         assert code == 4
         assert "z_true.hbm" in err
         assert "Traceback" not in err
+
+    def test_u32_endmembers_exit_4_naming_the_file(self, small_bundle, configs, tmp_path,
+                                                    capsys):
+        # In u32 arithmetic M^T M wraps around and the chain would blame its
+        # abundance precision (exit 3) for a file fault.
+        _, model_path = configs
+        bundle = tmp_path / "bundle"
+        shutil.copytree(small_bundle, bundle)
+        m = np.round(7e4 * read_matrix(bundle / "M.hbm")).astype(np.uint32)
+        write_matrix(bundle / "M.hbm", m)
+        assert main(["run", str(bundle), str(model_path), "--out", str(tmp_path / "r")]) == 4
+        err = capsys.readouterr().err
+        assert f"{bundle / 'M.hbm'}: must be stored as f64, not u32" in err
+        assert not (tmp_path / "r").exists()
 
     def test_read_results_returns_the_chain_estimates(self, small_bundle, configs, tmp_path,
                                                       monkeypatch):
@@ -981,11 +1007,11 @@ class TestDeferredResidual:
 
 
 class TestImports:
-    def test_generate_and_run_never_load_scipy(self, tmp_path):
-        # scipy serves only evaluate's cluster alignment: importing hbum and
-        # running generate and run on a 4x4 scene, in one fresh process,
-        # loads no scipy module. Without spatial coupling and with a random
-        # half labeled, both classes reach the training set.
+    def test_no_command_loads_scipy(self, tmp_path):
+        # hbum depends on numpy alone: importing hbum and running generate,
+        # run, evaluate and sweep-corruption on a 4x4 scene, in one fresh
+        # process, loads no scipy module. Without spatial coupling and with a
+        # random half labeled, both classes reach the training set.
         scene = json.loads(json.dumps(SCENE_CONFIG))
         scene["scene"].update(height=4, width=4, potts_beta=0.0)
         scene["training"].update(kind="random", fraction=0.5)
@@ -997,6 +1023,9 @@ class TestImports:
             "t = sys.argv[1]\n"
             "assert hbum.cli.main(['generate', t + '/scene.json', '--out', t + '/b']) == 0\n"
             "assert hbum.cli.main(['run', t + '/b', t + '/model.json', '--out', t + '/r']) == 0\n"
+            "assert hbum.cli.main(['evaluate', t + '/r', t + '/b']) == 0\n"
+            "assert hbum.cli.main(['sweep-corruption', t + '/b', t + '/model.json', '--out',\n"
+            "                      t + '/s', '--alphas', '0,0.2', '--trials', '1']) == 0\n"
             "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
         )
         env = dict(os.environ)
@@ -1007,7 +1036,6 @@ class TestImports:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "[]"
-        assert main(["evaluate", str(tmp_path / "r"), str(tmp_path / "b")]) == 0
 
 
 class TestEvaluate:

@@ -44,6 +44,14 @@ def write_json(path, payload):
     return path
 
 
+def in_the_other_dtype(arr):
+    """``arr`` as the container's other dtype: u32 becomes f64, and f64
+    becomes u32 counts of 1/70 000."""
+    if arr.dtype == np.uint32:
+        return arr.astype(np.float64)
+    return np.round(np.abs(arr) * 7e4).astype(np.uint32)
+
+
 SCENE_CONFIG = {
     "scene": {
         "height": 8,
@@ -148,6 +156,14 @@ class TestMatrixContainer:
         with pytest.raises(DataFormatError, match="truncated or oversized"):
             read_matrix(path)
 
+    @pytest.mark.parametrize("stored", [b'"f32"', b'["f64"]', b'{"f64": 1}'])
+    def test_unknown_dtype_in_the_header_is_a_format_error(self, tmp_path, stored):
+        path = tmp_path / "m.hbm"
+        write_matrix(path, np.ones((3, 3)))
+        path.write_bytes(path.read_bytes().replace(b'"f64"', stored, 1))
+        with pytest.raises(DataFormatError, match="m.hbm: unsupported dtype"):
+            read_matrix(path)
+
     @pytest.mark.parametrize(
         "footer", [b"crc31:00000000\n", b"crc32:0000000g\n", b"crc32:000000000"]
     )
@@ -199,6 +215,16 @@ class TestMatrixContainer:
         with pytest.raises(DataFormatError):
             read_matrix(tmp_path / "absent.hbm")
 
+    @pytest.mark.parametrize("stored, asked", [(np.float64, "u32"), (np.uint32, "f64")])
+    def test_the_dtype_asked_for_is_checked(self, tmp_path, stored, asked):
+        path = tmp_path / "m.hbm"
+        write_matrix(path, np.ones((2, 3), dtype=stored))
+        other = {"u32": "f64", "f64": "u32"}[asked]
+        with pytest.raises(DataFormatError, match=f"m.hbm: must be stored as {asked}, not {other}"):
+            read_matrix(path, asked)
+        assert read_matrix(path, other).dtype == stored
+        assert read_matrix(path).dtype == stored
+
     def test_unsupported_dtype_rejected(self, tmp_path):
         with pytest.raises(ValidationError):
             write_matrix(tmp_path / "m.hbm", np.ones((2, 2), dtype=np.float32))
@@ -209,9 +235,8 @@ class TestObservationFile:
     when the blocks are asked for."""
 
     @pytest.mark.parametrize("rows, n_rows", [(1, 16), (16, 16), (17, 16), (40, 16), (5, 2)])
-    @pytest.mark.parametrize("dtype", [np.float64, np.uint32])
-    def test_blocks_are_the_rows_as_float64(self, tmp_path, rows, n_rows, dtype):
-        data = np.random.default_rng(rows).integers(0, 1000, size=(rows, 6)).astype(dtype)
+    def test_blocks_are_the_rows_as_float64(self, tmp_path, rows, n_rows):
+        data = np.random.default_rng(rows).normal(size=(rows, 6))
         write_matrix(tmp_path / "Y.hbm", data)
         obs = io.ObservationFile.open(tmp_path / "Y.hbm", Lattice(2, 3))
         assert obs.n_bands == rows
@@ -219,7 +244,12 @@ class TestObservationFile:
         assert list(firsts) == list(range(0, rows, n_rows))
         assert [len(b) for b in blocks] == [min(n_rows, rows - lo) for lo in range(0, rows, n_rows)]
         assert all(b.dtype == np.float64 and b.flags.c_contiguous for b in blocks)
-        assert np.array_equal(np.vstack(blocks), data.astype(np.float64))
+        assert np.array_equal(np.vstack(blocks), data)
+
+    def test_a_u32_file_is_rejected_when_opened(self, tmp_path):
+        write_matrix(tmp_path / "Y.hbm", np.ones((4, 6), dtype=np.uint32))
+        with pytest.raises(DataFormatError, match="Y.hbm: must be stored as f64, not u32"):
+            io.ObservationFile.open(tmp_path / "Y.hbm", Lattice(2, 3))
 
     def test_checksum_is_checked_after_the_last_block(self, tmp_path):
         write_matrix(tmp_path / "Y.hbm", np.ones((40, 6)))
@@ -283,9 +313,9 @@ class TestBundleFiles:
     def test_read_bundle_reads_only_the_header_of_y(self, bundle_dir, monkeypatch):
         read, seen = io.read_matrix, []
 
-        def spy(path):
+        def spy(path, *args):
             seen.append(Path(path).name)
-            return read(path)
+            return read(path, *args)
 
         monkeypatch.setattr(io, "read_matrix", spy)
         bundle = io.read_bundle(bundle_dir)
@@ -311,6 +341,14 @@ class TestBundleFiles:
         with pytest.raises(ValidationError, match="file it streams from"):
             io.write_bundle(bundle_dir, io.read_bundle(bundle_dir))
         assert (bundle_dir / "Y.hbm").read_bytes() == before
+
+    @pytest.mark.parametrize("name", io.BUNDLE_FILES)
+    def test_a_file_in_the_other_dtype_is_a_format_error_naming_it(self, bundle_dir, name):
+        # Every file is read in the dtype hbum writes it in: u32 endmembers
+        # would form M^T M in wrapping integer arithmetic.
+        write_matrix(bundle_dir / name, in_the_other_dtype(read_matrix(bundle_dir / name)))
+        with pytest.raises(DataFormatError, match=f"{name}: must be stored as"):
+            io.read_bundle(bundle_dir)
 
     def test_blocks_are_written_as_one_matrix(self, tmp_path):
         data = np.random.default_rng(1).normal(size=(37, 5))
@@ -613,3 +651,21 @@ class TestResultSetRoundTrip:
         read, omega_freq, _ = io.read_results(tmp_path)
         assert same_config(read, estimates)
         assert same_config(omega_freq, trace.omega_frequencies())
+
+    @pytest.mark.parametrize("name", io.RESULT_FILES)
+    def test_a_file_in_the_other_dtype_is_a_format_error_naming_it(self, tmp_path, name):
+        lat = Lattice(4, 5)
+        gen = make_rng(4)
+        estimates = ChainState(
+            A=AbundanceMatrix(gen.dirichlet(np.ones(3), size=lat.n_pixels).T.copy()),
+            noise=NoiseModel(0.5),
+            clusters=ClusterParams(gen.dirichlet(np.ones(3), size=3), np.ones((3, 3))),
+            z=LabelField(gen.integers(3, size=lat.n_pixels), 3, lat),
+            q=InteractionMatrix(np.full((3, 2), 1.0 / 3.0)),
+            omega=LabelField(gen.integers(2, size=lat.n_pixels), 2, lat),
+        )
+        counts = {"clusters": 3, "classes": 2}
+        io.write_results(tmp_path, estimates, np.full((2, lat.n_pixels), 0.5), {"counts": counts})
+        write_matrix(tmp_path / name, in_the_other_dtype(read_matrix(tmp_path / name)))
+        with pytest.raises(DataFormatError, match=f"{name}: must be stored as"):
+            io.read_results(tmp_path)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from hbum.errors import ValidationError
 from hbum.lattice import Lattice
@@ -147,3 +148,32 @@ class TestAlignClusters:
         true = field([0, 0, 1, 2, 2, 2], 3) if n_true == 3 else field([0, 0, 0, 1, 1, 1], 2)
         np.testing.assert_array_equal(align_clusters(field(z_hat, n_hat), true), perm)
         assert aligned_cluster_accuracy(field(z_hat, n_hat), true) == pytest.approx(accuracy)
+
+    def test_matched_count_is_scipy_optimum(self):
+        # 3 000 count matrices of 1-13 estimated by 1-13 true labels, one in
+        # five a single row or a single column, with counts of 0-4 so that
+        # ties abound. The pixels of each are laid out as the fields whose
+        # co-occurrence counts they are.
+        rng = np.random.default_rng(30)
+        shapes = set()
+        for trial in range(3000):
+            n_hat, n_true = rng.integers(1, 14, size=2)
+            if trial % 10 == 0:
+                n_hat = 1
+            elif trial % 10 == 1:
+                n_true = 1
+            co = rng.integers(0, rng.integers(1, 6), size=(n_hat, n_true))
+            co.flat[rng.integers(co.size)] += 1  # a field holds at least one pixel
+            cells = np.repeat(np.arange(co.size), co.ravel())
+            z_hat, z_true = field(cells // n_true, n_hat), field(cells % n_true, n_true)
+            perm = align_clusters(z_hat, z_true)
+            kept = np.flatnonzero(perm >= 0)
+            assert perm.shape == (n_hat,) and kept.size == min(n_hat, n_true)
+            assert np.unique(perm[kept]).size == kept.size  # injective
+            assert -1 <= perm.min() and perm.max() < n_true
+            rows, cols = linear_sum_assignment(co, maximize=True)
+            assert co[kept, perm[kept]].sum() == co[rows, cols].sum()
+            assert aligned_cluster_accuracy(z_hat, z_true) == co[rows, cols].sum() / co.sum()
+            shapes.add((np.sign(n_hat - n_true), n_hat == 1, n_true == 1))
+        assert {(-1, True, False), (1, False, True), (-1, False, False), (1, False, False),
+                (0, False, False), (0, True, True)} <= shapes
