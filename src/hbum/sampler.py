@@ -25,7 +25,8 @@ are copied, so no bit changes. Sums and means keep the layout of their
 input, because their rounding can depend on it.
 
 The abundance normals come from child 0 of the chain generator's seed
-sequence, one (P, R) block a sweep, drawn inline by the abundance stage.
+sequence, one (P, R) block a sweep, drawn into one reused block on the
+chain's helper thread while the other stages of the sweep run.
 
 The abundance draw and the Gaussian cluster log-likelihood run as small
 GEMMs. They differ from triangular solves and from the unexpanded square
@@ -280,7 +281,7 @@ def potts_sweep(
 # ---------------------------------------------------------------------------
 
 
-def _sample_abundances_all(state: ChainState, pre: _Precomp, rng: np.random.Generator) -> None:
+def _sample_abundances_all(state: ChainState, pre: _Precomp, noise: np.ndarray) -> None:
     """Vectorized abundance sweep: pixels sharing a cluster share their
     posterior precision ``MᵀM/s2 + diag(1/sigma2_k) = L Lᵀ``, so each
     cluster is one batched draw.
@@ -291,11 +292,10 @@ def _sample_abundances_all(state: ChainState, pre: _Precomp, rng: np.random.Gene
     precisions are factored and their factors inverted as one stack each.
     With the covariance ``Sigma_k = L⁻ᵀ L⁻¹``, the block's draw is
     ``B Sigma_k + E L⁻¹``: two small GEMMs in place of three triangular
-    solves. E is the next block of rows of one (P, R) draw of iid normals,
-    so a sweep uses P·R normals whatever the labels."""
-    n_dims, n_pixels = state.A.data.shape
+    solves. E is the next block of rows of ``noise``, one (P, R) block of
+    iid standard normals, so a sweep uses P·R normals whatever the labels."""
+    n_dims = state.A.data.shape[0]
     s2 = state.noise.s2
-    noise = rng.standard_normal((n_pixels, n_dims))
     z = state.z.labels
     n_clusters = len(state.clusters.psi)
     # Narrow keys let numpy's stable sort run as a radix sort.
@@ -593,9 +593,9 @@ def run_chain(
     ``_make_precomp(Y, M)`` formed from them; chains on one scene can share
     those, and M is then not read. ``rng`` defaults to a fresh stream derived
     from ``config.seed``. With ``debug_validate`` every sweep re-checks all
-    state invariants. A pending pass 2 of the scene statistics runs on a
-    helper thread while ``initialize_state`` runs; the helper ends before the
-    first sweep.
+    state invariants. One helper thread runs a pending pass 2 of the scene
+    statistics while ``initialize_state`` runs, then draws each sweep's
+    abundance normals; it ends before this returns or raises.
     """
     # glibc raises its mmap threshold (and twice it, its heap trim threshold)
     # to the largest mmapped block freed, up to 32 MiB. This untouched block
@@ -603,7 +603,7 @@ def run_chain(
     # pages: without it the scene-2 benchmark's chains ran about 10 % longer.
     np.empty(28 << 20, dtype=np.uint8)
     pre = Y if isinstance(Y, _Precomp) else _make_precomp(Y, M)
-    # With no pass pending, the helper thread never starts.
+    # With no pass pending, the helper thread starts with the first normals.
     with ThreadPoolExecutor(1) as pool:
         pre.hand_off(pool)
         try:
@@ -632,27 +632,33 @@ def run_chain(
         except Exception:
             pre.resid0  # an error of pass 2 comes first, as it did when pass 2 ran first
             raise
-    trace = Trace.empty(config.n_endmembers, n_pixels, config.n_clusters, config.n_classes)
-    # The lambdas look each stage up on this module when called, so a stage
-    # replaced there (by a test or a profiler) still takes part in the sweep.
-    stages = (
-        ("abundances", lambda: _sample_abundances_all(state, pre, normals)),
-        ("noise", lambda: _sample_noise_fast(state, pre, rng)),
-        ("cluster_means", lambda: sample_cluster_means(state, config, rng)),
-        ("cluster_variances", lambda: sample_cluster_variances(state, config, rng)),
-        ("cluster_labels", lambda: sample_cluster_labels(state, rng, beta1)),
-        ("interaction", lambda: sample_interaction_matrix(state, config, rng)),
-        ("class_labels", lambda: sample_class_labels(state, config, rng, w1, beta1)),
-    )
-    for it in range(config.n_burnin + config.n_mc):
-        beta1 = config.beta1 if it < config.n_burnin else 0.0
-        for name, stage in stages:
-            try:
-                stage()
-            except NumericalDegeneracyError as exc:
-                raise NumericalDegeneracyError(f"sweep {it}, {name}: {exc}") from exc
-        if debug_validate:
-            state.validate()
-        if it >= config.n_burnin:
-            trace.record(state)
+        # The helper draws each sweep's normals into one block, the next as
+        # soon as the abundance stage is done with it, and none after the last.
+        block, n_sweeps = np.empty((n_pixels, n_dims)), config.n_burnin + config.n_mc
+        drawn = pool.submit(normals.standard_normal, out=block)
+        trace = Trace.empty(config.n_endmembers, n_pixels, config.n_clusters, config.n_classes)
+        # The lambdas look each stage up on this module when called, so a stage
+        # replaced there (by a test or a profiler) still takes part in the sweep.
+        stages = (
+            ("abundances", lambda: _sample_abundances_all(state, pre, drawn.result())),
+            ("noise", lambda: _sample_noise_fast(state, pre, rng)),
+            ("cluster_means", lambda: sample_cluster_means(state, config, rng)),
+            ("cluster_variances", lambda: sample_cluster_variances(state, config, rng)),
+            ("cluster_labels", lambda: sample_cluster_labels(state, rng, beta1)),
+            ("interaction", lambda: sample_interaction_matrix(state, config, rng)),
+            ("class_labels", lambda: sample_class_labels(state, config, rng, w1, beta1)),
+        )
+        for it in range(n_sweeps):
+            beta1 = config.beta1 if it < config.n_burnin else 0.0
+            for name, stage in stages:
+                try:
+                    stage()
+                except NumericalDegeneracyError as exc:
+                    raise NumericalDegeneracyError(f"sweep {it}, {name}: {exc}") from exc
+                if name == "abundances" and it + 1 < n_sweeps:
+                    drawn = pool.submit(normals.standard_normal, out=block)
+            if debug_validate:
+                state.validate()
+            if it >= config.n_burnin:
+                trace.record(state)
     return trace.estimates(pre.lattice), trace

@@ -291,13 +291,11 @@ def trace_record(trace, state) -> None:
     trace.n_recorded += 1
 
 
-def sample_abundances_all(state, pre, rng: np.random.Generator) -> None:
+def sample_abundances_all(state, pre, noise: np.ndarray) -> None:
     """Abundance sweep with one index gather and three ``solve_triangular``
-    calls per cluster. The rows of one (P, R) block of normals go to the
-    pixels in cluster order, and within a cluster in pixel order."""
-    n_dims, n_pixels = state.A.data.shape
+    calls per cluster. The rows of the (P, R) block of normals ``noise`` go
+    to the pixels in cluster order, and within a cluster in pixel order."""
     s2 = state.noise.s2
-    noise = rng.standard_normal((n_pixels, n_dims))
     used = 0
     for k in range(len(state.clusters.psi)):
         idx = np.flatnonzero(state.z.labels == k)

@@ -1320,11 +1320,12 @@ class TestSweepCorruption:
         assert len(seen) == len(alphas.split(",")) * trials
 
     @pytest.mark.parametrize("threads", [1, 2, 4])
-    def test_trial_draws_inline_at_any_thread_count(self, small_bundle, configs, tmp_path,
-                                                    monkeypatch, in_process_pool, threads):
+    def test_trial_draws_normals_on_its_helper_at_any_thread_count(
+            self, small_bundle, configs, tmp_path, monkeypatch, in_process_pool, threads):
         # Pass 2 of the statistics runs on run_chain's helper (one worker) or
-        # in the parent before the pool forks (two): either way no thread is
-        # left during the sweeps, and every sweep draws its normals inline.
+        # in the parent before the pool forks (two): either way each chain's
+        # one helper lives through its sweeps, draws every sweep's block of
+        # normals, and is gone when the command returns.
         import threading
 
         import hbum.cli as cli
@@ -1334,9 +1335,9 @@ class TestSweepCorruption:
         seen = []
         original = sampler._sample_abundances_all
 
-        def spy(state, pre, normals):
-            seen.append((type(normals).__name__, threading.active_count()))
-            return original(state, pre, normals)
+        def spy(state, pre, noise):
+            seen.append((type(noise).__name__, threading.active_count()))
+            return original(state, pre, noise)
 
         monkeypatch.setattr(sampler, "_sample_abundances_all", spy)
         config = cli.load_model_config(str(model_path))
@@ -1348,7 +1349,7 @@ class TestSweepCorruption:
         )
         assert code == 0
         assert in_process_pool == ([] if threads == 1 else [2])
-        assert seen == [("Generator", start)] * (2 * (config.n_burnin + config.n_mc))
+        assert seen == [("ndarray", start + 1)] * (2 * (config.n_burnin + config.n_mc))
         assert threading.active_count() == start
 
     @pytest.mark.parametrize("bad", ["1.5", "-0.1", "nan", "inf"])

@@ -433,12 +433,13 @@ class TestAbundances:
         state, pre = abundance_case(shape, n_dims, labels, n_clusters, seed=len(case))
         ref_state = copy.deepcopy(state)
         for sweep in range(2):
-            rng_new, rng_ref = make_rng(sweep), make_rng(sweep)
-            _sample_abundances_all(state, pre, rng_new)
-            oracles.sample_abundances_all(ref_state, pre, rng_ref)
+            noise = make_rng(sweep).standard_normal(state.A.data.shape[::-1])
+            want = noise.tobytes()
+            _sample_abundances_all(state, pre, noise)
+            oracles.sample_abundances_all(ref_state, pre, noise)
             atol = 1e-12 * np.abs(ref_state.A.data).max()
             np.testing.assert_allclose(state.A.data, ref_state.A.data, rtol=0.0, atol=atol)
-            assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+            assert noise.tobytes() == want  # both kernels only read the block
 
     @pytest.mark.parametrize("case", ["empty clusters", "scene-2 sized"])
     def test_stacked_factor_equals_per_cluster_factors(self, case, monkeypatch):
@@ -454,7 +455,7 @@ class TestAbundances:
             return calls[-1][1]
 
         monkeypatch.setattr(np.linalg, "cholesky", recording_cholesky)
-        _sample_abundances_all(state, pre, make_rng(0))
+        _sample_abundances_all(state, pre, make_rng(0).standard_normal(state.A.data.shape[::-1]))
         monkeypatch.undo()
         (stack, factors), = calls
         used = np.flatnonzero(np.bincount(labels, minlength=n_clusters))
@@ -468,30 +469,28 @@ class TestAbundances:
         # A negative variance makes cluster 1's precision indefinite.
         state, pre = abundance_case((6, 6), 3, random_labels(36, 3, 4), 3, seed=5)
         state.clusters.sigma2[1] = -1e-4
-        messages, states = [], []
+        noise = make_rng(1).standard_normal(state.A.data.shape[::-1])
+        want, messages = noise.tobytes(), []
         for kernel in (_sample_abundances_all, oracles.sample_abundances_all):
-            rng = make_rng(1)
             with pytest.raises(NumericalDegeneracyError) as info:
-                kernel(copy.deepcopy(state), pre, rng)
+                kernel(copy.deepcopy(state), pre, noise)
             messages.append(str(info.value))
-            states.append(rng.bit_generator.state)
+            assert noise.tobytes() == want
         assert messages[0] == messages[1]
         assert messages[0] == "abundance precision not positive definite for cluster 1"
-        assert states[0] == states[1]
 
     def test_same_error_when_not_finite(self):
         # A subnormal noise variance overflows the precision.
         state, pre = abundance_case((6, 6), 3, random_labels(36, 3, 4), 3, seed=5, s2=1e-320)
-        messages, states = [], []
+        noise = make_rng(1).standard_normal(state.A.data.shape[::-1])
+        want, messages = noise.tobytes(), []
         for kernel in (_sample_abundances_all, oracles.sample_abundances_all):
-            rng = make_rng(1)
             with pytest.raises(NumericalDegeneracyError) as info:
-                kernel(copy.deepcopy(state), pre, rng)
+                kernel(copy.deepcopy(state), pre, noise)
             messages.append(str(info.value))
-            states.append(rng.bit_generator.state)
+            assert noise.tobytes() == want
         assert messages[0] == messages[1]
         assert "cluster 0" in messages[0]
-        assert states[0] == states[1]
 
 
 def random_state(shape, n_clusters, n_classes, seed):

@@ -100,19 +100,24 @@ def tiny_problem(seed=0, height=12, width=12, n_mc=20, n_burnin=5, snr_db=25.0, 
 
 def draw_abundance(state, pre, rng):
     """One abundance sweep; returns a copy of the first pixel's draw."""
-    _sample_abundances_all(state, pre, rng)
+    _sample_abundances_all(state, pre, rng.standard_normal(state.A.data.T.shape))
     return state.A.data[:, 0].copy()
 
 
-class _FixedNormals:
-    """Generator stand-in whose standard normals are a given (P, R) matrix."""
+def recording_pool(submitted):
+    """A ThreadPoolExecutor class that appends each function submitted to ``submitted``."""
 
-    def __init__(self, normals):
-        self.normals = normals
+    class RecordingPool(sampler_mod.ThreadPoolExecutor):
+        def submit(self, fn, /, *args, **kwargs):
+            submitted.append(fn)
+            return super().submit(fn, *args, **kwargs)
 
-    def standard_normal(self, size):
-        assert size == self.normals.shape
-        return self.normals.copy()
+    return RecordingPool
+
+
+def normal_draws(submitted):
+    """The generators whose ``standard_normal`` was submitted, one per draw."""
+    return [fn.__self__ for fn in submitted if getattr(fn, "__name__", "") == "standard_normal"]
 
 
 class TestAbundanceConditional:
@@ -132,7 +137,7 @@ class TestAbundanceConditional:
         pre = _make_precomp(ObservationMatrix(np.tile(y[:, None], (1, 4)), lat),
                             EndmemberMatrix(np.eye(3)))
         normals = np.vstack([np.zeros((1, 3)), np.eye(3)])
-        _sample_abundances_all(state, pre, _FixedNormals(normals))
+        _sample_abundances_all(state, pre, normals)
         mean = state.A.data[:, 0]
         factor = state.A.data[:, 1:] - mean[:, None]
         np.testing.assert_allclose(mean, (y + psi) / 2.0, atol=1e-12)
@@ -203,7 +208,7 @@ class TestAbundanceConditional:
         n_draws = 20_000
         draws = np.empty((n_draws, 3, 6))
         for i in range(n_draws):
-            _sample_abundances_all(state, pre, rng)
+            _sample_abundances_all(state, pre, rng.standard_normal((6, 3)))
             draws[i] = state.A.data
         for p, k in enumerate(z):
             mean, cov = abundance_posterior(y[:, p], m, 0.3, psi[k], sigma2[k])
@@ -667,9 +672,10 @@ class TestRunChain:
         pre = sampler_mod._make_precomp(Y, M)
         state = initialize_state(pre, sup, config, rng)
         w1 = class_log_prior_matrix(sup)
+        R, P = state.A.data.shape
         for it in range(3):
             beta1 = config.beta1 if it < 2 else 0.0
-            sampler_mod._sample_abundances_all(state, pre, normals)
+            sampler_mod._sample_abundances_all(state, pre, normals.standard_normal((P, R)))
             sampler_mod._sample_noise_fast(state, pre, rng)
             sample_cluster_means(state, config, rng)
             sample_cluster_variances(state, config, rng)
@@ -687,16 +693,16 @@ class TestRunChain:
         # Pass 2 of the statistics run on the helper during init, or already
         # run in this thread (as sweep-corruption's parent does before its
         # pool forks): every bit and the chain generator's end state agree,
-        # and each sweep draws its normals inline with no other thread alive.
+        # and each sweep takes its normals as a block drawn on the one helper.
         import threading
 
         Y, M, sup, config = tiny_problem(seed=seed, n_mc=n_mc, n_burnin=n_burnin)
         seen = []
         original = sampler_mod._sample_abundances_all
 
-        def spy(state, pre, normals):
-            seen.append((type(normals).__name__, threading.active_count()))
-            return original(state, pre, normals)
+        def spy(state, pre, noise):
+            seen.append((type(noise).__name__, threading.active_count()))
+            return original(state, pre, noise)
 
         monkeypatch.setattr(sampler_mod, "_sample_abundances_all", spy)
         start = threading.active_count()
@@ -708,7 +714,8 @@ class TestRunChain:
             rng = make_rng(config.seed)
             seen.clear()
             est, trace = run_chain(pre, None, sup, config, rng)
-            assert seen == [("Generator", start)] * (n_mc + n_burnin)
+            assert seen == [("ndarray", start + 1)] * (n_mc + n_burnin)
+            assert threading.active_count() == start
             runs.append((est, trace, rng.bit_generator.state))
         (est0, trace0, state0), (est, trace, state) = runs
         for got, want in [
@@ -725,8 +732,9 @@ class TestRunChain:
     def test_helper_thread_ends_on_return_and_on_error(self, monkeypatch):
         import threading
 
-        # Pass 2 of the scene statistics runs on the helper while init runs;
-        # the helper is joined before the first sweep, so none outlives init.
+        # Pass 2 of the scene statistics runs on the helper while init runs,
+        # and the same helper then draws the sweeps' normals: it lives through
+        # the sweeps and is joined before run_chain returns or raises.
         Y, M, sup, config = tiny_problem(seed=7, n_mc=3, n_burnin=2)
         start = threading.active_count()
         in_init, during = [], []
@@ -744,28 +752,43 @@ class TestRunChain:
         monkeypatch.setattr(sampler_mod, "sample_cluster_means", means)
         run_chain(Y, M, sup, config)
         assert in_init == [start + 1]
-        assert during == [start] * 5
+        assert during == [start + 1] * 5
         assert threading.active_count() == start
 
-        # Statistics whose residual is already formed start no helper.
+        # Statistics whose residual is already formed start the helper with
+        # the first draw of normals, after init.
         pre = sampler_mod._make_precomp(Y, M)
         pre.resid0
         in_init.clear()
+        during.clear()
         run_chain(pre, None, sup, config)
         assert in_init == [start]
+        assert during == [start + 1] * 5
+        assert threading.active_count() == start
 
-        sweeps = []
+        # Sweep 2's cluster-means stage fails after its abundance stage has
+        # submitted sweep 3's draw: four draws submitted, three taken.
+        submitted, taken, sweeps = [], [], []
+        abundances = sampler_mod._sample_abundances_all
+
+        def taking(state, pre, noise):
+            taken.append(noise)
+            return abundances(state, pre, noise)
 
         def failing(state, config, rng):
-            sweeps.append(rng)
+            sweeps.append(threading.active_count())
             if len(sweeps) == 3:  # the third sweep, sweep 2
+                assert len(normal_draws(submitted)) == len(taken) + 1 == 4
                 raise NumericalDegeneracyError("cluster means degenerate")
             return original(state, config, rng)
 
+        monkeypatch.setattr(sampler_mod, "ThreadPoolExecutor", recording_pool(submitted))
+        monkeypatch.setattr(sampler_mod, "_sample_abundances_all", taking)
         monkeypatch.setattr(sampler_mod, "sample_cluster_means", failing)
         with pytest.raises(NumericalDegeneracyError,
                            match=r"^sweep 2, cluster_means: cluster means degenerate$"):
             run_chain(Y, M, sup, config)
+        assert sweeps == [start + 1] * 3
         assert threading.active_count() == start
 
         # initialize_state fails while pass 2 of the scene statistics, slowed
@@ -789,6 +812,55 @@ class TestRunChain:
             run_chain(Y, M, sup, config)
         assert done.is_set() and passes == [threading.main_thread()] * 2
         assert threading.active_count() == start
+
+    @pytest.mark.parametrize("n_mc, n_burnin", [(1, 0), (1, 1), (4, 0), (3, 2)])
+    def test_helper_draws_one_block_per_sweep_in_order(self, monkeypatch, n_mc, n_burnin):
+        # The helper draws the normals stream exactly once a sweep, none after
+        # the last, and each sweep's block is the next draw of that stream:
+        # the estimates equal a replay that draws every block inline.
+        Y, M, sup, config = tiny_problem(seed=12, n_mc=n_mc, n_burnin=n_burnin)
+        submitted, blocks = [], []
+        abundances = sampler_mod._sample_abundances_all
+
+        def copying(state, pre, noise):
+            blocks.append(noise.copy())
+            return abundances(state, pre, noise)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(sampler_mod, "ThreadPoolExecutor", recording_pool(submitted))
+            patch.setattr(sampler_mod, "_sample_abundances_all", copying)
+            est, trace = run_chain(Y, M, sup, config)
+        n_sweeps, draws = n_mc + n_burnin, normal_draws(submitted)
+        assert len(draws) == len(blocks) == n_sweeps and len({id(g) for g in draws}) == 1
+
+        rng, normals = make_rng(config.seed), make_rng(config.seed).spawn(1)[0]
+        pre = sampler_mod._make_precomp(Y, M)
+        state = initialize_state(pre, sup, config, rng)
+        w1 = class_log_prior_matrix(sup)
+        R, P = state.A.data.shape
+        ref = sampler_mod.Trace.empty(R, P, config.n_clusters, config.n_classes)
+        for it in range(n_sweeps):
+            beta1 = config.beta1 if it < n_burnin else 0.0
+            noise = normals.standard_normal((P, R))
+            assert blocks[it].tobytes() == noise.tobytes()
+            sampler_mod._sample_abundances_all(state, pre, noise)
+            sampler_mod._sample_noise_fast(state, pre, rng)
+            sample_cluster_means(state, config, rng)
+            sample_cluster_variances(state, config, rng)
+            sample_cluster_labels(state, rng, beta1)
+            sample_interaction_matrix(state, config, rng)
+            sample_class_labels(state, config, rng, w1, beta1)
+            if it >= n_burnin:
+                ref.record(state)
+        assert draws[0].bit_generator.state == normals.bit_generator.state
+        want = ref.estimates(pre.lattice)
+        assert est.A.data.tobytes() == want.A.data.tobytes()
+        assert est.noise.s2 == want.noise.s2
+        assert est.clusters.psi.tobytes() == want.clusters.psi.tobytes()
+        assert est.q.q.tobytes() == want.q.q.tobytes()
+        assert np.array_equal(est.z.labels, want.z.labels)
+        assert np.array_equal(est.omega.labels, want.omega.labels)
+        assert trace.a_sum.tobytes() == ref.a_sum.tobytes()
 
     def test_concurrent_chains_under_a_short_switch_interval(self):
         # Three chains on three threads, each handing pass 2 of its scene
