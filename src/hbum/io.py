@@ -175,7 +175,7 @@ def _check_footer(fh, path: Path, crc: int) -> None:
 class ObservationFile:
     """The d x P observations in a ``Y.hbm`` of which only the header has
     been read. Like ``ObservationMatrix``, it serves its rows through
-    ``band_blocks``, here read from the file at every pass."""
+    ``band_blocks``, here read from the file at each call."""
 
     path: Path
     n_bands: int

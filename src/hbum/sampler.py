@@ -39,8 +39,7 @@ per-pixel most frequently sampled label for z and omega.
 
 from __future__ import annotations
 
-import itertools
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -73,10 +72,11 @@ from .model import (
 SIGMA2_FLOOR = 1e-12
 NOISE_SCALE_FLOOR = 1e-300
 
-# Bands of Y per block of the scene statistics, and pixels per column tile of
-# a block (16 x 5120 doubles, 640 KiB, stay in L2); see ``_make_precomp``.
-# _TILE is a multiple of 1024: tiles 2, 3 or 5 wide moved bits in the
-# one-band products, which numpy runs as GEMV.
+# Bands of Y per block of the scene statistics, and the least width of a
+# column tile of a block; see ``_make_precomp``. OpenBLAS ran products of
+# fewer than about 1e6 multiply-adds on another kernel, which rounded
+# otherwise once more than 15 terms were summed; tiles 5120 or more wide run
+# the whole block's kernel.
 _BAND_BLOCK, _TILE = 16, 5120
 
 # Gibbs scans of the simplex-truncated cluster-mean draw per sweep.
@@ -144,82 +144,76 @@ class Trace:
         )
 
 
+@dataclass
 class _Precomp:
     """Scene statistics: all the chain reads of Y and M; ``M = QR`` is M's reduced QR.
-    MᵀM and R are (R, R), QᵀY (R, P), MᵀY C-ordered (P, R) pixel rows, n_obs P * d."""
+    MᵀM and R are (R, R), QᵀY (R, P), MᵀY C-ordered (P, R) pixel rows,
+    resid0 ``||Y - QQᵀY||_F^2`` and n_obs P * d."""
 
-    def __init__(self, mtm, mty_t, r, qty, resid0, n_obs: int, lattice: Lattice) -> None:
-        self.mtm, self.mty_t, self.r, self.qty = mtm, mty_t, r, qty
-        self._resid0, self.n_obs, self.lattice = resid0, n_obs, lattice
-
-    def hand_off(self, pool) -> None:
-        """Run a pending ``resid0`` pass on ``pool``'s thread."""
-        self._resid0 = pool.submit(self._resid0) if callable(self._resid0) else self._resid0
-
-    @property
-    def resid0(self) -> float:
-        """``||Y - QQᵀY||_F^2``: the first read waits for or runs its pending pass."""
-        r = self._resid0
-        self._resid0 = r.result() if isinstance(r, Future) else r() if callable(r) else r
-        return self._resid0
+    mtm: np.ndarray
+    mty_t: np.ndarray
+    r: np.ndarray
+    qty: np.ndarray
+    resid0: float
+    n_obs: int
+    lattice: Lattice
 
 
 def _make_precomp(Y: ObservationMatrix, M: EndmemberMatrix) -> _Precomp:
-    """Check Y and M and form the scene statistics: the only code that reads
-    Y, an ObservationMatrix or an ``io.ObservationFile``. Both serve the same
-    blocks of ``_BAND_BLOCK`` bands, so give the same bits. Pass 1 checks each
-    block is finite (after a file's checksum) and sums ``QᵀY += Q[b]ᵀ Y[b]``;
-    pass 2 sums ``resid0 += ||Y[b] - Q[b] QᵀY||²``, which cannot cancel. Both
-    work a block in column tiles of ``_TILE`` pixels, which keeps each output
-    column's bits; only the residual's sum runs over the whole block. Sums of
-    squares use einsum: BLAS's dot splits them by its thread count. MᵀM, MᵀY
-    and resid0 must be finite, which huge endmembers can break. Pass 2 waits
-    for the first read of ``resid0``; this thread takes its first block and buffer."""
+    """Check Y and M and form the scene statistics in one pass over Y: the only
+    code that reads Y, an ObservationMatrix or an ``io.ObservationFile``. Both
+    serve the same blocks of ``_BAND_BLOCK`` bands, so give the same bits.
+
+    The pass updates a QR block of rows by block of rows (Golub & Van Loan,
+    *Matrix Computations*, §6.5). ``r`` is the triangular factor of the rows
+    of M seen so far, and T, R x P, the coordinates of the rows of Y seen so
+    far. For each block b the complete QR ``H`` of ``[r; M[b]]`` rotates
+    ``[T; Y[b]]`` by ``Hᵀ``: the top ``min(rows, R)`` rows are the new T, and
+    the rows below hold what lies outside M's column space, so the sum of
+    their squares adds to resid0 and cannot cancel. At the end ``QᵀY = T``,
+    R is ``r`` and ``MᵀY = Tᵀ R``. Each block is checked finite, and a
+    non-finite one is reported after the last block, once a file's checksum
+    has passed. Blocks are rotated in column tiles of at least ``_TILE``
+    pixels, which give every pixel the bits of the whole block; only the
+    residual's sum runs over the whole block. Sums of squares use einsum:
+    BLAS's dot splits them by its thread count. MᵀM, MᵀY and resid0 must be
+    finite, which huge endmembers can break."""
     M.validate()
     if Y.n_bands != M.n_bands:
         raise ValidationError(
             f"observations have {Y.n_bands} bands but endmembers have {M.n_bands}"
         )
     m = M.data
-    q, r = np.linalg.qr(m)
-    n_pixels = Y.lattice.n_pixels
-    # numpy runs a one-column product as GEMV, whose sums round otherwise
-    # than GEMM's, so a lone last column joins the tile before it.
-    cuts = [*range(0, max(n_pixels - 1, 1), _TILE), n_pixels]
+    n_pixels, n_dims = Y.lattice.n_pixels, m.shape[1]
+    # The columns past the last full tile join it, so that no tile is narrower
+    # than _TILE unless the whole block is.
+    cuts = [*range(0, max(n_pixels - _TILE, 0) + 1, _TILE), n_pixels]
     tiles = [slice(a, b) for a, b in zip(cuts, cuts[1:])]
-    qty = np.zeros((m.shape[1], n_pixels))
-    # ``part`` spans all pixels so that the hole it leaves in the heap holds
-    # the sweeps' temporaries: a tile-wide one raised scene 2's peak RSS.
-    part, finite = np.empty_like(qty), True
+    # Pixel rows: stack[:, :k] holds Tᵀ, and the block's bands follow it. With
+    # the pixels as the GEMM's rows, no BLAS thread count moves a bit.
+    stack = np.empty((n_pixels, n_dims + _BAND_BLOCK))
+    part = np.empty((max(c.stop - c.start for c in tiles), stack.shape[1]))
+    k, r, resid0, finite = 0, np.empty((0, n_dims)), 0.0, True
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is checked below
         for lo, block in Y.band_blocks(_BAND_BLOCK):
-            q_t = q[lo : lo + len(block)].T
+            n = k + len(block)
+            h, r = np.linalg.qr(np.vstack([r, m[lo : lo + len(block)]]), mode="complete")
             for cols in tiles:
                 finite = finite and bool(np.isfinite(block[:, cols]).all())
                 if finite:
-                    qty[:, cols] += np.matmul(q_t, block[:, cols], out=part[:, cols])
+                    rows = stack[cols, :n]
+                    rows[:, k:] = block[:, cols].T
+                    rows[...] = np.matmul(rows, h, out=part[: len(rows), :n])
+            k, r = min(n, n_dims), r[:n_dims]
+            if finite:
+                resid0 += float(np.einsum("ij,ij->", stack[:, k:n], stack[:, k:n]))
         if not finite:
             raise ValidationError("observations contain non-finite entries")
-        blocks = Y.band_blocks(_BAND_BLOCK)
-        blocks = itertools.chain(list(itertools.islice(blocks, 1)), blocks)
-        fit = np.empty((min(_BAND_BLOCK, Y.n_bands), n_pixels))
-        mtm, mty_t = m.T @ m, qty.T @ r  # MᵀY = RᵀQᵀY, pixel rows
-    if not (np.isfinite(mtm).all() and np.isfinite(mty_t).all()):
+        qty = stack[:, :k].T.copy()
+        mtm, mty_t = m.T @ m, stack[:, :k] @ r  # MᵀY = (QᵀY)ᵀR, pixel rows
+    if not (np.isfinite(mtm).all() and np.isfinite(mty_t).all() and np.isfinite(resid0)):
         raise ValidationError("the endmembers overflow M^T M, M^T Y or the residual")
-
-    def residual() -> float:
-        resid0 = 0.0
-        with np.errstate(over="ignore", invalid="ignore"):
-            for lo, block in blocks:
-                f, q_b = fit[: len(block)], q[lo : lo + len(block)]
-                for cols in tiles:
-                    tile = np.matmul(q_b, qty[:, cols], out=f[:, cols])
-                    np.subtract(block[:, cols], tile, out=tile)
-                resid0 += float(np.einsum("ij,ij->", f, f))
-        if not np.isfinite(resid0):
-            raise ValidationError("the endmembers overflow M^T M, M^T Y or the residual")
-        return resid0
-    return _Precomp(mtm, mty_t, r, qty, residual, Y.n_bands * n_pixels, Y.lattice)
+    return _Precomp(mtm, mty_t, r, qty, resid0, Y.n_bands * n_pixels, Y.lattice)
 
 
 def _residual_sq(pre: _Precomp, a: np.ndarray) -> float:
@@ -537,6 +531,7 @@ def initialize_state(
     ridge = 1e-6 * np.trace(pre.mtm) / n_dims
     a = np.linalg.solve(pre.mtm + ridge * np.eye(n_dims), pre.mty_t.T)
     np.clip(a, 0.0, 1.0, out=a)
+    s2 = max(_residual_sq(pre, a) / pre.n_obs, 1e-12)
 
     # Moments from bincount sums, in pixel order as a[:, members] sums them.
     z, _ = _kmeans_labels(a, config.n_clusters, rng)
@@ -565,8 +560,6 @@ def initialize_state(
     )
     omega[sup.labeled_idx] = sup.c
 
-    # Last, as it draws nothing: it may wait for pass 2 of the scene statistics.
-    s2 = max(_residual_sq(pre, a) / pre.n_obs, 1e-12)
     state = ChainState(
         A=AbundanceMatrix(a),
         noise=NoiseModel(s2),
@@ -593,9 +586,9 @@ def run_chain(
     ``_make_precomp(Y, M)`` formed from them; chains on one scene can share
     those, and M is then not read. ``rng`` defaults to a fresh stream derived
     from ``config.seed``. With ``debug_validate`` every sweep re-checks all
-    state invariants. One helper thread runs a pending pass 2 of the scene
-    statistics while ``initialize_state`` runs, then draws each sweep's
-    abundance normals; it ends before this returns or raises.
+    state invariants. Once ``initialize_state`` has returned, one helper
+    thread draws each sweep's abundance normals; it ends before this returns
+    or raises.
     """
     # glibc raises its mmap threshold (and twice it, its heap trim threshold)
     # to the largest mmapped block freed, up to 32 MiB. This untouched block
@@ -603,38 +596,31 @@ def run_chain(
     # pages: without it the scene-2 benchmark's chains ran about 10 % longer.
     np.empty(28 << 20, dtype=np.uint8)
     pre = Y if isinstance(Y, _Precomp) else _make_precomp(Y, M)
-    # With no pass pending, the helper thread starts with the first normals.
+    sup.validate()
+    config.validate()
+    n_dims, n_pixels = pre.mtm.shape[0], pre.lattice.n_pixels
+    if n_dims != config.n_endmembers:
+        raise ValidationError(
+            f"config expects {config.n_endmembers} endmembers, matrix has {n_dims}"
+        )
+    if sup.n_pixels != n_pixels:
+        raise ValidationError("supervision pixel count does not match the observations")
+    if sup.n_classes != config.n_classes:
+        raise ValidationError("supervision class count does not match the config")
+    rng = make_rng(config.seed) if rng is None else rng
+    # The normals' stream is ``rng.spawn(1)[0]`` of a fresh rng, whatever rng spawned.
+    ss = rng.bit_generator.seed_seq
+    ss = np.random.SeedSequence(ss.entropy, spawn_key=(*ss.spawn_key, 0), pool_size=ss.pool_size)
+    normals = np.random.Generator(type(rng.bit_generator)(ss))
+    if config.pi_override is not None:
+        sup = replace(sup, pi=np.asarray(config.pi_override, dtype=np.float64))
+        sup.validate()
+    w1 = class_log_prior_matrix(sup)
+    state = initialize_state(pre, sup, config, rng)
+    # The helper draws each sweep's normals into one block, the next as soon
+    # as the abundance stage is done with it, and none after the last.
+    block, n_sweeps = np.empty((n_pixels, n_dims)), config.n_burnin + config.n_mc
     with ThreadPoolExecutor(1) as pool:
-        pre.hand_off(pool)
-        try:
-            sup.validate()
-            config.validate()
-            n_dims, n_pixels = pre.mtm.shape[0], pre.lattice.n_pixels
-            if n_dims != config.n_endmembers:
-                raise ValidationError(
-                    f"config expects {config.n_endmembers} endmembers, matrix has {n_dims}"
-                )
-            if sup.n_pixels != n_pixels:
-                raise ValidationError("supervision pixel count does not match the observations")
-            if sup.n_classes != config.n_classes:
-                raise ValidationError("supervision class count does not match the config")
-            rng = make_rng(config.seed) if rng is None else rng
-            # The normals' stream is ``rng.spawn(1)[0]`` of a fresh rng, whatever rng spawned.
-            ss = rng.bit_generator.seed_seq
-            ss = np.random.SeedSequence(ss.entropy, spawn_key=(*ss.spawn_key, 0),
-                                        pool_size=ss.pool_size)
-            normals = np.random.Generator(type(rng.bit_generator)(ss))
-            if config.pi_override is not None:
-                sup = replace(sup, pi=np.asarray(config.pi_override, dtype=np.float64))
-                sup.validate()
-            w1 = class_log_prior_matrix(sup)
-            state = initialize_state(pre, sup, config, rng)
-        except Exception:
-            pre.resid0  # an error of pass 2 comes first, as it did when pass 2 ran first
-            raise
-        # The helper draws each sweep's normals into one block, the next as
-        # soon as the abundance stage is done with it, and none after the last.
-        block, n_sweeps = np.empty((n_pixels, n_dims)), config.n_burnin + config.n_mc
         drawn = pool.submit(normals.standard_normal, out=block)
         trace = Trace.empty(config.n_endmembers, n_pixels, config.n_clusters, config.n_classes)
         # The lambdas look each stage up on this module when called, so a stage

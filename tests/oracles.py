@@ -595,8 +595,11 @@ def sample_gaussian_simplex_truncated_rows(
 
 
 def make_precomp(Y, M):
-    """The scene statistics as ``_make_precomp`` formed them before it worked
-    in column tiles: every 16-band block of Y whole, in both passes."""
+    """The scene statistics in two passes over Y, each 16-band block whole:
+    pass 1 sums ``QᵀY += Q[b]ᵀ Y[b]`` for M's reduced QR ``M = QR``, pass 2
+    sums ``||Y[b] - Q[b] QᵀY||²``. The reference for ``_make_precomp``'s one
+    pass, which rotates Y by an updated QR: it agrees to rounding, except
+    that for a rank-deficient M, Q's spare columns and so resid0 differ."""
     M.validate()
     if Y.n_bands != M.n_bands:
         raise ValidationError(

@@ -32,7 +32,6 @@ from hbum.io import (
     write_results,
 )
 from hbum.lattice import Lattice
-from hbum.errors import NumericalDegeneracyError
 from hbum.model import (
     ChainState,
     ClusterParams,
@@ -816,17 +815,18 @@ class TestStreamedObservations:
 
     @pytest.mark.parametrize("corrupt", [False, True])
     def test_nan_in_the_last_tile_of_the_last_block(self, tmp_path, capsys, corrupt):
-        # 72 x 72 = 5 184 pixels: each band block is worked in two column
-        # tiles, and the NaN sits in the second tile of the second block.
+        # 102 x 102 = 10 404 pixels: each band block is worked in two column
+        # tiles, the columns past the second full tile joining it, and the NaN
+        # sits in the last column of the second block.
         from hbum.sampler import _BAND_BLOCK, _TILE
 
-        scene = dict(SCENE_CONFIG, scene=dict(SCENE_CONFIG["scene"], height=72, width=72))
+        scene = dict(SCENE_CONFIG, scene=dict(SCENE_CONFIG["scene"], height=102, width=102))
         (tmp_path / "scene.json").write_text(json.dumps(scene))
         (tmp_path / "model.json").write_text(json.dumps(MODEL_CONFIG))
         bundle = tmp_path / "bundle"
         assert main(["generate", str(tmp_path / "scene.json"), "--out", str(bundle)]) == 0
         y = read_matrix(bundle / "Y.hbm")
-        assert _TILE < y.shape[1] < 2 * _TILE and _BAND_BLOCK < y.shape[0] < 2 * _BAND_BLOCK
+        assert 2 * _TILE < y.shape[1] < 3 * _TILE and _BAND_BLOCK < y.shape[0] < 2 * _BAND_BLOCK
         y[-1, -1] = np.nan
         write_matrix(bundle / "Y.hbm", y)
         if corrupt:
@@ -895,79 +895,58 @@ class TestStreamedObservations:
         assert peaks["run"] < peaks["read_matrix"] and peaks["evaluate"] < peaks["read_matrix"], peaks
 
 
-class TestDeferredResidual:
-    """``_make_precomp`` leaves pass 2 of the scene statistics, the residual,
-    to ``run_chain``'s helper thread or to its first reader. The CLI's exit
-    codes, messages and results stay those of a pass run before the chain."""
+class TestSceneStatistics:
+    """``_make_precomp`` reads Y.hbm once, before any chain starts: its errors
+    exit with their documented codes, before a chain or an output exists."""
 
-    @staticmethod
-    def overflowing(bundle, monkeypatch):
-        # At 1e200, MᵀM and MᵀY stay finite, but the residual's square does not.
-        write_matrix(bundle / "Y.hbm", 1e200 * read_matrix(bundle / "Y.hbm"))
-        return 2, "error: the endmembers overflow M^T M, M^T Y or the residual\n"
-
-    @staticmethod
-    def rewritten(bundle, monkeypatch):
-        # Y.hbm changes between the passes, so pass 2's checksum fails.
-        import hbum.io as io
-
-        blocks, calls = io.ObservationFile.band_blocks, []
-
-        def band_blocks(self, n_rows):
-            calls.append(n_rows)
-            if len(calls) == 2:
-                raw = bytearray(self.path.read_bytes())
-                raw[y_payload_offset(self.path) + 8 * 100] ^= 0x01
-                self.path.write_bytes(bytes(raw))
-            return blocks(self, n_rows)
-
-        monkeypatch.setattr(io.ObservationFile, "band_blocks", band_blocks)
-        return 4, f"i/o error: {bundle / 'Y.hbm'}: checksum mismatch (stored "
-
-    @pytest.mark.parametrize("command, place", [
-        ("run", "helper"), ("sweep-corruption", "helper"), ("sweep-corruption", "parent"),
-        ("sweep-corruption", "capped pool"),
-    ])
-    @pytest.mark.parametrize("later", [None, "endmembers", "kmeans"])
-    @pytest.mark.parametrize("failure", ["overflowing", "rewritten"])
-    def test_the_pass_error_comes_first(self, small_bundle, tmp_path, capsys, monkeypatch,
-                                        in_process_pool, failure, later, command, place):
-        # On run_chain's helper, or in sweep-corruption's parent before the
-        # pool of two forks, the pass's error wins over every check that
-        # follows it, as when it ran first. Two threads for one task start
-        # no pool, so the pass runs on run_chain's helper.
-        import hbum.sampler as sampler
-
+    @pytest.mark.parametrize("failure", ["overflowing", "flipped"])
+    def test_statistics_error_exits_before_any_chain(self, small_bundle, configs, tmp_path,
+                                                     capsys, monkeypatch, failure):
+        _, model_path = configs
         bundle = tmp_path / "bundle"
         shutil.copytree(small_bundle, bundle)
-        code, message = getattr(self, failure)(bundle, monkeypatch)
-        model = dict(MODEL_CONFIG, endmembers=2) if later == "endmembers" else MODEL_CONFIG
-        (tmp_path / "model.json").write_text(json.dumps(model))
-        if later == "kmeans":
-            def kmeans(a, n_clusters, rng):
-                raise NumericalDegeneracyError("k-means failed")
-
-            monkeypatch.setattr(sampler, "_kmeans_labels", kmeans)
+        y_path = bundle / "Y.hbm"
+        if failure == "overflowing":
+            # At 1e200, MᵀM and MᵀY stay finite, but the residual's square does not.
+            write_matrix(y_path, 1e200 * read_matrix(y_path))
+            code, message = 2, "error: the endmembers overflow M^T M, M^T Y or the residual\n"
+        else:
+            raw = bytearray(y_path.read_bytes())
+            raw[y_payload_offset(y_path) + 8 * 100] ^= 0x01
+            y_path.write_bytes(bytes(raw))
+            code, message = 4, f"i/o error: {y_path}: checksum mismatch (stored "
         chains = []
-
-        def counted_chain(*args, **kwargs):
-            chains.append(args)
-            return sampler.run_chain(*args, **kwargs)
-
-        monkeypatch.setattr(hbum.cli, "run_chain", counted_chain)
-        argv = [command, str(bundle), str(tmp_path / "model.json"), "--out", str(tmp_path / "o")]
-        if command == "sweep-corruption":
-            argv += ["--alphas", "0", "--trials", "2" if place == "parent" else "1",
-                     "--threads", "1" if place == "helper" else "2"]
-        assert main(argv) == code
+        monkeypatch.setattr(hbum.cli, "run_chain", lambda *args, **kwargs: chains.append(args))
+        assert main(["run", str(bundle), str(model_path), "--out", str(tmp_path / "o")]) == code
         err = capsys.readouterr().err
         assert err.startswith(message) and err.count("\n") == 1, err
-        assert not (tmp_path / "o").exists()
-        assert in_process_pool == [] and len(chains) == (place != "parent")
+        assert chains == [] and not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["run", "sweep-corruption"])
+    def test_y_is_read_once(self, small_bundle, configs, tmp_path, monkeypatch, command):
+        # Each read of Y.hbm appends to a file, so reads in a forked worker count too.
+        import hbum.io as io
+
+        _, model_path = configs
+        blocks, reads = io.ObservationFile.band_blocks, tmp_path / "reads"
+
+        def counted(self, n_rows):
+            with open(reads, "a") as fh:
+                fh.write("read\n")
+            return blocks(self, n_rows)
+
+        monkeypatch.setattr(io.ObservationFile, "band_blocks", counted)
+        argv = [command, str(small_bundle), str(model_path), "--out", str(tmp_path / "o")]
+        if command == "sweep-corruption":
+            argv += ["--alphas", "0,0.2", "--trials", "2", "--iters", "6", "--burnin", "2",
+                     "--threads", "2"]
+        assert main(argv) == 0
+        assert reads.read_text() == "read\n"
 
     def test_scene_without_bands_exits_2_in_the_chain(self, small_bundle, configs, tmp_path,
                                                       capsys):
-        # Pass 2 of zero bands has no first block to take.
+        # Zero bands give statistics with no block rotated, and the chain's
+        # endmember check names the empty matrix.
         _, model_path = configs
         bundle = tmp_path / "bundle"
         shutil.copytree(small_bundle, bundle)
@@ -976,34 +955,6 @@ class TestDeferredResidual:
             write_matrix(bundle / name, read_matrix(bundle / name)[:0, :cols])
         assert main(["run", str(bundle), str(model_path), "--out", str(tmp_path / "r")]) == 2
         assert capsys.readouterr().err == "error: config expects 3 endmembers, matrix has 0\n"
-
-    def test_sweep_pool_forks_after_the_residual_exists(self, small_bundle, configs, tmp_path):
-        # Every read of Y.hbm sleeps 0.5 s after its last block: a fork while
-        # pass 2 is pending or on a thread would leave the workers without it.
-        _, model_path = configs
-        code = (
-            "import sys, time\n"
-            "import hbum.io as io\n"
-            "from hbum.cli import main\n"
-            "blocks = io.ObservationFile.band_blocks\n"
-            "def slow(self, n_rows):\n"
-            "    yield from blocks(self, n_rows)\n"
-            "    time.sleep(0.5)\n"
-            "io.ObservationFile.band_blocks = slow\n"
-            "sys.exit(main(sys.argv[1:]))\n"
-        )
-        rows = []
-        for threads in ("2", "1"):
-            out = tmp_path / f"threads-{threads}"
-            proc = subprocess.run(
-                [sys.executable, "-c", code, "sweep-corruption", str(small_bundle),
-                 str(model_path), "--out", str(out), "--alphas", "0,0.2", "--trials", "2",
-                 "--iters", "6", "--burnin", "2", "--threads", threads],
-                env=child_env(), capture_output=True, text=True, timeout=300,
-            )
-            assert proc.returncode == 0, proc.stderr
-            rows.append(read_manifest(out / "corruption_sweep.json")["rows"])
-        assert rows[0] == rows[1]
 
 
 class TestImports:
@@ -1322,10 +1273,9 @@ class TestSweepCorruption:
     @pytest.mark.parametrize("threads", [1, 2, 4])
     def test_trial_draws_normals_on_its_helper_at_any_thread_count(
             self, small_bundle, configs, tmp_path, monkeypatch, in_process_pool, threads):
-        # Pass 2 of the statistics runs on run_chain's helper (one worker) or
-        # in the parent before the pool forks (two): either way each chain's
-        # one helper lives through its sweeps, draws every sweep's block of
-        # normals, and is gone when the command returns.
+        # In this process (one worker) or in the pool (two or more), each
+        # chain's one helper lives through its sweeps, draws every sweep's
+        # block of normals, and is gone when the command returns.
         import threading
 
         import hbum.cli as cli

@@ -8,7 +8,6 @@ a tolerance from the rounding analysis of that arithmetic instead.
 """
 
 import copy
-from concurrent.futures import Future, ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -767,18 +766,6 @@ class TestInitialization:
         assert state.q.q.flags.c_contiguous  # Q feeds a GEMM in _class_log_partition
 
 
-def resid0_both_ways(Y, M) -> tuple[float, float]:
-    """``resid0`` of ``_make_precomp(Y, M)`` with its pass handed to a
-    helper thread, and with it run by the first read on this thread."""
-    handed, inline = _make_precomp(Y, M), _make_precomp(Y, M)
-    with ThreadPoolExecutor(1) as pool:
-        handed.hand_off(pool)
-        assert isinstance(handed._resid0, Future)
-        on_helper = handed.resid0
-    assert callable(inline._resid0)
-    return on_helper, inline.resid0
-
-
 class TestStreamedStatistics:
     """``_make_precomp`` over an ``io.ObservationFile`` reads Y.hbm in band
     blocks; it must give the bits of the same Y held in memory."""
@@ -803,8 +790,7 @@ class TestStreamedStatistics:
         got = _make_precomp(streamed, M)
         for field in ("mtm", "mty_t", "r", "qty"):
             assert_same_bits(getattr(got, field), getattr(ref, field))
-        for resid0 in resid0_both_ways(streamed, M):
-            assert resid0.hex() == ref.resid0.hex()
+        assert got.resid0.hex() == ref.resid0.hex()
         assert (got.n_obs, got.lattice) == (ref.n_obs, ref.lattice) == (y.size, lat)
         assert got.mty_t.flags.c_contiguous
 
@@ -827,17 +813,17 @@ TILE = sampler_mod._TILE
 
 
 class TestTiledStatistics:
-    """``_make_precomp`` works each 16-band block in column tiles; it must give
-    the bits of the reference that works every block whole, from memory and
+    """``_make_precomp`` rotates each 16-band block in column tiles; it must
+    give the bits of the same pass over every block whole, from memory and
     from a file, whatever tile the last column falls in."""
 
     @pytest.mark.parametrize(
         "n_pixels", [1, 2, TILE - 1, TILE, TILE + 1, TILE + 2, 2 * TILE + 1, 40000]
     )
     @pytest.mark.parametrize(
-        "n_bands, n_dims", [(1, 1), (15, 9), (16, 9), (17, 3), (413, 3), (413, 9)]
+        "n_bands, n_dims", [(1, 1), (15, 9), (16, 9), (17, 3), (413, 3), (413, 9), (20, 20)]
     )
-    def test_same_bits_as_whole_blocks(self, tmp_path, n_bands, n_dims, n_pixels):
+    def test_same_bits_as_whole_blocks(self, tmp_path, monkeypatch, n_bands, n_dims, n_pixels):
         gen = np.random.default_rng(n_bands * 10 + n_dims + n_pixels)
         lat = Lattice(1, n_pixels)
         m = gen.uniform(0.05, 1.0, size=(n_bands, n_dims))
@@ -845,14 +831,15 @@ class TestTiledStatistics:
         y += m @ gen.dirichlet(np.ones(n_dims), size=n_pixels).T
         write_matrix(tmp_path / "Y.hbm", y)
         M = EndmemberMatrix(m)
-        ref = oracles.make_precomp(ObservationMatrix(y, lat), M)
+        with monkeypatch.context() as patch:
+            patch.setattr(sampler_mod, "_TILE", n_pixels)
+            ref = _make_precomp(ObservationMatrix(y, lat), M)
         for Y in (ObservationMatrix(y, lat), ObservationFile.open(tmp_path / "Y.hbm", lat)):
             got = _make_precomp(Y, M)
             for field in ("mtm", "mty_t", "r", "qty"):
                 assert_same_bits(getattr(got, field), getattr(ref, field))
-            for resid0 in resid0_both_ways(Y, M):
-                assert resid0.hex() == ref.resid0.hex()
-            assert got.mty_t.flags.c_contiguous
+            assert got.resid0.hex() == ref.resid0.hex()
+            assert got.mty_t.flags.c_contiguous and got.qty.flags.c_contiguous
 
     def test_non_finite_entry_in_any_tile_rejected(self):
         # One NaN or inf in the last column of the last tile of each block.
@@ -865,6 +852,61 @@ class TestTiledStatistics:
                     _make_precomp(ObservationMatrix(y, Y.lattice), M)
                 with pytest.raises(ValidationError, match="non-finite"):
                     oracles.make_precomp(ObservationMatrix(y, Y.lattice), M)
+
+
+def noisy_scene(n_bands, n_dims, n_pixels, seed, noise=1e-2, equal_columns=False):
+    """Y = MA + noise for a random M (its last two columns equal on request)."""
+    gen = np.random.default_rng(seed)
+    m = gen.uniform(0.05, 1.0, size=(n_bands, n_dims))
+    if equal_columns:
+        m[:, -1] = m[:, -2]
+    a = gen.dirichlet(np.ones(n_dims), size=n_pixels).T
+    y = m @ a + gen.normal(scale=noise, size=(n_bands, n_pixels))
+    return ObservationMatrix(y, Lattice(1, n_pixels)), EndmemberMatrix(m), a
+
+
+class TestOnePassAgainstTwoPasses:
+    """The one pass of ``_make_precomp`` against the two passes of
+    ``oracles.make_precomp``, on the shapes where an updated QR could slip:
+    resid0 to 1e-13 relative and MᵀY to 1e-13 of its largest entry."""
+
+    @pytest.mark.parametrize("n_bands, n_dims, n_pixels", [
+        (40, 20, 300),  # the first block holds fewer bands than R
+        (1, 1, 50),  # d = 1
+        (30, 3, 1),  # P = 1
+        (30, 3, TILE + 1),  # a lone column past the full tile joins it
+        (413, 9, 997),
+    ])
+    def test_matches_two_passes(self, n_bands, n_dims, n_pixels):
+        Y, M, _ = noisy_scene(n_bands, n_dims, n_pixels, seed=n_bands + n_pixels)
+        got, ref = _make_precomp(Y, M), oracles.make_precomp(Y, M)
+        assert abs(got.resid0 - ref.resid0) <= 1e-13 * ref.resid0
+        assert np.abs(got.mty_t - ref.mty_t).max() <= 1e-13 * np.abs(ref.mty_t).max()
+        assert_same_bits(got.mtm, ref.mtm)
+        assert (got.r.shape, got.qty.shape, got.n_obs) == (ref.r.shape, ref.qty.shape, ref.n_obs)
+
+    def test_rank_deficient_m(self):
+        # Two equal columns leave Q a spare column that each QR picks from
+        # rounding, so resid0 = ||Y - QQᵀY||² is not unique. What the chain
+        # reads, ||Y - MA||² = resid0 + ||QᵀY - RA||², and MᵀY are.
+        Y, M, a = noisy_scene(40, 4, 200, seed=3, equal_columns=True)
+        got, ref = _make_precomp(Y, M), oracles.make_precomp(Y, M)
+        want = _residual_sq(ref, a)
+        assert abs(_residual_sq(got, a) - want) <= 1e-13 * want
+        assert np.abs(got.mty_t - ref.mty_t).max() <= 1e-13 * np.abs(ref.mty_t).max()
+
+    @pytest.mark.parametrize("n_bands, n_dims", [(50, 3), (413, 9)])
+    def test_faint_noise_matches_least_squares(self, n_bands, n_dims):
+        # At noise sigma = 1e-7 the residual is 1e-14 of ||Y||²: the one pass
+        # stays within 1e-10 of the least-squares residual, where the
+        # cancelling ||Y||² - ||QᵀY||² does not.
+        Y, M, _ = noisy_scene(n_bands, n_dims, 2000, seed=n_bands, noise=1e-7)
+        pre = _make_precomp(Y, M)
+        direct = float(np.linalg.lstsq(M.data, Y.data, rcond=None)[1].sum())
+        assert abs(pre.resid0 - direct) <= 1e-10 * direct
+        y_sq = float(np.einsum("ij,ij->", Y.data, Y.data))
+        cancelling = y_sq - float(np.einsum("ij,ij->", pre.qty, pre.qty))
+        assert abs(cancelling - direct) > 1e-10 * direct
 
 
 def cluster_scene(n_dims, n_pixels, seed, distinct=None):

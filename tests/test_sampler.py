@@ -9,7 +9,6 @@ import os
 import platform
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
@@ -689,11 +688,8 @@ class TestRunChain:
         assert np.array_equal(est.q.q, state.q.q)
 
     @pytest.mark.parametrize("seed, n_mc, n_burnin", [(7, 6, 3), (8, 1, 0), (9, 4, 1), (10, 2, 5)])
-    def test_pass_two_on_the_helper_changes_nothing(self, monkeypatch, seed, n_mc, n_burnin):
-        # Pass 2 of the statistics run on the helper during init, or already
-        # run in this thread (as sweep-corruption's parent does before its
-        # pool forks): every bit and the chain generator's end state agree,
-        # and each sweep takes its normals as a block drawn on the one helper.
+    def test_each_sweep_takes_a_block_drawn_on_the_one_helper(self, monkeypatch, seed, n_mc,
+                                                              n_burnin):
         import threading
 
         Y, M, sup, config = tiny_problem(seed=seed, n_mc=n_mc, n_burnin=n_burnin)
@@ -706,35 +702,15 @@ class TestRunChain:
 
         monkeypatch.setattr(sampler_mod, "_sample_abundances_all", spy)
         start = threading.active_count()
-        runs = []
-        for formed in (False, True):
-            pre = sampler_mod._make_precomp(Y, M)
-            if formed:
-                pre.resid0
-            rng = make_rng(config.seed)
-            seen.clear()
-            est, trace = run_chain(pre, None, sup, config, rng)
-            assert seen == [("ndarray", start + 1)] * (n_mc + n_burnin)
-            assert threading.active_count() == start
-            runs.append((est, trace, rng.bit_generator.state))
-        (est0, trace0, state0), (est, trace, state) = runs
-        for got, want in [
-            (est.A.data, est0.A.data), (est.clusters.psi, est0.clusters.psi),
-            (est.clusters.sigma2, est0.clusters.sigma2), (est.q.q, est0.q.q),
-            (est.z.labels, est0.z.labels), (est.omega.labels, est0.omega.labels),
-            (trace.z_counts, trace0.z_counts), (trace.omega_counts, trace0.omega_counts),
-            (trace.a_sum, trace0.a_sum),
-        ]:
-            assert got.tobytes() == want.tobytes()
-        assert est.noise.s2 == est0.noise.s2
-        assert state == state0
+        run_chain(sampler_mod._make_precomp(Y, M), None, sup, config, make_rng(config.seed))
+        assert seen == [("ndarray", start + 1)] * (n_mc + n_burnin)
+        assert threading.active_count() == start
 
     def test_helper_thread_ends_on_return_and_on_error(self, monkeypatch):
         import threading
 
-        # Pass 2 of the scene statistics runs on the helper while init runs,
-        # and the same helper then draws the sweeps' normals: it lives through
-        # the sweeps and is joined before run_chain returns or raises.
+        # The helper starts after init, draws the sweeps' normals, lives
+        # through the sweeps and is joined before run_chain returns or raises.
         Y, M, sup, config = tiny_problem(seed=7, n_mc=3, n_burnin=2)
         start = threading.active_count()
         in_init, during = [], []
@@ -751,17 +727,6 @@ class TestRunChain:
         monkeypatch.setattr(sampler_mod, "_kmeans_labels", counted_kmeans)
         monkeypatch.setattr(sampler_mod, "sample_cluster_means", means)
         run_chain(Y, M, sup, config)
-        assert in_init == [start + 1]
-        assert during == [start + 1] * 5
-        assert threading.active_count() == start
-
-        # Statistics whose residual is already formed start the helper with
-        # the first draw of normals, after init.
-        pre = sampler_mod._make_precomp(Y, M)
-        pre.resid0
-        in_init.clear()
-        during.clear()
-        run_chain(pre, None, sup, config)
         assert in_init == [start]
         assert during == [start + 1] * 5
         assert threading.active_count() == start
@@ -791,26 +756,14 @@ class TestRunChain:
         assert sweeps == [start + 1] * 3
         assert threading.active_count() == start
 
-        # initialize_state fails while pass 2 of the scene statistics, slowed
-        # down after its last block, is still running on the helper.
-        blocks, passes, done = ObservationMatrix.band_blocks, [], threading.Event()
-
-        def slow_blocks(self, n_rows):
-            passes.append(threading.current_thread())
-            yield from blocks(self, n_rows)
-            if len(passes) == 2:
-                time.sleep(0.3)
-                done.set()
-
+        # initialize_state fails before the helper starts.
         def kmeans(a, n_clusters, rng):
-            assert not done.is_set() and threading.active_count() == start + 1
+            assert threading.active_count() == start
             raise ValidationError("k-means failed")
 
-        monkeypatch.setattr(ObservationMatrix, "band_blocks", slow_blocks)
         monkeypatch.setattr(sampler_mod, "_kmeans_labels", kmeans)
         with pytest.raises(ValidationError, match="^k-means failed$"):
             run_chain(Y, M, sup, config)
-        assert done.is_set() and passes == [threading.main_thread()] * 2
         assert threading.active_count() == start
 
     @pytest.mark.parametrize("n_mc, n_burnin", [(1, 0), (1, 1), (4, 0), (3, 2)])
@@ -863,9 +816,10 @@ class TestRunChain:
         assert trace.a_sum.tobytes() == ref.a_sum.tobytes()
 
     def test_concurrent_chains_under_a_short_switch_interval(self):
-        # Three chains on three threads, each handing pass 2 of its scene
-        # statistics to its own helper, with the interpreter switching threads
-        # every microsecond: every chain still gives the bits of a plain run.
+        # Three chains on three threads, each forming its scene statistics
+        # and drawing its normals on its own helper, with the interpreter
+        # switching threads every microsecond: every chain still gives the
+        # bits of a plain run.
         import sys
         import threading
 
@@ -1066,6 +1020,26 @@ class TestChainInChildProcesses:
             "for arr in (est.A.data, est.clusters.psi, est.clusters.sigma2, est.q.q,\n"
             "            est.z.labels, est.omega.labels):\n"
             "    print(np.ascontiguousarray(arr).tobytes().hex())\n"
+        )
+        outs = [run_child_script(script, OPENBLAS_NUM_THREADS=t) for t in ("1", "2")]
+        assert outs[0] == outs[1]
+
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs 2 usable CPUs")
+    def test_statistics_ignore_the_blas_thread_count(self):
+        # With the pixels as the rotation's columns, OpenBLAS rounded products
+        # whose width is not a multiple of 8 otherwise on two threads.
+        script = (
+            "import hashlib\n"
+            "import numpy as np\n"
+            "from hbum.lattice import Lattice\n"
+            "from hbum.model import EndmemberMatrix, ObservationMatrix\n"
+            "from hbum.sampler import _make_precomp\n"
+            "for d, r, p in ((20, 20, 5123), (413, 9, 10002), (64, 12, 4097)):\n"
+            "    gen = np.random.default_rng(d + r + p)\n"
+            "    y, m = gen.normal(size=(d, p)), gen.uniform(0.05, 1.0, size=(d, r))\n"
+            "    pre = _make_precomp(ObservationMatrix(y, Lattice(1, p)), EndmemberMatrix(m))\n"
+            "    stats = pre.qty.tobytes() + pre.mty_t.tobytes() + pre.r.tobytes()\n"
+            "    print(pre.resid0.hex(), hashlib.sha256(stats).hexdigest())\n"
         )
         outs = [run_child_script(script, OPENBLAS_NUM_THREADS=t) for t in ("1", "2")]
         assert outs[0] == outs[1]
