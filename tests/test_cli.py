@@ -32,6 +32,7 @@ from hbum.io import (
     write_results,
 )
 from hbum.lattice import Lattice
+from hbum.errors import NumericalDegeneracyError
 from hbum.model import (
     ChainState,
     ClusterParams,
@@ -899,10 +900,19 @@ class TestSceneStatistics:
     """``_make_precomp`` reads Y.hbm once, before any chain starts: its errors
     exit with their documented codes, before a chain or an output exists."""
 
+    @pytest.mark.parametrize("command, threads", [
+        ("run", None), ("sweep-corruption", "1"), ("sweep-corruption", "2"),
+    ])
+    @pytest.mark.parametrize("later", [None, "endmembers", "kmeans"])
     @pytest.mark.parametrize("failure", ["overflowing", "flipped"])
-    def test_statistics_error_exits_before_any_chain(self, small_bundle, configs, tmp_path,
-                                                     capsys, monkeypatch, failure):
-        _, model_path = configs
+    def test_statistics_error_exits_before_any_chain(self, small_bundle, tmp_path, capsys,
+                                                     monkeypatch, in_process_pool, failure,
+                                                     later, command, threads):
+        # The statistics' error wins over every check that follows them: the
+        # chain's endmember count and its k-means start. sweep-corruption
+        # forms them before its pool of two would start.
+        import hbum.sampler as sampler
+
         bundle = tmp_path / "bundle"
         shutil.copytree(small_bundle, bundle)
         y_path = bundle / "Y.hbm"
@@ -915,12 +925,27 @@ class TestSceneStatistics:
             raw[y_payload_offset(y_path) + 8 * 100] ^= 0x01
             y_path.write_bytes(bytes(raw))
             code, message = 4, f"i/o error: {y_path}: checksum mismatch (stored "
+        model = dict(MODEL_CONFIG, endmembers=2) if later == "endmembers" else MODEL_CONFIG
+        (tmp_path / "model.json").write_text(json.dumps(model))
+        if later == "kmeans":
+            def kmeans(a, n_clusters, rng):
+                raise NumericalDegeneracyError("k-means failed")
+
+            monkeypatch.setattr(sampler, "_kmeans_labels", kmeans)
         chains = []
-        monkeypatch.setattr(hbum.cli, "run_chain", lambda *args, **kwargs: chains.append(args))
-        assert main(["run", str(bundle), str(model_path), "--out", str(tmp_path / "o")]) == code
+
+        def counted_chain(*args, **kwargs):
+            chains.append(args)
+            return sampler.run_chain(*args, **kwargs)
+
+        monkeypatch.setattr(hbum.cli, "run_chain", counted_chain)
+        argv = [command, str(bundle), str(tmp_path / "model.json"), "--out", str(tmp_path / "o")]
+        if command == "sweep-corruption":
+            argv += ["--alphas", "0", "--trials", "2", "--threads", threads]
+        assert main(argv) == code
         err = capsys.readouterr().err
         assert err.startswith(message) and err.count("\n") == 1, err
-        assert chains == [] and not (tmp_path / "o").exists()
+        assert chains == [] and in_process_pool == [] and not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["run", "sweep-corruption"])
     def test_y_is_read_once(self, small_bundle, configs, tmp_path, monkeypatch, command):
